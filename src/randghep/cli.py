@@ -3,7 +3,7 @@
 Subcommands: solve (generic GHEP from Matrix Market files), kle, gsvd,
 estimate, qr-bench, svd.  Reports are JSON, per-index series are CSV,
 matrices are Matrix Market.  Exit codes: 0 success, 2 bad configuration,
-3 numerical failure.
+3 numerical failure (a LinAlgError that escapes a command counts as one).
 
 Numpy import is deferred until after RANDGHEP_THREADS has been propagated to
 the BLAS thread-count variables, so the cap reaches the underlying libraries.
@@ -176,6 +176,7 @@ def cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     report: dict = {"command": "estimate"}
     seed = _resolve_seed(args.seed, report)
+    pencil = None
     if args.A and args.B:
         A, B, Ad, Bd = _load_pencil(args)
         report["config"] = {"A": args.A, "B": args.B}
@@ -187,7 +188,7 @@ def cmd_estimate(args) -> int:
             raise ConfigError(raise_from)
         grid = kle.Grid1D(n=args.n)
         pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=args.nu, ell=args.ell))
-        A, B, Ad, Bd = pencil.A, pencil.B, pencil.dense_a, pencil.dense_b
+        A, B = pencil.A, pencil.B
         report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n}
     report["config"].update({"k": args.k, "alpha": args.alpha, "r": args.r,
                              "tol": args.tol, "grow": bool(args.grow)})
@@ -218,6 +219,8 @@ def cmd_estimate(args) -> int:
     report["binv_source"] = est.source
     report["binv_norm_used"] = est.binv_norm_used
     if args.oracle:
+        if pencil is not None:
+            Ad, Bd = pencil.dense_a, pencil.dense_b
         report["range_error_exact"] = errors.range_error_exact(Ad, Bd, Q)
     _finish_report(report, Path(args.out), t0)
     return 0
@@ -360,6 +363,8 @@ def main(argv=None) -> int:
     _setup_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
+    from numpy.linalg import LinAlgError
+
     from .operators import ConfigError, MatrixFormatError, NumericalError
 
     try:
@@ -370,7 +375,7 @@ def main(argv=None) -> int:
     except (ConfigError, MatrixFormatError) as exc:
         print(f"randghep: configuration error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, LinAlgError) as exc:
         print(f"randghep: numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -2,14 +2,19 @@
 
 Matern covariance kernels, the piecewise-linear mass matrix, the discrete
 pencil (M Gamma M, M), truncated-expansion error checks, and random-field
-realizations.  Everything is dense at harness scale (n <= 4000); the mass
-solves go through a banded Cholesky so B^{-1}x stays O(n).
+realizations.  The solver path is matrix-free at any n: on the uniform grid
+Gamma is symmetric Toeplitz, so it is applied by circulant embedding with the
+FFT in O(n log n) per column and O(n) memory (Dietrich & Newsam 1997), and the
+mass solves go through a banded Cholesky so B^{-1}x stays O(n).  Dense copies
+of the pencil are built only when an oracle reads them (n <= ORACLE_MAX_N).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
+
 import numpy as np
 import scipy.linalg
 
@@ -78,7 +83,10 @@ def matern_kernel(cfg: MaternConfig, x, y):
 
 
 def assemble_covariance(grid: Grid1D, cfg: MaternConfig) -> np.ndarray:
-    """Nodal covariance matrix Gamma_ij = kappa(x_i, x_j); symmetric, unit diagonal."""
+    """Nodal covariance matrix Gamma_ij = kappa(x_i, x_j); symmetric, unit diagonal.
+
+    Dense oracle helper; the solvers apply Gamma through ``covariance_apply``.
+    """
     if grid.n > 4000:
         raise ConfigError("dense harness caps the grid at 4000 nodes")
     x = grid.nodes()
@@ -128,23 +136,59 @@ class MassOperator(SpdOperator):
         return scipy.linalg.cho_solve_banded((self._cb, False), X, check_finite=False)
 
 
+def covariance_apply(grid: Grid1D, cfg: MaternConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Block apply X -> Gamma X by circulant embedding of the Toeplitz Gamma.
+
+    The first column c_j = kappa(x_j - x_0) (c_0 = 1) is mirrored into the
+    symmetric circulant [c_0, ..., c_{n-1}, c_{n-2}, ..., c_1] of length
+    2n - 2, whose spectrum is its real FFT.  Gamma X is the top n rows of that
+    circulant applied to X padded with zeros.  Exact up to FFT roundoff.
+    """
+    n = grid.n
+    col = matern_kernel(cfg, grid.nodes(), grid.a)
+    col[0] = 1.0
+    size = 2 * n - 2
+    spectrum = np.fft.rfft(np.concatenate([col, col[-2:0:-1]])).real
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        Xf = np.fft.rfft(X, n=size, axis=0)
+        Xf *= spectrum[:, None]
+        return np.fft.irfft(Xf, n=size, axis=0)[:n]
+
+    return apply
+
+
+def _check_oracle_size(grid: Grid1D) -> None:
+    if grid.n > ORACLE_MAX_N:
+        raise ConfigError(f"dense oracle copies are capped at n={ORACLE_MAX_N}")
+
+
 def kle_pencil(grid: Grid1D, cfg: MaternConfig, fast_path: bool = False) -> GhepPencil:
     """The discrete KLE pencil: A = M Gamma M applied factor-by-factor, B = M.
 
-    With ``fast_path`` the pencil carries a direct C = Gamma M apply, letting
-    solvers skip the B-solve entirely (C is self-adjoint in the M-inner
-    product, so nothing else changes).
+    Gamma is applied matrix-free (``covariance_apply``); nothing n-by-n is
+    formed unless an oracle reads ``dense_a``/``dense_b``.  With ``fast_path``
+    the pencil carries a direct C = Gamma M apply, letting solvers skip the
+    B-solve entirely (C is self-adjoint in the M-inner product, so nothing
+    else changes).
     """
-    gamma = assemble_covariance(grid, cfg)
+    gamma = covariance_apply(grid, cfg)
     mass = MassOperator(grid)
-    mass_dense = assemble_mass_1d(grid)
 
     def apply_a(X: np.ndarray) -> np.ndarray:
-        return mass._stencil(gamma @ mass._stencil(X))
+        return mass._stencil(gamma(mass._stencil(X)))
+
+    def dense_a() -> np.ndarray:
+        _check_oracle_size(grid)
+        return mass._stencil(mass._stencil(assemble_covariance(grid, cfg)).T)
+
+    def dense_b() -> np.ndarray:
+        _check_oracle_size(grid)
+        return assemble_mass_1d(grid)
 
     A = LinearMap(grid.n, grid.n, apply_a, apply_a)
-    c_apply = (lambda X: gamma @ mass._stencil(X)) if fast_path else None
-    return GhepPencil(A=A, B=mass, c_apply=c_apply, dense_a=mass_dense @ gamma @ mass_dense, dense_b=mass_dense)
+    c_apply = (lambda X: gamma(mass._stencil(X))) if fast_path else None
+    return GhepPencil(A=A, B=mass, c_apply=c_apply, build_dense_a=dense_a, build_dense_b=dense_b)
 
 
 @dataclass
@@ -209,8 +253,6 @@ def kle_solve(
     sol = solve(pencil.A, pencil.B, scfg, **kwargs)
     diag = {}
     if compare_oracle:
-        if grid.n > ORACLE_MAX_N:
-            raise ConfigError(f"oracle comparison capped at n={ORACLE_MAX_N}")
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
         kk = sol.eigenvalues.size
         diag["rel_eigenvalue_error"] = float(

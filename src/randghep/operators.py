@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -124,6 +125,10 @@ class LinearMap:
             raise ConfigError("operator does not expose transpose application")
         Xb, vec = _as_block(X, self.dim_out)
         out = np.asarray(self._apply_t(Xb), dtype=float)
+        if out.shape != (self.dim_in, Xb.shape[1]):
+            raise NumericalError(
+                f"apply_transpose produced shape {out.shape}, expected ({self.dim_in}, {Xb.shape[1]})"
+            )
         self._matvecs.add(Xb.shape[1])
         return out[:, 0] if vec else out
 
@@ -179,14 +184,25 @@ class GhepPencil:
 
     ``c_apply``, when present, applies C = B^{-1}A directly without a B-solve
     (fast path for pencils like M*Gamma*M vs. M where C = Gamma*M is cheap).
-    ``dense_a``/``dense_b`` are optional dense copies for oracle-scale checks.
+    ``dense_a``/``dense_b`` are dense copies for oracle-scale checks.  They
+    are lazy: ``build_dense_a``/``build_dense_b`` run the first time the
+    attribute is read, and only oracle code reads it.  Without a builder the
+    attribute is None.
     """
 
     A: LinearMap
     B: SpdOperator
     c_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    dense_a: Optional[np.ndarray] = None
-    dense_b: Optional[np.ndarray] = None
+    build_dense_a: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
+    build_dense_b: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
+
+    @cached_property
+    def dense_a(self) -> Optional[np.ndarray]:
+        return None if self.build_dense_a is None else self.build_dense_a()
+
+    @cached_property
+    def dense_b(self) -> Optional[np.ndarray]:
+        return None if self.build_dense_b is None else self.build_dense_b()
 
 
 def check_symmetric(M: np.ndarray, tol: float = 1e-13) -> None:
@@ -211,10 +227,13 @@ def dense_operator(M: np.ndarray) -> LinearMap:
 def dense_spd(M: np.ndarray) -> SpdOperator:
     """SPD operator backed by a dense matrix; B^{-1}x served by a one-time Cholesky.
 
-    Raises NotPositiveDefiniteError if the factorization meets a non-positive
-    pivot, ConfigError if M is not symmetric.
+    Raises NumericalError if M has a NaN or Inf entry, NotPositiveDefiniteError
+    if the factorization meets a non-positive pivot, ConfigError if M is not
+    symmetric.
     """
     M = np.array(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise NumericalError("matrix has non-finite entries")
     check_symmetric(M)
     try:
         factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
@@ -265,16 +284,12 @@ def _locate_bad_line(path) -> int:
             if not header.startswith("%%MatrixMarket"):
                 return 1
             lineno = 1
-            ncols_expected = None
             for line in fh:
                 lineno += 1
                 if line.startswith("%") or not line.strip():
                     continue
-                tokens = line.split()
-                if ncols_expected is None:
-                    ncols_expected = len(tokens)
                 try:
-                    [float(t) for t in tokens]
+                    [float(t) for t in line.split()]
                 except ValueError:
                     return lineno
             return 0
@@ -287,7 +302,8 @@ def load_matrix_market(path) -> np.ndarray:
 
     Symmetric/skew storage is expanded to full.  Complex and pattern fields
     raise UnsupportedFieldError; parse failures raise MatrixFormatError with
-    a line number when one can be determined.
+    a line number when one can be determined, and so do NaN or Inf values
+    (without one).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -308,7 +324,10 @@ def load_matrix_market(path) -> np.ndarray:
         raise MatrixFormatError(f"{path}: parse failure{where}: {exc}") from exc
     if scipy.sparse.issparse(M):
         M = M.toarray()
-    return np.asarray(M, dtype=float)
+    M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise MatrixFormatError(f"{path}: non-finite (NaN or Inf) value")
+    return M
 
 
 def save_matrix_market(path, M: np.ndarray, comment: str = "") -> None:

@@ -100,6 +100,30 @@ class TestSolve:
         assert main(["solve", "--A", str(a_path), "--B", str(b_path), "--k", "2",
                      "--p", "1", "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_non_finite_input_is_typed_failure(self, tmp_path, which, bad):
+        body = {"A": "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 1\n2 2 1\n3 3 1\n"}
+        body["B"] = body["A"]
+        body[which] = f"%%MatrixMarket matrix array real general\n3 3\n1\n0\n0\n0\n{bad}\n0\n0\n0\n1\n"
+        paths = {}
+        for name, text in body.items():
+            paths[name] = tmp_path / f"{name}.mtx"
+            paths[name].write_text(text)
+        code = main(["solve", "--A", str(paths["A"]), "--B", str(paths["B"]), "--k", "1",
+                     "--p", "1", "--out", str(tmp_path / "x")])
+        assert code in (2, 3)
+
+    def test_escaping_linalg_error_exits_3(self, tmp_path, monkeypatch):
+        import randghep.sketch
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(randghep.sketch, "randomized_svd", fail)
+        eye = _write_eye(tmp_path / "eye.mtx", 6)
+        assert main(["svd", "--A", eye, "--k", "2", "--out", str(tmp_path / "x")]) == 3
+
     def test_seed_zero_draws_from_entropy(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", 6)
         out = tmp_path / "run"
@@ -150,6 +174,15 @@ class TestKle:
         assert float(rows[0]["abs_err"]) >= 0.0
         modes = rg.load_matrix_market(out / "modes.mtx")
         assert modes.shape == (101, 10)
+
+    def test_beyond_dense_scale(self, tmp_path):
+        out = tmp_path / "kle"
+        code = main(["kle", "--nu", "2.5", "--ell", "0.5", "--n", "20000", "--k", "10",
+                     "--seed", "3", "--out", str(out)])
+        assert code == 0
+        rep = _read_report(out)
+        assert "rel_eigenvalue_error" not in rep
+        assert len(_read_csv(out / "spectrum.csv")) == 10
 
     def test_method_flag(self, tmp_path):
         out = tmp_path / "kle"

@@ -98,6 +98,50 @@ class TestAssembly:
         np.testing.assert_allclose(M @ op.apply_inverse(X), X, rtol=1e-11, atol=1e-13)
 
 
+class TestCovarianceApply:
+    @pytest.mark.parametrize("n", [2, 3, 201, 1001])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matches_dense_covariance(self, nu, n):
+        # n = 2 is the edge case: the circulant embedding has length 2
+        grid = kle.Grid1D(n=n)
+        cfg = kle.MaternConfig(nu, 0.5)
+        X = np.random.default_rng(n).standard_normal((n, 7))
+        ref = kle.assemble_covariance(grid, cfg) @ X
+        got = kle.covariance_apply(grid, cfg)(X)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class TestLazyDenseCopies:
+    def test_dense_a_matches_m_gamma_m(self):
+        grid = kle.Grid1D(n=301)
+        cfg = kle.MaternConfig(1.5, 0.5)
+        pencil = kle.kle_pencil(grid, cfg)
+        M = kle.assemble_mass_1d(grid)
+        ref = M @ kle.assemble_covariance(grid, cfg) @ M
+        assert np.linalg.norm(pencil.dense_a - ref) <= 1e-13 * np.linalg.norm(ref)
+        np.testing.assert_array_equal(pencil.dense_b, M)
+        assert pencil.dense_a is pencil.dense_a
+
+    def test_solve_without_oracle_assembles_nothing_dense(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("dense assembly on the solver path")
+
+        monkeypatch.setattr(kle, "assemble_covariance", boom)
+        monkeypatch.setattr(kle, "assemble_mass_1d", boom)
+        for method in ("two_pass", "single_pass", "nystrom"):
+            for fast_path in (False, True):
+                sol = kle.kle_solve(kle.Grid1D(n=301), kle.MaternConfig(2.5, 0.5), k=10, p=5,
+                                    method=method, seed=4, fast_path=fast_path)
+                assert sol.K == 10
+
+    def test_oracle_copies_capped(self):
+        pencil = kle.kle_pencil(kle.Grid1D(n=kle.ORACLE_MAX_N + 1), kle.MaternConfig(0.5, 0.5))
+        with pytest.raises(ConfigError):
+            pencil.dense_a
+        with pytest.raises(ConfigError):
+            pencil.dense_b
+
+
 class TestKlePencil:
     def test_c_self_adjoint_in_mass_inner_product(self):
         pencil = make_kle_pencil(1.5, n=101)

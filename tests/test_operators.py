@@ -12,6 +12,7 @@ from randghep.operators import (
     ConfigError,
     MatrixFormatError,
     NotPositiveDefiniteError,
+    NumericalError,
     PoleError,
     UnsupportedFieldError,
 )
@@ -55,6 +56,13 @@ class TestMatrixMarket:
         path = tmp_path / "c.mtx"
         path.write_text("%%MatrixMarket matrix array complex general\n1 1\n1 2\n")
         with pytest.raises(UnsupportedFieldError):
+            rg.load_matrix_market(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "nf.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 1 {bad}\n")
+        with pytest.raises(MatrixFormatError, match="non-finite"):
             rg.load_matrix_market(path)
 
     def test_missing_file(self, tmp_path):
@@ -103,6 +111,11 @@ class TestDenseSpd:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             rg.dense_spd(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, bad):
+        with pytest.raises(NumericalError):
+            rg.dense_spd(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_not_symmetric(self):
         with pytest.raises(ConfigError):
@@ -166,6 +179,12 @@ class TestLinearMap:
         A = rg.LinearMap(3, 3, lambda X: X)
         with pytest.raises(ConfigError):
             A.apply_transpose(np.ones(3))
+
+    def test_transpose_shape_validation(self):
+        A = rg.LinearMap(3, 2, lambda X: np.ones((3, X.shape[1])), lambda X: X)
+        with pytest.raises(NumericalError):
+            A.apply_transpose(np.ones(3))
+        assert A.matvec_count == 0
 
     def test_concurrent_counting_is_exact(self):
         A = rg.dense_operator(np.eye(16))
