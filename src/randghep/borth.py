@@ -1,9 +1,14 @@
 """QR factorizations in a weighted inner product <x, y>_W = y^T W x.
 
-Four algorithms: plain modified Gram-Schmidt (MGS), MGS with Rutishauser-style
-re-orthogonalization (MGS-R), CholQR, and PreCholQR.  All return the factor Q,
-the cached product W*Q, and the upper-triangular R.  Householder and Givens
-variants are ruled out by the weighted inner product.
+``pre_chol_qr_w`` (PreCholQR: a Householder QR, then CholeskyQR2 in the
+W-inner product, with a BCGS2 append) is the one block path: the solvers,
+the range finder and sketch growth all use it, and it touches W only through
+one block apply per call.  Plain modified Gram-Schmidt (``mgs_w``), MGS with
+Rutishauser-style re-orthogonalization (``mgs_w_reorth``) and plain CholQR
+(``chol_qr_w``) are reference algorithms for the QR-quality comparison
+(``randghep qr-bench``) and the ``--qr`` option; MGS-R also serves Nystrom's
+second, B^{-1}-weighted QR.  All return the factor Q, the cached product
+W*Q, and the upper-triangular R.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
-from .operators import ConfigError, IllConditionedError, SpdOperator
+from .operators import ConfigError, IllConditionedError, NumericalError, SpdOperator
 
 EPS = np.finfo(float).eps  # unit roundoff of double precision, ~2.22e-16
 
@@ -28,6 +34,12 @@ class BOrthoBasis:
     dependent: that column of Q/WQ is zeroed and R[j, j] = 0.  Columns are
     zeroed in place rather than removed so indexing is preserved; use
     ``compact()`` to drop them.
+
+    ``n_w_applies`` counts the columns the factorization proper applies W
+    to (MGS: every column; PreCholQR: the kept ones).  ``n_reorth_applies``
+    counts the extra columns that MGS-R's re-orthogonalization sweeps apply
+    W to.  The block path makes no such sweeps, so its bases keep that count
+    at the value of the basis they extend (0 for a fresh one).
     """
 
     Q: np.ndarray
@@ -54,7 +66,7 @@ class BOrthoBasis:
         )
 
 
-def _check_shapes(Y: np.ndarray, W: SpdOperator) -> np.ndarray:
+def _check_input(Y: np.ndarray, W: SpdOperator) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ConfigError("Y must be a 2-D block of columns")
@@ -63,6 +75,8 @@ def _check_shapes(Y: np.ndarray, W: SpdOperator) -> np.ndarray:
         raise ConfigError(f"more columns ({r}) than rows ({n})")
     if W.dim != n:
         raise ConfigError(f"weight operator dimension {W.dim} does not match rows {n}")
+    if not np.isfinite(Y).all():
+        raise NumericalError("Y has non-finite (NaN or Inf) entries")
     return Y
 
 
@@ -75,7 +89,7 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool, basis: BOrthoBasis | None 
     the image fresh, which is what restores orthogonality for collapsing
     columns and what makes re-orthogonalization cost extra W-applies.
     """
-    Y = _check_shapes(Y, W)
+    Y = _check_input(Y, W)
     n, r_new = Y.shape
     if basis is not None:
         Q = np.hstack([basis.Q, Y.astype(float)])
@@ -170,45 +184,151 @@ def chol_qr_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
     matrix; Cholesky breakdown raises IllConditionedError pointing at
     pre_chol_qr_w / mgs_w_reorth.
     """
-    Y = _check_shapes(Y, W)
-    Z = W.apply(Y)
-    C = Y.T @ Z
-    C = (C + C.T) / 2.0
-    breakdown = None
-    try:
-        R = scipy.linalg.cholesky(C, lower=False, check_finite=False)
-        d = np.diag(R)
-        # pivots at roundoff level are breakdown even if LAPACK kept them positive
-        if d.size and (d.min() / d.max()) ** 2 <= 10.0 * EPS:
-            breakdown = "Gram matrix pivots fell to roundoff level"
-    except scipy.linalg.LinAlgError:
-        breakdown = "Gram matrix Cholesky factorization failed"
-    if breakdown is not None:
-        raise IllConditionedError(
-            f"{breakdown} (input too ill-conditioned for CholQR); "
-            "use pre_chol_qr_w or mgs_w_reorth"
-        )
-    Q = scipy.linalg.solve_triangular(R, Y.T, trans="T", lower=False, check_finite=False).T
-    WQ = scipy.linalg.solve_triangular(R, Z.T, trans="T", lower=False, check_finite=False).T
+    Y = _check_input(Y, W)
+    Z = _fresh_apply(W, Y)
+    R = _gram_cholesky(Y, Z, "input too ill-conditioned for CholQR; use pre_chol_qr_w or mgs_w_reorth")
+    Q = _solve_right(np.array(Y, order="F"), R)
+    WQ = _solve_right(Z, R)
     flags = np.ones(Y.shape[1], dtype=bool)
     return BOrthoBasis(Q, WQ, R, flags, n_w_applies=Y.shape[1])
 
 
-def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
-    """Pre-CholQR: an ordinary thin QR of Y, then CholQR of the orthonormal factor.
+def _fresh_apply(W: SpdOperator, X: np.ndarray) -> np.ndarray:
+    """W*X in an array that does not alias X, so it can be overwritten."""
+    WX = W.apply(X)
+    return WX.copy(order="K") if np.may_share_memory(WX, X) else WX
 
-    The preconditioning step leaves CholQR with a matrix whose Gram conditioning
-    is bounded by W's, so it survives inputs that break plain CholQR.
+
+def _solve_right(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X := X R^{-1} in place for upper-triangular R (X in either memory order)."""
+    if X.flags.f_contiguous:
+        return dtrsm(1.0, R, X, side=1, lower=0, overwrite_b=1)
+    # A C-ordered X is the F-ordered X^T: solve R^T X^T = X^T from the left.
+    return dtrsm(1.0, R, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
+
+
+def _gram_cholesky(Q: np.ndarray, WQ: np.ndarray, advice: str) -> np.ndarray:
+    """Upper Cholesky factor of the Gram matrix Q^T (WQ).
+
+    Raises IllConditionedError, with ``advice`` appended, when the
+    factorization fails or its pivots fall to roundoff level.
     """
-    Y = _check_shapes(Y, W)
-    Z, S = np.linalg.qr(Y)
-    d = np.sign(np.diag(S))
-    d[d == 0.0] = 1.0
-    Z = Z * d
-    S = d[:, None] * S
-    inner = chol_qr_w(Z, W)
-    R = inner.R @ S
-    return BOrthoBasis(inner.Q, inner.WQ, R, inner.rank_flags, inner.n_w_applies)
+    C = Q.T @ WQ
+    C = (C + C.T) / 2.0
+    try:
+        R = scipy.linalg.cholesky(C, lower=False, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        raise IllConditionedError(f"Gram matrix Cholesky factorization failed ({advice})") from None
+    d = np.diag(R)
+    # pivots at roundoff level are breakdown even if LAPACK kept them positive
+    if d.size and (d.min() / d.max()) ** 2 <= 10.0 * EPS:
+        raise IllConditionedError(f"Gram matrix pivots fell to roundoff level ({advice})")
+    return R
+
+
+def _project_out(Z: np.ndarray, basis: BOrthoBasis) -> np.ndarray:
+    """BCGS2: W-project Z against the cached basis twice, in place.
+
+    Uses the cached (Q, WQ) only, so no W-applies.  Returns the summed
+    coefficients Q^T W Z of both passes.
+    """
+    coef = basis.WQ.T @ Z
+    Z -= basis.Q @ coef
+    second = basis.WQ.T @ Z
+    Z -= basis.Q @ second
+    coef += second
+    return coef
+
+
+def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None) -> BOrthoBasis:
+    """Preconditioned CholQR2: the block weighted QR used by every solver.
+
+    Y is copied once into a Fortran-ordered work array that all later steps
+    overwrite.  With ``basis`` given, the new columns are first projected
+    against it twice (BCGS2, using the cached W*Q: no W-applies) and the
+    basis is extended; its columns are left untouched.  A Householder QR
+    Y = Z S (Euclidean inner product, signs fixed so diag(S) >= 0) then
+    bounds the conditioning of the Gram matrix Z^T W Z by kappa(W) instead
+    of kappa(Y)^2.  Column k is declared dependent when
+    |S_kk| <= 10 eps ||y_k||_2, the relative threshold MGS-R uses; dependent
+    columns are moved behind the kept ones and the QR is redone, so a
+    dependent column never lends its arbitrary Householder direction to a
+    later column.  Its Q/WQ columns are zeroed and R[k, k] = 0.
+
+    W is applied once, to all kept columns in one block call.  Two CholQR
+    passes follow on the tracked image, Z R1^{-1} R2^{-1} with each Gram
+    formed from the current Q and W*Q (no second W-apply), and the
+    triangular solves run in place.  R = R2 R1 S.  A Cholesky breakdown
+    (kappa(W) near 1/eps) raises IllConditionedError.
+    """
+    Y = _check_input(Y, W)
+    n, m = Y.shape
+    r0 = 0
+    if basis is not None:
+        r0 = basis.Q.shape[1]
+        if basis.Q.shape[0] != n:
+            raise ConfigError(f"basis has {basis.Q.shape[0]} rows, Y has {n}")
+        if r0 + m > n:
+            raise ConfigError(f"more columns ({r0 + m}) than rows ({n})")
+    threshold = 10.0 * EPS * np.linalg.norm(Y, axis=0)
+    dependent = np.zeros(m, dtype=bool)
+    order = np.arange(m)
+    Z = np.array(Y, order="F")
+    while True:
+        coef = None if basis is None else _project_out(Z, basis)
+        Z, S = scipy.linalg.qr(Z, mode="economic", overwrite_a=True, check_finite=False)
+        d = np.where(np.diag(S) < 0.0, -1.0, 1.0)
+        Z *= d
+        S *= d[:, None]
+        n_kept = m - int(dependent.sum())
+        small = np.abs(np.diag(S))[:n_kept] <= threshold[order[:n_kept]]
+        dependent[order[:n_kept][small]] = True
+        new_order = np.concatenate([np.flatnonzero(~dependent), np.flatnonzero(dependent)])
+        if np.array_equal(new_order, order):
+            break
+        order = new_order
+        Z = np.asfortranarray(Y[:, order])
+
+    n_kept = m - int(dependent.sum())
+    Q, R = Z[:, :n_kept], S[:n_kept]
+    WQ = np.zeros((n, 0))
+    if n_kept:
+        WQ = _fresh_apply(W, Q)
+        for _ in range(2):
+            Rc = _gram_cholesky(Q, WQ, "weight operator too ill-conditioned; use mgs_w_reorth")
+            Q = _solve_right(Q, Rc)
+            WQ = _solve_right(WQ, Rc)
+            R = Rc @ R
+
+    if n_kept < m:
+        kept = order[:n_kept]
+        Q_new = np.zeros((n, m), order="F")
+        WQ_new = np.zeros((n, m), order="F")
+        Q_new[:, kept] = Q
+        WQ_new[:, kept] = WQ
+        R_new = np.zeros((m, m))
+        R_new[np.ix_(kept, order)] = R
+        # a dependent column's weights on later kept columns are roundoff
+        Q, WQ, R = Q_new, WQ_new, np.triu(R_new)
+    if basis is None:
+        return BOrthoBasis(Q, WQ, R, ~dependent, n_w_applies=n_kept)
+
+    Q_all = np.empty((n, r0 + m), order="F")
+    WQ_all = np.empty((n, r0 + m), order="F")
+    Q_all[:, :r0], Q_all[:, r0:] = basis.Q, Q
+    WQ_all[:, :r0], WQ_all[:, r0:] = basis.WQ, WQ
+    R_all = np.zeros((r0 + m, r0 + m))
+    R_all[:r0, :r0] = basis.R
+    R_all[:r0, r0 + order] = coef
+    R_all[r0:, r0:] = R
+    return BOrthoBasis(
+        Q_all,
+        WQ_all,
+        R_all,
+        np.concatenate([basis.rank_flags, ~dependent]),
+        n_w_applies=basis.n_w_applies + n_kept,
+        n_reorth_applies=basis.n_reorth_applies,
+    )
 
 
 def qr_metrics(Y: np.ndarray, basis: BOrthoBasis, W: SpdOperator) -> tuple[float, float, float, float]:

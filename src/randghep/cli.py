@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, default=20)
     p.add_argument("--method", default="two-pass", choices=["two-pass", "single-pass", "nystrom"])
-    p.add_argument("--qr", default="mgs-r", choices=["mgs", "mgs-r", "cholqr", "precholqr"])
+    p.add_argument("--qr", default="precholqr", choices=["mgs", "mgs-r", "cholqr", "precholqr"])
     p.add_argument("--oracle", action="store_true", help="append dense-oracle comparison columns")
     p.add_argument("--save-modes", action="store_true")
     common(p)
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--method", default="two-pass", choices=["two-pass", "single-pass", "nystrom"])
-    p.add_argument("--qr", default="mgs-r", choices=["mgs", "mgs-r", "cholqr", "precholqr"])
+    p.add_argument("--qr", default="precholqr", choices=["mgs", "mgs-r", "cholqr", "precholqr"])
     common(p)
     p.set_defaults(func=cmd_kle)
 

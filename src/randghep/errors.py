@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 
-from .borth import BOrthoBasis, mgs_w_reorth
+from .borth import BOrthoBasis, pre_chol_qr_w
 from .operators import (
     ConfigError,
     LinearMap,
@@ -285,9 +285,12 @@ def grow_sketch_until(
     """Grow a B-orthonormal sketch until the a-posteriori estimate drops below tol.
 
     Starts from k0 columns and appends ``step`` fresh Gaussian columns per
-    round, extending the existing MGS-R factorization in place (the earlier
-    matvecs are reused, per-column generator streams make the grown sketch
-    bitwise identical to a one-shot draw).  Probes are fresh each round.
+    round.  Each round extends the existing factorization with
+    ``pre_chol_qr_w(..., basis=)``: the new block is projected against the
+    cached (Q, BQ) twice (BCGS2) and factorized with one block B-apply; the
+    earlier columns and their matvecs are reused as they are.  Per-column
+    generator streams make the grown sketch bitwise identical to a one-shot
+    draw.  Probes are fresh each round.
     """
     n = B.dim
     if max_cols is None:
@@ -304,7 +307,7 @@ def grow_sketch_until(
         new = k0 if ncols == 0 else min(step, max_cols - ncols)
         Om_new = gaussian_matrix(n, new, seed, first_col=ncols)
         Y_new = B.apply_inverse(A.apply(Om_new))
-        basis = mgs_w_reorth(Y_new, B, basis=basis)
+        basis = pre_chol_qr_w(Y_new, B, basis=basis)
         Y = np.hstack([Y, Y_new])
         ncols += new
         est = posterior_estimate(

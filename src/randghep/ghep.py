@@ -26,9 +26,14 @@ class GhepSolution:
     """Approximate dominant eigenpairs of a pencil (A, B).
 
     ``eigenvalues`` is length k, sorted descending; ``counts`` holds the
-    A-applies, B-applies and B-solves consumed by the algorithm proper
-    (symmetry-probe applies are excluded and reported in diagnostics, as are
-    any extra B-applies triggered by re-orthogonalization).
+    A-applies, B-applies and B-solves the solve consumed after its symmetry
+    probe (the probe's A-applies are excluded and reported as
+    ``diagnostics["symmetry_probe_applies"]``).  Re-orthogonalization applies
+    are included: the default block QR makes none, so ``counts`` equals the
+    cost table, while a reference MGS-R QR (``qr_alg="mgs_reorth"``) adds
+    ``diagnostics["reorth_b_applies"]`` B-applies.  Nystrom's second QR
+    (MGS-R in the B^{-1}-inner product) adds
+    ``diagnostics["reorth_b_solves"]`` B-solves on any QR choice.
     """
 
     U: np.ndarray
@@ -120,7 +125,7 @@ def ghep_two_pass(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    qr_alg: str = "mgs_reorth",
+    qr_alg: str = "precholqr",
     c_apply=None,
     order: str = "value",
 ) -> GhepSolution:
@@ -150,7 +155,7 @@ def ghep_single_pass(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    qr_alg: str = "mgs_reorth",
+    qr_alg: str = "precholqr",
     order: str = "value",
 ) -> GhepSolution:
     """Single-pass solver: T ~ (Omega^T B Q)^{-1} (Omega^T Ybar) (Q^T B Omega)^{-1}.
@@ -220,7 +225,7 @@ def ghep_nystrom(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    qr_alg: str = "mgs_reorth",
+    qr_alg: str = "precholqr",
     c_apply=None,
     order: str = "value",
 ) -> GhepSolution:

@@ -234,7 +234,7 @@ def kle_solve(
     p: int = 5,
     method: str = "two_pass",
     seed: int = 0,
-    qr_alg: str = "mgs_reorth",
+    qr_alg: str = "precholqr",
     fast_path: bool = False,
     compare_oracle: bool = False,
 ) -> KleSolution:

@@ -78,11 +78,25 @@ def _as_block(X, dim: int):
     return X, False
 
 
+def _checked_output(out, shape: tuple[int, int], what: str) -> np.ndarray:
+    """An operator's output as a float array, or NumericalError if it has the
+    wrong shape or a NaN or Inf entry."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise NumericalError(f"{what} produced shape {out.shape}, expected {shape}")
+    if not np.isfinite(out).all():
+        raise NumericalError(f"{what} produced non-finite (NaN or Inf) values")
+    return out
+
+
 class LinearMap:
     """A linear operator applied to blocks of column vectors.
 
     ``apply`` maps a ``(dim_in, m)`` block to a ``(dim_out, m)`` block and
-    increments the matvec counter by exactly ``m``.  One-dimensional inputs
+    increments the matvec counter by exactly ``m``.  An output of the wrong
+    shape or with a NaN or Inf entry raises NumericalError and is not
+    counted; the same holds for ``apply_transpose`` and
+    ``SpdOperator.apply_inverse``.  One-dimensional inputs
     are treated as single columns and returned one-dimensional.
 
     Operators are immutable after construction and safe for concurrent
@@ -114,9 +128,7 @@ class LinearMap:
 
     def apply(self, X) -> np.ndarray:
         Xb, vec = _as_block(X, self.dim_in)
-        out = np.asarray(self._apply(Xb), dtype=float)
-        if out.shape != (self.dim_out, Xb.shape[1]):
-            raise NumericalError(f"apply produced shape {out.shape}, expected ({self.dim_out}, {Xb.shape[1]})")
+        out = _checked_output(self._apply(Xb), (self.dim_out, Xb.shape[1]), "apply")
         self._matvecs.add(Xb.shape[1])
         return out[:, 0] if vec else out
 
@@ -124,11 +136,7 @@ class LinearMap:
         if self._apply_t is None:
             raise ConfigError("operator does not expose transpose application")
         Xb, vec = _as_block(X, self.dim_out)
-        out = np.asarray(self._apply_t(Xb), dtype=float)
-        if out.shape != (self.dim_in, Xb.shape[1]):
-            raise NumericalError(
-                f"apply_transpose produced shape {out.shape}, expected ({self.dim_in}, {Xb.shape[1]})"
-            )
+        out = _checked_output(self._apply_t(Xb), (self.dim_in, Xb.shape[1]), "apply_transpose")
         self._matvecs.add(Xb.shape[1])
         return out[:, 0] if vec else out
 
@@ -159,7 +167,7 @@ class SpdOperator(LinearMap):
 
     def apply_inverse(self, X) -> np.ndarray:
         Xb, vec = _as_block(X, self.dim_in)
-        out = np.asarray(self._apply_inv(Xb), dtype=float)
+        out = _checked_output(self._apply_inv(Xb), (self.dim_in, Xb.shape[1]), "apply_inverse")
         self._solves.add(Xb.shape[1])
         return out[:, 0] if vec else out
 

@@ -162,7 +162,7 @@ def range_finder_b(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    qr_alg: str = "mgs_reorth",
+    qr_alg: str = "precholqr",
     c_apply=None,
     need_ybar: bool = False,
 ) -> RangeResult:

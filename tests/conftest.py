@@ -14,16 +14,34 @@ def make_kle_pencil(nu: float, ell: float = 2.0, n: int = 201, fast_path: bool =
     return kle.kle_pencil(grid, kle.MaternConfig(nu=nu, ell=ell), fast_path=fast_path)
 
 
+def polished_eigenvalues(ref: errors.SpectrumReference, Ad: np.ndarray, Bd: np.ndarray) -> np.ndarray:
+    """The oracle's eigenvalues as long-double Rayleigh quotients of its eigenvectors.
+
+    The dense eigensolver's eigenvalues carry rounding of a few ulp of the
+    largest eigenvalue: on the nu = 2.5 pencil, lambda_1 = 1.79 is off by
+    1.0e-15 with one BLAS thread and 1.5e-15 with two, as large as the 1e-15
+    roundoff allowance of criterion 06.  A Rayleigh quotient is second-order
+    accurate in its vector's error, so evaluated in extended precision it
+    gives the reference eigenvalues of the dense pencil to about one ulp.
+    """
+    X = ref.eigenvectors.astype(np.longdouble)
+    num = np.einsum("ij,ij->j", X, Ad.astype(np.longdouble) @ X)
+    den = np.einsum("ij,ij->j", X, Bd.astype(np.longdouble) @ X)
+    return (num / den).astype(float)
+
+
 @pytest.fixture(scope="session")
 def kle_oracle():
-    """Memoized dense reference spectra keyed by (nu, ell, n)."""
+    """Memoized dense reference spectra keyed by (nu, ell, n), eigenvalues polished."""
     cache: dict = {}
 
     def get(nu: float, ell: float = 2.0, n: int = 201) -> errors.SpectrumReference:
         key = (nu, ell, n)
         if key not in cache:
             pencil = make_kle_pencil(nu, ell, n)
-            cache[key] = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+            ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+            ref.lambdas = polished_eigenvalues(ref, pencil.dense_a, pencil.dense_b)
+            cache[key] = ref
         return cache[key]
 
     return get

@@ -5,7 +5,7 @@ import pytest
 
 import randghep as rg
 from randghep import borth
-from randghep.operators import ConfigError, IllConditionedError
+from randghep.operators import ConfigError, IllConditionedError, NumericalError
 from randghep.sketch import gaussian_matrix
 
 from conftest import make_kle_pencil
@@ -136,6 +136,160 @@ class TestPreCholQr:
         Y = rng.standard_normal((20, 6))
         basis = rg.pre_chol_qr_w(Y, rg.dense_spd(np.diag(np.linspace(1, 3, 20))))
         assert np.all(np.diag(basis.R) >= 0.0)
+
+
+class CallCountingSpd(rg.SpdOperator):
+    """A dense SPD weight that also records the column count of every apply call."""
+
+    def __init__(self, M):
+        self.calls = []
+        inner = rg.dense_spd(M)
+        super().__init__(M.shape[0], self._record(inner), inner.apply_inverse)
+
+    def _record(self, inner):
+        def apply(X):
+            self.calls.append(X.shape[1])
+            return inner.apply(X)
+
+        return apply
+
+
+def _random_weight(n, seed):
+    G = np.random.default_rng(seed).standard_normal((n, n))
+    return G @ G.T + n * np.eye(n)
+
+
+class TestPreCholQrBlockPath:
+    def test_one_block_w_apply_no_reorth(self):
+        Y = np.random.default_rng(4).standard_normal((50, 8))
+        W = CallCountingSpd(_random_weight(50, 4))
+        basis = rg.pre_chol_qr_w(Y, W)
+        assert W.calls == [8]
+        assert basis.n_w_applies == 8 and basis.n_reorth_applies == 0
+
+    def test_input_left_untouched(self):
+        Y = np.random.default_rng(6).standard_normal((30, 5))
+        Y0 = Y.copy()
+        rg.pre_chol_qr_w(Y, rg.dense_spd(_random_weight(30, 6)))
+        assert np.array_equal(Y, Y0)
+
+    def test_operator_returning_its_input(self):
+        # an identity weight that hands back its argument must not alias Q and WQ
+        Y = np.random.default_rng(9).standard_normal((20, 4))
+        W = rg.SpdOperator(20, lambda X: X, lambda X: X)
+        basis = rg.pre_chol_qr_w(Y, W)
+        assert np.linalg.norm(basis.Q.T @ basis.Q - np.eye(4), 2) <= 1e-14
+        assert np.array_equal(basis.Q, basis.WQ)
+
+    def test_append_matches_one_shot(self):
+        rng = np.random.default_rng(19)
+        n = 60
+        Y1, Y2 = rng.standard_normal((n, 7)), rng.standard_normal((n, 5))
+        Y = np.hstack([Y1, Y2])
+        Wd = _random_weight(n, 19)
+        W = CallCountingSpd(Wd)
+        ext = rg.pre_chol_qr_w(Y2, W, basis=rg.pre_chol_qr_w(Y1, W))
+        assert W.calls == [7, 5]
+        assert ext.n_w_applies == 12 and ext.n_reorth_applies == 0
+        full = rg.pre_chol_qr_w(Y, rg.dense_spd(Wd))
+        assert np.linalg.norm(ext.R - full.R, 2) <= 1e-12 * np.linalg.norm(full.R, 2)
+        assert np.linalg.norm(ext.Q.T @ (Wd @ ext.Q) - np.eye(12), 2) <= 1e-13
+        assert np.linalg.norm(ext.Q @ ext.R - Y, 2) <= 1e-13 * np.linalg.norm(Y, 2)
+        assert np.abs(np.tril(ext.R, -1)).max() == 0.0
+
+    @staticmethod
+    def _check_dependent(basis, Y, W, flagged):
+        assert np.flatnonzero(~basis.rank_flags).tolist() == flagged
+        for j in flagged:
+            assert basis.R[j, j] == 0.0
+            assert not basis.R[j].any()
+            assert not basis.Q[:, j].any() and not basis.WQ[:, j].any()
+        keep = basis.rank_flags
+        Qk = basis.Q[:, keep]
+        assert np.linalg.norm(Qk.T @ W.apply(Qk) - np.eye(keep.sum()), 2) <= 1e-13
+        assert np.linalg.norm(basis.Q @ basis.R - Y, 2) <= 1e-13 * np.linalg.norm(Y, 2)
+        assert np.abs(np.tril(basis.R, -1)).max() == 0.0
+
+    def test_dependent_column_in_first_block(self):
+        # the duplicate sits before independent columns, which must still be
+        # factorized exactly
+        rng = np.random.default_rng(8)
+        Y = rng.standard_normal((20, 6))
+        Y[:, 2] = Y[:, 0]
+        W = rg.dense_spd(np.diag(np.linspace(1.0, 3.0, 20)))
+        basis = rg.pre_chol_qr_w(Y, W)
+        self._check_dependent(basis, Y, W, [2])
+        assert basis.n_w_applies == 5
+
+    def test_dependent_columns_in_appended_block(self):
+        rng = np.random.default_rng(12)
+        Y1 = rng.standard_normal((30, 5))
+        Y2 = rng.standard_normal((30, 4))
+        Y2[:, 0] = Y1 @ rng.standard_normal(5)  # inside the existing basis
+        Y2[:, 3] = Y2[:, 1] - 2.0 * Y2[:, 2]  # inside the new block
+        W = rg.dense_spd(_random_weight(30, 12))
+        basis = rg.pre_chol_qr_w(Y2, W, basis=rg.pre_chol_qr_w(Y1, W))
+        self._check_dependent(basis, np.hstack([Y1, Y2]), W, [5, 8])
+        assert basis.n_w_applies == 7
+
+    def test_all_zero_block_applies_no_weight(self):
+        W = CallCountingSpd(np.eye(5))
+        basis = rg.pre_chol_qr_w(np.zeros((5, 2)), W)
+        assert not basis.rank_flags.any() and not basis.R.any() and not basis.Q.any()
+        assert W.calls == [] and basis.n_w_applies == 0
+
+    def test_near_duplicate_is_kept(self):
+        # 1e-14 relative independence is above the 10 eps threshold
+        rng = np.random.default_rng(3)
+        Y = rng.standard_normal((25, 4))
+        Y[:, 1] = Y[:, 0] + 1e-14 * np.linalg.norm(Y[:, 0]) * Y[:, 2] / np.linalg.norm(Y[:, 2])
+        basis = rg.pre_chol_qr_w(Y, rg.dense_spd(np.eye(25)))
+        assert basis.rank_flags.all()
+
+    def test_kle_smooth_kernel_w_orthogonality(self):
+        # nu = 2.5: the sketch is numerically ill-conditioned, yet the block
+        # path keeps Q^T B Q = I to 1e-13 from one block B-apply
+        Y, B = _kle_sketch(2.5)
+        assert np.linalg.cond(Y) >= 1e9
+        calls_before = B.matvec_count
+        basis = rg.pre_chol_qr_w(Y, B)
+        assert B.matvec_count - calls_before == basis.n_w_applies == basis.n_kept
+        m = rg.qr_metrics(Y, basis, B)
+        assert m[1] <= 1e-13
+        assert m[0] <= 1e-13 * np.linalg.norm(Y, 2)
+
+    def test_grown_kle_basis_stays_w_orthonormal(self):
+        Y, B = _kle_sketch(2.5)
+        basis = None
+        for lo in range(0, 100, 20):
+            basis = rg.pre_chol_qr_w(Y[:, lo:lo + 20], B, basis=basis)
+        m = rg.qr_metrics(Y, basis, B)
+        assert m[1] <= 1e-13
+        assert m[0] <= 1e-13 * np.linalg.norm(Y, 2)
+
+    def test_non_finite_input_raises(self):
+        Y = np.ones((5, 2))
+        Y[3, 1] = np.nan
+        with pytest.raises(NumericalError):
+            rg.pre_chol_qr_w(Y, rg.dense_spd(np.eye(5)))
+
+    def test_non_finite_weight_output_raises(self):
+        W = rg.SpdOperator(6, lambda X: np.full_like(X, np.nan), lambda X: X)
+        with pytest.raises(NumericalError):
+            rg.pre_chol_qr_w(np.random.default_rng(1).standard_normal((6, 3)), W)
+
+    def test_breakdown_on_singular_weight(self):
+        # W = diag(1, ..., 1e-18) on unit columns: the Gram matrix is
+        # diag(1, 1e-2, 1e-16, 1e-18) and its pivots fall to roundoff level
+        W = rg.SpdOperator(10, lambda X: np.logspace(0, -18, 10)[:, None] * X, lambda X: X)
+        with pytest.raises(IllConditionedError):
+            rg.pre_chol_qr_w(np.eye(10)[:, [0, 1, 8, 9]], W)
+
+    def test_basis_row_mismatch_rejected(self):
+        W = rg.dense_spd(np.eye(6))
+        basis = rg.pre_chol_qr_w(np.eye(6)[:, :2], W)
+        with pytest.raises(ConfigError):
+            rg.pre_chol_qr_w(np.ones((5, 1)), rg.dense_spd(np.eye(5)), basis=basis)
 
 
 class TestQrMetrics:

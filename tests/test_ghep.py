@@ -5,7 +5,7 @@ import pytest
 
 import randghep as rg
 from randghep import errors, sketch
-from randghep.operators import ConfigError, IllConditionedError
+from randghep.operators import ConfigError, IllConditionedError, NumericalError
 from randghep.sketch import SketchConfig
 
 from conftest import exact_rank_pencil, make_kle_pencil, random_spd, rel_eig_error
@@ -104,6 +104,15 @@ def test_single_pass_ill_conditioned_sketch_raises(monkeypatch):
     monkeypatch.setattr("randghep.sketch.gaussian_matrix", doctored)
     with pytest.raises(IllConditionedError):
         rg.ghep_single_pass(pencil.A, pencil.B, SketchConfig(k=4, p=2, seed=3))
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_non_finite_b_solve_raises(solver):
+    # a B-solve that returns NaN ends the solve with a typed error
+    pencil = make_kle_pencil(1.5)
+    bad_b = rg.SpdOperator(pencil.B.dim, pencil.B.apply, lambda X: np.full(X.shape, np.nan))
+    with pytest.raises(NumericalError):
+        solver(pencil.A, bad_b, SketchConfig(k=5, p=2, seed=1))
 
 
 def test_two_pass_sandwich_bound():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
-from randghep import errors, kle
+from randghep import errors, kle, sketch
 from randghep.operators import ConfigError
 from randghep.sketch import SketchConfig
 
@@ -180,6 +180,35 @@ class TestKleSolve:
         assert sol.diagnostics["rel_eigenvalue_error"] <= 1e-4
         M = kle.assemble_mass_1d(grid)
         assert np.linalg.norm(sol.modes.T @ (M @ sol.modes) - np.eye(sol.K), 2) <= 1e-10
+
+    @pytest.mark.parametrize("method", ["two_pass", "single_pass", "nystrom"])
+    def test_counts_equal_the_cost_table(self, method, monkeypatch):
+        # the default block QR makes no re-orthogonalization applies, so the
+        # counters' deltas are exactly the algorithm's cost table
+        k, p = 100, 10
+        r = k + p
+        qr_deltas = []
+        block_qr = sketch._QR_ALGORITHMS["precholqr"]
+
+        def recording_qr(Y, W, basis=None):
+            before = W.matvec_count
+            out = block_qr(Y, W, basis)
+            qr_deltas.append(W.matvec_count - before)
+            return out
+
+        monkeypatch.setitem(sketch._QR_ALGORITHMS, "precholqr", recording_qr)
+        sol = kle.kle_solve(kle.Grid1D(n=1001), kle.MaternConfig(nu=2.5, ell=0.5), k=k, p=p,
+                            method=method, seed=1).solution
+        expected = {
+            "two_pass": {"a_applies": 2 * r, "b_applies": r, "b_solves": r},
+            "single_pass": {"a_applies": r, "b_applies": r, "b_solves": r},
+            "nystrom": {"a_applies": 2 * r, "b_applies": r, "b_solves": 2 * r},
+        }[method]
+        assert sol.counts == expected
+        assert sol.diagnostics["qr_alg"] == "precholqr"
+        assert sol.diagnostics["reorth_b_applies"] == 0
+        assert sol.diagnostics.get("reorth_b_solves", 0) == 0
+        assert qr_deltas == [sol.basis.n_w_applies] == [r]
 
     def test_error_ordering_in_smoothness(self, kle_oracle):
         wins = 0

@@ -186,6 +186,37 @@ class TestLinearMap:
             A.apply_transpose(np.ones(3))
         assert A.matvec_count == 0
 
+    @staticmethod
+    def _nan_at(X):
+        out = np.array(X, dtype=float)
+        out[0, -1] = np.nan
+        return out
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_apply_raises(self, bad):
+        A = rg.LinearMap(3, 3, lambda X: np.full(X.shape, bad))
+        with pytest.raises(NumericalError):
+            A.apply(np.ones((3, 2)))
+        assert A.matvec_count == 0
+
+    def test_non_finite_apply_transpose_raises(self):
+        A = rg.LinearMap(3, 3, lambda X: X, self._nan_at)
+        with pytest.raises(NumericalError):
+            A.apply_transpose(np.ones((3, 2)))
+        assert A.matvec_count == 0
+
+    def test_non_finite_apply_inverse_raises(self):
+        B = rg.SpdOperator(3, lambda X: X, self._nan_at)
+        with pytest.raises(NumericalError):
+            B.apply_inverse(np.ones(3))
+        assert B.solve_count == 0
+
+    def test_apply_inverse_shape_validation(self):
+        B = rg.SpdOperator(3, lambda X: X, lambda X: X[:2])
+        with pytest.raises(NumericalError):
+            B.apply_inverse(np.ones((3, 2)))
+        assert B.solve_count == 0
+
     def test_concurrent_counting_is_exact(self):
         A = rg.dense_operator(np.eye(16))
         X = np.ones((16, 3))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randghep as rg
 from randghep import errors
@@ -32,6 +34,20 @@ class TestGaussianMatrix:
         left = rg.gaussian_matrix(33, 6, seed=9)
         right = rg.gaussian_matrix(33, 4, seed=9, first_col=6)
         assert np.array_equal(np.hstack([left, right]), full)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_any_column_split_is_bitwise_equal(self, n, widths, seed):
+        # sketch growth relies on this: blocks drawn at any first_col offsets
+        # reassemble the one-shot matrix exactly
+        full = rg.gaussian_matrix(n, sum(widths), seed=seed)
+        starts = np.cumsum([0] + widths[:-1])
+        parts = [rg.gaussian_matrix(n, w, seed=seed, first_col=int(c)) for c, w in zip(starts, widths)]
+        assert np.array_equal(np.hstack(parts), full)
 
     def test_bad_sizes(self):
         with pytest.raises(ConfigError):
