@@ -1,10 +1,29 @@
 """randghep: randomized matrix-free solvers for A x = lambda B x and the GSVD.
 
 Everything runs on the three contracts Ax, Bx and B^{-1}x; no square root of
-B is ever formed outside the dense test oracles.
+B is ever formed, and the dense test oracles work on a Cholesky factor of B.
+
+``RANDGHEP_THREADS`` caps the BLAS thread pools: on import, before numpy is
+loaded by the submodules, its value becomes the default of the OpenMP,
+OpenBLAS, MKL, numexpr and vecLib thread-count variables (a variable that is
+already set is kept).  BLAS reads those variables when numpy loads it, so
+the cap has no effect if numpy was imported before randghep.
 """
 
+import os as _os
+
 __version__ = "0.1.0"
+
+
+def _setup_threads() -> None:
+    cap = _os.environ.get("RANDGHEP_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+            _os.environ.setdefault(var, cap)
+
+
+_setup_threads()
 
 from .borth import BOrthoBasis, chol_qr_w, mgs_w, mgs_w_reorth, pre_chol_qr_w, qr_metrics
 from .errors import (

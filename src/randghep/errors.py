@@ -1,24 +1,30 @@
 """A-posteriori and a-priori error bounds, eigenpair perturbation bounds, and
 dense reference oracles for the B-weighted geometry.
 
-The oracles (B-norm, generalized singular values, exact GHEP) are allowed to
-form symmetric square roots of B -- the solvers themselves never are.
+The oracles (B-norm, generalized singular values, exact range error, exact
+GHEP) work on one Cholesky factor B = L L^T, the reduction of the
+symmetric-definite pencil that LAPACK's sygv uses: the B-norm of M is
+||L^T M L^{-T}||_2 and C = B^{-1}A is congruent to L^{-1} A L^{-T}.  No square
+root of B is formed, by the oracles or by the solvers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrmm, dtrsm
 
 from .borth import BOrthoBasis, pre_chol_qr_w
 from .operators import (
     ConfigError,
     LinearMap,
     NotPositiveDefiniteError,
+    NumericalError,
     SpdOperator,
     check_symmetric,
 )
@@ -42,15 +48,44 @@ class ErrorEstimate:
 
 @dataclass
 class SpectrumReference:
-    """Dense reference data for a pencil: all eigenvalues, generalized singular
-    values of C = B^{-1}A, and the norms of B entering the bounds."""
+    """Dense reference data for a pencil (A, B), built by ``dense_ghep_oracle``.
+
+    ``lambdas`` (descending, assignable) and the B-orthonormal
+    ``eigenvectors`` are computed on construction.  The rest is computed on
+    first read and then cached: ``sigmas_B``, the generalized singular values
+    of C = B^{-1}A, as the singular values of L^{-1}A (the same as those of
+    B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2, ``b_norm`` = ||B||_2 and
+    ``kappa_B`` from one values-only eigensolve of B.
+    """
 
     lambdas: np.ndarray
-    sigmas_B: np.ndarray
-    binv_norm: float
-    b_norm: float
-    kappa_B: float
-    eigenvectors: Optional[np.ndarray] = None
+    eigenvectors: np.ndarray
+    A: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)
+    L: np.ndarray = field(repr=False)  # lower Cholesky factor of B
+
+    @cached_property
+    def sigmas_B(self) -> np.ndarray:
+        return scipy.linalg.svdvals(dtrsm(1.0, self.L, self.A, lower=1), overwrite_a=True,
+                                    check_finite=False)
+
+    @cached_property
+    def _b_extreme_eigenvalues(self) -> tuple[float, float]:
+        w = scipy.linalg.eigvalsh(self.B, check_finite=False)
+        return float(w[0]), float(w[-1])
+
+    @cached_property
+    def binv_norm(self) -> float:
+        return 1.0 / self._b_extreme_eigenvalues[0]
+
+    @cached_property
+    def b_norm(self) -> float:
+        return self._b_extreme_eigenvalues[1]
+
+    @cached_property
+    def kappa_B(self) -> float:
+        lo, hi = self._b_extreme_eigenvalues
+        return hi / lo
 
 
 class EigenpairBounds(NamedTuple):
@@ -59,63 +94,83 @@ class EigenpairBounds(NamedTuple):
     gap_degenerate: bool
 
 
-def _spd_eig_sqrt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigen square root of an SPD matrix; returns (B^{1/2}, B^{-1/2}, eigenvalues)."""
-    B = np.asarray(B, dtype=float)
+def _finite(M: np.ndarray, name: str) -> np.ndarray:
+    """M as a float array, or NumericalError if it has a NaN or Inf entry."""
+    M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise NumericalError(f"{name} has non-finite (NaN or Inf) entries")
+    return M
+
+
+def _cholesky(B: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a finite symmetric B = L L^T."""
     check_symmetric(B)
-    w, V = np.linalg.eigh(B)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError("B has a non-positive eigenvalue")
-    sq = np.sqrt(w)
-    return (V * sq) @ V.T, (V / sq) @ V.T, w
+    try:
+        return scipy.linalg.cholesky(B, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"B is not positive definite: {exc}") from exc
+
+
+def _dense_pencil(
+    A: np.ndarray, B: np.ndarray, name: str = "A"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, L): finite matrices of one shape and the Cholesky factor of B."""
+    A = _finite(A, name)
+    B = _finite(B, "B")
+    if A.shape != B.shape:
+        raise ConfigError(f"{name} has shape {A.shape}, B has shape {B.shape}")
+    return A, B, _cholesky(B)
+
+
+def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """X L^{-T} for lower-triangular L (X is overwritten when it is F-ordered)."""
+    return dtrsm(1.0, L, X, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
+def _norm2(M: np.ndarray) -> float:
+    """Spectral norm from a values-only SVD (M is overwritten)."""
+    return float(scipy.linalg.svdvals(M, overwrite_a=True, check_finite=False)[0])
 
 
 def b_norm(M: np.ndarray, B: np.ndarray) -> float:
-    """The induced matrix B-norm ||M||_B = ||B^{1/2} M B^{-1/2}||_2 (dense oracle)."""
-    M = np.asarray(M, dtype=float)
-    Bh, Bih, _ = _spd_eig_sqrt(B)
-    return float(np.linalg.norm(Bh @ M @ Bih, 2))
+    """The induced matrix B-norm ||M||_B = ||B^{1/2} M B^{-1/2}||_2 (dense oracle).
+
+    Computed as ||L^T M L^{-T}||_2 with B = L L^T: B^{1/2} = V L^T for an
+    orthogonal V, so the two matrices have the same singular values.
+    """
+    M, B, L = _dense_pencil(M, B, "M")
+    return _norm2(_solve_right_lt(dtrmm(1.0, L, M, lower=1, trans_a=1), L))
 
 
 def dense_ghep_oracle(A: np.ndarray, B: np.ndarray) -> SpectrumReference:
     """All eigenpairs of the pencil (A, B) via the Cholesky-congruence reduction.
 
     Eigenvectors come back B-orthonormal, eigenvalues descending.  The
-    generalized singular values of C = B^{-1}A (stationary values of
-    ||Cx||_B / ||x||_2) are the singular values of B^{1/2} C, computed with the
-    eigen square root of B.
+    Cholesky factor of B is kept for the generalized singular values, which
+    the returned reference computes only when they are read.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A, B, L = _dense_pencil(A, B)
     check_symmetric(A)
-    Bh, Bih, w = _spd_eig_sqrt(B)
     lam, X = scipy.linalg.eigh(A, B, check_finite=False)  # LAPACK reduces via B = L L^T
-    lam, X = lam[::-1], X[:, ::-1]
-    C = scipy.linalg.solve(B, A, assume_a="pos", check_finite=False)
-    sigmas = np.linalg.svd(Bh @ C, compute_uv=False)
-    return SpectrumReference(
-        lambdas=lam,
-        sigmas_B=sigmas,
-        binv_norm=float(1.0 / w[0]),
-        b_norm=float(w[-1]),
-        kappa_B=float(w[-1] / w[0]),
-        eigenvectors=X,
-    )
+    return SpectrumReference(lambdas=lam[::-1], eigenvectors=X[:, ::-1], A=A, B=B, L=L)
 
 
 def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> float:
-    """Exact f = ||(I - Q Q^T B) C||_B for a dense pencil (oracle scale)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    """Exact f = ||(I - Q Q^T B) C||_B for a dense pencil (oracle scale).
+
+    With B = L L^T, A^ = L^{-1} A L^{-T} and W = L^T Q, the matrix
+    L^T (I - Q Q^T B) C L^{-T} equals (I - W W^T) A^, so f is its exact
+    2-norm.  Q need not be B-orthonormal.
+    """
+    A, B, L = _dense_pencil(A, B)
+    Q = _finite(Q, "Q")
     if Q.ndim != 2 or Q.shape[0] != B.shape[0]:
         raise ConfigError("Q rows must match the pencil dimension")
-    C = scipy.linalg.solve(B, A, assume_a="pos", check_finite=False)
-    if Q.shape[1] == 0:
-        resid = C
-    else:
-        resid = C - Q @ ((B @ Q).T @ C)
-    return b_norm(resid, B)
+    Ahat = _solve_right_lt(dtrsm(1.0, L, A, lower=1), L)
+    if Q.shape[1] > 0:
+        W = L.T @ Q
+        Ahat -= W @ (W.T @ Ahat)
+    return _norm2(Ahat)
 
 
 def binv_norm_crude(Q: np.ndarray) -> float:
@@ -240,22 +295,29 @@ def b_angle(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float:
     return float(math.acos(min(c, 1.0)))
 
 
-def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float:
+def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float | np.ndarray:
     """sin of the B-geometry angle, accurate for nearly parallel vectors.
 
     Computed from the B-orthogonal residual of y against x, which avoids the
-    sqrt(eps) floor that arccos of a near-unit cosine carries.
+    sqrt(eps) floor that arccos of a near-unit cosine carries.  Vectors x and
+    y give a float.  (n, m) blocks give the m sines of the column pairs
+    (x_j, y_j) as an array, from three block B-applies of m columns each.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    Bx = B.apply(x)
-    nx2 = float(x @ Bx)
-    if nx2 <= 0.0 or not np.any(y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ConfigError(f"b_sine needs vectors or blocks of one shape, got {x.shape} and {y.shape}")
+    X = x.reshape(x.shape[0], -1)
+    Y = y.reshape(X.shape)
+    BX = B.apply(X)
+    nx2 = np.einsum("ij,ij->j", X, BX)
+    if np.any(nx2 <= 0.0) or not np.all(np.any(Y, axis=0)):
         raise ConfigError("b_sine needs nonzero vectors")
-    resid = y - x * (float(y @ Bx) / nx2)
-    ny2 = float(y @ B.apply(y))
-    r2 = float(resid @ B.apply(resid))
-    return float(math.sqrt(max(r2, 0.0) / ny2)) if ny2 > 0.0 else 0.0
+    R = Y - X * (np.einsum("ij,ij->j", Y, BX) / nx2)
+    ny2 = np.einsum("ij,ij->j", Y, B.apply(Y))
+    r2 = np.maximum(np.einsum("ij,ij->j", R, B.apply(R)), 0.0)
+    sines = np.sqrt(np.divide(r2, ny2, out=np.zeros_like(r2), where=ny2 > 0.0))
+    return float(sines[0]) if x.ndim == 1 else sines
 
 
 @dataclass
@@ -300,7 +362,7 @@ def grow_sketch_until(
         raise ConfigError("k0 out of range")
     history: list = []
     basis: Optional[BOrthoBasis] = None
-    Y = np.empty((n, 0))
+    blocks: list = []
     ncols = 0
     round_no = 0
     while True:
@@ -308,14 +370,12 @@ def grow_sketch_until(
         Om_new = gaussian_matrix(n, new, seed, first_col=ncols)
         Y_new = B.apply_inverse(A.apply(Om_new))
         basis = pre_chol_qr_w(Y_new, B, basis=basis)
-        Y = np.hstack([Y, Y_new])
+        blocks.append(Y_new)
         ncols += new
         est = posterior_estimate(
             A, B, basis, alpha, r_probes, derive_seed(seed, 9000 + round_no), binv_norm=binv_norm
         )
         history.append((ncols, est.e))
         round_no += 1
-        if est.e <= tol:
-            return GrowthResult(basis, Y, ncols, est, history, True)
-        if ncols >= max_cols:
-            return GrowthResult(basis, Y, ncols, est, history, False)
+        if est.e <= tol or ncols >= max_cols:
+            return GrowthResult(basis, np.hstack(blocks), ncols, est, history, est.e <= tol)

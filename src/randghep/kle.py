@@ -69,6 +69,9 @@ def matern_kernel(cfg: MaternConfig, x, y):
     nu = 1/2:  exp(-d)
     nu = 3/2:  (1 + sqrt(3) d) exp(-sqrt(3) d)
     nu = 5/2:  (1 + sqrt(5) d + (5/3) d^2) exp(-sqrt(5) d)
+
+    Each is at most 1; at tiny nonzero d the product rounds up to 1 + eps,
+    so the result is clipped at 1.
     """
     d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / cfg.ell
     if cfg.nu == 0.5:
@@ -79,6 +82,7 @@ def matern_kernel(cfg: MaternConfig, x, y):
     else:
         s = math.sqrt(5.0) * d
         out = (1.0 + s + (5.0 / 3.0) * d * d) * np.exp(-s)
+    out = np.minimum(out, 1.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import randghep as rg
 from randghep.cli import main
@@ -56,6 +61,23 @@ class TestSolve:
         assert code == 0
         rows = _read_csv(out / "spectrum.csv")
         assert all(float(r["abs_err"]) <= 1e-10 for r in rows)
+        assert all(r["lambda_bound_ok"] == "True" for r in rows)
+        assert all(r["sine_bound_ok"] == "True" for r in rows)
+
+    @pytest.mark.parametrize("method", ["two-pass", "nystrom"])
+    def test_oracle_column_is_the_dense_eigensolve(self, tmp_path, method):
+        grid = rg.Grid1D(a=-1.0, b=1.0, n=101)
+        pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
+        a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
+        rg.save_matrix_market(a_path, pencil.dense_a)
+        rg.save_matrix_market(b_path, pencil.dense_b)
+        out = tmp_path / "run"
+        code = main(["solve", "--A", str(a_path), "--B", str(b_path), "--k", "10", "--p", "5",
+                     "--method", method, "--seed", "2", "--oracle", "--out", str(out)])
+        assert code == 0
+        rows = _read_csv(out / "spectrum.csv")
+        lam = scipy.linalg.eigh(rg.load_matrix_market(a_path), rg.load_matrix_market(b_path))[0][::-1]
+        assert [float(r["lambda_oracle"]) for r in rows] == list(lam[: len(rows)])
         assert all(r["lambda_bound_ok"] == "True" for r in rows)
         assert all(r["sine_bound_ok"] == "True" for r in rows)
 
@@ -281,3 +303,27 @@ class TestSvdCommand:
                      "--mode", "evd-two-pass", "--seed", "2", "--out", str(out)])
         assert code == 0
         np.testing.assert_allclose(_read_report(out)["eigenvalues"], [4, 2, 1], atol=1e-11)
+
+
+class TestThreadCap:
+    """RANDGHEP_THREADS reaches the BLAS variables when randghep is imported first."""
+
+    THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+    def _import_randghep(self, **env_vars):
+        env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        env.update(env_vars)
+        src = str(Path(rg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import os; import randghep; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_cap_applied_on_import(self):
+        assert self._import_randghep(RANDGHEP_THREADS="1") == "1"
+
+    def test_explicit_blas_setting_kept(self):
+        assert self._import_randghep(RANDGHEP_THREADS="1", OPENBLAS_NUM_THREADS="2") == "2"

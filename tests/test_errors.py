@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
 from randghep import errors
-from randghep.operators import ConfigError, NotPositiveDefiniteError
+from randghep.operators import ConfigError, NotPositiveDefiniteError, NumericalError
 from randghep.sketch import SketchConfig, range_finder_b
 
 from conftest import make_kle_pencil, random_spd
@@ -52,6 +53,108 @@ class TestDenseGhepOracle:
         C = np.linalg.solve(Bd, Ad)
         s = np.linalg.svd(C, compute_uv=False)
         assert np.all(ref.sigmas_B <= math.sqrt(ref.b_norm) * s + 1e-12)
+
+
+def eig_sqrt(Bd):
+    """(B^{1/2}, B^{-1/2}, eigenvalues) from a symmetric eigensolve: the
+    reference formulas the Cholesky-based oracles replace."""
+    w, V = np.linalg.eigh(Bd)
+    sq = np.sqrt(w)
+    return (V * sq) @ V.T, (V / sq) @ V.T, w
+
+
+def range_error_eig_sqrt(Ad, Bd, Q):
+    """||B^{1/2} (I - Q Q^T B) C B^{-1/2}||_2 with C = B^{-1}A, via the eigen square root."""
+    C = np.linalg.solve(Bd, Ad)
+    Bh, Bih, _ = eig_sqrt(Bd)
+    return np.linalg.norm(Bh @ (C - Q @ ((Bd @ Q).T @ C)) @ Bih, 2)
+
+
+class TestCholeskyOracleAgainstEigenSquareRoot:
+    """The oracles on B = L L^T agree with the eigen-square-root formulas."""
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_reference_fields(self, nu):
+        pencil = make_kle_pencil(nu)
+        Ad, Bd = pencil.dense_a, pencil.dense_b
+        ref = errors.dense_ghep_oracle(Ad, Bd)
+        Bh, _, w = eig_sqrt(Bd)
+        sigmas = np.linalg.svd(Bh @ np.linalg.solve(Bd, Ad), compute_uv=False)
+        assert np.max(np.abs(ref.sigmas_B - sigmas)) <= 1e-13 * sigmas[0]
+        assert ref.binv_norm == pytest.approx(1.0 / w[0], rel=1e-13)
+        assert ref.b_norm == pytest.approx(w[-1], rel=1e-13)
+        assert ref.kappa_B == pytest.approx(w[-1] / w[0], rel=1e-13)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_range_error_and_b_norm(self, nu):
+        pencil = make_kle_pencil(nu)
+        Ad, Bd = pencil.dense_a, pencil.dense_b
+        sigma1 = errors.dense_ghep_oracle(Ad, Bd).sigmas_B[0]
+        C = np.linalg.solve(Bd, Ad)
+        Bh, Bih, _ = eig_sqrt(Bd)
+        rng = np.random.default_rng(17)
+        for k in (5, 20, 40, 80):
+            Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=k, p=5, seed=k)).basis.Q
+            f = errors.range_error_exact(Ad, Bd, Q)
+            assert abs(f - range_error_eig_sqrt(Ad, Bd, Q)) <= 1e-14 * sigma1
+            resid = C - Q @ ((Bd @ Q).T @ C)
+            assert abs(errors.b_norm(resid, Bd) - np.linalg.norm(Bh @ resid @ Bih, 2)) <= 1e-14 * sigma1
+            # Q^T B Q = G^T G with singular values of G in [0.5, 1.5]: not B-orthonormal
+            U, _ = np.linalg.qr(rng.standard_normal((Q.shape[1], Q.shape[1])))
+            Qg = Q @ (np.linspace(0.5, 1.5, Q.shape[1])[:, None] * U)
+            assert np.linalg.norm(Qg.T @ Bd @ Qg - np.eye(Q.shape[1]), 2) >= 0.5
+            fg = errors.range_error_exact(Ad, Bd, Qg)
+            assert abs(fg - range_error_eig_sqrt(Ad, Bd, Qg)) <= 1e-14 * sigma1
+
+
+class TestOracleLaziness:
+    def test_eigenpairs_do_not_compute_the_rest(self):
+        pencil = make_kle_pencil(1.5, n=41)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        assert ref.lambdas.shape == (41,) and ref.eigenvectors.shape == (41, 41)
+        lazy = ("sigmas_B", "binv_norm", "b_norm", "kappa_B")
+        assert not any(name in vars(ref) for name in lazy)
+        assert ref.kappa_B == pytest.approx(ref.b_norm * ref.binv_norm)
+        assert "sigmas_B" not in vars(ref)
+        assert ref.sigmas_B[0] > 0.0
+        assert all(name in vars(ref) for name in lazy)
+
+    def test_lambdas_assignable(self):
+        ref = errors.dense_ghep_oracle(np.diag([3.0, 1.0]), np.eye(2))
+        ref.lambdas = np.array([2.0, 1.0])
+        np.testing.assert_array_equal(ref.lambdas, [2.0, 1.0])
+
+
+class TestOracleTypedFailures:
+    def test_dense_ghep_oracle(self):
+        A = np.eye(3)
+        A[0, 1] = A[1, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            errors.dense_ghep_oracle(A, np.eye(3))
+        with pytest.raises(NumericalError, match="non-finite"):
+            errors.dense_ghep_oracle(np.eye(3), np.diag([1.0, np.inf, 1.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            errors.dense_ghep_oracle(np.eye(3), np.diag([1.0, 0.0, 1.0]))
+
+    def test_range_error_exact(self):
+        Q = np.ones((3, 1))
+        Q[2, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            errors.range_error_exact(np.eye(3), np.eye(3), Q)
+        with pytest.raises(NumericalError, match="non-finite"):
+            errors.range_error_exact(np.full((3, 3), np.nan), np.eye(3), np.ones((3, 1)))
+        with pytest.raises(NotPositiveDefiniteError):
+            errors.range_error_exact(np.eye(3), np.diag([1.0, -1.0, 1.0]), np.ones((3, 1)))
+
+    def test_b_norm(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            errors.b_norm(np.diag([1.0, -np.inf]), np.eye(2))
+        with pytest.raises(NumericalError, match="non-finite"):
+            errors.b_norm(np.eye(2), np.diag([np.nan, 1.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            errors.b_norm(np.eye(2), np.diag([1.0, -2.0]))
+        with pytest.raises(ConfigError):
+            errors.b_norm(np.eye(3), np.eye(2))
 
 
 class TestBNorm:
@@ -269,6 +372,43 @@ class TestBAngle:
         B = rg.dense_spd(np.eye(2))
         with pytest.raises(ConfigError):
             errors.b_angle(np.zeros(2), np.ones(2), B)
+
+
+class TestBSine:
+    def test_block_equals_columns_with_three_block_applies(self):
+        n, m = 30, 7
+        Bd = random_spd(n, 50.0, 21)
+        widths = []
+
+        def apply(X):
+            widths.append(X.shape[1])
+            return Bd @ X
+
+        B = rg.SpdOperator(n, apply, lambda X: np.linalg.solve(Bd, X))
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((n, m))
+        Y = X + 10.0 ** -np.arange(m) * rng.standard_normal((n, m))  # down to nearly parallel
+        sines = errors.b_sine(X, Y, B)
+        assert widths == [m, m, m] and B.matvec_count == 3 * m
+        assert isinstance(sines, np.ndarray) and sines.shape == (m,)
+        for j in range(m):
+            s = errors.b_sine(X[:, j], Y[:, j], B)
+            assert isinstance(s, float)
+            assert abs(s - sines[j]) <= 1e-15
+
+    def test_hand_computed_weighted_case(self):
+        # B = diag(1, 4), x = (1, 1), y = (1, -1): cos = 0.6, sin = 0.8
+        B = rg.dense_spd(np.diag([1.0, 4.0]))
+        assert errors.b_sine(np.array([1.0, 1.0]), np.array([1.0, -1.0]), B) == pytest.approx(0.8)
+
+    def test_zero_column_rejected(self):
+        B = rg.dense_spd(np.eye(3))
+        Y = np.ones((3, 2))
+        Y[:, 1] = 0.0
+        with pytest.raises(ConfigError):
+            errors.b_sine(np.ones((3, 2)), Y, B)
+        with pytest.raises(ConfigError):
+            errors.b_sine(np.ones((3, 2)), np.ones((3, 3)), B)
 
 
 class TestGrowth:

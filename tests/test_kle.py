@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
@@ -41,6 +41,7 @@ class TestMaternKernel:
         nu=st.sampled_from([0.5, 1.5, 2.5]),
         ell=st.floats(0.01, 10),
     )
+    @example(x=0.0, y=5.960464477539063e-08, nu=2.5, ell=6.40625)  # rounded to 1 + eps
     @settings(max_examples=200, deadline=None)
     def test_symmetric_and_bounded(self, x, y, nu, ell):
         cfg = kle.MaternConfig(nu=nu, ell=ell)
