@@ -54,7 +54,12 @@ class BOrthoBasis:
         return int(self.rank_flags.sum())
 
     def compact(self) -> "BOrthoBasis":
-        """Drop rank-deficient columns (the QR identity no longer applies)."""
+        """Drop rank-deficient columns (the QR identity no longer applies).
+
+        Returns ``self`` when every column is kept, else a new basis.
+        """
+        if self.rank_flags.all():
+            return self
         keep = np.flatnonzero(self.rank_flags)
         return BOrthoBasis(
             Q=self.Q[:, keep],

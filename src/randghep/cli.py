@@ -160,6 +160,7 @@ def cmd_gsvd(args) -> int:
 
 def cmd_estimate(args) -> int:
     from . import errors, kle
+    from .operators import ConfigError
     from .sketch import SketchConfig, range_finder_b
 
     t0 = time.perf_counter()
@@ -171,24 +172,18 @@ def cmd_estimate(args) -> int:
         report["config"] = {"A": args.A, "B": args.B}
     else:
         if args.nu is None:
-            raise_from = "estimate needs either --A/--B or a --nu/--ell/--n KLE configuration"
-            from .operators import ConfigError
-
-            raise ConfigError(raise_from)
+            raise ConfigError("estimate needs either --A/--B or a --nu/--ell/--n KLE configuration")
         grid = kle.Grid1D(n=args.n)
         pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=args.nu, ell=args.ell))
         A, B = pencil.A, pencil.B
         report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n}
     report["config"].update({"k": args.k, "alpha": args.alpha, "r": args.r,
                              "tol": args.tol, "grow": bool(args.grow)})
-    binv = args.binv if args.binv and args.binv > 0 else None
     if args.grow:
         if args.tol is None:
-            from .operators import ConfigError
-
             raise ConfigError("--grow needs --tol")
         growth = errors.grow_sketch_until(A, B, k0=args.k, tol=args.tol, alpha=args.alpha,
-                                          r_probes=args.r, seed=seed, binv_norm=binv)
+                                          r_probes=args.r, seed=seed, binv_norm=args.binv)
         est = growth.estimate
         report["sketch_columns"] = growth.n_columns
         report["converged"] = growth.converged
@@ -197,7 +192,7 @@ def cmd_estimate(args) -> int:
     else:
         rng = range_finder_b(A, B, SketchConfig(k=args.k, p=0, seed=seed))
         est = errors.posterior_estimate(A, B, rng.basis, args.alpha, args.r,
-                                        seed, binv_norm=binv)
+                                        seed, binv_norm=args.binv)
         Q = rng.basis.Q
         if args.tol is not None:
             report["converged"] = bool(est.e <= args.tol)

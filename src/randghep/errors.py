@@ -202,8 +202,10 @@ def posterior_estimate(
     ||B^{-1}|| value is supplied the crude lower bound from Q is used and
     flagged in ``source``.
     """
-    if alpha <= 1.0:
-        raise ConfigError("alpha must exceed 1")
+    if not (math.isfinite(alpha) and alpha > 1.0):
+        raise ConfigError(f"alpha must be a finite number above 1, got {alpha}")
+    if binv_norm is not None and not (math.isfinite(binv_norm) and binv_norm > 0.0):
+        raise ConfigError(f"binv_norm must be a finite positive number, got {binv_norm}")
     if r_probes < 1:
         raise ConfigError("need at least one probe")
     Q, BQ = basis.Q, basis.WQ
@@ -354,6 +356,8 @@ def grow_sketch_until(
     generator streams make the grown sketch bitwise identical to a one-shot
     draw.  Probes are fresh each round.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be a finite positive number, got {tol}")
     n = B.dim
     if max_cols is None:
         max_cols = n

@@ -1,8 +1,12 @@
 """Randomized solvers for A x = lambda B x: two-pass, single-pass, and Nystrom.
 
-All three share the B-weighted range finder and return B-orthonormal
-eigenvectors (U^T B U = I) with the low-rank form A ~ (BU) Lambda (BU)^T,
-plus exact matvec accounting split by operator.
+The three solvers are one skeleton plus a per-method projection.  The
+skeleton validates the pencil, probes A for symmetry, runs the B-weighted
+range finder (Y = B^{-1} A Omega, then Q with Q^T B Q = I), compacts the
+basis and assembles the diagnostics and the matvec accounting split by
+operator.  The projection forms and solves the method's small problem.  All
+three return B-orthonormal eigenvectors (U^T B U = I) with the low-rank form
+A ~ (BU) Lambda (BU)^T.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from scipy.linalg.lapack import dpstrf
 
 from . import borth
 from .operators import ConfigError, IllConditionedError, LinearMap, NumericalError, SpdOperator
-from .sketch import RangeResult, SketchConfig, derive_seed, gaussian_matrix, range_finder_b
+from .sketch import SketchConfig, derive_seed, gaussian_matrix, range_finder_b, ritz
 
 _SYMMETRY_PROBES = 3
 
@@ -61,29 +65,9 @@ class GhepSolution:
         }
 
 
-class _CountDelta:
-    """Snapshot A/B counters and report the consumption of a code region."""
-
-    def __init__(self, A: LinearMap, B: SpdOperator) -> None:
-        self.A, self.B = A, B
-        self.a0 = A.matvec_count
-        self.b0 = B.matvec_count
-        self.s0 = B.solve_count
-
-    def counts(self) -> dict:
-        return {
-            "a_applies": self.A.matvec_count - self.a0,
-            "b_applies": self.B.matvec_count - self.b0,
-            "b_solves": self.B.solve_count - self.s0,
-        }
-
-
-def _check_symmetry(A: LinearMap, seed: int, tol: float = 1e-8) -> int:
+def _check_symmetry(A: LinearMap, seed: int) -> int:
     """Probe |x^T A y - y^T A x| on a few random pairs; returns applies spent."""
-    n = A.dim_in
-    if A.dim_out != n:
-        raise ConfigError("A must be square")
-    probes = gaussian_matrix(n, 2 * _SYMMETRY_PROBES, derive_seed(seed, 0x51A))
+    probes = gaussian_matrix(A.dim_in, 2 * _SYMMETRY_PROBES, derive_seed(seed, 0x51A))
     X, Ynd = probes[:, :_SYMMETRY_PROBES], probes[:, _SYMMETRY_PROBES:]
     AX = A.apply(X)
     AY = A.apply(Ynd)
@@ -91,87 +75,54 @@ def _check_symmetry(A: LinearMap, seed: int, tol: float = 1e-8) -> int:
         lhs = X[:, j] @ AY[:, j]
         rhs = Ynd[:, j] @ AX[:, j]
         scale = abs(lhs) + abs(rhs) + np.linalg.norm(AX[:, j]) * np.linalg.norm(Ynd[:, j])
-        if abs(lhs - rhs) > tol * max(scale, 1e-300):
+        if abs(lhs - rhs) > 1e-8 * max(scale, 1e-300):
             raise ConfigError("A failed the symmetry probe; GHEP solvers need symmetric A")
     return 2 * _SYMMETRY_PROBES
 
 
-def _validate(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> None:
+def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig,
+           qr_alg: str, c_apply, order: str) -> GhepSolution:
+    """The skeleton of the three solvers: validate, probe, range finder, projection.
+
+    ``project(A, B, cfg, rng, basis, order)`` solves the method's small
+    projected problem on the compacted basis and returns (U, eigenvalues,
+    all projected eigenvalues, method diagnostics).  The dimension and sketch
+    checks come before the symmetry probe, so a rejected pencil spends no
+    A-applies; ``counts`` starts after the probe.
+    """
     if A.dim_in != B.dim or A.dim_out != B.dim:
         raise ConfigError("A and B dimensions do not agree")
     if cfg.r > B.dim:
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={B.dim}")
-
-
-def _sort_truncate(lam: np.ndarray, S: np.ndarray, k: int, order: str):
-    idx = np.argsort(-np.abs(lam) if order == "abs" else -lam, kind="stable")
-    lam, S = lam[idx], S[:, idx]
-    kk = min(k, lam.size)
-    return lam[:kk], S[:, :kk], lam
-
-
-def _base_diagnostics(rng: RangeResult, probe_applies: int, qr_alg: str) -> dict:
-    basis = rng.basis
-    return {
+    probe = _check_symmetry(A, cfg.seed)
+    a0, b0, s0 = A.matvec_count, B.matvec_count, B.solve_count
+    rng = range_finder_b(A, B, cfg, qr_alg=qr_alg, c_apply=c_apply)
+    basis = rng.basis.compact()
+    U, lam, lam_all, method_diag = project(A, B, cfg, rng, basis, order)
+    counts = {
+        "a_applies": A.matvec_count - a0,
+        "b_applies": B.matvec_count - b0,
+        "b_solves": B.solve_count - s0,
+    }
+    diag = {
         "qr_alg": qr_alg,
         "effective_rank": int(basis.n_kept),
         "reorth_b_applies": int(basis.n_reorth_applies),
-        "symmetry_probe_applies": probe_applies,
+        "symmetry_probe_applies": probe,
         "fast_path": rng.Ybar is None,
+        "projected_eigenvalues_full": [float(v) for v in np.sort(lam_all)[::-1]],
+        **method_diag,
     }
+    return GhepSolution(U, lam, method, counts, cfg.seed, cfg.k, cfg.p, diag, basis)
 
 
-def ghep_two_pass(
-    A: LinearMap,
-    B: SpdOperator,
-    cfg: SketchConfig,
-    qr_alg: str = "precholqr",
-    c_apply=None,
-    order: str = "value",
-) -> GhepSolution:
-    """Two-pass solver: T = Q^T A Q from a second round of A-applies.
-
-    Costs 2(k+p) A-applies, (k+p) B-applies and (k+p) B-solves (standard
-    path, no re-orthogonalization).  T is symmetrized before the dense
-    eigensolve; the top k of the k+p computed modes are kept.
-    """
-    _validate(A, B, cfg)
-    probe = _check_symmetry(A, cfg.seed)
-    delta = _CountDelta(A, B)
-    rng = range_finder_b(A, B, cfg, qr_alg=qr_alg, c_apply=c_apply)
-    basis = rng.basis if bool(rng.basis.rank_flags.all()) else rng.basis.compact()
+def _project_two_pass(A, B, cfg, rng, basis, order):
     Q = basis.Q
-    T = Q.T @ A.apply(Q)
-    T = (T + T.T) / 2.0
-    lam, S = np.linalg.eigh(T)
-    lam, S, lam_full = _sort_truncate(lam, S, cfg.k, order)
-    U = Q @ S
-    diag = _base_diagnostics(rng, probe, qr_alg)
-    diag["projected_eigenvalues_full"] = [float(v) for v in np.sort(lam_full)[::-1]]
-    return GhepSolution(U, lam, "two_pass", delta.counts(), cfg.seed, cfg.k, cfg.p, diag, basis)
+    return (*ritz(Q.T @ A.apply(Q), Q, cfg.k, order), {})
 
 
-def ghep_single_pass(
-    A: LinearMap,
-    B: SpdOperator,
-    cfg: SketchConfig,
-    qr_alg: str = "precholqr",
-    order: str = "value",
-) -> GhepSolution:
-    """Single-pass solver: T ~ (Omega^T B Q)^{-1} (Omega^T Ybar) (Q^T B Omega)^{-1}.
-
-    Reuses Ybar = A*Omega so only (k+p) A-applies are spent; F = Q^T B Omega
-    comes from the cached BQ at O((k+p)^3) extra flops.  Reports sigma_min(F)
-    and sigma_max(Omega) so the two-pass/single-pass eigenvalue gap bound can
-    be evaluated.
-    """
-    _validate(A, B, cfg)
-    probe = _check_symmetry(A, cfg.seed)
-    delta = _CountDelta(A, B)
-    rng = range_finder_b(A, B, cfg, qr_alg=qr_alg, need_ybar=True)
-    basis = rng.basis if bool(rng.basis.rank_flags.all()) else rng.basis.compact()
-    Q, BQ = basis.Q, basis.WQ
-    F = BQ.T @ rng.Omega  # Q^T B Omega, no extra B-applies
+def _project_single_pass(A, B, cfg, rng, basis, order):
+    F = basis.WQ.T @ rng.Omega  # Q^T B Omega, no extra B-applies
     fvals = np.linalg.svd(F, compute_uv=False)
     if fvals[-1] <= 1e-10 * fvals[0]:
         raise IllConditionedError(
@@ -185,15 +136,11 @@ def ghep_single_pass(
     else:
         Fp = np.linalg.pinv(F)
         T = Fp.T @ G @ Fp
-    T = (T + T.T) / 2.0
-    lam, S = np.linalg.eigh(T)
-    lam, S, lam_full = _sort_truncate(lam, S, cfg.k, order)
-    U = Q @ S
-    diag = _base_diagnostics(rng, probe, qr_alg)
-    diag["projected_eigenvalues_full"] = [float(v) for v in np.sort(lam_full)[::-1]]
-    diag["sigma_min_F"] = float(fvals[-1])
-    diag["sigma_max_omega"] = float(np.linalg.svd(rng.Omega, compute_uv=False)[0])
-    return GhepSolution(U, lam, "single_pass", delta.counts(), cfg.seed, cfg.k, cfg.p, diag, basis)
+    diag = {
+        "sigma_min_F": float(fvals[-1]),
+        "sigma_max_omega": float(np.linalg.svd(rng.Omega, compute_uv=False)[0]),
+    }
+    return (*ritz(T, basis.Q, cfg.k, order), diag)
 
 
 def _psd_half_factor(T: np.ndarray, r: int) -> tuple[np.ndarray, bool, int]:
@@ -221,6 +168,68 @@ def _psd_half_factor(T: np.ndarray, r: int) -> tuple[np.ndarray, bool, int]:
     return H, True, T.shape[0] - rank
 
 
+def _project_nystrom(A, B, cfg, rng, basis, order):
+    Q = basis.Q
+    AQ = A.apply(Q)
+    T = Q.T @ AQ
+    T = (T + T.T) / 2.0
+    H, fallback, dropped = _psd_half_factor(T, cfg.r)
+    if H.shape[0] == H.shape[1]:
+        M = scipy.linalg.solve_triangular(H, AQ.T, lower=True, check_finite=False).T
+    else:
+        # Pseudo-inverse route on the positive part: M = AQ * H (H^T H)^{-1}.
+        gram = H.T @ H
+        M = np.linalg.solve(gram, (AQ @ H).T).T
+    mbasis = borth.mgs_w_reorth(M, B.inverse_view()).compact()
+    UM, sig, _ = np.linalg.svd(mbasis.R)
+    lam_all = sig**2
+    kk = min(cfg.k, lam_all.size)
+    U = mbasis.WQ @ UM[:, :kk]  # WQ = B^{-1} Q_M satisfies (B^{-1}Q_M)^T B (B^{-1}Q_M) = I
+    diag = {
+        "cholesky_fallback": bool(fallback),
+        "dropped_dimensions": int(dropped),
+        "reorth_b_solves": int(mbasis.n_reorth_applies),
+    }
+    return U, lam_all[:kk], lam_all, diag
+
+
+def ghep_two_pass(
+    A: LinearMap,
+    B: SpdOperator,
+    cfg: SketchConfig,
+    qr_alg: str = "precholqr",
+    c_apply=None,
+    order: str = "value",
+) -> GhepSolution:
+    """Two-pass solver: T = Q^T A Q from a second round of A-applies.
+
+    Costs 2(k+p) A-applies, (k+p) B-applies and (k+p) B-solves (standard
+    path, no re-orthogonalization).  T is symmetrized before the dense
+    eigensolve; the top k of the k+p computed modes are kept.
+    """
+    return _solve("two_pass", _project_two_pass, A, B, cfg, qr_alg, c_apply, order)
+
+
+def ghep_single_pass(
+    A: LinearMap,
+    B: SpdOperator,
+    cfg: SketchConfig,
+    qr_alg: str = "precholqr",
+    c_apply=None,
+    order: str = "value",
+) -> GhepSolution:
+    """Single-pass solver: T ~ (Omega^T B Q)^{-1} (Omega^T Ybar) (Q^T B Omega)^{-1}.
+
+    Reuses Ybar = A*Omega so only (k+p) A-applies are spent; F = Q^T B Omega
+    comes from the cached BQ at O((k+p)^3) extra flops.  Reports sigma_min(F)
+    and sigma_max(Omega) so the two-pass/single-pass eigenvalue gap bound can
+    be evaluated.  ``c_apply`` is accepted, so that the three solvers take the
+    same arguments, and not used: the method needs Ybar, which the fast path
+    skips.
+    """
+    return _solve("single_pass", _project_single_pass, A, B, cfg, qr_alg, None, order)
+
+
 def ghep_nystrom(
     A: LinearMap,
     B: SpdOperator,
@@ -235,38 +244,10 @@ def ghep_nystrom(
     (yielding the companion Qhat with Qhat^T B Qhat = I), and squares the
     singular values of the small R factor.  One implicit power-iteration step
     over the two-pass solver, at the price of a second round of B-solves:
-    2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves.
+    2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves.  The eigenvalues are
+    squares, so ``order`` does not change their order.
     """
-    _validate(A, B, cfg)
-    probe = _check_symmetry(A, cfg.seed)
-    delta = _CountDelta(A, B)
-    rng = range_finder_b(A, B, cfg, qr_alg=qr_alg, c_apply=c_apply)
-    basis = rng.basis if bool(rng.basis.rank_flags.all()) else rng.basis.compact()
-    Q = basis.Q
-    AQ = A.apply(Q)
-    T = Q.T @ AQ
-    T = (T + T.T) / 2.0
-    H, fallback, dropped = _psd_half_factor(T, cfg.r)
-    if H.shape[0] == H.shape[1]:
-        M = scipy.linalg.solve_triangular(H, AQ.T, lower=True, check_finite=False).T
-    else:
-        # Pseudo-inverse route on the positive part: M = AQ * H (H^T H)^{-1}.
-        gram = H.T @ H
-        M = np.linalg.solve(gram, (AQ @ H).T).T
-    mbasis = borth.mgs_w_reorth(M, B.inverse_view())
-    if not bool(mbasis.rank_flags.all()):
-        mbasis = mbasis.compact()
-    UM, sig, _ = np.linalg.svd(mbasis.R)
-    lam_full = sig**2
-    kk = min(cfg.k, lam_full.size)
-    U = mbasis.WQ @ UM[:, :kk]  # WQ = B^{-1} Q_M satisfies (B^{-1}Q_M)^T B (B^{-1}Q_M) = I
-    lam = lam_full[:kk]
-    diag = _base_diagnostics(rng, probe, qr_alg)
-    diag["projected_eigenvalues_full"] = [float(v) for v in lam_full]
-    diag["cholesky_fallback"] = bool(fallback)
-    diag["dropped_dimensions"] = int(dropped)
-    diag["reorth_b_solves"] = int(mbasis.n_reorth_applies)
-    return GhepSolution(U, lam, "nystrom", delta.counts(), cfg.seed, cfg.k, cfg.p, diag, basis)
+    return _solve("nystrom", _project_nystrom, A, B, cfg, qr_alg, c_apply, order)
 
 
 def low_rank_apply(sol: GhepSolution, B: SpdOperator, X) -> np.ndarray:

@@ -56,8 +56,8 @@ def randomized_gsvd(
     Y2 = T.apply_inverse(A.apply_transpose(Omega2))
     b1 = factorize(Y1, S)
     b2 = factorize(Y2, T)
-    Q1 = b1.Q if bool(b1.rank_flags.all()) else b1.compact().Q
-    Q2 = b2.Q if bool(b2.rank_flags.all()) else b2.compact().Q
+    Q1 = b1.compact().Q
+    Q2 = b2.compact().Q
 
     F = Q1.T @ S.apply(A.apply(Q2))
     Ut, sig, Vt = np.linalg.svd(F)

@@ -251,10 +251,7 @@ def kle_solve(
     pencil = kle_pencil(grid, cfg, fast_path=fast_path)
     solve = solver_method(method)
     scfg = SketchConfig(k=k, p=p, seed=seed)
-    kwargs = {"qr_alg": qr_alg}
-    if solve is not ghep.ghep_single_pass:
-        kwargs["c_apply"] = pencil.c_apply
-    sol = solve(pencil.A, pencil.B, scfg, **kwargs)
+    sol = solve(pencil.A, pencil.B, scfg, qr_alg=qr_alg, c_apply=pencil.c_apply)
     diag = {}
     if compare_oracle:
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)

@@ -1,5 +1,5 @@
 """Seeded Gaussian test matrices, the B = I randomized SVD/EVD, and the
-B-weighted range finder shared by all GHEP solvers."""
+B-weighted range finder and Rayleigh-Ritz step shared by all GHEP solvers."""
 
 from __future__ import annotations
 
@@ -123,6 +123,24 @@ def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndar
     return U, sig[: cfg.k], Vt[: cfg.k].T
 
 
+def ritz(
+    T: np.ndarray, Q: np.ndarray, k: int, order: str = "value"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rayleigh-Ritz step on a projected matrix T = Q^T A Q (or an estimate of it).
+
+    Symmetrizes T, eigendecomposes it, stable-sorts the eigenvalues
+    descending (by value, or by magnitude with order="abs"), keeps the top k
+    and lifts their eigenvectors by Q.  Returns (U, eigenvalues, all
+    eigenvalues in that order).
+    """
+    T = (T + T.T) / 2.0
+    lam, S = np.linalg.eigh(T)
+    idx = np.argsort(-np.abs(lam) if order == "abs" else -lam, kind="stable")
+    lam, S = lam[idx], S[:, idx]
+    kk = min(k, lam.size)
+    return Q @ S[:, :kk], lam[:kk], lam
+
+
 def randomized_evd(
     A: LinearMap, cfg: SketchConfig, mode: str = "two_pass", order: str = "value"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,11 +169,7 @@ def randomized_evd(
         if svals[-1] <= 1e-12 * svals[0]:
             raise IllConditionedError("Q^T Omega numerically singular; use two_pass")
         T = np.linalg.solve(G.T, (Q.T @ Y).T).T
-    T = (T + T.T) / 2.0
-    lam, S = np.linalg.eigh(T)
-    idx = np.argsort(-np.abs(lam) if order == "abs" else -lam, kind="stable")
-    lam, S = lam[idx][: cfg.k], S[:, idx][:, : cfg.k]
-    return Q @ S, lam
+    return ritz(T, Q, cfg.k, order)[:2]
 
 
 def range_finder_b(

@@ -1,11 +1,22 @@
-"""Shared fixtures: KLE pencils, dense oracles, and exact-rank pencil builders."""
+"""Shared fixtures: KLE pencils, dense oracles, and exact-rank pencil builders.
+
+The suite runs with one BLAS thread unless the caller sets
+``RANDGHEP_THREADS`` (or a BLAS thread variable) itself: ``randghep`` is
+imported before numpy so that its thread cap applies.  The tests' matrices
+are small, and extra BLAS threads only make them slower.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from randghep import errors, kle
+os.environ.setdefault("RANDGHEP_THREADS", "1")
+
+import randghep  # noqa: E402,F401  (applies the thread cap before numpy loads BLAS)
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from randghep import errors, kle  # noqa: E402
 
 
 def make_kle_pencil(nu: float, ell: float = 2.0, n: int = 201, fast_path: bool = False):

@@ -354,3 +354,25 @@ def test_orthogonality_holds_up_to_cond_1e8(alg):
 def test_more_columns_than_rows_rejected():
     with pytest.raises(ConfigError):
         rg.mgs_w(np.ones((3, 4)), rg.dense_spd(np.eye(3)))
+
+
+class TestCompact:
+    def test_full_rank_basis_is_returned_as_is(self):
+        rng = np.random.default_rng(4)
+        basis = rg.pre_chol_qr_w(rng.standard_normal((20, 5)), rg.dense_spd(np.eye(20)))
+        assert basis.rank_flags.all()
+        assert basis.compact() is basis
+
+    def test_dependent_columns_dropped(self):
+        rng = np.random.default_rng(8)
+        Y = rng.standard_normal((20, 5))
+        Y[:, 2] = Y[:, 0]
+        basis = rg.mgs_w_reorth(Y, rg.dense_spd(np.eye(20)))
+        small = basis.compact()
+        assert small is not basis
+        keep = [0, 1, 3, 4]
+        assert small.rank_flags.all() and small.rank_flags.size == 4
+        assert np.array_equal(small.Q, basis.Q[:, keep])
+        assert np.array_equal(small.WQ, basis.WQ[:, keep])
+        assert np.array_equal(small.R, basis.R[np.ix_(keep, keep)])
+        assert small.n_reorth_applies == basis.n_reorth_applies

@@ -248,6 +248,21 @@ class TestEstimate:
     def test_requires_some_pencil(self, tmp_path):
         assert main(["estimate", "--k", "5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--alpha", "nan"],
+        ["--binv", "-3"],
+        ["--binv", "nan"],
+        ["--binv", "0"],
+        ["--grow", "--tol", "nan"],
+        ["--grow", "--tol", "-1"],
+    ])
+    def test_bad_estimator_input_exits_2(self, tmp_path, extra):
+        out = tmp_path / "est"
+        code = main(["estimate", "--nu", "2.5", "--n", "101", "--k", "5", "--seed", "4",
+                     "--out", str(out), *extra])
+        assert code == 2
+        assert not (out / "report.json").exists()
+
     def test_file_pencil_route(self, tmp_path):
         rng = np.random.default_rng(9)
         G = rng.standard_normal((20, 20))

@@ -270,6 +270,18 @@ class TestPosteriorEstimate:
         with pytest.raises(ConfigError):
             errors.posterior_estimate(pencil.A, pencil.B, res.basis, 1.0, 5, seed=1)
 
+    @pytest.mark.parametrize("alpha, binv_norm", [
+        (np.nan, None), (np.inf, None), (2.0, -1.0), (2.0, 0.0), (2.0, np.nan), (2.0, np.inf),
+    ])
+    def test_bad_alpha_or_binv_norm_typed(self, alpha, binv_norm):
+        pencil = make_kle_pencil(0.5, n=41)
+        res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=5, p=2, seed=2))
+        applies = pencil.A.matvec_count
+        with pytest.raises(ConfigError):
+            errors.posterior_estimate(pencil.A, pencil.B, res.basis, alpha, 5, seed=1,
+                                      binv_norm=binv_norm)
+        assert pencil.A.matvec_count == applies
+
 
 class TestBinvCrude:
     def test_identity(self):
@@ -412,6 +424,13 @@ class TestBSine:
 
 
 class TestGrowth:
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_tolerance_typed(self, tol):
+        pencil = make_kle_pencil(2.5, n=41)
+        with pytest.raises(ConfigError):
+            errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=tol, seed=3)
+        assert pencil.A.matvec_count == 0
+
     def test_no_growth_when_tolerance_loose(self):
         pencil = make_kle_pencil(2.5)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=10, tol=1e9, seed=3)

@@ -160,10 +160,28 @@ def test_nonsymmetric_a_rejected():
 
 
 def test_oversized_sketch_rejected():
-    with pytest.raises(ConfigError):
-        rg.ghep_two_pass(
-            rg.dense_operator(np.eye(5)), rg.dense_spd(np.eye(5)), SketchConfig(k=4, p=2, seed=1)
-        )
+    # an oversized sketch and a mismatched pencil are rejected before the
+    # symmetry probe, so they spend no A-applies
+    for solver in SOLVERS:
+        for n_a, n_b, cfg in [(5, 5, SketchConfig(k=4, p=2, seed=1)),
+                              (6, 5, SketchConfig(k=2, p=1, seed=1))]:
+            A = rg.dense_operator(np.eye(n_a))
+            with pytest.raises(ConfigError):
+                solver(A, rg.dense_spd(np.eye(n_b)), cfg)
+            assert A.matvec_count == 0
+
+
+def test_single_pass_ignores_c_apply():
+    pencil = make_kle_pencil(1.5, fast_path=True)
+    plain = make_kle_pencil(1.5, fast_path=True)
+    cfg = SketchConfig(k=10, p=5, seed=21)
+    with_c = rg.ghep_single_pass(pencil.A, pencil.B, cfg, c_apply=pencil.c_apply)
+    without = rg.ghep_single_pass(plain.A, plain.B, cfg)
+    assert with_c.diagnostics["fast_path"] is False
+    assert np.array_equal(with_c.eigenvalues, without.eigenvalues)
+    assert np.array_equal(with_c.U, without.U)
+    assert with_c.counts == without.counts
+    assert with_c.diagnostics == without.diagnostics
 
 
 def test_fast_path_matches_standard_path():

@@ -173,6 +173,17 @@ class TestKlePencil:
         slow = kle.kle_solve(grid, cfg, k=10, p=5, seed=5, fast_path=False)
         np.testing.assert_allclose(fast.eigenvalues, slow.eigenvalues, rtol=1e-10, atol=1e-14)
 
+    def test_single_pass_fast_path_is_the_standard_path(self):
+        # single-pass needs A*Omega, so it takes the standard path either way
+        grid = kle.Grid1D(n=101)
+        cfg = kle.MaternConfig(nu=1.5, ell=2.0)
+        fast = kle.kle_solve(grid, cfg, k=10, p=5, method="single_pass", seed=5, fast_path=True)
+        slow = kle.kle_solve(grid, cfg, k=10, p=5, method="single_pass", seed=5, fast_path=False)
+        assert np.array_equal(fast.eigenvalues, slow.eigenvalues)
+        assert np.array_equal(fast.modes, slow.modes)
+        assert fast.solution.counts == slow.solution.counts
+        assert fast.solution.diagnostics["fast_path"] is False
+
 
 class TestKleSolve:
     def test_smooth_kernel_small_error(self):
