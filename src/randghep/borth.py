@@ -1,14 +1,14 @@
 """QR factorizations in a weighted inner product <x, y>_W = y^T W x.
 
 ``pre_chol_qr_w`` (PreCholQR: a Householder QR, then CholeskyQR2 in the
-W-inner product, with a BCGS2 append) is the one block path: the solvers,
-the range finder and sketch growth all use it, and it touches W only through
-one block apply per call.  Plain modified Gram-Schmidt (``mgs_w``), MGS with
-Rutishauser-style re-orthogonalization (``mgs_w_reorth``) and plain CholQR
-(``chol_qr_w``) are reference algorithms for the QR-quality comparison
-(``randghep qr-bench``) and the ``--qr`` option; MGS-R also serves Nystrom's
-second, B^{-1}-weighted QR.  All return the factor Q, the cached product
-W*Q, and the upper-triangular R.
+W-inner product, with a BCGS2 append) is the one block path: the range
+finder, the GSVD and sketch growth all call it, and it touches W only
+through one block apply per call.  Plain modified Gram-Schmidt (``mgs_w``),
+MGS with Rutishauser-style re-orthogonalization (``mgs_w_reorth``) and plain
+CholQR (``chol_qr_w``) are reference algorithms for the QR-quality
+comparison (``randghep qr-bench``); MGS-R also serves Nystrom's second,
+B^{-1}-weighted QR.  All return the factor Q, the cached product W*Q, and
+the upper-triangular R.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _check_input(Y: np.ndarray, W: SpdOperator) -> np.ndarray:
     return Y
 
 
-def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool, basis: BOrthoBasis | None = None) -> BOrthoBasis:
+def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
     """Shared MGS core.
 
     The W-image of the working column is tracked through the projection
@@ -94,26 +94,14 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool, basis: BOrthoBasis | None 
     the image fresh, which is what restores orthogonality for collapsing
     columns and what makes re-orthogonalization cost extra W-applies.
     """
-    Y = _check_input(Y, W)
-    n, r_new = Y.shape
-    if basis is not None:
-        Q = np.hstack([basis.Q, Y.astype(float)])
-        WQ = np.hstack([basis.WQ, np.zeros((n, r_new))])
-        r0 = basis.Q.shape[1]
-        r = r0 + r_new
-        R = np.zeros((r, r))
-        R[:r0, :r0] = basis.R
-        flags = np.concatenate([basis.rank_flags, np.ones(r_new, dtype=bool)])
-        base_applies, reorth_applies = basis.n_w_applies, basis.n_reorth_applies
-    else:
-        Q = Y.astype(float).copy()
-        WQ = np.zeros_like(Q)
-        r0, r = 0, Y.shape[1]
-        R = np.zeros((r, r))
-        flags = np.ones(r, dtype=bool)
-        base_applies, reorth_applies = 0, 0
+    Q = _check_input(Y, W).copy()
+    WQ = np.zeros_like(Q)
+    r = Q.shape[1]
+    R = np.zeros((r, r))
+    flags = np.ones(r, dtype=bool)
+    base_applies, reorth_applies = 0, 0
 
-    for k in range(r0, r):
+    for k in range(r):
         q = Q[:, k].copy()
         qhat = W.apply(q)
         base_applies += 1
@@ -165,7 +153,7 @@ def mgs_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
     return _mgs(Y, W, reorth=False)
 
 
-def mgs_w_reorth(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None) -> BOrthoBasis:
+def mgs_w_reorth(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
     """MGS with Rutishauser re-orthogonalization (MGS-R).
 
     A column is re-projected against its predecessors while its W-norm keeps
@@ -175,11 +163,8 @@ def mgs_w_reorth(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None
     machine precision even for numerically rank-deficient input.  The sweep
     loop is capped at MAX_REORTH_SWEEPS; a column still collapsing at the cap
     is flagged dependent.
-
-    Passing ``basis`` appends new columns to an existing factorization
-    (used when growing a sketch), leaving the old columns untouched.
     """
-    return _mgs(Y, W, reorth=True, basis=basis)
+    return _mgs(Y, W, reorth=True)
 
 
 def chol_qr_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
@@ -300,7 +285,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
     if n_kept:
         WQ = _fresh_apply(W, Q)
         for _ in range(2):
-            Rc = _gram_cholesky(Q, WQ, "weight operator too ill-conditioned; use mgs_w_reorth")
+            Rc = _gram_cholesky(Q, WQ, "the weight operator has kappa(W) near 1/eps")
             Q = _solve_right(Q, Rc)
             WQ = _solve_right(WQ, Rc)
             R = Rc @ R

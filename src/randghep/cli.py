@@ -30,7 +30,6 @@ def _finish_report(report: dict, outdir: Path, t0: float) -> None:
 
     report["wall_time_s"] = time.perf_counter() - t0
     report["library_version"] = __version__
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "report.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(str(path))
@@ -44,6 +43,25 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> None:
+    """spectrum.csv: each eigenvalue, its oracle value and their distance.
+
+    The oracle columns stay empty without ``oracle``; ``bound_flags`` adds
+    one (lambda_bound_ok, sine_bound_ok) pair per row.
+    """
+    header = ["index", "lambda_approx", "lambda_oracle", "abs_err"]
+    rows: list[list] = []
+    for i, lam in enumerate(lambdas):
+        if oracle is None:
+            rows.append([i, float(lam), None, None])
+        else:
+            rows.append([i, float(lam), float(oracle[i]), abs(float(lam) - float(oracle[i]))])
+    if bound_flags is not None:
+        header += ["lambda_bound_ok", "sine_bound_ok"]
+        rows = [row + list(flags) for row, flags in zip(rows, bound_flags)]
+    _write_csv(outdir / "spectrum.csv", header, rows)
+
+
 def _load_pencil(args):
     from . import operators
 
@@ -52,96 +70,70 @@ def _load_pencil(args):
     return operators.dense_operator(Ad), operators.dense_spd(Bd), Ad, Bd
 
 
-def cmd_solve(args) -> int:
+# Each cmd_* fills ``report`` and writes its own files into ``outdir``; main
+# resolves the seed, creates ``outdir`` and writes report.json on success.
+
+
+def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     import numpy as np
 
-    from . import errors, ghep, kle
+    from . import errors, kle
     from .sketch import SketchConfig
 
-    t0 = time.perf_counter()
-    report: dict = {"command": "solve"}
-    seed = _resolve_seed(args.seed, report)
     A, B, Ad, Bd = _load_pencil(args)
     solve = kle.solver_method(args.method)
-    cfg = SketchConfig(k=args.k, p=args.p, seed=seed)
-    sol = solve(A, B, cfg, qr_alg=args.qr)
+    sol = solve(A, B, SketchConfig(k=args.k, p=args.p, seed=seed))
     report.update(sol.report_dict())
-    report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p,
-                        "method": args.method, "qr": args.qr}
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    header = ["index", "lambda_approx", "lambda_oracle", "abs_err"]
-    rows: list[list] = []
+    report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
+    oracle = bound_flags = None
     if args.oracle:
         ref = errors.dense_ghep_oracle(Ad, Bd)
         eps = errors.range_error_exact(Ad, Bd, sol.basis.Q)
-        header += ["lambda_bound_ok", "sine_bound_ok"]
         report["range_error_exact"] = eps
         m = sol.eigenvalues.size
+        oracle = ref.lambdas[:m]
         sines = errors.b_sine(ref.eigenvectors[:, :m], sol.U[:, :m], B)
+        bound_flags = []
         for i, lam in enumerate(sol.eigenvalues):
-            lam_ex = float(ref.lambdas[i])
+            lam_ex = float(oracle[i])
             others = np.delete(ref.lambdas, i)
             delta = float(np.min(np.abs(lam - others)))
             bounds = errors.eigenpair_bounds(eps, delta)
             # roundoff allowance: the booleans compare measured quantities
             lam_slack = 1e-12 * max(1.0, abs(lam_ex))
-            rows.append([i, float(lam), lam_ex, abs(float(lam) - lam_ex),
-                         bool(abs(float(lam) - lam_ex) <= bounds.lambda_bound + lam_slack),
-                         bool(sines[i] <= bounds.sine_bound + 1e-9)])
-    else:
-        rows = [[i, float(lam), None, None] for i, lam in enumerate(sol.eigenvalues)]
-    _write_csv(outdir / "spectrum.csv", header, rows)
+            bound_flags.append((bool(abs(float(lam) - lam_ex) <= bounds.lambda_bound + lam_slack),
+                                bool(sines[i] <= bounds.sine_bound + 1e-9)))
+    _write_spectrum(outdir, sol.eigenvalues, oracle, bound_flags)
     if args.save_modes:
         from .operators import save_matrix_market
 
         save_matrix_market(outdir / "modes.mtx", sol.U)
-    _finish_report(report, outdir, t0)
-    return 0
 
 
-def cmd_kle(args) -> int:
+def cmd_kle(args, report: dict, seed: int, outdir: Path) -> None:
     from . import kle
     from .operators import save_matrix_market
 
-    t0 = time.perf_counter()
-    report: dict = {"command": "kle"}
-    seed = _resolve_seed(args.seed, report)
     grid = kle.Grid1D(a=-1.0, b=1.0, n=args.n)
     cfg = kle.MaternConfig(nu=args.nu, ell=args.ell)
     with_oracle = args.n <= kle.ORACLE_MAX_N
     sol = kle.kle_solve(grid, cfg, k=args.k, p=args.p, method=args.method,
-                        seed=seed, qr_alg=args.qr, compare_oracle=with_oracle)
+                        seed=seed, compare_oracle=with_oracle)
     report.update(sol.solution.report_dict())
     report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n, "k": args.k,
-                        "p": args.p, "method": args.method, "qr": args.qr}
+                        "p": args.p, "method": args.method}
     if with_oracle:
         report["rel_eigenvalue_error"] = sol.diagnostics["rel_eigenvalue_error"]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    oracle = sol.diagnostics.get("oracle_lambdas")
-    for i, lam in enumerate(sol.eigenvalues):
-        if oracle is not None:
-            rows.append([i, float(lam), float(oracle[i]), abs(float(lam) - float(oracle[i]))])
-        else:
-            rows.append([i, float(lam), None, None])
-    _write_csv(outdir / "spectrum.csv", ["index", "lambda_approx", "lambda_oracle", "abs_err"], rows)
+    _write_spectrum(outdir, sol.eigenvalues, sol.diagnostics.get("oracle_lambdas"))
     save_matrix_market(outdir / "modes.mtx", sol.modes)
-    _finish_report(report, outdir, t0)
-    return 0
 
 
-def cmd_gsvd(args) -> int:
+def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
     import numpy as np
 
     from . import gsvd, operators
     from .sketch import SketchConfig
 
-    t0 = time.perf_counter()
-    report: dict = {"command": "gsvd"}
-    seed = _resolve_seed(args.seed, report)
     Ad = operators.load_matrix_market(args.A)
     Sd = operators.load_matrix_market(args.S)
     Td = operators.load_matrix_market(args.T)
@@ -154,18 +146,13 @@ def cmd_gsvd(args) -> int:
     report["orthogonality_residual_U"] = float(np.linalg.norm(res.U.T @ (Sd @ res.U) - np.eye(k), 2))
     report["orthogonality_residual_V"] = float(np.linalg.norm(res.V.T @ (Td @ res.V) - np.eye(k), 2))
     report["config"] = {"A": args.A, "S": args.S, "T": args.T, "k": args.k, "p": args.p}
-    _finish_report(report, Path(args.out), t0)
-    return 0
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     from . import errors, kle
     from .operators import ConfigError
     from .sketch import SketchConfig, range_finder_b
 
-    t0 = time.perf_counter()
-    report: dict = {"command": "estimate"}
-    seed = _resolve_seed(args.seed, report)
     pencil = None
     if args.A and args.B:
         A, B, Ad, Bd = _load_pencil(args)
@@ -206,31 +193,22 @@ def cmd_estimate(args) -> int:
         if pencil is not None:
             Ad, Bd = pencil.dense_a, pencil.dense_b
         report["range_error_exact"] = errors.range_error_exact(Ad, Bd, Q)
-    _finish_report(report, Path(args.out), t0)
-    return 0
 
 
-def cmd_qr_bench(args) -> int:
-    from . import borth, kle
-    from .sketch import SketchConfig, gaussian_matrix
+def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:
+    from . import borth, kle, sketch
 
-    t0 = time.perf_counter()
     nus = [args.nu] if args.nu is not None else [0.5, 1.5, 2.5]
-    algs = [("MGS", borth.mgs_w), ("MGS-R", borth.mgs_w_reorth), ("PreCholQR", borth.pre_chol_qr_w)]
     rows = []
-    report: dict = {"command": "qr-bench"}
-    seed = _resolve_seed(args.seed, report)
     for nu in nus:
         grid = kle.Grid1D(n=args.n)
         pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=nu, ell=args.ell))
-        Omega = gaussian_matrix(args.n, args.cols, seed)
+        Omega = sketch.gaussian_matrix(args.n, args.cols, seed)
         Y = pencil.B.apply_inverse(pencil.A.apply(Omega))
-        for name, alg in algs:
+        for name, alg in sketch._QR_ALGORITHMS.items():
             basis = alg(Y, pencil.B)
             m = borth.qr_metrics(Y, basis, pencil.B)
             rows.append([name, f"{nu:g}", m[0], m[1], m[2], m[3]])
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "qr_bench.csv"
     _write_csv(csv_path, ["alg", "kernel", "m1", "m2", "m3", "m4"], rows)
     with open(csv_path) as fh:
@@ -238,17 +216,12 @@ def cmd_qr_bench(args) -> int:
     report["config"] = {"ell": args.ell, "n": args.n, "cols": args.cols, "kernels": nus}
     report["rows"] = [{"alg": r[0], "kernel": r[1], "m1": r[2], "m2": r[3], "m3": r[4], "m4": r[5]}
                       for r in rows]
-    _finish_report(report, outdir, t0)
-    return 0
 
 
-def cmd_svd(args) -> int:
+def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
     from . import operators
     from .sketch import SketchConfig, randomized_evd, randomized_svd
 
-    t0 = time.perf_counter()
-    report: dict = {"command": "svd"}
-    seed = _resolve_seed(args.seed, report)
     Ad = operators.load_matrix_market(args.A)
     A = operators.dense_operator(Ad)
     cfg = SketchConfig(k=args.k, p=args.p, seed=seed)
@@ -260,8 +233,6 @@ def cmd_svd(args) -> int:
         _, lam = randomized_evd(A, cfg, mode=mode)
         report["eigenvalues"] = [float(v) for v in lam]
     report["config"] = {"A": args.A, "k": args.k, "p": args.p, "mode": args.mode}
-    _finish_report(report, Path(args.out), t0)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, default=20)
     p.add_argument("--method", default="two-pass", choices=["two-pass", "single-pass", "nystrom"])
-    p.add_argument("--qr", default="precholqr", choices=["mgs", "mgs-r", "cholqr", "precholqr"])
     p.add_argument("--oracle", action="store_true", help="append dense-oracle comparison columns")
     p.add_argument("--save-modes", action="store_true")
     common(p)
@@ -295,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, default=5)
     p.add_argument("--method", default="two-pass", choices=["two-pass", "single-pass", "nystrom"])
-    p.add_argument("--qr", default="precholqr", choices=["mgs", "mgs-r", "cholqr", "precholqr"])
     common(p)
     p.set_defaults(func=cmd_kle)
 
@@ -350,8 +319,15 @@ def main(argv=None) -> int:
 
     from .operators import ConfigError, MatrixFormatError, NumericalError
 
+    t0 = time.perf_counter()
+    report: dict = {"command": args.subcommand}
     try:
-        return args.func(args)
+        seed = _resolve_seed(args.seed, report)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        args.func(args, report, seed, outdir)
+        _finish_report(report, outdir, t0)
+        return 0
     except FileNotFoundError as exc:
         print(f"randghep: {exc}", file=sys.stderr)
         return 2

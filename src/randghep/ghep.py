@@ -32,12 +32,10 @@ class GhepSolution:
     ``eigenvalues`` is length k, sorted descending; ``counts`` holds the
     A-applies, B-applies and B-solves the solve consumed after its symmetry
     probe (the probe's A-applies are excluded and reported as
-    ``diagnostics["symmetry_probe_applies"]``).  Re-orthogonalization applies
-    are included: the default block QR makes none, so ``counts`` equals the
-    cost table, while a reference MGS-R QR (``qr_alg="mgs_reorth"``) adds
-    ``diagnostics["reorth_b_applies"]`` B-applies.  Nystrom's second QR
-    (MGS-R in the B^{-1}-inner product) adds
-    ``diagnostics["reorth_b_solves"]`` B-solves on any QR choice.
+    ``diagnostics["symmetry_probe_applies"]``).  The range finder's block QR
+    makes no re-orthogonalization applies, so ``diagnostics["reorth_b_applies"]``
+    is 0.  Nystrom's second QR (MGS-R in the B^{-1}-inner product) adds
+    ``diagnostics["reorth_b_solves"]`` B-solves, which ``counts`` includes.
     """
 
     U: np.ndarray
@@ -81,7 +79,7 @@ def _check_symmetry(A: LinearMap, seed: int) -> int:
 
 
 def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig,
-           qr_alg: str, c_apply, order: str) -> GhepSolution:
+           c_apply, order: str) -> GhepSolution:
     """The skeleton of the three solvers: validate, probe, range finder, projection.
 
     ``project(A, B, cfg, rng, basis, order)`` solves the method's small
@@ -96,7 +94,7 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={B.dim}")
     probe = _check_symmetry(A, cfg.seed)
     a0, b0, s0 = A.matvec_count, B.matvec_count, B.solve_count
-    rng = range_finder_b(A, B, cfg, qr_alg=qr_alg, c_apply=c_apply)
+    rng = range_finder_b(A, B, cfg, c_apply=c_apply)
     basis = rng.basis.compact()
     U, lam, lam_all, method_diag = project(A, B, cfg, rng, basis, order)
     counts = {
@@ -105,7 +103,7 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
         "b_solves": B.solve_count - s0,
     }
     diag = {
-        "qr_alg": qr_alg,
+        "qr_alg": "precholqr",
         "effective_rank": int(basis.n_kept),
         "reorth_b_applies": int(basis.n_reorth_applies),
         "symmetry_probe_applies": probe,
@@ -197,7 +195,6 @@ def ghep_two_pass(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    qr_alg: str = "precholqr",
     c_apply=None,
     order: str = "value",
 ) -> GhepSolution:
@@ -207,14 +204,13 @@ def ghep_two_pass(
     path, no re-orthogonalization).  T is symmetrized before the dense
     eigensolve; the top k of the k+p computed modes are kept.
     """
-    return _solve("two_pass", _project_two_pass, A, B, cfg, qr_alg, c_apply, order)
+    return _solve("two_pass", _project_two_pass, A, B, cfg, c_apply, order)
 
 
 def ghep_single_pass(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    qr_alg: str = "precholqr",
     c_apply=None,
     order: str = "value",
 ) -> GhepSolution:
@@ -227,14 +223,13 @@ def ghep_single_pass(
     same arguments, and not used: the method needs Ybar, which the fast path
     skips.
     """
-    return _solve("single_pass", _project_single_pass, A, B, cfg, qr_alg, None, order)
+    return _solve("single_pass", _project_single_pass, A, B, cfg, None, order)
 
 
 def ghep_nystrom(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    qr_alg: str = "precholqr",
     c_apply=None,
     order: str = "value",
 ) -> GhepSolution:
@@ -247,7 +242,7 @@ def ghep_nystrom(
     2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves.  The eigenvalues are
     squares, so ``order`` does not change their order.
     """
-    return _solve("nystrom", _project_nystrom, A, B, cfg, qr_alg, c_apply, order)
+    return _solve("nystrom", _project_nystrom, A, B, cfg, c_apply, order)
 
 
 def low_rank_apply(sol: GhepSolution, B: SpdOperator, X) -> np.ndarray:

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .operators import ConfigError, LinearMap, SpdOperator, dense_operator, dense_spd
-from .sketch import SketchConfig, derive_seed, gaussian_matrix, qr_algorithm
+from .borth import pre_chol_qr_w
+from .sketch import SketchConfig, derive_seed, gaussian_matrix
 
 
 @dataclass
@@ -28,36 +29,27 @@ class GsvdResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def randomized_gsvd(
-    A: LinearMap,
-    S: SpdOperator,
-    T: SpdOperator,
-    cfg: SketchConfig,
-    qr_alg: str = "precholqr",
-) -> GsvdResult:
+def randomized_gsvd(A: LinearMap, S: SpdOperator, T: SpdOperator, cfg: SketchConfig) -> GsvdResult:
     """Randomized GSVD of A under the weights (S, T).
 
     Sketches both sides with independent Gaussian matrices derived from one
-    seed: Y1 = A Omega1 is S-orthonormalized, Y2 = T^{-1} A^T Omega2 is
-    T-orthonormalized (PreCholQR by default), and the small core
-    F = Q1^T S A Q2 is decomposed densely.  Columns beyond the requested rank
-    are discarded after sorting.
+    seed: Y1 = A Omega1 is S-orthonormalized and Y2 = T^{-1} A^T Omega2 is
+    T-orthonormalized, both by the block QR ``pre_chol_qr_w``, and the small
+    core F = Q1^T S A Q2 is decomposed densely.  Columns beyond the requested
+    rank are discarded after sorting.
     """
     m, n = A.dim_out, A.dim_in
     if S.dim != m or T.dim != n:
         raise ConfigError("weight dimensions do not match the operator")
     if cfg.r > min(m, n):
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds min(m, n)={min(m, n)}")
-    factorize = qr_algorithm(qr_alg)
 
     Omega1 = gaussian_matrix(n, cfg.r, derive_seed(cfg.seed, 1))
     Omega2 = gaussian_matrix(m, cfg.r, derive_seed(cfg.seed, 2))
     Y1 = A.apply(Omega1)
     Y2 = T.apply_inverse(A.apply_transpose(Omega2))
-    b1 = factorize(Y1, S)
-    b2 = factorize(Y2, T)
-    Q1 = b1.compact().Q
-    Q2 = b2.compact().Q
+    Q1 = pre_chol_qr_w(Y1, S).compact().Q
+    Q2 = pre_chol_qr_w(Y2, T).compact().Q
 
     F = Q1.T @ S.apply(A.apply(Q2))
     Ut, sig, Vt = np.linalg.svd(F)
@@ -65,7 +57,7 @@ def randomized_gsvd(
     U = Q1 @ Ut[:, :kk]
     V = Q2 @ Vt[:kk].T
     diag = {
-        "qr_alg": qr_alg,
+        "qr_alg": "precholqr",
         "left_rank": int(Q1.shape[1]),
         "right_rank": int(Q2.shape[1]),
     }

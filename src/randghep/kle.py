@@ -238,7 +238,6 @@ def kle_solve(
     p: int = 5,
     method: str = "two_pass",
     seed: int = 0,
-    qr_alg: str = "precholqr",
     fast_path: bool = False,
     compare_oracle: bool = False,
 ) -> KleSolution:
@@ -251,7 +250,7 @@ def kle_solve(
     pencil = kle_pencil(grid, cfg, fast_path=fast_path)
     solve = solver_method(method)
     scfg = SketchConfig(k=k, p=p, seed=seed)
-    sol = solve(pencil.A, pencil.B, scfg, qr_alg=qr_alg, c_apply=pencil.c_apply)
+    sol = solve(pencil.A, pencil.B, scfg, c_apply=pencil.c_apply)
     diag = {}
     if compare_oracle:
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)

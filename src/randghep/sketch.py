@@ -86,23 +86,13 @@ class RangeResult:
     Omega: np.ndarray
 
 
+#: The weighted QRs that ``randghep qr-bench`` compares, by CSV name, in row
+#: order.  The solvers call ``borth.pre_chol_qr_w`` directly.
 _QR_ALGORITHMS = {
-    "mgs": borth.mgs_w,
-    "mgs_reorth": borth.mgs_w_reorth,
-    "cholqr": borth.chol_qr_w,
-    "precholqr": borth.pre_chol_qr_w,
+    "MGS": borth.mgs_w,
+    "MGS-R": borth.mgs_w_reorth,
+    "PreCholQR": borth.pre_chol_qr_w,
 }
-
-_QR_ALIASES = {"mgs-r": "mgs_reorth", "mgsr": "mgs_reorth", "pre-cholqr": "precholqr"}
-
-
-def qr_algorithm(name: str):
-    key = name.lower().replace(" ", "")
-    key = _QR_ALIASES.get(key, key)
-    try:
-        return _QR_ALGORITHMS[key]
-    except KeyError:
-        raise ConfigError(f"unknown QR algorithm {name!r}; choose from {sorted(_QR_ALGORITHMS)}")
 
 
 def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,33 +162,25 @@ def randomized_evd(
     return ritz(T, Q, cfg.k, order)[:2]
 
 
-def range_finder_b(
-    A: LinearMap,
-    B: SpdOperator,
-    cfg: SketchConfig,
-    qr_alg: str = "precholqr",
-    c_apply=None,
-    need_ybar: bool = False,
-) -> RangeResult:
+def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig, c_apply=None) -> RangeResult:
     """B-orthonormal basis for the dominant range of C = B^{-1}A.
 
     Draws Omega, forms Ybar = A*Omega and Y = B^{-1}*Ybar (exactly k+p
-    A-applies and k+p B-solves), then factorizes Y with the chosen weighted
-    QR.  With ``c_apply`` given and ``need_ybar`` False, Y = C*Omega is formed
-    directly and the B-solves are skipped.
+    A-applies and k+p B-solves), then factorizes Y with the block weighted QR
+    ``borth.pre_chol_qr_w``.  With ``c_apply`` given, Y = C*Omega is formed
+    directly, the B-solves are skipped and Ybar is None.
     """
     n = B.dim
     if A.dim_in != n or A.dim_out != n:
         raise ConfigError("A and B dimensions do not agree")
     if cfg.r > n:
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={n}")
-    factorize = qr_algorithm(qr_alg)
     Omega = gaussian_matrix(n, cfg.r, cfg.seed)
-    if c_apply is not None and not need_ybar:
+    if c_apply is not None:
         Ybar = None
         Y = np.asarray(c_apply(Omega), dtype=float)
     else:
         Ybar = A.apply(Omega)
         Y = B.apply_inverse(Ybar)
-    basis = factorize(Y, B)
+    basis = borth.pre_chol_qr_w(Y, B)
     return RangeResult(basis=basis, Y=Y, Ybar=Ybar, Omega=Omega)

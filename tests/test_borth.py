@@ -79,16 +79,6 @@ class TestMgsWReorth:
         m = rg.qr_metrics(Y, basis, B)
         assert m[0] <= 1e-13 * np.linalg.norm(Y, 2)
 
-    def test_extension_matches_one_shot(self):
-        rng = np.random.default_rng(13)
-        Y = rng.standard_normal((40, 9))
-        B = rg.dense_spd(np.eye(40))
-        full = rg.mgs_w_reorth(Y, B)
-        part = rg.mgs_w_reorth(Y[:, :5], B)
-        ext = rg.mgs_w_reorth(Y[:, 5:], B, basis=part)
-        np.testing.assert_allclose(ext.Q, full.Q, atol=1e-13)
-        np.testing.assert_allclose(ext.R, full.R, atol=1e-13)
-
 
 class TestCholQr:
     def test_single_column(self):
@@ -282,7 +272,7 @@ class TestPreCholQrBlockPath:
         # W = diag(1, ..., 1e-18) on unit columns: the Gram matrix is
         # diag(1, 1e-2, 1e-16, 1e-18) and its pivots fall to roundoff level
         W = rg.SpdOperator(10, lambda X: np.logspace(0, -18, 10)[:, None] * X, lambda X: X)
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match=r"kappa\(W\) near 1/eps"):
             rg.pre_chol_qr_w(np.eye(10)[:, [0, 1, 8, 9]], W)
 
     def test_basis_row_mismatch_rejected(self):

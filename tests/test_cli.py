@@ -29,6 +29,15 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _run_cli(argv):
+    """``randghep <argv>`` in a fresh interpreter, for exit codes that argparse sets."""
+    env = dict(os.environ)  # conftest has set RANDGHEP_THREADS
+    src = str(Path(rg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "randghep.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestSolve:
     def test_identity_pencil(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx")
@@ -155,6 +164,22 @@ class TestSolve:
         rep = _read_report(out)
         assert rep["seed_derived_from_entropy"] is True
         assert rep["seed"] != 0
+
+
+class TestRemovedQrFlag:
+    """The solvers have one weighted QR, so ``--qr`` is rejected, not ignored."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--A", "{eye}", "--B", "{eye}", "--k", "2", "--p", "2", "--qr", "mgs-r"],
+        ["kle", "--nu", "2.5", "--n", "41", "--k", "5", "--qr", "mgs"],
+    ], ids=["solve", "kle"])
+    def test_qr_flag_exits_2(self, tmp_path, argv):
+        eye = _write_eye(tmp_path / "eye.mtx")
+        out = tmp_path / "run"
+        proc = _run_cli([arg.format(eye=eye) for arg in argv] + ["--out", str(out)])
+        assert proc.returncode == 2
+        assert "--qr" in proc.stderr
+        assert not (out / "report.json").exists()
 
 
 class TestQrBench:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
-from randghep import errors, kle, sketch
+from randghep import borth, errors, kle
 from randghep.operators import ConfigError
 from randghep.sketch import SketchConfig
 
@@ -200,7 +200,7 @@ class TestKleSolve:
         k, p = 100, 10
         r = k + p
         qr_deltas = []
-        block_qr = sketch._QR_ALGORITHMS["precholqr"]
+        block_qr = borth.pre_chol_qr_w
 
         def recording_qr(Y, W, basis=None):
             before = W.matvec_count
@@ -208,7 +208,7 @@ class TestKleSolve:
             qr_deltas.append(W.matvec_count - before)
             return out
 
-        monkeypatch.setitem(sketch._QR_ALGORITHMS, "precholqr", recording_qr)
+        monkeypatch.setattr(borth, "pre_chol_qr_w", recording_qr)
         sol = kle.kle_solve(kle.Grid1D(n=1001), kle.MaternConfig(nu=2.5, ell=0.5), k=k, p=p,
                             method=method, seed=1).solution
         expected = {

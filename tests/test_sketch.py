@@ -191,11 +191,9 @@ class TestRangeFinderB:
         assert pencil.A.matvec_count == 0
 
     def test_qr_alg_selection(self):
+        # the range finder's one weighted QR is the block path: B-orthonormal Q
         pencil = make_kle_pencil(0.5)
-        res = rg.range_finder_b(
-            pencil.A, pencil.B, SketchConfig(k=6, p=2, seed=9), qr_alg="precholqr"
-        )
+        res = rg.range_finder_b(pencil.A, pencil.B, SketchConfig(k=6, p=2, seed=9))
         m = rg.qr_metrics(res.Y, res.basis, pencil.B)
         assert m[1] <= 1e-12
-        with pytest.raises(ConfigError):
-            rg.range_finder_b(pencil.A, pencil.B, SketchConfig(k=4, seed=1), qr_alg="qrxyz")
+        assert res.basis.n_reorth_applies == 0
