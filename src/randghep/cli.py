@@ -47,7 +47,8 @@ def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> Non
     """spectrum.csv: each eigenvalue, its oracle value and their distance.
 
     The oracle columns stay empty without ``oracle``; ``bound_flags`` adds
-    one (lambda_bound_ok, sine_bound_ok) pair per row.
+    one (lambda_bound_ok, sine_bound_ok) pair per row, and a None flag
+    leaves its cell empty.
     """
     header = ["index", "lambda_approx", "lambda_oracle", "abs_err"]
     rows: list[list] = []
@@ -92,17 +93,22 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
         report["range_error_exact"] = eps
         m = sol.eigenvalues.size
         oracle = ref.lambdas[:m]
-        sines = errors.b_sine(ref.eigenvectors[:, :m], sol.U[:, :m], B)
-        bound_flags = []
-        for i, lam in enumerate(sol.eigenvalues):
-            lam_ex = float(oracle[i])
-            others = np.delete(ref.lambdas, i)
-            delta = float(np.min(np.abs(lam - others)))
-            bounds = errors.eigenpair_bounds(eps, delta)
-            # roundoff allowance: the booleans compare measured quantities
-            lam_slack = 1e-12 * max(1.0, abs(lam_ex))
-            bound_flags.append((bool(abs(float(lam) - lam_ex) <= bounds.lambda_bound + lam_slack),
-                                bool(sines[i] <= bounds.sine_bound + 1e-9)))
+        if args.method == "single-pass":
+            # the lambda/sine bounds hold for Rayleigh-Ritz pairs only
+            report["bound_flags"] = "not applicable: single-pass T is not a Rayleigh quotient"
+            bound_flags = [(None, None)] * m
+        else:
+            sines = errors.b_sine(ref.eigenvectors[:, :m], sol.U[:, :m], B)
+            bound_flags = []
+            for i, lam in enumerate(sol.eigenvalues):
+                lam_ex = float(oracle[i])
+                others = np.delete(ref.lambdas, i)
+                delta = float(np.min(np.abs(lam - others)))
+                bounds = errors.eigenpair_bounds(eps, delta)
+                # roundoff allowance: the booleans compare measured quantities
+                lam_slack = 1e-12 * max(1.0, abs(lam_ex))
+                bound_flags.append((bool(abs(float(lam) - lam_ex) <= bounds.lambda_bound + lam_slack),
+                                    bool(sines[i] <= bounds.sine_bound + 1e-9)))
     _write_spectrum(outdir, sol.eigenvalues, oracle, bound_flags)
     if args.save_modes:
         from .operators import save_matrix_market

@@ -5,8 +5,12 @@ pencil (M Gamma M, M), truncated-expansion error checks, and random-field
 realizations.  The solver path is matrix-free at any n: on the uniform grid
 Gamma is symmetric Toeplitz, so it is applied by circulant embedding with the
 FFT in O(n log n) per column and O(n) memory (Dietrich & Newsam 1997), and the
-mass solves go through a banded Cholesky so B^{-1}x stays O(n).  Dense copies
-of the pencil are built only when an oracle reads them (n <= ORACLE_MAX_N).
+mass solves go through a banded Cholesky so B^{-1}x stays O(n).  The circulant
+has length N, the smallest 2^a 3^b 5^c >= 2n - 1, with zero padding in the
+middle of its first column: a matvec needs only N >= 2n - 1, not a nonnegative
+spectrum, and a 5-smooth N keeps the FFT off its slow large-prime path.  Dense
+copies of the pencil are built only when an oracle reads them
+(n <= ORACLE_MAX_N).
 """
 
 from __future__ import annotations
@@ -140,19 +144,43 @@ class MassOperator(SpdOperator):
         return scipy.linalg.cho_solve_banded((self._cb, False), X, check_finite=False)
 
 
+def _fast_len(m: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c that is >= m (m >= 1).
+
+    For each 3^b 5^c below the best length so far, the smallest power of two
+    times it that reaches m is a candidate.
+    """
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = -(-m // p35)  # ceil(m / p35)
+            best = min(best, p35 << (q - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def covariance_apply(grid: Grid1D, cfg: MaternConfig) -> Callable[[np.ndarray], np.ndarray]:
     """Block apply X -> Gamma X by circulant embedding of the Toeplitz Gamma.
 
-    The first column c_j = kappa(x_j - x_0) (c_0 = 1) is mirrored into the
-    symmetric circulant [c_0, ..., c_{n-1}, c_{n-2}, ..., c_1] of length
-    2n - 2, whose spectrum is its real FFT.  Gamma X is the top n rows of that
-    circulant applied to X padded with zeros.  Exact up to FFT roundoff.
+    The first column c_j = kappa(x_j - x_0) (c_0 = 1) goes into the symmetric
+    circulant with first column [c_0, ..., c_{n-1}, 0, ..., 0, c_{n-1}, ..., c_1]
+    of length N = ``_fast_len(2n - 1)``.  That column is even-symmetric, so the
+    spectrum is its real FFT.  Gamma X is the top n rows of the circulant
+    applied to X padded with zeros to N rows; any N >= 2n - 1 gives that, and
+    the spectrum may have negative entries, since nothing is factored or
+    sampled from it.  Exact up to FFT roundoff.
     """
     n = grid.n
     col = matern_kernel(cfg, grid.nodes(), grid.a)
     col[0] = 1.0
-    size = 2 * n - 2
-    spectrum = np.fft.rfft(np.concatenate([col, col[-2:0:-1]])).real
+    size = _fast_len(2 * n - 1)
+    first = np.zeros(size)
+    first[:n] = col
+    first[size - n + 1:] = col[:0:-1]
+    spectrum = np.fft.rfft(first).real
 
     def apply(X: np.ndarray) -> np.ndarray:
         Xf = np.fft.rfft(X, n=size, axis=0)

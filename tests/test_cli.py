@@ -73,7 +73,7 @@ class TestSolve:
         assert all(r["lambda_bound_ok"] == "True" for r in rows)
         assert all(r["sine_bound_ok"] == "True" for r in rows)
 
-    @pytest.mark.parametrize("method", ["two-pass", "nystrom"])
+    @pytest.mark.parametrize("method", ["two-pass", "nystrom", "single-pass"])
     def test_oracle_column_is_the_dense_eigensolve(self, tmp_path, method):
         grid = rg.Grid1D(a=-1.0, b=1.0, n=101)
         pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
@@ -87,8 +87,14 @@ class TestSolve:
         rows = _read_csv(out / "spectrum.csv")
         lam = scipy.linalg.eigh(rg.load_matrix_market(a_path), rg.load_matrix_market(b_path))[0][::-1]
         assert [float(r["lambda_oracle"]) for r in rows] == list(lam[: len(rows)])
-        assert all(r["lambda_bound_ok"] == "True" for r in rows)
-        assert all(r["sine_bound_ok"] == "True" for r in rows)
+        rep = _read_report(out)
+        if method == "single-pass":
+            assert rep["bound_flags"] == "not applicable: single-pass T is not a Rayleigh quotient"
+            assert all(r["lambda_bound_ok"] == "" and r["sine_bound_ok"] == "" for r in rows)
+        else:
+            assert "bound_flags" not in rep
+            assert all(r["lambda_bound_ok"] == "True" for r in rows)
+            assert all(r["sine_bound_ok"] == "True" for r in rows)
 
     def test_methods_differ_only_in_reported_fields(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", 8)

@@ -99,17 +99,51 @@ class TestAssembly:
         np.testing.assert_allclose(M @ op.apply_inverse(X), X, rtol=1e-11, atol=1e-13)
 
 
+def _smallest_5_smooth_at_least(m):
+    k = m
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
+class TestFastLen:
+    def test_matches_brute_force(self):
+        assert [kle._fast_len(m) for m in range(1, 20001)] == \
+            [_smallest_5_smooth_at_least(m) for m in range(1, 20001)]
+
+
 class TestCovarianceApply:
-    @pytest.mark.parametrize("n", [2, 3, 201, 1001])
+    # 2n - 1 is 5-smooth (no zero padding) for n = 2, 3, 8, 13; 2n - 2 has a
+    # large prime factor for n = 2000 (3998 = 2 * 1999)
+    @pytest.mark.parametrize("n", [2, 3, 8, 13, 201, 1001, 2000])
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
     def test_matches_dense_covariance(self, nu, n):
-        # n = 2 is the edge case: the circulant embedding has length 2
+        # n = 2 is the edge case: the circulant embedding has length 3
         grid = kle.Grid1D(n=n)
         cfg = kle.MaternConfig(nu, 0.5)
         X = np.random.default_rng(n).standard_normal((n, 7))
         ref = kle.assemble_covariance(grid, cfg) @ X
         got = kle.covariance_apply(grid, cfg)(X)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [2, 8, 201, 2000])
+    def test_transforms_at_fast_length(self, n, monkeypatch):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recording_rfft(a, n=None, axis=-1, **kwargs):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return rfft(a, n=n, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+        apply = kle.covariance_apply(kle.Grid1D(n=n), kle.MaternConfig(0.5, 0.5))
+        apply(np.ones((n, 3)))
+        assert lengths == [kle._fast_len(2 * n - 1)] * 2
 
 
 class TestLazyDenseCopies:
