@@ -89,7 +89,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     oracle = bound_flags = None
     if args.oracle:
         ref = errors.dense_ghep_oracle(Ad, Bd)
-        eps = errors.range_error_exact(Ad, Bd, sol.basis.Q)
+        eps = ref.range_error(sol.basis.Q)
         report["range_error_exact"] = eps
         m = sol.eigenvalues.size
         oracle = ref.lambdas[:m]

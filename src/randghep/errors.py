@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
 
 from .borth import BOrthoBasis, pre_chol_qr_w
 from .operators import (
@@ -52,10 +52,14 @@ class SpectrumReference:
 
     ``lambdas`` (descending, assignable) and the B-orthonormal
     ``eigenvectors`` are computed on construction.  The rest is computed on
-    first read and then cached: ``sigmas_B``, the generalized singular values
-    of C = B^{-1}A, as the singular values of L^{-1}A (the same as those of
-    B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2, ``b_norm`` = ||B||_2 and
-    ``kappa_B`` from one values-only eigensolve of B.
+    first read and then cached: ``Ahat`` = L^{-1} A L^{-T}, the congruent
+    symmetric matrix that ``range_error`` reuses for every basis;
+    ``sigmas_B``, the generalized singular values of C = B^{-1}A, as the
+    singular values of L^{-1}A (the same as those of B^{1/2} C); and
+    ``binv_norm`` = ||B^{-1}||_2, ``b_norm`` = ||B||_2 and ``kappa_B`` from
+    one values-only eigensolve of B.  ``range_error(Q)`` is
+    ``range_error_exact(A, B, Q)`` without a second factorization of B, and
+    equals it bitwise.
     """
 
     lambdas: np.ndarray
@@ -63,6 +67,14 @@ class SpectrumReference:
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)  # lower Cholesky factor of B
+
+    @cached_property
+    def Ahat(self) -> np.ndarray:
+        return _congruent(self.A, self.L)
+
+    def range_error(self, Q: np.ndarray) -> float:
+        """Exact f = ||(I - Q Q^T B) C||_B; see ``range_error_exact``."""
+        return _range_error(self.Ahat, self.L, _basis(Q, self.L.shape[0]))
 
     @cached_property
     def sigmas_B(self) -> np.ndarray:
@@ -127,16 +139,61 @@ def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return dtrsm(1.0, L, X, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
+def _congruent(A: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """A^ = L^{-1} A L^{-T}, a new F-ordered array."""
+    return _solve_right_lt(dtrsm(1.0, L, A, lower=1), L)
+
+
+def _basis(Q: np.ndarray, n: int) -> np.ndarray:
+    """Q as a finite float array of n rows, or a typed error."""
+    Q = _finite(Q, "Q")
+    if Q.ndim != 2 or Q.shape[0] != n:
+        raise ConfigError("Q rows must match the pencil dimension")
+    return Q
+
+
+def _range_error(Ahat: np.ndarray, L: np.ndarray, Q: np.ndarray) -> float:
+    """||(I - W W^T) A^||_2 with W = L^T Q; A^ is left untouched."""
+    if Q.shape[1] == 0:
+        return _norm2(Ahat.copy(order="F"))
+    W = dtrmm(1.0, L, Q, lower=1, trans_a=1)
+    G = W @ (W.T @ Ahat)
+    return _norm2(np.subtract(Ahat, G, out=G))
+
+
 def _norm2(M: np.ndarray) -> float:
-    """Spectral norm from a values-only SVD (M is overwritten)."""
-    return float(scipy.linalg.svdvals(M, overwrite_a=True, check_finite=False)[0])
+    """Spectral norm sigma_1(M) as sqrt(lambda_max(M^T M)) (M is overwritten).
+
+    Squaring is safe for the largest singular value only.  The symmetric
+    eigensolve is backward stable, so lambda_max comes back with an error of
+    at most p(n) eps ||M^T M|| = p(n) eps sigma_1^2, and its square root
+    carries a relative error O(eps).  The small singular values would lose
+    all digits below eps sigma_1^2, but none is read.  M is first scaled by
+    the power of two just above max |M_ij|, which is exact and keeps M^T M
+    from overflowing or underflowing; the Gram matrix is one dsyrk, and only
+    its top eigenvalue is computed.
+    """
+    peak = float(np.max(np.abs(M), initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    if not math.isfinite(peak):
+        raise NumericalError("the matrix whose norm is taken has non-finite entries")
+    e = math.frexp(peak)[1]
+    np.ldexp(M, -e, out=M)
+    gram = dsyrk(1.0, M, trans=1) if M.flags.f_contiguous else dsyrk(1.0, M.T)
+    n = gram.shape[0]
+    top = scipy.linalg.eigh(gram, lower=False, eigvals_only=True, overwrite_a=True,
+                            check_finite=False, subset_by_index=[n - 1, n - 1])
+    return math.ldexp(math.sqrt(max(float(top[0]), 0.0)), e)
 
 
 def b_norm(M: np.ndarray, B: np.ndarray) -> float:
     """The induced matrix B-norm ||M||_B = ||B^{1/2} M B^{-1/2}||_2 (dense oracle).
 
     Computed as ||L^T M L^{-T}||_2 with B = L L^T: B^{1/2} = V L^T for an
-    orthogonal V, so the two matrices have the same singular values.
+    orthogonal V, so the two matrices have the same singular values.  That
+    matrix is not symmetric; ``_norm2`` takes its largest singular value from
+    the top eigenvalue of its Gram matrix.
     """
     M, B, L = _dense_pencil(M, B, "M")
     return _norm2(_solve_right_lt(dtrmm(1.0, L, M, lower=1, trans_a=1), L))
@@ -158,19 +215,15 @@ def dense_ghep_oracle(A: np.ndarray, B: np.ndarray) -> SpectrumReference:
 def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> float:
     """Exact f = ||(I - Q Q^T B) C||_B for a dense pencil (oracle scale).
 
-    With B = L L^T, A^ = L^{-1} A L^{-T} and W = L^T Q, the matrix
-    L^T (I - Q Q^T B) C L^{-T} equals (I - W W^T) A^, so f is its exact
-    2-norm.  Q need not be B-orthonormal.
+    With B = L L^T, A^ = L^{-1} A L^{-T} and W = L^T Q (one dtrmm), the
+    matrix L^T (I - Q Q^T B) C L^{-T} equals (I - W W^T) A^, so f is its
+    exact 2-norm, taken by ``_norm2``.  Q need not be B-orthonormal.  Each
+    call factors B; ``SpectrumReference.range_error`` reuses the factor and
+    A^ of one ``dense_ghep_oracle`` and returns the same bits.
     """
     A, B, L = _dense_pencil(A, B)
-    Q = _finite(Q, "Q")
-    if Q.ndim != 2 or Q.shape[0] != B.shape[0]:
-        raise ConfigError("Q rows must match the pencil dimension")
-    Ahat = _solve_right_lt(dtrsm(1.0, L, A, lower=1), L)
-    if Q.shape[1] > 0:
-        W = L.T @ Q
-        Ahat -= W @ (W.T @ Ahat)
-    return _norm2(Ahat)
+    Q = _basis(Q, B.shape[0])
+    return _range_error(_congruent(A, L), L, Q)
 
 
 def binv_norm_crude(Q: np.ndarray) -> float:

@@ -339,8 +339,12 @@ def load_matrix_market(path) -> np.ndarray:
 
 
 def save_matrix_market(path, M: np.ndarray, comment: str = "") -> None:
-    """Write a dense matrix as a Matrix Market array file (round-trips float64)."""
-    scipy.io.mmwrite(path, np.asarray(M, dtype=float), comment=comment, precision=16)
+    """Write a dense matrix as a Matrix Market array file (round-trips float64).
+
+    Each entry is written as the shortest decimal string that reads back as
+    the same float64.
+    """
+    scipy.io.mmwrite(path, np.asarray(M, dtype=float), comment=comment)
 
 
 def load_vector_csv(path) -> np.ndarray:

@@ -96,6 +96,23 @@ class TestSolve:
             assert all(r["lambda_bound_ok"] == "True" for r in rows)
             assert all(r["sine_bound_ok"] == "True" for r in rows)
 
+    def test_oracle_factors_b_once(self, tmp_path, monkeypatch):
+        from randghep import errors
+
+        grid = rg.Grid1D(a=-1.0, b=1.0, n=61)
+        pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
+        a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
+        rg.save_matrix_market(a_path, pencil.dense_a)
+        rg.save_matrix_market(b_path, pencil.dense_b)
+        calls = []
+        cholesky = errors._cholesky
+        monkeypatch.setattr(errors, "_cholesky", lambda B: calls.append(B.shape) or cholesky(B))
+        code = main(["solve", "--A", str(a_path), "--B", str(b_path), "--k", "8", "--p", "4",
+                     "--seed", "6", "--oracle", "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert calls == [(61, 61)]
+        assert _read_report(tmp_path / "run")["range_error_exact"] > 0.0
+
     def test_methods_differ_only_in_reported_fields(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", 8)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -227,6 +244,15 @@ class TestKle:
         assert float(rows[0]["abs_err"]) >= 0.0
         modes = rg.load_matrix_market(out / "modes.mtx")
         assert modes.shape == (101, 10)
+
+    def test_modes_file_is_the_solve_bit_for_bit(self, tmp_path):
+        out = tmp_path / "kle"
+        code = main(["kle", "--nu", "1.5", "--ell", "0.5", "--n", "301", "--k", "12", "--p", "5",
+                     "--seed", "9", "--out", str(out)])
+        assert code == 0
+        sol = rg.kle_solve(rg.Grid1D(a=-1.0, b=1.0, n=301), rg.MaternConfig(nu=1.5, ell=0.5),
+                           k=12, p=5, seed=9)
+        np.testing.assert_array_equal(rg.load_matrix_market(out / "modes.mtx"), sol.modes)
 
     def test_beyond_dense_scale(self, tmp_path):
         out = tmp_path / "kle"

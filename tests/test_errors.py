@@ -146,6 +146,15 @@ class TestOracleTypedFailures:
         with pytest.raises(NotPositiveDefiniteError):
             errors.range_error_exact(np.eye(3), np.diag([1.0, -1.0, 1.0]), np.ones((3, 1)))
 
+    def test_reference_range_error(self):
+        ref = errors.dense_ghep_oracle(np.eye(3), np.eye(3))
+        Q = np.ones((3, 1))
+        Q[2, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            ref.range_error(Q)
+        with pytest.raises(ConfigError):
+            ref.range_error(np.ones((2, 1)))
+
     def test_b_norm(self):
         with pytest.raises(NumericalError, match="non-finite"):
             errors.b_norm(np.diag([1.0, -np.inf]), np.eye(2))
@@ -223,6 +232,73 @@ class TestRangeErrorExact:
         f = errors.range_error_exact(pencil.dense_a, pencil.dense_b, res.basis.Q)
         guide = math.sqrt(ref.binv_norm) * ref.sigmas_B[20]
         assert guide / 10.0 <= f <= 10.0 * guide
+
+
+class TestCachedRangeError:
+    """SpectrumReference.range_error: the cached A^ and factor of one oracle."""
+
+    def test_bitwise_equal_to_range_error_exact(self, kle_oracle):
+        pencil = make_kle_pencil(2.5)
+        ref = kle_oracle(2.5)
+        rng = np.random.default_rng(4)
+        for k in (0, 5, 40):
+            Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=max(k, 1), p=5, seed=k)).basis.Q[:, :k]
+            for basis in (Q, Q @ rng.uniform(0.5, 1.5, (k, k))):
+                assert ref.range_error(basis) == errors.range_error_exact(pencil.dense_a, pencil.dense_b, basis)
+
+    def test_ahat_is_cached_and_left_untouched(self):
+        pencil = make_kle_pencil(1.5, n=41)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        assert "Ahat" not in vars(ref)
+        L = np.linalg.cholesky(pencil.dense_b)
+        np.testing.assert_allclose(L @ ref.Ahat @ L.T, pencil.dense_a, rtol=0, atol=1e-12 * ref.lambdas[0])
+        before = ref.Ahat.copy()
+        Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=5, p=2, seed=1)).basis.Q
+        ref.range_error(Q)
+        ref.range_error(Q[:, :0])
+        assert vars(ref)["Ahat"] is ref.Ahat
+        np.testing.assert_array_equal(ref.Ahat, before)
+
+
+class TestNorm2:
+    """_norm2 = sqrt(lambda_max(M^T M)) against the SVD's sigma_1."""
+
+    @staticmethod
+    def _check(M):
+        expected = scipy.linalg.svdvals(M)[0]
+        for layout in (np.asfortranarray(M), np.ascontiguousarray(M)):
+            assert abs(errors._norm2(layout.copy(order="K")) - expected) <= 1e-14 * expected
+
+    def test_kle_range_residual(self, kle_oracle):
+        pencil = make_kle_pencil(2.5)
+        ref = kle_oracle(2.5)
+        Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=100, p=5, seed=0)).basis.Q
+        W = ref.L.T @ Q
+        G = ref.Ahat - W @ (W.T @ ref.Ahat)  # f = ||G||_2
+        assert scipy.linalg.svdvals(G)[0] <= 1e-8 * ref.lambdas[0]
+        self._check(G)
+
+    def test_non_symmetric_b_norm_matrix(self):
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((30, 30))
+        L = np.linalg.cholesky(random_spd(30, 1e4, 5))
+        self._check(L.T @ M @ np.linalg.inv(L).T)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_no_overflow_or_underflow(self, scale):
+        rng = np.random.default_rng(8)
+        self._check(scale * rng.standard_normal((20, 20)))
+
+    def test_one_by_one(self):
+        assert errors._norm2(np.array([[-3.5]])) == 3.5
+        self._check(np.array([[1e-300]]))
+
+    def test_zero_matrix(self):
+        assert errors._norm2(np.zeros((6, 6))) == 0.0
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            errors._norm2(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 class TestPosteriorEstimate:

@@ -38,13 +38,13 @@ class TestMatrixMarket:
         np.testing.assert_array_equal(rg.load_matrix_market(path), [[1.0, 7.0], [7.0, 0.0]])
 
     def test_roundtrip_exact(self, tmp_path):
-        # write-then-read oracle: the array format must preserve float64
+        # write-then-read oracle: the array format must preserve float64,
+        # over 60 decades of exponents
         rng = np.random.default_rng(42)
-        M = rng.standard_normal((10, 10))
+        M = rng.standard_normal((40, 25)) * 10.0 ** rng.uniform(-30.0, 30.0, (40, 25))
         path = tmp_path / "m.mtx"
         rg.save_matrix_market(path, M)
-        back = rg.load_matrix_market(path)
-        assert np.abs(back - M).max() <= 1e-15
+        np.testing.assert_array_equal(rg.load_matrix_market(path), M)
 
     def test_parse_failure_reports_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
