@@ -78,11 +78,11 @@ def _load_pencil(args):
 def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     import numpy as np
 
-    from . import errors, kle
+    from . import errors, ghep
     from .sketch import SketchConfig
 
     A, B, Ad, Bd = _load_pencil(args)
-    solve = kle.solver_method(args.method)
+    solve = ghep.solver_method(args.method)
     sol = solve(A, B, SketchConfig(k=args.k, p=args.p, seed=seed))
     report.update(sol.report_dict())
     report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
@@ -242,6 +242,8 @@ def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .ghep import METHOD_CHOICES
+
     parser = argparse.ArgumentParser(
         prog="randghep",
         description="Randomized matrix-free GHEP/GSVD solvers with error estimators",
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, default=20)
-    p.add_argument("--method", default="two-pass", choices=["two-pass", "single-pass", "nystrom"])
+    p.add_argument("--method", default="two-pass", choices=METHOD_CHOICES)
     p.add_argument("--oracle", action="store_true", help="append dense-oracle comparison columns")
     p.add_argument("--save-modes", action="store_true")
     common(p)
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=201)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, default=5)
-    p.add_argument("--method", default="two-pass", choices=["two-pass", "single-pass", "nystrom"])
+    p.add_argument("--method", default="two-pass", choices=METHOD_CHOICES)
     common(p)
     p.set_defaults(func=cmd_kle)
 

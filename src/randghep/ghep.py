@@ -1,12 +1,13 @@
 """Randomized solvers for A x = lambda B x: two-pass, single-pass, and Nystrom.
 
-The three solvers are one skeleton plus a per-method projection.  The
-skeleton validates the pencil, probes A for symmetry, runs the B-weighted
-range finder (Y = B^{-1} A Omega, then Q with Q^T B Q = I), compacts the
-basis and assembles the diagnostics and the matvec accounting split by
-operator.  The projection forms and solves the method's small problem.  All
-three return B-orthonormal eigenvectors (U^T B U = I) with the low-rank form
-A ~ (BU) Lambda (BU)^T.
+The three solvers are one skeleton plus a per-method projection.  They touch
+the pencil only through A.apply, B.apply and B.apply_inverse, so the
+operators' counters see every product.  The skeleton validates the pencil,
+probes A for symmetry, runs the B-weighted range finder (Y = B^{-1} A Omega,
+then Q with Q^T B Q = I), compacts the basis and assembles the diagnostics
+and the matvec accounting split by operator.  The projection forms and
+solves the method's small problem.  All three return B-orthonormal
+eigenvectors (U^T B U = I) with the low-rank form A ~ (BU) Lambda (BU)^T.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _check_symmetry(A: LinearMap, seed: int) -> int:
 
 
 def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig,
-           c_apply, order: str) -> GhepSolution:
+           order: str) -> GhepSolution:
     """The skeleton of the three solvers: validate, probe, range finder, projection.
 
     ``project(A, B, cfg, rng, basis, order)`` solves the method's small
@@ -94,7 +95,7 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={B.dim}")
     probe = _check_symmetry(A, cfg.seed)
     a0, b0, s0 = A.matvec_count, B.matvec_count, B.solve_count
-    rng = range_finder_b(A, B, cfg, c_apply=c_apply)
+    rng = range_finder_b(A, B, cfg)
     basis = rng.basis.compact()
     U, lam, lam_all, method_diag = project(A, B, cfg, rng, basis, order)
     counts = {
@@ -103,11 +104,9 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
         "b_solves": B.solve_count - s0,
     }
     diag = {
-        "qr_alg": "precholqr",
         "effective_rank": int(basis.n_kept),
         "reorth_b_applies": int(basis.n_reorth_applies),
         "symmetry_probe_applies": probe,
-        "fast_path": rng.Ybar is None,
         "projected_eigenvalues_full": [float(v) for v in np.sort(lam_all)[::-1]],
         **method_diag,
     }
@@ -195,42 +194,37 @@ def ghep_two_pass(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    c_apply=None,
     order: str = "value",
 ) -> GhepSolution:
     """Two-pass solver: T = Q^T A Q from a second round of A-applies.
 
-    Costs 2(k+p) A-applies, (k+p) B-applies and (k+p) B-solves (standard
-    path, no re-orthogonalization).  T is symmetrized before the dense
-    eigensolve; the top k of the k+p computed modes are kept.
+    Costs 2(k+p) A-applies, (k+p) B-applies and (k+p) B-solves (no
+    re-orthogonalization).  T is symmetrized before the dense eigensolve;
+    the top k of the k+p computed modes are kept.
     """
-    return _solve("two_pass", _project_two_pass, A, B, cfg, c_apply, order)
+    return _solve("two_pass", _project_two_pass, A, B, cfg, order)
 
 
 def ghep_single_pass(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    c_apply=None,
     order: str = "value",
 ) -> GhepSolution:
     """Single-pass solver: T ~ (Omega^T B Q)^{-1} (Omega^T Ybar) (Q^T B Omega)^{-1}.
 
-    Reuses Ybar = A*Omega so only (k+p) A-applies are spent; F = Q^T B Omega
-    comes from the cached BQ at O((k+p)^3) extra flops.  Reports sigma_min(F)
-    and sigma_max(Omega) so the two-pass/single-pass eigenvalue gap bound can
-    be evaluated.  ``c_apply`` is accepted, so that the three solvers take the
-    same arguments, and not used: the method needs Ybar, which the fast path
-    skips.
+    Reuses Ybar = A*Omega so only (k+p) A-applies are spent, with (k+p)
+    B-applies and (k+p) B-solves; F = Q^T B Omega comes from the cached BQ at
+    O((k+p)^3) extra flops.  Reports sigma_min(F) and sigma_max(Omega) so the
+    two-pass/single-pass eigenvalue gap bound can be evaluated.
     """
-    return _solve("single_pass", _project_single_pass, A, B, cfg, None, order)
+    return _solve("single_pass", _project_single_pass, A, B, cfg, order)
 
 
 def ghep_nystrom(
     A: LinearMap,
     B: SpdOperator,
     cfg: SketchConfig,
-    c_apply=None,
     order: str = "value",
 ) -> GhepSolution:
     """Nystrom solver: A ~ (AQ)(Q^T A Q)^{-1}(AQ)^T, re-expressed as (BU) Lambda (BU)^T.
@@ -242,7 +236,26 @@ def ghep_nystrom(
     2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves.  The eigenvalues are
     squares, so ``order`` does not change their order.
     """
-    return _solve("nystrom", _project_nystrom, A, B, cfg, c_apply, order)
+    return _solve("nystrom", _project_nystrom, A, B, cfg, order)
+
+
+_METHODS = {
+    "two_pass": ghep_two_pass,
+    "single_pass": ghep_single_pass,
+    "nystrom": ghep_nystrom,
+}
+
+#: The CLI's ``--method`` choices: the solver names with "-" for "_".
+METHOD_CHOICES = [name.replace("_", "-") for name in _METHODS]
+
+
+def solver_method(name: str):
+    """The solver for a method name, given with "_" or "-" ("two-pass" or "two_pass")."""
+    key = name.lower().replace("-", "_")
+    try:
+        return _METHODS[key]
+    except KeyError:
+        raise ConfigError(f"unknown method {name!r}; choose from {sorted(_METHODS)}")
 
 
 def low_rank_apply(sol: GhepSolution, B: SpdOperator, X) -> np.ndarray:

@@ -57,7 +57,6 @@ def randomized_gsvd(A: LinearMap, S: SpdOperator, T: SpdOperator, cfg: SketchCon
     U = Q1 @ Ut[:, :kk]
     V = Q2 @ Vt[:kk].T
     diag = {
-        "qr_alg": "precholqr",
         "left_rank": int(Q1.shape[1]),
         "right_rank": int(Q2.shape[1]),
     }

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from . import errors, ghep
+from .ghep import _METHODS, solver_method  # noqa: F401  (perfbench/selftest.py reads kle._METHODS)
 from .operators import ConfigError, GhepPencil, LinearMap, SpdOperator
 from .sketch import SketchConfig
 
@@ -195,14 +196,13 @@ def _check_oracle_size(grid: Grid1D) -> None:
         raise ConfigError(f"dense oracle copies are capped at n={ORACLE_MAX_N}")
 
 
-def kle_pencil(grid: Grid1D, cfg: MaternConfig, fast_path: bool = False) -> GhepPencil:
+def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
     """The discrete KLE pencil: A = M Gamma M applied factor-by-factor, B = M.
 
-    Gamma is applied matrix-free (``covariance_apply``); nothing n-by-n is
-    formed unless an oracle reads ``dense_a``/``dense_b``.  With ``fast_path``
-    the pencil carries a direct C = Gamma M apply, letting solvers skip the
-    B-solve entirely (C is self-adjoint in the M-inner product, so nothing
-    else changes).
+    Gamma is applied matrix-free (``covariance_apply``) and B^{-1} by the
+    banded Cholesky of ``MassOperator``; nothing n-by-n is formed unless an
+    oracle reads ``dense_a``/``dense_b``.  Every apply of Gamma is an A-apply,
+    counted by ``A.matvec_count``.
     """
     gamma = covariance_apply(grid, cfg)
     mass = MassOperator(grid)
@@ -219,8 +219,7 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig, fast_path: bool = False) -> Ghep
         return assemble_mass_1d(grid)
 
     A = LinearMap(grid.n, grid.n, apply_a, apply_a)
-    c_apply = (lambda X: gamma(mass._stencil(X))) if fast_path else None
-    return GhepPencil(A=A, B=mass, c_apply=c_apply, build_dense_a=dense_a, build_dense_b=dense_b)
+    return GhepPencil(A=A, B=mass, build_dense_a=dense_a, build_dense_b=dense_b)
 
 
 @dataclass
@@ -242,23 +241,6 @@ class KleSolution:
         return self.solution.U
 
 
-_METHODS = {
-    "two_pass": ghep.ghep_two_pass,
-    "single_pass": ghep.ghep_single_pass,
-    "nystrom": ghep.ghep_nystrom,
-}
-
-_METHOD_ALIASES = {"two-pass": "two_pass", "single-pass": "single_pass", "2-pass": "two_pass", "1-pass": "single_pass"}
-
-
-def solver_method(name: str):
-    key = _METHOD_ALIASES.get(name.lower(), name.lower())
-    try:
-        return _METHODS[key]
-    except KeyError:
-        raise ConfigError(f"unknown method {name!r}; choose from {sorted(_METHODS)}")
-
-
 def kle_solve(
     grid: Grid1D,
     cfg: MaternConfig,
@@ -266,7 +248,6 @@ def kle_solve(
     p: int = 5,
     method: str = "two_pass",
     seed: int = 0,
-    fast_path: bool = False,
     compare_oracle: bool = False,
 ) -> KleSolution:
     """Truncated KLE of the Matern field: the top-k modes of (M Gamma M, M).
@@ -275,10 +256,9 @@ def kle_solve(
     the relative eigenvalue error sum|lam - lam~| / sum|lam| against the dense
     reference.
     """
-    pencil = kle_pencil(grid, cfg, fast_path=fast_path)
+    pencil = kle_pencil(grid, cfg)
     solve = solver_method(method)
-    scfg = SketchConfig(k=k, p=p, seed=seed)
-    sol = solve(pencil.A, pencil.B, scfg, c_apply=pencil.c_apply)
+    sol = solve(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=seed))
     diag = {}
     if compare_oracle:
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)

@@ -190,8 +190,8 @@ class SpdOperator(LinearMap):
 class GhepPencil:
     """The pair (A, B) that every GHEP solver consumes.
 
-    ``c_apply``, when present, applies C = B^{-1}A directly without a B-solve
-    (fast path for pencils like M*Gamma*M vs. M where C = Gamma*M is cheap).
+    The solvers touch the pencil only through ``A.apply``, ``B.apply`` and
+    ``B.apply_inverse``, so the operators' counters see every product.
     ``dense_a``/``dense_b`` are dense copies for oracle-scale checks.  They
     are lazy: ``build_dense_a``/``build_dense_b`` run the first time the
     attribute is read, and only oracle code reads it.  Without a builder the
@@ -200,7 +200,6 @@ class GhepPencil:
 
     A: LinearMap
     B: SpdOperator
-    c_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
     build_dense_a: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
     build_dense_b: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
 

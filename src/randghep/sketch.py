@@ -4,7 +4,6 @@ B-weighted range finder and Rayleigh-Ritz step shared by all GHEP solvers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -77,12 +76,13 @@ class RangeResult:
 
     ``basis`` holds the B-orthonormal Q with cached BQ; ``Y = B^{-1} A Omega``
     is the sketched range, ``Ybar = A Omega`` is retained for the single-pass
-    solver, and ``Omega`` is the Gaussian test matrix.
+    solver, and ``Omega`` is the Gaussian test matrix.  Every column of Y was
+    formed by one A-apply and one B-solve.
     """
 
     basis: borth.BOrthoBasis
     Y: np.ndarray
-    Ybar: Optional[np.ndarray]
+    Ybar: np.ndarray
     Omega: np.ndarray
 
 
@@ -162,13 +162,12 @@ def randomized_evd(
     return ritz(T, Q, cfg.k, order)[:2]
 
 
-def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig, c_apply=None) -> RangeResult:
+def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResult:
     """B-orthonormal basis for the dominant range of C = B^{-1}A.
 
     Draws Omega, forms Ybar = A*Omega and Y = B^{-1}*Ybar (exactly k+p
     A-applies and k+p B-solves), then factorizes Y with the block weighted QR
-    ``borth.pre_chol_qr_w``.  With ``c_apply`` given, Y = C*Omega is formed
-    directly, the B-solves are skipped and Ybar is None.
+    ``borth.pre_chol_qr_w``.
     """
     n = B.dim
     if A.dim_in != n or A.dim_out != n:
@@ -176,11 +175,7 @@ def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig, c_apply=None
     if cfg.r > n:
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={n}")
     Omega = gaussian_matrix(n, cfg.r, cfg.seed)
-    if c_apply is not None:
-        Ybar = None
-        Y = np.asarray(c_apply(Omega), dtype=float)
-    else:
-        Ybar = A.apply(Omega)
-        Y = B.apply_inverse(Ybar)
+    Ybar = A.apply(Omega)
+    Y = B.apply_inverse(Ybar)
     basis = borth.pre_chol_qr_w(Y, B)
     return RangeResult(basis=basis, Y=Y, Ybar=Ybar, Omega=Omega)

@@ -19,10 +19,10 @@ import pytest  # noqa: E402
 from randghep import errors, kle  # noqa: E402
 
 
-def make_kle_pencil(nu: float, ell: float = 2.0, n: int = 201, fast_path: bool = False):
+def make_kle_pencil(nu: float, ell: float = 2.0, n: int = 201):
     """Fresh pencil (fresh counters) for the standard [-1, 1] KLE setup."""
     grid = kle.Grid1D(a=-1.0, b=1.0, n=n)
-    return kle.kle_pencil(grid, kle.MaternConfig(nu=nu, ell=ell), fast_path=fast_path)
+    return kle.kle_pencil(grid, kle.MaternConfig(nu=nu, ell=ell))
 
 
 def polished_eigenvalues(ref: errors.SpectrumReference, Ad: np.ndarray, Bd: np.ndarray) -> np.ndarray:

@@ -171,30 +171,6 @@ def test_oversized_sketch_rejected():
             assert A.matvec_count == 0
 
 
-def test_single_pass_ignores_c_apply():
-    pencil = make_kle_pencil(1.5, fast_path=True)
-    plain = make_kle_pencil(1.5, fast_path=True)
-    cfg = SketchConfig(k=10, p=5, seed=21)
-    with_c = rg.ghep_single_pass(pencil.A, pencil.B, cfg, c_apply=pencil.c_apply)
-    without = rg.ghep_single_pass(plain.A, plain.B, cfg)
-    assert with_c.diagnostics["fast_path"] is False
-    assert np.array_equal(with_c.eigenvalues, without.eigenvalues)
-    assert np.array_equal(with_c.U, without.U)
-    assert with_c.counts == without.counts
-    assert with_c.diagnostics == without.diagnostics
-
-
-def test_fast_path_matches_standard_path():
-    fast = make_kle_pencil(1.5, fast_path=True)
-    slow = make_kle_pencil(1.5)
-    cfg = SketchConfig(k=10, p=5, seed=21)
-    sol_fast = rg.ghep_two_pass(fast.A, fast.B, cfg, c_apply=fast.c_apply)
-    sol_slow = rg.ghep_two_pass(slow.A, slow.B, cfg)
-    np.testing.assert_allclose(sol_fast.eigenvalues, sol_slow.eigenvalues, rtol=1e-10, atol=1e-13)
-    assert sol_fast.counts["b_solves"] == 0
-    assert sol_fast.diagnostics["fast_path"]
-
-
 class TestLowRankApply:
     def _solution(self):
         lams = np.array([10.0, 5.0, 1.0])

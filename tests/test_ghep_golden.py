@@ -2,15 +2,15 @@
 
 ``tests/data/ghep_golden.json`` pins, for fixed seeds, every solver on a KLE
 pencil (nu = 2.5, ell = 0.5, n = 201, k = 20, p = 5) and on an exact-rank
-pencil, the fast path of the two solvers that take ``c_apply``, and
-``randomized_evd`` in both modes.  The solvers' weighted QR is PreCholQR, the
-last part of each solver case id.  Counts and the integer, boolean and
-string diagnostics must match exactly, eigenvalues to a relative l1 error of
-1e-13, and a case that raised must raise the same exception type.  Only cases
-whose values agree with one and with two BLAS threads are pinned.
+pencil, and ``randomized_evd`` in both modes.  The solvers' weighted QR is
+PreCholQR, the last part of each solver case id.  Counts and the integer,
+boolean and string diagnostics must match exactly, eigenvalues to a relative
+l1 error of 1e-13, and a case that raised must raise the same exception type.
+Only cases whose values agree with one and with two BLAS threads are pinned.
 
 The file records outputs of the code as it was before the solvers shared a
-skeleton; a refactor that changes any of these values must say why.
+skeleton, less the records and keys of removed features (the fast path, the
+constant ``qr_alg``); a refactor that changes any other value must say why.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ QR_ALGS = ["precholqr"]
 def case_ids() -> list[str]:
     ids = [f"{pencil}-{method}-{qr}" for pencil in ("kle", "exact_rank")
            for method in SOLVERS for qr in QR_ALGS]
-    ids += ["kle_fast-two_pass-precholqr", "kle_fast-nystrom-precholqr"]
     ids += ["evd-two_pass", "evd-single_pass"]
     return ids
 
@@ -49,21 +48,21 @@ def case_ids() -> list[str]:
 def _pencil(name: str):
     if name == "exact_rank":
         Ad, Bd, _ = exact_rank_pencil(40, [10.0, 5.0, 1.0], b_kappa=100.0, seed=5)
-        return rg.dense_operator(Ad), rg.dense_spd(Bd), None, SketchConfig(k=3, p=4, seed=17)
-    pencil = make_kle_pencil(2.5, ell=0.5, n=201, fast_path=name == "kle_fast")
-    return pencil.A, pencil.B, pencil.c_apply, SketchConfig(k=20, p=5, seed=7)
+        return rg.dense_operator(Ad), rg.dense_spd(Bd), SketchConfig(k=3, p=4, seed=17)
+    pencil = make_kle_pencil(2.5, ell=0.5, n=201)
+    return pencil.A, pencil.B, SketchConfig(k=20, p=5, seed=7)
 
 
 def run_case(case_id: str) -> dict:
     """The golden record of one case: what the test compares."""
     try:
         if case_id.startswith("evd-"):
-            A, _, _, cfg = _pencil("kle")
+            A, _, cfg = _pencil("kle")
             _, lam = rg.randomized_evd(A, cfg, mode=case_id[4:])
             return {"eigenvalues": [float(v) for v in lam]}
         pencil, method, _ = case_id.split("-")
-        A, B, c_apply, cfg = _pencil(pencil)
-        sol = SOLVERS[method](A, B, cfg, c_apply=c_apply)
+        A, B, cfg = _pencil(pencil)
+        sol = SOLVERS[method](A, B, cfg)
     except (ConfigError, NumericalError) as exc:
         return {"raises": type(exc).__name__}
     return {

@@ -182,14 +182,6 @@ class TestRangeFinderB:
         assert np.linalg.norm(P @ P - P, 2) <= 1e-10
         assert abs(errors.b_norm(P, Bd) - 1.0) <= 1e-10
 
-    def test_fast_path_skips_solves(self):
-        pencil = make_kle_pencil(1.5, fast_path=True)
-        rg.range_finder_b(
-            pencil.A, pencil.B, SketchConfig(k=8, p=4, seed=2), c_apply=pencil.c_apply
-        )
-        assert pencil.B.solve_count == 0
-        assert pencil.A.matvec_count == 0
-
     def test_qr_alg_selection(self):
         # the range finder's one weighted QR is the block path: B-orthonormal Q
         pencil = make_kle_pencil(0.5)
