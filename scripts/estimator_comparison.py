@@ -33,7 +33,7 @@ def main() -> int:
     print("k,f_exact,estimate,spectral_guide")
     for k in args.ks:
         res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=k, p=args.p, seed=args.seed))
-        f = errors.range_error_exact(pencil.dense_a, pencil.dense_b, res.basis.Q)
+        f = ref.range_error(res.basis.Q)
         est = errors.posterior_estimate(
             pencil.A, pencil.B, res.basis, args.alpha, args.r,
             seed=args.seed + 7000, binv_norm=ref.binv_norm,

@@ -64,11 +64,14 @@ def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> Non
 
 
 def _load_pencil(args):
+    """The pencil of the files ``--A`` and ``--B``.  Its ``dense_a``/``dense_b``
+    are the arrays its operators wrap, so each matrix is held once."""
     from . import operators
 
     Ad = operators.load_matrix_market(args.A)
     Bd = operators.load_matrix_market(args.B)
-    return operators.dense_operator(Ad), operators.dense_spd(Bd), Ad, Bd
+    return operators.GhepPencil(operators.dense_operator(Ad), operators.dense_spd(Bd),
+                                lambda: Ad, lambda: Bd)
 
 
 # Each cmd_* fills ``report`` and writes its own files into ``outdir``; main
@@ -81,14 +84,14 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     from . import errors, ghep
     from .sketch import SketchConfig
 
-    A, B, Ad, Bd = _load_pencil(args)
+    pencil = _load_pencil(args)
     solve = ghep.solver_method(args.method)
-    sol = solve(A, B, SketchConfig(k=args.k, p=args.p, seed=seed))
+    sol = solve(pencil.A, pencil.B, SketchConfig(k=args.k, p=args.p, seed=seed))
     report.update(sol.report_dict())
     report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
     oracle = bound_flags = None
     if args.oracle:
-        ref = errors.dense_ghep_oracle(Ad, Bd)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
         eps = ref.range_error(sol.basis.Q)
         report["range_error_exact"] = eps
         m = sol.eigenvalues.size
@@ -98,7 +101,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
             report["bound_flags"] = "not applicable: single-pass T is not a Rayleigh quotient"
             bound_flags = [(None, None)] * m
         else:
-            sines = errors.b_sine(ref.eigenvectors[:, :m], sol.U[:, :m], B)
+            sines = errors.b_sine(ref.eigenvectors[:, :m], sol.U[:, :m], pencil.B)
             bound_flags = []
             for i, lam in enumerate(sol.eigenvalues):
                 lam_ex = float(oracle[i])
@@ -159,32 +162,31 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     from .operators import ConfigError
     from .sketch import SketchConfig, range_finder_b
 
-    pencil = None
     if args.A and args.B:
-        A, B, Ad, Bd = _load_pencil(args)
+        pencil = _load_pencil(args)
         report["config"] = {"A": args.A, "B": args.B}
     else:
         if args.nu is None:
             raise ConfigError("estimate needs either --A/--B or a --nu/--ell/--n KLE configuration")
         grid = kle.Grid1D(n=args.n)
         pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=args.nu, ell=args.ell))
-        A, B = pencil.A, pencil.B
         report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n}
     report["config"].update({"k": args.k, "alpha": args.alpha, "r": args.r,
                              "tol": args.tol, "grow": bool(args.grow)})
     if args.grow:
         if args.tol is None:
             raise ConfigError("--grow needs --tol")
-        growth = errors.grow_sketch_until(A, B, k0=args.k, tol=args.tol, alpha=args.alpha,
-                                          r_probes=args.r, seed=seed, binv_norm=args.binv)
+        growth = errors.grow_sketch_until(pencil.A, pencil.B, k0=args.k, tol=args.tol,
+                                          alpha=args.alpha, r_probes=args.r, seed=seed,
+                                          binv_norm=args.binv)
         est = growth.estimate
         report["sketch_columns"] = growth.n_columns
         report["converged"] = growth.converged
         report["trajectory"] = [{"columns": c, "estimate": e} for c, e in growth.history]
         Q = growth.basis.Q
     else:
-        rng = range_finder_b(A, B, SketchConfig(k=args.k, p=0, seed=seed))
-        est = errors.posterior_estimate(A, B, rng.basis, args.alpha, args.r,
+        rng = range_finder_b(pencil.A, pencil.B, SketchConfig(k=args.k, p=0, seed=seed))
+        est = errors.posterior_estimate(pencil.A, pencil.B, rng.basis, args.alpha, args.r,
                                         seed, binv_norm=args.binv)
         Q = rng.basis.Q
         if args.tol is not None:
@@ -196,9 +198,7 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     report["binv_source"] = est.source
     report["binv_norm_used"] = est.binv_norm_used
     if args.oracle:
-        if pencil is not None:
-            Ad, Bd = pencil.dense_a, pencil.dense_b
-        report["range_error_exact"] = errors.range_error_exact(Ad, Bd, Q)
+        report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.dense_b, Q)
 
 
 def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:

@@ -21,9 +21,7 @@ from scipy.linalg.lapack import dpstrf
 
 from . import borth
 from .operators import ConfigError, IllConditionedError, LinearMap, NumericalError, SpdOperator
-from .sketch import SketchConfig, derive_seed, gaussian_matrix, range_finder_b, ritz
-
-_SYMMETRY_PROBES = 3
+from .sketch import SketchConfig, _check_order, _check_symmetry, range_finder_b, ritz
 
 
 @dataclass
@@ -64,35 +62,21 @@ class GhepSolution:
         }
 
 
-def _check_symmetry(A: LinearMap, seed: int) -> int:
-    """Probe |x^T A y - y^T A x| on a few random pairs; returns applies spent."""
-    probes = gaussian_matrix(A.dim_in, 2 * _SYMMETRY_PROBES, derive_seed(seed, 0x51A))
-    X, Ynd = probes[:, :_SYMMETRY_PROBES], probes[:, _SYMMETRY_PROBES:]
-    AX = A.apply(X)
-    AY = A.apply(Ynd)
-    for j in range(_SYMMETRY_PROBES):
-        lhs = X[:, j] @ AY[:, j]
-        rhs = Ynd[:, j] @ AX[:, j]
-        scale = abs(lhs) + abs(rhs) + np.linalg.norm(AX[:, j]) * np.linalg.norm(Ynd[:, j])
-        if abs(lhs - rhs) > 1e-8 * max(scale, 1e-300):
-            raise ConfigError("A failed the symmetry probe; GHEP solvers need symmetric A")
-    return 2 * _SYMMETRY_PROBES
-
-
 def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig,
            order: str) -> GhepSolution:
     """The skeleton of the three solvers: validate, probe, range finder, projection.
 
     ``project(A, B, cfg, rng, basis, order)`` solves the method's small
     projected problem on the compacted basis and returns (U, eigenvalues,
-    all projected eigenvalues, method diagnostics).  The dimension and sketch
-    checks come before the symmetry probe, so a rejected pencil spends no
-    A-applies; ``counts`` starts after the probe.
+    all projected eigenvalues, method diagnostics).  The dimension, sketch
+    and order checks come before the symmetry probe, so a rejected pencil
+    spends no A-applies; ``counts`` starts after the probe.
     """
     if A.dim_in != B.dim or A.dim_out != B.dim:
         raise ConfigError("A and B dimensions do not agree")
     if cfg.r > B.dim:
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={B.dim}")
+    _check_order(order)
     probe = _check_symmetry(A, cfg.seed)
     a0, b0, s0 = A.matvec_count, B.matvec_count, B.solve_count
     rng = range_finder_b(A, B, cfg)

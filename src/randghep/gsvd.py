@@ -72,7 +72,8 @@ def gsvd_pair_values(A: np.ndarray, B: np.ndarray, cfg: SketchConfig) -> np.ndar
     """Generalized singular values of the matrix pair (A, B) for full-rank B.
 
     Uses the bridge sigma(A, B) = sigma_{S,T}(A) with S = I and T = B^T B,
-    valid when rank(B) = n (checked with a pivoted QR of B).
+    valid when rank(B) = n (checked with a pivoted QR of B).  The operator
+    wraps a private copy of A, so the caller's A stays writeable.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -85,4 +86,4 @@ def gsvd_pair_values(A: np.ndarray, B: np.ndarray, cfg: SketchConfig) -> np.ndar
         raise ConfigError("rank-deficient B: the pair form needs rank(B) = n")
     S = dense_spd(np.eye(A.shape[0]))
     T = dense_spd(B.T @ B)
-    return randomized_gsvd(dense_operator(A), S, T, cfg).sigma
+    return randomized_gsvd(dense_operator(A.copy()), S, T, cfg).sigma

@@ -100,7 +100,9 @@ class LinearMap:
     are treated as single columns and returned one-dimensional.
 
     Operators are immutable after construction and safe for concurrent
-    read-only use; the counters use locked increments.
+    read-only use; the counters use locked increments.  The dense backends
+    keep the matrix they wrap without copying it and mark it read-only, so
+    the operator stays immutable although the caller still holds the array.
     """
 
     def __init__(
@@ -192,10 +194,12 @@ class GhepPencil:
 
     The solvers touch the pencil only through ``A.apply``, ``B.apply`` and
     ``B.apply_inverse``, so the operators' counters see every product.
-    ``dense_a``/``dense_b`` are dense copies for oracle-scale checks.  They
-    are lazy: ``build_dense_a``/``build_dense_b`` run the first time the
+    ``dense_a``/``dense_b`` are the dense matrices for oracle-scale checks.
+    They are lazy: ``build_dense_a``/``build_dense_b`` run the first time the
     attribute is read, and only oracle code reads it.  Without a builder the
-    attribute is None.
+    attribute is None.  A matrix-free pencil (the KLE pencil) builds them on
+    demand; a pencil over dense operators returns the very arrays the
+    operators wrap, so each matrix is held once.
     """
 
     A: LinearMap
@@ -213,10 +217,15 @@ class GhepPencil:
 
 
 def check_symmetric(M: np.ndarray, tol: float = 1e-13) -> None:
-    """Validate the symmetric-storage invariant ||M - M^T||_max <= tol*||M||_max."""
+    """Validate the symmetric-storage invariant ||M - M^T||_max <= tol*||M||_max.
+
+    Raises ConfigError if M is not square, is empty or is not symmetric.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {M.shape}")
+    if M.size == 0:
+        raise ConfigError(f"expected a nonempty matrix, got shape {M.shape}")
     scale = np.abs(M).max()
     if scale == 0.0:
         return
@@ -225,8 +234,14 @@ def check_symmetric(M: np.ndarray, tol: float = 1e-13) -> None:
 
 
 def dense_operator(M: np.ndarray) -> LinearMap:
-    """Wrap a dense matrix as a LinearMap with transpose application."""
-    M = np.array(M, dtype=float)
+    """Wrap a dense matrix as a LinearMap with transpose application.
+
+    A float64 M is wrapped in place, not copied, and marked read-only: the
+    caller keeps reading the same array but can no longer write to it.  Other
+    dtypes are converted to a new float64 array.  Pass a copy to keep the
+    original writeable.
+    """
+    M = np.asarray(M, dtype=float)
     M.setflags(write=False)
     return LinearMap(M.shape[0], M.shape[1], lambda X: M @ X, lambda X: M.T @ X)
 
@@ -234,11 +249,13 @@ def dense_operator(M: np.ndarray) -> LinearMap:
 def dense_spd(M: np.ndarray) -> SpdOperator:
     """SPD operator backed by a dense matrix; B^{-1}x served by a one-time Cholesky.
 
-    Raises NumericalError if M has a NaN or Inf entry, NotPositiveDefiniteError
-    if the factorization meets a non-positive pivot, ConfigError if M is not
-    symmetric.
+    Like ``dense_operator`` it wraps a float64 M in place and marks it
+    read-only; the Cholesky factor is the only new n-by-n array.  Raises
+    NumericalError if M has a NaN or Inf entry, NotPositiveDefiniteError if
+    the factorization meets a non-positive pivot, ConfigError if M is empty
+    or not symmetric.
     """
-    M = np.array(M, dtype=float)
+    M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
         raise NumericalError("matrix has non-finite entries")
     check_symmetric(M)
@@ -247,12 +264,11 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
     M.setflags(write=False)
-    op = SpdOperator(
+    return SpdOperator(
         M.shape[0],
         lambda X: M @ X,
         lambda X: scipy.linalg.cho_solve(factor, X, check_finite=False),
     )
-    return op
 
 
 def c_operator(A: LinearMap, B: SpdOperator) -> LinearMap:
@@ -308,9 +324,11 @@ def load_matrix_market(path) -> np.ndarray:
     """Read a real Matrix Market file (array or coordinate) into a dense matrix.
 
     Symmetric/skew storage is expanded to full.  Complex and pattern fields
-    raise UnsupportedFieldError; parse failures raise MatrixFormatError with
-    a line number when one can be determined, and so do NaN or Inf values
-    (without one).
+    raise UnsupportedFieldError; a zero row or column count in the header,
+    parse failures and NaN or Inf values raise MatrixFormatError, with a line
+    number when one can be determined.  The result is a new float64 array
+    that the caller owns: ``dense_operator`` and ``dense_spd`` can wrap it
+    without a copy.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -318,7 +336,9 @@ def load_matrix_market(path) -> np.ndarray:
         info = scipy.io.mminfo(path)
     except Exception as exc:
         raise MatrixFormatError(f"{path}: not a valid Matrix Market header: {exc}") from exc
-    fld = info[4]
+    rows, cols, fld = info[0], info[1], info[4]
+    if rows == 0 or cols == 0:
+        raise MatrixFormatError(f"{path}: empty matrix ({rows} x {cols}) in the header")
     if fld == "complex":
         raise UnsupportedFieldError(f"{path}: complex field is not supported (real matrices only)")
     if fld == "pattern":

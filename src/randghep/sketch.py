@@ -74,14 +74,13 @@ class SketchConfig:
 class RangeResult:
     """Output of the B-weighted range finder.
 
-    ``basis`` holds the B-orthonormal Q with cached BQ; ``Y = B^{-1} A Omega``
-    is the sketched range, ``Ybar = A Omega`` is retained for the single-pass
-    solver, and ``Omega`` is the Gaussian test matrix.  Every column of Y was
-    formed by one A-apply and one B-solve.
+    ``basis`` holds the B-orthonormal Q with cached BQ, ``Ybar = A Omega`` is
+    retained for the single-pass solver, and ``Omega`` is the Gaussian test
+    matrix.  The sketched range Y = B^{-1} Ybar is not kept: the weighted QR
+    factors its own copy, and B.apply_inverse(Ybar) forms it again.
     """
 
     basis: borth.BOrthoBasis
-    Y: np.ndarray
     Ybar: np.ndarray
     Omega: np.ndarray
 
@@ -93,6 +92,34 @@ _QR_ALGORITHMS = {
     "MGS-R": borth.mgs_w_reorth,
     "PreCholQR": borth.pre_chol_qr_w,
 }
+
+
+def _check_order(order: str) -> None:
+    """ConfigError unless ``order`` is one that ``ritz`` knows: "value" or "abs"."""
+    if order not in ("value", "abs"):
+        raise ConfigError(f"unknown order {order!r}; choose 'value' or 'abs'")
+
+
+_SYMMETRY_PROBES = 3
+
+
+def _check_symmetry(A: LinearMap, seed: int) -> int:
+    """Probe |x^T A y - y^T A x| on a few random pairs; returns applies spent.
+
+    The probe vectors come from their own seed stream, so the sketch drawn
+    from ``seed`` afterwards is the one drawn without the probe.
+    """
+    probes = gaussian_matrix(A.dim_in, 2 * _SYMMETRY_PROBES, derive_seed(seed, 0x51A))
+    X, Ynd = probes[:, :_SYMMETRY_PROBES], probes[:, _SYMMETRY_PROBES:]
+    AX = A.apply(X)
+    AY = A.apply(Ynd)
+    for j in range(_SYMMETRY_PROBES):
+        lhs = X[:, j] @ AY[:, j]
+        rhs = Ynd[:, j] @ AX[:, j]
+        scale = abs(lhs) + abs(rhs) + np.linalg.norm(AX[:, j]) * np.linalg.norm(Ynd[:, j])
+        if abs(lhs - rhs) > 1e-8 * max(scale, 1e-300):
+            raise ConfigError("A failed the symmetry probe; eigensolvers need symmetric A")
+    return 2 * _SYMMETRY_PROBES
 
 
 def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,6 +167,8 @@ def randomized_evd(
     ``single_pass`` variant reconstructs T ~ (Q^T Y)(Q^T Omega)^{-1} from the
     sketch alone, trading accuracy for half the A-applies.  Eigenvalues come
     back sorted descending (by value, or by magnitude with order="abs").
+    A is probed for symmetry first (``_SYMMETRY_PROBES`` pairs of applies);
+    an asymmetric A raises ConfigError.
     """
     n = A.dim_in
     if A.dim_out != n:
@@ -148,6 +177,8 @@ def randomized_evd(
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={n}")
     if mode not in ("two_pass", "single_pass"):
         raise ConfigError(f"unknown mode {mode!r}")
+    _check_order(order)
+    _check_symmetry(A, cfg.seed)
     Omega = gaussian_matrix(n, cfg.r, cfg.seed)
     Y = A.apply(Omega)
     Q, _ = np.linalg.qr(Y)
@@ -167,7 +198,8 @@ def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResu
 
     Draws Omega, forms Ybar = A*Omega and Y = B^{-1}*Ybar (exactly k+p
     A-applies and k+p B-solves), then factorizes Y with the block weighted QR
-    ``borth.pre_chol_qr_w``.
+    ``borth.pre_chol_qr_w``.  Y is dropped once the QR has copied it; the
+    result keeps Ybar and Omega.
     """
     n = B.dim
     if A.dim_in != n or A.dim_out != n:
@@ -176,6 +208,5 @@ def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResu
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={n}")
     Omega = gaussian_matrix(n, cfg.r, cfg.seed)
     Ybar = A.apply(Omega)
-    Y = B.apply_inverse(Ybar)
-    basis = borth.pre_chol_qr_w(Y, B)
-    return RangeResult(basis=basis, Y=Y, Ybar=Ybar, Omega=Omega)
+    basis = borth.pre_chol_qr_w(B.apply_inverse(Ybar), B)
+    return RangeResult(basis=basis, Ybar=Ybar, Omega=Omega)

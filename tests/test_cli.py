@@ -1,10 +1,12 @@
 """CLI contracts: exit codes, file outputs, reproducibility."""
 
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import randghep as rg
-from randghep.cli import main
+from randghep.cli import _load_pencil, main
 
 
 def _write_eye(path, n=5):
@@ -29,11 +31,19 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def _run_cli(argv):
-    """``randghep <argv>`` in a fresh interpreter, for exit codes that argparse sets."""
-    env = dict(os.environ)  # conftest has set RANDGHEP_THREADS
+def _child_env(env):
+    """``env`` with randghep's source on PYTHONPATH and every warning an error,
+    as the suite's own filterwarnings setting makes it in this process."""
     src = str(Path(rg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"
+    return env
+
+
+def _run_cli(argv):
+    """``randghep <argv>`` in a fresh interpreter, for exit codes that argparse
+    sets and for inputs that could kill the interpreter."""
+    env = _child_env(dict(os.environ))  # conftest has set RANDGHEP_THREADS
     return subprocess.run([sys.executable, "-m", "randghep.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -178,6 +188,28 @@ class TestSolve:
         eye = _write_eye(tmp_path / "eye.mtx", 6)
         assert main(["svd", "--A", eye, "--k", "2", "--out", str(tmp_path / "x")]) == 3
 
+    def test_load_pencil_holds_each_matrix_once(self, tmp_path):
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((200, 200))
+        Bd = G @ G.T + 200 * np.eye(200)
+        Ad = (G + G.T) / 2.0
+        args = argparse.Namespace(A=str(tmp_path / "a.mtx"), B=str(tmp_path / "b.mtx"))
+        rg.save_matrix_market(args.A, Ad)
+        rg.save_matrix_market(args.B, Bd)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pencil = _load_pencil(args)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert isinstance(pencil, rg.GhepPencil)
+        # the oracle's matrices are the ones the operators froze when they wrapped them
+        assert not pencil.dense_a.flags.writeable and not pencil.dense_b.flags.writeable
+        np.testing.assert_array_equal(pencil.dense_a, Ad)
+        np.testing.assert_array_equal(pencil.dense_b, Bd)
+        assert held < 3.5 * Ad.nbytes  # A, B and the Cholesky factor of B
+
     def test_seed_zero_draws_from_entropy(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", 6)
         out = tmp_path / "run"
@@ -202,6 +234,35 @@ class TestRemovedQrFlag:
         proc = _run_cli([arg.format(eye=eye) for arg in argv] + ["--out", str(out)])
         assert proc.returncode == 2
         assert "--qr" in proc.stderr
+        assert not (out / "report.json").exists()
+
+
+class TestEmptyMatrixFile:
+    """A zero dimension in a .mtx header is a typed error (exit 2).
+
+    Run in a child process: before the header check scipy's reader died on
+    an array-format file like this with SIGFPE, which would take the test
+    runner with it.
+    """
+
+    @pytest.mark.parametrize("argv, header", [
+        (["solve", "--A", "{empty}", "--B", "{eye}", "--k", "1", "--p", "1"], "array real general\n0 0"),
+        (["solve", "--A", "{eye}", "--B", "{empty}", "--k", "1", "--p", "1"], "array real general\n0 3"),
+        (["solve", "--A", "{eye}", "--B", "{empty}", "--k", "1", "--p", "1"],
+         "coordinate real general\n0 0 0"),
+        (["svd", "--A", "{empty}", "--k", "1", "--p", "1"], "array real general\n0 3"),
+        (["gsvd", "--A", "{empty}", "--S", "{eye}", "--T", "{eye}", "--k", "1", "--p", "1"],
+         "array real general\n0 0"),
+        (["estimate", "--A", "{empty}", "--B", "{eye}", "--k", "1"], "array real general\n0 0"),
+    ], ids=["solve-A", "solve-B", "solve-B-coordinate", "svd", "gsvd", "estimate"])
+    def test_exits_2_without_report(self, tmp_path, argv, header):
+        eye = _write_eye(tmp_path / "eye.mtx", 3)
+        empty = tmp_path / "empty.mtx"
+        empty.write_text(f"%%MatrixMarket matrix {header}\n")
+        out = tmp_path / "run"
+        proc = _run_cli([arg.format(eye=eye, empty=empty) for arg in argv] + ["--out", str(out)])
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "empty matrix" in proc.stderr
         assert not (out / "report.json").exists()
 
 
@@ -302,6 +363,22 @@ class TestEstimate:
         assert cols == sorted(cols)
         assert rep["range_error_exact"] <= rep["e"]
 
+    def test_tolerance_without_growth_reports_convergence(self, tmp_path):
+        out = tmp_path / "est"
+        code = main(["estimate", "--nu", "2.5", "--n", "101", "--k", "8",
+                     "--tol", "1e9", "--seed", "4", "--out", str(out)])
+        assert code == 0
+        rep = _read_report(out)
+        assert rep["converged"] is True
+        assert "sketch_columns" not in rep and "trajectory" not in rep
+
+    def test_growth_needs_tolerance(self, tmp_path):
+        out = tmp_path / "est"
+        code = main(["estimate", "--nu", "2.5", "--n", "101", "--k", "8", "--grow",
+                     "--seed", "4", "--out", str(out)])
+        assert code == 2
+        assert not (out / "report.json").exists()
+
     def test_requires_some_pencil(self, tmp_path):
         assert main(["estimate", "--k", "5", "--out", str(tmp_path)]) == 2
 
@@ -367,6 +444,15 @@ class TestSvdCommand:
         assert code == 0
         np.testing.assert_allclose(_read_report(out)["singular_values"], [5, 3, 1], atol=1e-11)
 
+    @pytest.mark.parametrize("mode", ["evd-two-pass", "evd-single-pass"])
+    def test_evd_rejects_asymmetric_matrix(self, tmp_path, mode):
+        rg.save_matrix_market(tmp_path / "a.mtx", np.random.default_rng(3).standard_normal((30, 30)))
+        out = tmp_path / "s"
+        code = main(["svd", "--A", str(tmp_path / "a.mtx"), "--k", "3", "--p", "2",
+                     "--mode", mode, "--seed", "2", "--out", str(out)])
+        assert code == 2
+        assert not (out / "report.json").exists()
+
     def test_evd_modes(self, tmp_path):
         Ad = np.diag([4.0, 2.0, 1.0, 0.0, 0.0, 0.0])
         rg.save_matrix_market(tmp_path / "a.mtx", Ad)
@@ -386,8 +472,7 @@ class TestThreadCap:
     def _import_randghep(self, **env_vars):
         env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
         env.update(env_vars)
-        src = str(Path(rg.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _child_env(env)
         code = "import os; import randghep; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)

@@ -100,7 +100,7 @@ def test_single_pass_ill_conditioned_sketch_raises(monkeypatch):
             Om[:, 1] = Om[:, 0] + 1e-14 * Om[:, 2]
         return Om
 
-    monkeypatch.setattr("randghep.ghep.gaussian_matrix", doctored)
+    # the symmetry probe and the range finder both draw through sketch
     monkeypatch.setattr("randghep.sketch.gaussian_matrix", doctored)
     with pytest.raises(IllConditionedError):
         rg.ghep_single_pass(pencil.A, pencil.B, SketchConfig(k=4, p=2, seed=3))

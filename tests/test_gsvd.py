@@ -133,6 +133,12 @@ class TestPairValues:
         ref = pair_values_dense_oracle(Ad, Bd)
         np.testing.assert_allclose(sig, ref, rtol=1e-8)
 
+    def test_caller_matrix_stays_writeable(self):
+        # the operator wraps a private copy, so the caller's A is not frozen
+        Ad = np.random.default_rng(4).standard_normal((7, 5))
+        rg.gsvd_pair_values(Ad, np.eye(5), SketchConfig(k=3, p=1, seed=2))
+        assert Ad.flags.writeable
+
     def test_rank_deficient_b_rejected(self):
         Bd = np.ones((4, 3))
         with pytest.raises(ConfigError):

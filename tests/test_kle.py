@@ -297,6 +297,18 @@ class TestKleRealize:
         with pytest.raises(ConfigError):
             kle.kle_realize(sol, np.zeros(sol.K + 1))
 
+    def test_negative_eigenvalues_clipped_and_counted(self):
+        sol = self._solution()
+        assert "clipped_negative_eigenvalues" not in sol.diagnostics
+        sol.solution.eigenvalues = sol.eigenvalues.copy()
+        sol.solution.eigenvalues[-2:] = [-1e-12, -3e-13]
+        xi = np.ones(sol.K)
+        field = kle.kle_realize(sol, xi)
+        assert sol.diagnostics["clipped_negative_eigenvalues"] == 2
+        lam = np.concatenate([sol.eigenvalues[:-2], [0.0, 0.0]])
+        np.testing.assert_array_equal(field, sol.modes @ np.sqrt(lam))
+        assert np.all(np.isfinite(field))
+
     def test_monte_carlo_covariance(self):
         # CLT check of the sampled nodal covariance against Phi Lambda Phi^T
         sol = self._solution(n=51, k=20)
@@ -347,6 +359,8 @@ class TestTruncationCheck:
         rep = kle.kle_truncation_check(ref, sol, eps, delta)
         assert rep.per_term_bound_ok
         assert rep.total_lhs == pytest.approx(float(np.sum(rep.lhs_terms)))
+        assert rep.total_lhs <= rep.bound_per_eigenvalue
+        assert rep.total_lhs <= rep.bound_literal
 
     def test_both_error_sources_same_scale(self):
         # eigenvalue and eigenvector contributions should be comparable overall

@@ -1,6 +1,7 @@
 """Operator contracts, dense backends, Matrix Market / CSV interchange."""
 
 import concurrent.futures
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ class TestMatrixMarket:
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nfoo\n2\n5\n")
         with pytest.raises(MatrixFormatError, match="line 4"):
+            rg.load_matrix_market(path)
+
+    def test_empty_coordinate_file_rejected(self, tmp_path):
+        # array files with a zero dimension are checked through the CLI in a
+        # child process: before the header check, scipy's reader crashed on them
+        path = tmp_path / "e.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+        with pytest.raises(MatrixFormatError, match="empty"):
             rg.load_matrix_market(path)
 
     def test_complex_field_rejected(self, tmp_path):
@@ -121,6 +130,10 @@ class TestDenseSpd:
         with pytest.raises(ConfigError):
             rg.dense_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_empty_matrix(self):
+        with pytest.raises(ConfigError):
+            rg.dense_spd(np.zeros((0, 0)))
+
     def test_positive_quadratic_form(self):
         rng = np.random.default_rng(1)
         B = rg.dense_spd(np.diag([0.5, 1.0, 9.0]))
@@ -134,6 +147,45 @@ class TestDenseSpd:
         B = rg.dense_spd(G @ G.T + 15 * np.eye(15))
         X = rng.standard_normal((15, 4))
         np.testing.assert_allclose(B.apply(B.apply_inverse(X)), X, rtol=1e-10, atol=1e-12)
+
+
+def _held_bytes(wrap, M):
+    """(operator, bytes that wrapping M allocated and the operator still holds)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = wrap(M)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return op, held
+
+
+class TestDenseBackendsWrapInPlace:
+    """A float64 matrix is wrapped, not copied, and frozen so the operator stays immutable."""
+
+    def test_dense_operator_adopts_and_freezes(self):
+        M = np.random.default_rng(2).standard_normal((300, 200))
+        A, held = _held_bytes(rg.dense_operator, M)
+        assert not M.flags.writeable
+        assert held < M.nbytes / 2
+        X = np.ones((200, 2))
+        np.testing.assert_array_equal(A.apply(X), M @ X)
+
+    def test_dense_spd_allocates_only_the_factor(self):
+        G = np.random.default_rng(3).standard_normal((300, 300))
+        M = G @ G.T + 300 * np.eye(300)
+        B, held = _held_bytes(rg.dense_spd, M)
+        assert not M.flags.writeable
+        assert held < 1.5 * M.nbytes  # the Cholesky factor, but no copy of M
+        x = np.ones(300)
+        np.testing.assert_allclose(M @ B.apply_inverse(x), x, rtol=1e-12)
+
+    def test_other_dtypes_are_converted(self):
+        M = np.eye(3, dtype=int)
+        A = rg.dense_operator(M)
+        assert M.flags.writeable
+        np.testing.assert_array_equal(A.apply(np.ones(3)), np.ones(3))
 
 
 class TestLinearMap:

@@ -22,6 +22,7 @@ CASES = [
 def test_script_prints_its_csv(argv, header):
     env = dict(os.environ)  # conftest has set RANDGHEP_THREADS
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # as the suite's filterwarnings setting does in-process
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]

@@ -129,6 +129,26 @@ class TestRandomizedEvd:
         _, lam = rg.randomized_evd(A, SketchConfig(k=2, p=3, seed=2), order="abs")
         np.testing.assert_allclose(lam, [-5.0, 3.0], atol=1e-11)
 
+    @pytest.mark.parametrize("mode", ["two_pass", "single_pass"])
+    def test_asymmetric_operator_rejected(self, mode):
+        A = rg.dense_operator(np.random.default_rng(6).standard_normal((30, 30)))
+        with pytest.raises(ConfigError, match="symmetry"):
+            rg.randomized_evd(A, SketchConfig(k=3, p=2, seed=1), mode=mode)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda A, B, cfg, order: rg.ghep_two_pass(A, B, cfg, order=order),
+    lambda A, B, cfg, order: rg.ghep_single_pass(A, B, cfg, order=order),
+    lambda A, B, cfg, order: rg.ghep_nystrom(A, B, cfg, order=order),
+    lambda A, B, cfg, order: rg.randomized_evd(A, cfg, order=order),
+], ids=["two_pass", "single_pass", "nystrom", "evd"])
+@pytest.mark.parametrize("order", ["magnitude", "ABS", ""])
+def test_unknown_order_rejected_before_any_apply(solve, order):
+    A = rg.dense_operator(np.diag(np.arange(1.0, 11.0)))
+    with pytest.raises(ConfigError, match="'value' or 'abs'"):
+        solve(A, rg.dense_spd(np.eye(10)), SketchConfig(k=2, p=2, seed=1), order)
+    assert A.matvec_count == 0
+
 
 class TestRangeFinderB:
     def test_identity_weight_reduces_to_plain_range(self):
@@ -142,7 +162,7 @@ class TestRangeFinderB:
         # same seed, same sketch as the plain algorithm's range step
         Omega = rg.gaussian_matrix(30, cfg.r, cfg.seed)
         np.testing.assert_array_equal(res.Omega, Omega)
-        np.testing.assert_allclose(res.Y, Ad @ Omega, atol=1e-12)
+        np.testing.assert_allclose(res.Ybar, Ad @ Omega, atol=1e-12)
         Qref, _ = np.linalg.qr(Ad @ Omega)
         P1 = res.basis.Q @ res.basis.Q.T
         P2 = Qref @ Qref.T
@@ -186,6 +206,6 @@ class TestRangeFinderB:
         # the range finder's one weighted QR is the block path: B-orthonormal Q
         pencil = make_kle_pencil(0.5)
         res = rg.range_finder_b(pencil.A, pencil.B, SketchConfig(k=6, p=2, seed=9))
-        m = rg.qr_metrics(res.Y, res.basis, pencil.B)
+        m = rg.qr_metrics(pencil.B.apply_inverse(res.Ybar), res.basis, pencil.B)
         assert m[1] <= 1e-12
         assert res.basis.n_reorth_applies == 0
