@@ -101,7 +101,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
             report["bound_flags"] = "not applicable: single-pass T is not a Rayleigh quotient"
             bound_flags = [(None, None)] * m
         else:
-            sines = errors.b_sine(ref.eigenvectors[:, :m], sol.U[:, :m], pencil.B)
+            sines = errors.b_sine(ref.top_eigenvectors(m), sol.U[:, :m], pencil.B)
             bound_flags = []
             for i, lam in enumerate(sol.eigenvalues):
                 lam_ex = float(oracle[i])

@@ -5,7 +5,10 @@ The oracles (B-norm, generalized singular values, exact range error, exact
 GHEP) work on one Cholesky factor B = L L^T, the reduction of the
 symmetric-definite pencil that LAPACK's sygv uses: the B-norm of M is
 ||L^T M L^{-T}||_2 and C = B^{-1}A is congruent to L^{-1} A L^{-T}.  No square
-root of B is formed, by the oracles or by the solvers.
+root of B is formed, by the oracles or by the solvers.  The exact GHEP
+reduces L^{-1} A L^{-T} to tridiagonal form once: every eigenvalue comes from
+that reduction, and eigenvectors are computed only for the top m that a
+caller reads.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
 
 from .borth import BOrthoBasis, pre_chol_qr_w
@@ -50,27 +54,60 @@ class ErrorEstimate:
 class SpectrumReference:
     """Dense reference data for a pencil (A, B), built by ``dense_ghep_oracle``.
 
-    ``lambdas`` (descending, assignable) and the B-orthonormal
-    ``eigenvectors`` are computed on construction.  The rest is computed on
-    first read and then cached: ``Ahat`` = L^{-1} A L^{-T}, the congruent
-    symmetric matrix that ``range_error`` reuses for every basis;
-    ``sigmas_B``, the generalized singular values of C = B^{-1}A, as the
-    singular values of L^{-1}A (the same as those of B^{1/2} C); and
-    ``binv_norm`` = ||B^{-1}||_2, ``b_norm`` = ||B||_2 and ``kappa_B`` from
-    one values-only eigensolve of B.  ``range_error(Q)`` is
+    On construction: ``L``, the Cholesky factor of B; ``Ahat`` =
+    L^{-1} A L^{-T}, the congruent symmetric matrix, which ``range_error``
+    reuses for every basis; its one reduction to tridiagonal form; and from
+    that reduction ``lambdas``, every eigenvalue of the pencil (descending,
+    assignable).  ``top_eigenvectors(m)`` computes B-orthonormal eigenvectors
+    from the same reduction only when they are read, and only the top m;
+    ``eigenvectors`` is all n of them.  The rest is computed on first read
+    and then cached: ``sigmas_B``, the generalized singular values of
+    C = B^{-1}A, as the singular values of L^{-1}A (the same as those of
+    B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2, ``b_norm`` = ||B||_2 and
+    ``kappa_B`` from one values-only eigensolve of B.  ``range_error(Q)`` is
     ``range_error_exact(A, B, Q)`` without a second factorization of B, and
     equals it bitwise.
     """
 
     lambdas: np.ndarray
-    eigenvectors: np.ndarray
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)  # lower Cholesky factor of B
+    Ahat: np.ndarray = field(repr=False)
+    # dsytrd's lower-storage reduction Q^T A^ Q = T: (diagonal, off-diagonal,
+    # the Householder vectors of Q as rows 1..n-1 of the reduced array, their scalars)
+    _tri: tuple = field(repr=False)
+    _vectors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
-    @cached_property
-    def Ahat(self) -> np.ndarray:
-        return _congruent(self.A, self.L)
+    def top_eigenvectors(self, m: int) -> np.ndarray:
+        """The B-orthonormal eigenvectors of the m largest eigenvalues, an n-by-m block.
+
+        Column j belongs to the j-th largest eigenvalue.  The top m
+        eigenvectors Z of T come from bisection and inverse iteration (all n
+        from divide and conquer when m = n); X = L^{-T} Q Z is one dormqr on
+        rows 1..n-1 (row 0 of Q is e_0^T) and one dtrsm.  The widest block
+        computed so far is cached, and a narrower read is a view of it.
+        """
+        n = self.L.shape[0]
+        if not 0 <= m <= n:
+            raise ConfigError(f"need 0 <= m <= {n} eigenvectors, got {m}")
+        if m == 0:
+            return np.empty((n, 0))
+        if self._vectors is None or self._vectors.shape[1] < m:
+            d, e, reflectors, tau = self._tri
+            top = {} if m == n else {"select": "i", "select_range": (n - m, n - 1)}
+            _, Z = scipy.linalg.eigh_tridiagonal(d, e, check_finite=False, **top)
+            Z = np.asfortranarray(Z[:, ::-1])
+            if n > 1:
+                lwork = lapack.dormqr("L", "N", reflectors, tau, Z[1:], lwork=-1)[1][0]
+                Z[1:] = lapack.dormqr("L", "N", reflectors, tau, Z[1:], lwork=max(1, int(lwork)))[0]
+            self._vectors = dtrsm(1.0, self.L, Z, lower=1, trans_a=1, overwrite_b=1)
+        return self._vectors[:, :m]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """All n B-orthonormal eigenvectors, in the order of ``lambdas``."""
+        return self.top_eigenvectors(self.L.shape[0])
 
     def range_error(self, Q: np.ndarray) -> float:
         """Exact f = ||(I - Q Q^T B) C||_B; see ``range_error_exact``."""
@@ -200,16 +237,25 @@ def b_norm(M: np.ndarray, B: np.ndarray) -> float:
 
 
 def dense_ghep_oracle(A: np.ndarray, B: np.ndarray) -> SpectrumReference:
-    """All eigenpairs of the pencil (A, B) via the Cholesky-congruence reduction.
+    """Every eigenvalue of the pencil (A, B) from one Cholesky-congruence reduction.
 
-    Eigenvectors come back B-orthonormal, eigenvalues descending.  The
-    Cholesky factor of B is kept for the generalized singular values, which
-    the returned reference computes only when they are read.
+    B = L L^T is factored once, A^ = L^{-1} A L^{-T} is formed once and
+    reduced to tridiagonal T once (dsytrd on a copy; A^ is kept for the range
+    error).  All n eigenvalues, descending, come from T at O(n^2) cost.
+    Eigenvectors come back B-orthonormal from the same reduction, and only
+    for the top m that a caller reads (``SpectrumReference.top_eigenvectors``).
+    The generalized singular values and the extreme eigenvalues of B are
+    computed only when they are read.
     """
     A, B, L = _dense_pencil(A, B)
     check_symmetric(A)
-    lam, X = scipy.linalg.eigh(A, B, check_finite=False)  # LAPACK reduces via B = L L^T
-    return SpectrumReference(lambdas=lam[::-1], eigenvectors=X[:, ::-1], A=A, B=B, L=L)
+    Ahat = _congruent(A, L)
+    n = Ahat.shape[0]
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    c, d, e, tau, _ = lapack.dsytrd(np.array(Ahat, order="F"), lower=1, lwork=lwork, overwrite_a=1)
+    lam = scipy.linalg.eigvalsh_tridiagonal(d, e, check_finite=False)
+    return SpectrumReference(lambdas=lam[::-1], A=A, B=B, L=L, Ahat=Ahat,
+                             _tri=(d, e, np.asfortranarray(c[1:, : n - 1]), tau))
 
 
 def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> float:

@@ -216,20 +216,34 @@ class GhepPencil:
         return None if self.build_dense_b is None else self.build_dense_b()
 
 
+#: Entries per block of ``check_symmetric``'s row-against-column comparison.
+_SYMMETRY_BLOCK = 1 << 16
+
+
 def check_symmetric(M: np.ndarray, tol: float = 1e-13) -> None:
     """Validate the symmetric-storage invariant ||M - M^T||_max <= tol*||M||_max.
 
     Raises ConfigError if M is not square, is empty or is not symmetric.
+    Row blocks of M are compared with column blocks, so the only temporary
+    is one block of ``_SYMMETRY_BLOCK`` entries, not an n-by-n difference.  A
+    NaN in M, or in M - M^T, passes the check, as it would in the n-by-n
+    formula; callers test finiteness first.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {M.shape}")
     if M.size == 0:
         raise ConfigError(f"expected a nonempty matrix, got shape {M.shape}")
-    scale = np.abs(M).max()
+    scale = np.maximum(M.max(), -M.min())
     if scale == 0.0:
         return
-    if np.abs(M - M.T).max() > tol * scale:
+    n = M.shape[0]
+    rows = max(1, _SYMMETRY_BLOCK // n)
+    worst = []
+    for i in range(0, n, rows):
+        diff = np.subtract(M[i : i + rows], M[:, i : i + rows].T)
+        worst.append(np.abs(diff, out=diff).max())
+    if np.max(worst) > tol * scale:
         raise ConfigError("matrix is not symmetric to within tolerance")
 
 

@@ -13,8 +13,12 @@ from .operators import ConfigError, IllConditionedError, LinearMap, SpdOperator
 #: Identifier of the pseudo-random stream: one Philox4x64 counter stream per
 #: column (key = seed, counter = column << 66), uniforms mapped to normals by
 #: the Box-Muller transform.  Fixed so that equal seeds give bitwise-equal
-#: matrices on every platform, independent of thread count, and so that a
-#: matrix can be extended by columns without touching the existing ones.
+#: matrices, independent of thread count, and so that a matrix can be
+#: extended by columns without touching the existing ones.  The uniforms are
+#: the same everywhere, but the transform's float64 log, cos and sin are
+#: NumPy SIMD kernels chosen by CPU: the bits are promised for one NumPy
+#: version and one dispatch target, and differ by a few ulp in a few entries
+#: between, for example, AVX-512 and AVX2 machines.
 GENERATOR_ID = "philox4x64-boxmuller/v1"
 
 _MASK64 = (1 << 64) - 1

@@ -95,7 +95,7 @@ class TestSolve:
                      "--method", method, "--seed", "2", "--oracle", "--out", str(out)])
         assert code == 0
         rows = _read_csv(out / "spectrum.csv")
-        lam = scipy.linalg.eigh(rg.load_matrix_market(a_path), rg.load_matrix_market(b_path))[0][::-1]
+        lam = rg.dense_ghep_oracle(rg.load_matrix_market(a_path), rg.load_matrix_market(b_path)).lambdas
         assert [float(r["lambda_oracle"]) for r in rows] == list(lam[: len(rows)])
         rep = _read_report(out)
         if method == "single-pass":
@@ -107,21 +107,35 @@ class TestSolve:
             assert all(r["sine_bound_ok"] == "True" for r in rows)
 
     def test_oracle_factors_b_once(self, tmp_path, monkeypatch):
-        from randghep import errors
-
+        # spies on scipy itself: Cholesky calls made from randghep.errors, and any
+        # eigh given a second matrix (which would factor B again inside LAPACK)
         grid = rg.Grid1D(a=-1.0, b=1.0, n=61)
         pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
         a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
         rg.save_matrix_market(a_path, pencil.dense_a)
         rg.save_matrix_market(b_path, pencil.dense_b)
-        calls = []
-        cholesky = errors._cholesky
-        monkeypatch.setattr(errors, "_cholesky", lambda B: calls.append(B.shape) or cholesky(B))
+        cholesky, eigh = scipy.linalg.cholesky, scipy.linalg.eigh
+        errors_choleskys, generalized = [], []
+
+        def cholesky_spy(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "randghep.errors":
+                errors_choleskys.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        def eigh_spy(a, *args, **kwargs):
+            if args or kwargs.get("b") is not None:
+                generalized.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", cholesky_spy)
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
         code = main(["solve", "--A", str(a_path), "--B", str(b_path), "--k", "8", "--p", "4",
                      "--seed", "6", "--oracle", "--out", str(tmp_path / "run")])
         assert code == 0
-        assert calls == [(61, 61)]
+        assert errors_choleskys == [(61, 61)]
+        assert generalized == []
         assert _read_report(tmp_path / "run")["range_error_exact"] > 0.0
+        assert all(r["sine_bound_ok"] == "True" for r in _read_csv(tmp_path / "run" / "spectrum.csv"))
 
     def test_methods_differ_only_in_reported_fields(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", 8)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
-from randghep import errors
+from randghep import errors, kle
 from randghep.operators import ConfigError, NotPositiveDefiniteError, NumericalError
 from randghep.sketch import SketchConfig, range_finder_b
 
@@ -43,6 +43,18 @@ class TestDenseGhepOracle:
         with pytest.raises(NotPositiveDefiniteError):
             errors.dense_ghep_oracle(np.eye(2), np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("pencil", ["kle-0.5", "kle-1.5", "kle-2.5", "matern-2d"])
+    def test_eigenvalues_match_generalized_eigh(self, pencil):
+        # the tridiagonal reduction of L^-1 A L^-T against LAPACK's sygvd on (A, B)
+        if pencil == "matern-2d":
+            Ad, Bd = matern_pencil_2d(16)
+        else:
+            kp = make_kle_pencil(float(pencil[4:]))
+            Ad, Bd = kp.dense_a, kp.dense_b
+        ref = errors.dense_ghep_oracle(Ad, Bd)
+        expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1]
+        assert np.max(np.abs(ref.lambdas - expected)) <= 1e-14 * abs(expected[0])
+
     def test_sigma_b_dominated_by_scaled_singular_values(self):
         rng = np.random.default_rng(9)
         n = 20
@@ -53,6 +65,87 @@ class TestDenseGhepOracle:
         C = np.linalg.solve(Bd, Ad)
         s = np.linalg.svd(C, compute_uv=False)
         assert np.all(ref.sigmas_B <= math.sqrt(ref.b_norm) * s + 1e-12)
+
+
+def matern_pencil_2d(m, nu=1.5, ell=0.5):
+    """(M Gamma M, M) of a 2D Matern field on the m-by-m grid of [-1, 1]^2, with
+    M the bilinear mass matrix (the Kronecker square of the 1D one)."""
+    grid = kle.Grid1D(n=m)
+    M1 = kle.assemble_mass_1d(grid)
+    M = np.kron(M1, M1)
+    x = np.linspace(grid.a, grid.b, m)
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    A = M @ kle.matern_kernel(kle.MaternConfig(nu=nu, ell=ell), dist, 0.0) @ M
+    return (A + A.T) / 2.0, M
+
+
+def pencil_with_spectrum(w, seed):
+    """(A, B) with B SPD (condition 100) and pencil eigenvalues w: A = L Q diag(w) Q^T L^T."""
+    n = len(w)
+    Bd = random_spd(n, 100.0, seed)
+    L = np.linalg.cholesky(Bd)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    A = L @ ((Q * w) @ Q.T) @ L.T
+    return (A + A.T) / 2.0, Bd
+
+
+class TestTopEigenvectors:
+    """top_eigenvectors(m): B-orthonormal, small residual, largest first, cached."""
+
+    @staticmethod
+    def _check(Ad, Bd, m):
+        ref = errors.dense_ghep_oracle(Ad, Bd)
+        X = ref.top_eigenvectors(m)
+        assert X.shape == (Ad.shape[0], m)
+        assert np.linalg.norm(X.T @ Bd @ X - np.eye(m), 2) <= 1e-13
+        resid = Ad @ X - (Bd @ X) * ref.lambdas[:m]
+        assert np.linalg.norm(resid, 2) <= 1e-13 * np.linalg.norm(Ad, 2)
+
+    @pytest.mark.parametrize("m", [1, 10, 30, 31, 100, 200])
+    def test_repeated_eigenvalue(self, m):
+        # lambda = 5 thirty times; m = 30 and 31 cut at the edge of the repeat
+        w = np.r_[np.full(30, 5.0), np.linspace(0.0, 1.0, 170)]
+        self._check(*pencil_with_spectrum(w, 3), m)
+
+    @pytest.mark.parametrize("m", [1, 10, 60, 100, 200])
+    def test_clustered_eigenvalues(self, m):
+        # sixty eigenvalues within 6e-12 of 1
+        w = np.r_[1.0 + 1e-13 * np.arange(60), np.linspace(0.0, 0.5, 140)]
+        self._check(*pencil_with_spectrum(w, 4), m)
+
+    @pytest.mark.parametrize("m", [1, 20, 201])
+    def test_kle_pencil(self, m):
+        pencil = make_kle_pencil(2.5)
+        self._check(pencil.dense_a, pencil.dense_b, m)
+
+    def test_one_by_one(self):
+        self._check(np.array([[3.0]]), np.array([[2.0]]), 1)
+        ref = errors.dense_ghep_oracle(np.array([[3.0]]), np.array([[4.0]]))
+        assert ref.lambdas[0] == 0.75
+        np.testing.assert_array_equal(ref.top_eigenvectors(1), [[0.5]])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_two_by_two(self, m):
+        self._check(np.array([[2.0, 1.0], [1.0, 3.0]]), random_spd(2, 10.0, 2), m)
+        self._check(np.eye(2), np.eye(2), m)
+
+    def test_widest_block_is_cached(self):
+        pencil = make_kle_pencil(1.5, n=41)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        X5 = ref.top_eigenvectors(5)
+        X3 = ref.top_eigenvectors(3)
+        assert np.shares_memory(X3, X5)
+        np.testing.assert_array_equal(X3, X5[:, :3])
+        X = ref.eigenvectors
+        assert X.shape == (41, 41) and np.shares_memory(ref.top_eigenvectors(5), X)
+        assert ref.top_eigenvectors(0).shape == (41, 0)
+
+    @pytest.mark.parametrize("m", [-1, 42])
+    def test_out_of_range(self, m):
+        pencil = make_kle_pencil(1.5, n=41)
+        with pytest.raises(ConfigError):
+            errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b).top_eigenvectors(m)
 
 
 def eig_sqrt(Bd):
@@ -118,6 +211,16 @@ class TestOracleLaziness:
         assert "sigmas_B" not in vars(ref)
         assert ref.sigmas_B[0] > 0.0
         assert all(name in vars(ref) for name in lazy)
+
+    def test_no_eigenvector_block_until_read(self):
+        pencil = make_kle_pencil(1.5, n=41)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=5, p=2, seed=1)).basis.Q
+        ref.range_error(Q)
+        assert ref.lambdas.shape == (41,) and ref.sigmas_B.shape == (41,) and ref.kappa_B > 1.0
+        assert ref._vectors is None
+        assert ref.top_eigenvectors(4).shape == (41, 4)
+        assert ref._vectors.shape == (41, 4)
 
     def test_lambdas_assignable(self):
         ref = errors.dense_ghep_oracle(np.diag([3.0, 1.0]), np.eye(2))
@@ -247,17 +350,20 @@ class TestCachedRangeError:
                 assert ref.range_error(basis) == errors.range_error_exact(pencil.dense_a, pencil.dense_b, basis)
 
     def test_ahat_is_cached_and_left_untouched(self):
+        # A^ is built on construction; reading eigenvectors and range errors leaves it as it was
         pencil = make_kle_pencil(1.5, n=41)
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
-        assert "Ahat" not in vars(ref)
+        Ahat = vars(ref)["Ahat"]
         L = np.linalg.cholesky(pencil.dense_b)
-        np.testing.assert_allclose(L @ ref.Ahat @ L.T, pencil.dense_a, rtol=0, atol=1e-12 * ref.lambdas[0])
-        before = ref.Ahat.copy()
+        np.testing.assert_allclose(L @ Ahat @ L.T, pencil.dense_a, rtol=0, atol=1e-12 * ref.lambdas[0])
+        before = Ahat.copy()
         Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=5, p=2, seed=1)).basis.Q
+        ref.top_eigenvectors(3)
+        ref.eigenvectors
         ref.range_error(Q)
         ref.range_error(Q[:, :0])
-        assert vars(ref)["Ahat"] is ref.Ahat
-        np.testing.assert_array_equal(ref.Ahat, before)
+        assert ref.Ahat is Ahat
+        np.testing.assert_array_equal(Ahat, before)
 
 
 class TestNorm2:

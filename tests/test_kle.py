@@ -168,6 +168,18 @@ class TestLazyDenseCopies:
                                 method=method, seed=4)
             assert sol.K == 10
 
+    def test_oracle_comparison_computes_no_eigenvectors(self, monkeypatch):
+        refs, tridiagonal_solves = [], []
+        oracle, eigh_tridiagonal = errors.dense_ghep_oracle, scipy.linalg.eigh_tridiagonal
+        monkeypatch.setattr(errors, "dense_ghep_oracle", lambda A, B: refs.append(oracle(A, B)) or refs[-1])
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            lambda *a, **kw: tridiagonal_solves.append(a) or eigh_tridiagonal(*a, **kw))
+        sol = kle.kle_solve(kle.Grid1D(n=301), kle.MaternConfig(2.5, 0.5), k=10, p=5, seed=4,
+                            compare_oracle=True)
+        assert sol.diagnostics["rel_eigenvalue_error"] < 1e-4
+        assert len(refs) == 1 and refs[0]._vectors is None
+        assert tridiagonal_solves == []
+
     def test_oracle_copies_capped(self):
         pencil = kle.kle_pencil(kle.Grid1D(n=kle.ORACLE_MAX_N + 1), kle.MaternConfig(0.5, 0.5))
         with pytest.raises(ConfigError):

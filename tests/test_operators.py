@@ -16,6 +16,7 @@ from randghep.operators import (
     NumericalError,
     PoleError,
     UnsupportedFieldError,
+    check_symmetric,
 )
 
 
@@ -159,6 +160,63 @@ def _held_bytes(wrap, M):
     finally:
         tracemalloc.stop()
     return op, held
+
+
+def _nxn_symmetry_verdict(M, tol=1e-13):
+    """The n-by-n formula check_symmetric replaces: True when M passes."""
+    scale = np.abs(M).max()
+    return bool(scale == 0.0 or not np.abs(M - M.T).max() > tol * scale)
+
+
+class TestCheckSymmetric:
+    """The blockwise comparison decides as the n-by-n formula does, with one block of memory."""
+
+    def test_peak_memory_is_a_block(self):
+        G = np.random.default_rng(4).standard_normal((1024, 1024))
+        M = G + G.T
+        tracemalloc.start()
+        try:
+            check_symmetric(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * M.nbytes
+
+    @pytest.mark.parametrize("n", [1, 2, 65, 257, 1024])
+    @pytest.mark.parametrize("size", [0.0, 5e-14, 2e-13])
+    def test_verdict_matches_nxn_formula(self, n, size):
+        # one off-symmetric pair, at the corners, inside, and across a block
+        # edge (rows 63 | 64 at n = 1024, row 254 | 255 at n = 257)
+        G = np.random.default_rng(n).standard_normal((n, n))
+        pairs = {(0, n - 1), (n - 1, 0), (n // 2, n // 3), (n - 1, n // 2), (63, 64), (64, 63), (254, 255)}
+        for i, j in (pair for pair in pairs if max(pair) < n):
+            M = G + G.T
+            M[i, j] += size * np.abs(M).max()
+            if _nxn_symmetry_verdict(M):
+                check_symmetric(M)
+            else:
+                with pytest.raises(ConfigError, match="not symmetric"):
+                    check_symmetric(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_decide_as_before(self, bad):
+        G = np.random.default_rng(1).standard_normal((300, 300))
+        for sym in (True, False):
+            M = G + G.T
+            M[250, 3] = bad
+            if sym:
+                M[3, 250] = bad
+            M[5, 7] += 1.0  # asymmetric in another block
+            with np.errstate(invalid="ignore"):  # inf - inf
+                assert _nxn_symmetry_verdict(M)  # a NaN in M or in M - M^T, or an inf scale, passes
+                check_symmetric(M)
+
+    def test_zero_and_empty(self):
+        check_symmetric(np.zeros((5, 5)))
+        with pytest.raises(ConfigError, match="nonempty"):
+            check_symmetric(np.zeros((0, 0)))
+        with pytest.raises(ConfigError, match="square"):
+            check_symmetric(np.zeros((2, 3)))
 
 
 class TestDenseBackendsWrapInPlace:

@@ -1,5 +1,11 @@
 """Gaussian sketches, randomized SVD/EVD, and the B-weighted range finder."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +17,89 @@ from randghep.operators import ConfigError
 from randghep.sketch import SketchConfig
 
 from conftest import make_kle_pencil
+
+
+#: The shapes whose bits are pinned: (n, r, seed, first_col); one has odd n.
+PINNED_SHAPES = ((1000, 10, 7, 0), (1001, 3, 123456789, 0), (257, 4, 2**63 - 5, 5))
+
+#: SHA-256 of ``gaussian_matrix(n, r, seed, first_col).tobytes()`` for each of
+#: PINNED_SHAPES, keyed by the SIMD target that NumPy dispatches its float64
+#: log, cos and sin to.  The AVX-512 kernels round 16 of the 10 000 entries of
+#: the first shape differently (by at most 2 ulp), so each target has its own
+#: pins.  Measured with NumPy 2.4.
+GENERATOR_PINS = {
+    "X86_V4": (
+        "7a9d85ddb675cb8fb7aaffdd82772310498cb7ba7d358612afd11435a94c7fe3",
+        "99a55bb9391270e2d02f82b87387646e51dc26be31eff2f14c6e4747218a6387",
+        "225d694d686292cf44cac05bebfc6d67bacf27bfba4633645986b00cc241bac1",
+    ),
+}
+GENERATOR_PINS["X86_V3"] = GENERATOR_PINS["baseline(X86_V2)"] = (
+    "0cb6f5dc93c2143869bd85a113aebcf3fea47b86abc4056af8bfcea5d08b6eb0",
+    "82794a7eaf6f2568662aea457a974d5deab4c82d82f85fd2bfb8aa9befe55e1b",
+    "225d694d686292cf44cac05bebfc6d67bacf27bfba4633645986b00cc241bac1",
+)
+
+_PIN_PROBE = """
+import hashlib, json
+from numpy.lib.introspect import opt_func_info
+from randghep.sketch import GENERATOR_ID, gaussian_matrix
+
+def probe():
+    info = opt_func_info(func_name="^(log|cos|sin)$", signature="float64")
+    target = "/".join(sorted({kernel["dd"]["current"] for kernel in info.values()}))
+    hashes = [hashlib.sha256(gaussian_matrix(n, r, seed, first_col=c).tobytes()).hexdigest()
+              for n, r, seed, c in %r]
+    return {"id": GENERATOR_ID, "target": target, "hashes": hashes}
+
+if __name__ == "__main__":
+    print(json.dumps(probe()))
+""" % (PINNED_SHAPES,)
+
+
+def _pin_probe(env=None):
+    """GENERATOR_ID, the dispatch target and the pinned shapes' hashes, in this
+    process (``env`` None) or in a child with ``env`` added to its environment."""
+    pytest.importorskip("numpy.lib.introspect")
+    if env is None:
+        scope = {"__name__": "pin_probe"}
+        exec(_PIN_PROBE, scope)
+        return scope["probe"]()
+    src = str(Path(rg.__file__).resolve().parents[1])
+    child_env = dict(os.environ, **env, PYTHONWARNINGS="error")
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PIN_PROBE], env=child_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestGeneratorPins:
+    """GENERATOR_ID names bits: pinned hashes, in this process and in children
+    with two BLAS threads or another SIMD target."""
+
+    @staticmethod
+    def _check(probe):
+        assert probe["id"] == "philox4x64-boxmuller/v1"
+        if probe["target"] not in GENERATOR_PINS:
+            pytest.skip(f"no pins for the SIMD target {probe['target']}")
+        assert probe["hashes"] == list(GENERATOR_PINS[probe["target"]])
+
+    def test_in_process(self):
+        self._check(_pin_probe())
+
+    def test_child_with_two_threads(self):
+        probe = _pin_probe({"RANDGHEP_THREADS": "2"})
+        assert probe["target"] == _pin_probe()["target"]
+        self._check(probe)
+
+    def test_child_on_the_avx2_kernels(self):
+        if _pin_probe()["target"] != "X86_V4":
+            pytest.skip("the AVX-512 kernels are not dispatched here")
+        probe = _pin_probe({"RANDGHEP_THREADS": "2",
+                            "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"})
+        assert probe["target"] == "X86_V3"
+        self._check(probe)
 
 
 class TestGaussianMatrix:
