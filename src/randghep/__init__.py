@@ -30,7 +30,6 @@ from .errors import (
     ErrorEstimate,
     SpectrumReference,
     apriori_bound,
-    b_angle,
     b_norm,
     b_sine,
     binv_norm_crude,
@@ -41,8 +40,8 @@ from .errors import (
     range_error_exact,
     single_pass_bound,
 )
-from .ghep import GhepSolution, ghep_nystrom, ghep_single_pass, ghep_two_pass, low_rank_apply
-from .gsvd import GsvdResult, gsvd_pair_values, randomized_gsvd
+from .ghep import GhepSolution, ghep_nystrom, ghep_single_pass, ghep_two_pass
+from .gsvd import GsvdResult, randomized_gsvd
 from .kle import (
     Grid1D,
     KleSolution,
@@ -50,7 +49,6 @@ from .kle import (
     assemble_covariance,
     assemble_mass_1d,
     kle_pencil,
-    kle_realize,
     kle_solve,
     kle_truncation_check,
     matern_kernel,
@@ -63,17 +61,12 @@ from .operators import (
     MatrixFormatError,
     NotPositiveDefiniteError,
     NumericalError,
-    PoleError,
     SpdOperator,
     UnsupportedFieldError,
-    c_operator,
     dense_operator,
     dense_spd,
     load_matrix_market,
-    load_vector_csv,
     save_matrix_market,
-    save_vector_csv,
-    spectral_transform,
 )
 from .sketch import (
     GENERATOR_ID,

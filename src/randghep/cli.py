@@ -296,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=5, help="number of probes")
     p.add_argument("--tol", type=float)
     p.add_argument("--grow", action="store_true", help="enlarge the sketch until the estimate <= tol")
-    p.add_argument("--binv", type=float, help="known value of ||B^-1||_2 (else crude lower bound)")
+    p.add_argument("--binv", type=float,
+                   help="known value of ||B^-1||_2; without it the estimate scales by a lower "
+                        "bound on ||B^-1||_2, so e is not a guaranteed bound (the report says "
+                        "binv_source: crude_lower_bound)")
     p.add_argument("--oracle", action="store_true")
     common(p)
     p.set_defaults(func=cmd_estimate)

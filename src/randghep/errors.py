@@ -382,41 +382,6 @@ def single_pass_bound(
     return float(2.0 * epsilon * math.sqrt(kappa_B) * sigma_max_omega**2 / sigma_min_F**2)
 
 
-def _b_sine_cosine(x: np.ndarray, y: np.ndarray, B: SpdOperator, name: str):
-    """(sines, |cosines|) of the B-angles of the column pairs of x and y; see ``b_sine``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim not in (1, 2):
-        raise ConfigError(f"{name} needs vectors or blocks of one shape, got {x.shape} and {y.shape}")
-    X = x.reshape(x.shape[0], -1)
-    Y = y.reshape(X.shape)
-    BX = B.apply(X)
-    nx2 = np.einsum("ij,ij->j", X, BX)
-    if np.any(nx2 <= 0.0) or not np.all(np.any(Y, axis=0)):
-        raise ConfigError(f"{name} needs nonzero vectors")
-    xy = np.einsum("ij,ij->j", Y, BX)
-    R = Y - X * (xy / nx2)
-    ny2 = np.einsum("ij,ij->j", Y, B.apply(Y))
-    r2 = np.maximum(np.einsum("ij,ij->j", R, B.apply(R)), 0.0)
-    sines = np.sqrt(np.divide(r2, ny2, out=np.zeros_like(r2), where=ny2 > 0.0))
-    cosines = np.divide(np.abs(xy), np.sqrt(nx2) * np.sqrt(ny2), out=np.zeros_like(r2), where=ny2 > 0.0)
-    return sines, cosines
-
-
-def b_angle(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float:
-    """Principal angle in the B-geometry, in [0, pi/2].
-
-    atan2(sin, |cos|) with the sine of ``b_sine`` and |cos| = |<x,y>_B| /
-    (||x||_B ||y||_B).  Its error stays at the roundoff of forming the
-    residual, a small multiple of eps, at every angle; arccos of the cosine
-    alone is off by up to sqrt(eps) near 0.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    sines, cosines = _b_sine_cosine(x, y, B, "b_angle")
-    return float(math.atan2(sines[0], cosines[0]))
-
-
 def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float | np.ndarray:
     """sin of the B-geometry angle, accurate for nearly parallel vectors.
 
@@ -425,8 +390,21 @@ def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float | np.ndarray:
     y give a float.  (n, m) blocks give the m sines of the column pairs
     (x_j, y_j) as an array, from three block B-applies of m columns each.
     """
-    sines, _ = _b_sine_cosine(x, y, B, "b_sine")
-    return float(sines[0]) if np.ndim(x) == 1 else sines
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ConfigError(f"b_sine needs vectors or blocks of one shape, got {x.shape} and {y.shape}")
+    X = x.reshape(x.shape[0], -1)
+    Y = y.reshape(X.shape)
+    BX = B.apply(X)
+    nx2 = np.einsum("ij,ij->j", X, BX)
+    if np.any(nx2 <= 0.0) or not np.all(np.any(Y, axis=0)):
+        raise ConfigError("b_sine needs nonzero vectors")
+    R = Y - X * (np.einsum("ij,ij->j", Y, BX) / nx2)
+    ny2 = np.einsum("ij,ij->j", Y, B.apply(Y))
+    r2 = np.maximum(np.einsum("ij,ij->j", R, B.apply(R)), 0.0)
+    sines = np.sqrt(np.divide(r2, ny2, out=np.zeros_like(r2), where=ny2 > 0.0))
+    return float(sines[0]) if x.ndim == 1 else sines
 
 
 @dataclass

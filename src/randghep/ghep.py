@@ -241,19 +241,3 @@ def solver_method(name: str):
     except KeyError:
         raise ConfigError(f"unknown method {name!r}; choose from {sorted(_METHODS)}")
 
-
-def low_rank_apply(sol: GhepSolution, B: SpdOperator, X) -> np.ndarray:
-    """Apply the decomposition (BU) Lambda (BU)^T to a block.
-
-    Two B-applies plus small dense products; never forms the n-by-n matrix.
-    """
-    Xb = np.asarray(X, dtype=float)
-    vec = Xb.ndim == 1
-    if vec:
-        Xb = Xb[:, None]
-    if Xb.shape[0] != sol.U.shape[0]:
-        raise ConfigError("block dimension does not match the solution")
-    BX = B.apply(Xb)
-    Z = sol.eigenvalues[:, None] * (sol.U.T @ BX)
-    out = B.apply(sol.U @ Z)
-    return out[:, 0] if vec else out

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .operators import ConfigError, LinearMap, SpdOperator, dense_operator, dense_spd
+from .operators import ConfigError, LinearMap, SpdOperator
 from .borth import pre_chol_qr_w
 from .sketch import SketchConfig, derive_seed, gaussian_matrix
 
@@ -62,28 +61,3 @@ def randomized_gsvd(A: LinearMap, S: SpdOperator, T: SpdOperator, cfg: SketchCon
     }
     return GsvdResult(U=U, V=V, sigma=sig[:kk], diagnostics=diag)
 
-
-def reconstruct(res: GsvdResult, T: SpdOperator) -> np.ndarray:
-    """Dense A ~ U Sigma (T V)^T from a GSVD result (oracle-scale helper)."""
-    return (res.U * res.sigma) @ T.apply(res.V).T
-
-
-def gsvd_pair_values(A: np.ndarray, B: np.ndarray, cfg: SketchConfig) -> np.ndarray:
-    """Generalized singular values of the matrix pair (A, B) for full-rank B.
-
-    Uses the bridge sigma(A, B) = sigma_{S,T}(A) with S = I and T = B^T B,
-    valid when rank(B) = n (checked with a pivoted QR of B).  The operator
-    wraps a private copy of A, so the caller's A stays writeable.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise ConfigError("A and B must share the column dimension")
-    n = B.shape[1]
-    R = scipy.linalg.qr(B, mode="r", pivoting=True)[0]
-    d = np.abs(np.diag(R))
-    if d.size < n or (d.size and np.any(d <= max(B.shape) * np.finfo(float).eps * d[0])):
-        raise ConfigError("rank-deficient B: the pair form needs rank(B) = n")
-    S = dense_spd(np.eye(A.shape[0]))
-    T = dense_spd(B.T @ B)
-    return randomized_gsvd(dense_operator(A.copy()), S, T, cfg).sigma

@@ -1,16 +1,15 @@
 """Karhunen-Loeve experiment harness on a 1D grid.
 
 Matern covariance kernels, the piecewise-linear mass matrix, the discrete
-pencil (M Gamma M, M), truncated-expansion error checks, and random-field
-realizations.  The solver path is matrix-free at any n: on the uniform grid
-Gamma is symmetric Toeplitz, so it is applied by circulant embedding with the
-FFT in O(n log n) per column and O(n) memory (Dietrich & Newsam 1997), and the
-mass solves go through a banded Cholesky so B^{-1}x stays O(n).  The circulant
-has length N, the smallest 2^a 3^b 5^c >= 2n - 1, with zero padding in the
-middle of its first column: a matvec needs only N >= 2n - 1, not a nonnegative
-spectrum, and a 5-smooth N keeps the FFT off its slow large-prime path.  Dense
-copies of the pencil are built only when an oracle reads them
-(n <= ORACLE_MAX_N).
+pencil (M Gamma M, M) and truncated-expansion error checks.  The solver path
+is matrix-free at any n: on the uniform grid Gamma is symmetric Toeplitz, so
+it is applied by circulant embedding with the FFT in O(n log n) per column and
+O(n) memory (Dietrich & Newsam 1997), and the mass solves go through a banded
+Cholesky so B^{-1}x stays O(n).  The circulant has length N, the smallest
+2^a 3^b 5^c >= 2n - 1, with zero padding in the middle of its first column: a
+matvec needs only N >= 2n - 1, not a nonnegative spectrum, and a 5-smooth N
+keeps the FFT off its slow large-prime path.  Dense copies of the pencil are
+built only when an oracle reads them (n <= ORACLE_MAX_N).
 """
 
 from __future__ import annotations
@@ -268,24 +267,6 @@ def kle_solve(
         )
         diag["oracle_lambdas"] = ref.lambdas[:kk]
     return KleSolution(solution=sol, grid=grid, kernel=cfg, K=int(sol.eigenvalues.size), diagnostics=diag)
-
-
-def kle_realize(sol: KleSolution, xi: np.ndarray) -> np.ndarray:
-    """One realization of the truncated field: sum_i xi_i sqrt(lambda_i) phi_i.
-
-    The mean field is zero in this harness.  Small negative eigenvalues are
-    clipped to zero here (and only here); the clip count lands in the
-    solution diagnostics.
-    """
-    xi = np.asarray(xi, dtype=float).ravel()
-    if xi.size != sol.K:
-        raise ConfigError(f"xi has length {xi.size}, expected {sol.K}")
-    lam = sol.eigenvalues.copy()
-    clipped = int(np.sum(lam < 0.0))
-    if clipped:
-        sol.diagnostics["clipped_negative_eigenvalues"] = clipped
-        lam = np.maximum(lam, 0.0)
-    return sol.modes @ (xi * np.sqrt(lam))
 
 
 @dataclass

@@ -44,10 +44,6 @@ class IllConditionedError(NumericalError):
     """Input too ill-conditioned for the requested algorithm."""
 
 
-class PoleError(NumericalError):
-    """Spectral transform hit 1 - theta*alpha = 0 (eigenvalue at infinity)."""
-
-
 class _Counter:
     """Thread-safe additive counter."""
 
@@ -285,31 +281,8 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     )
 
 
-def c_operator(A: LinearMap, B: SpdOperator) -> LinearMap:
-    """The composition C = B^{-1}A.  Applies count into both A and B-solve counters.
-
-    C is self-adjoint with respect to the B-inner product even though it is
-    not symmetric in the ordinary sense.
-    """
-    if A.dim_out != B.dim:
-        raise ConfigError("A and B dimensions do not agree")
-    return LinearMap(B.dim, A.dim_in, lambda X: B.apply_inverse(A.apply(X)))
-
-
-def spectral_transform(theta: float, alpha: float, beta: float) -> float:
-    """Recover lambda from theta = lambda / (alpha*lambda + beta).
-
-    Used with indefinite B when some combination alpha*A + beta*B is positive
-    definite; the transformed problem shares eigenvectors with the original.
-    """
-    denom = 1.0 - theta * alpha
-    if denom == 0.0:
-        raise PoleError("1 - theta*alpha = 0: eigenvalue at infinity")
-    return theta * beta / denom
-
-
 # ---------------------------------------------------------------------------
-# Matrix Market and CSV interchange
+# Matrix Market interchange
 # ---------------------------------------------------------------------------
 
 
@@ -378,25 +351,3 @@ def save_matrix_market(path, M: np.ndarray, comment: str = "") -> None:
     the same float64.
     """
     scipy.io.mmwrite(path, np.asarray(M, dtype=float), comment=comment)
-
-
-def load_vector_csv(path) -> np.ndarray:
-    """Read a vector stored one value per line ('.' decimal, scientific ok)."""
-    values = []
-    with open(path, "rt") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise MatrixFormatError(f"{path}: bad value at line {lineno}: {text!r}") from exc
-    return np.array(values, dtype=float)
-
-
-def save_vector_csv(path, v: np.ndarray) -> None:
-    v = np.asarray(v, dtype=float).ravel()
-    with open(path, "wt") as fh:
-        for x in v:
-            fh.write(f"{x:.17g}\n")

@@ -544,49 +544,6 @@ class TestSinglePassBound:
         assert errors.single_pass_bound(0.1, 2.0, 1.0, 0.0) == math.inf
 
 
-class TestBAngle:
-    def test_colinear(self):
-        B = rg.dense_spd(np.eye(3))
-        x = np.array([1.0, 2.0, 0.0])
-        assert errors.b_angle(x, 2.0 * x, B) == pytest.approx(0.0, abs=1e-7)
-
-    def test_orthogonal_identity_weight(self):
-        B = rg.dense_spd(np.eye(2))
-        assert errors.b_angle(np.array([1.0, 0.0]), np.array([0.0, 1.0]), B) == pytest.approx(
-            math.pi / 2
-        )
-
-    def test_hand_computed_weighted_case(self):
-        # B = diag(1, 4), x = (1, 1), y = (1, -1): cos = |1 - 4| / 5 = 0.6
-        B = rg.dense_spd(np.diag([1.0, 4.0]))
-        ang = errors.b_angle(np.array([1.0, 1.0]), np.array([1.0, -1.0]), B)
-        assert ang == pytest.approx(math.acos(0.6), rel=1e-12)
-
-    def test_zero_vector_rejected(self):
-        B = rg.dense_spd(np.eye(2))
-        with pytest.raises(ConfigError):
-            errors.b_angle(np.zeros(2), np.ones(2), B)
-
-    @pytest.mark.parametrize("t, rtol", [(9.4e-10, 1e-7), (9.4e-13, 1e-4)])
-    def test_small_angle_on_kle_mass_matrix(self, t, rtol):
-        # arccos of a cosine this close to 1 reads 0 or an angle off by ~sqrt(eps)
-        pencil = make_kle_pencil(1.5, ell=0.5, n=201)
-        Bd = pencil.dense_b
-        rng = np.random.default_rng(8)
-        x, z = rng.standard_normal((2, 201))
-        for _ in range(2):
-            z -= x * ((z @ Bd @ x) / (x @ Bd @ x))
-        z *= math.sqrt((x @ Bd @ x) / (z @ Bd @ z))
-        y = x + t * z
-        # reference: the angle of the stored x and y in extended precision
-        X, Y, L = x.astype(np.longdouble), y.astype(np.longdouble), Bd.astype(np.longdouble)
-        R = Y - X * ((Y @ L @ X) / (X @ L @ X))
-        ref = float(np.arctan2(np.sqrt((R @ L @ R) / (Y @ L @ Y)),
-                               abs(Y @ L @ X) / np.sqrt((X @ L @ X) * (Y @ L @ Y))))
-        assert ref == pytest.approx(t, rel=1e-5, abs=0.0)
-        assert errors.b_angle(x, y, pencil.B) == pytest.approx(ref, rel=rtol, abs=0.0)
-
-
 class TestBSine:
     def test_block_equals_columns_with_three_block_applies(self):
         n, m = 30, 7
@@ -622,6 +579,26 @@ class TestBSine:
             errors.b_sine(np.ones((3, 2)), Y, B)
         with pytest.raises(ConfigError):
             errors.b_sine(np.ones((3, 2)), np.ones((3, 3)), B)
+        with pytest.raises(ConfigError):
+            errors.b_sine(np.zeros(3), np.ones(3), B)
+
+    @pytest.mark.parametrize("t, rtol", [(9.4e-10, 1e-7), (9.4e-13, 1e-4)])
+    def test_small_angle_on_kle_mass_matrix(self, t, rtol):
+        # arccos of a cosine this close to 1 reads 0 or an angle off by ~sqrt(eps)
+        pencil = make_kle_pencil(1.5, ell=0.5, n=201)
+        Bd = pencil.dense_b
+        rng = np.random.default_rng(8)
+        x, z = rng.standard_normal((2, 201))
+        for _ in range(2):
+            z -= x * ((z @ Bd @ x) / (x @ Bd @ x))
+        z *= math.sqrt((x @ Bd @ x) / (z @ Bd @ z))
+        y = x + t * z
+        # reference: the sine of the stored x and y in extended precision
+        X, Y, L = x.astype(np.longdouble), y.astype(np.longdouble), Bd.astype(np.longdouble)
+        R = Y - X * ((Y @ L @ X) / (X @ L @ X))
+        ref = float(np.sqrt((R @ L @ R) / (Y @ L @ Y)))
+        assert ref == pytest.approx(t, rel=1e-5, abs=0.0)
+        assert errors.b_sine(x, y, pencil.B) == pytest.approx(ref, rel=rtol, abs=0.0)
 
 
 class TestGrowth:

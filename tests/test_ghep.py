@@ -171,34 +171,6 @@ def test_oversized_sketch_rejected():
             assert A.matvec_count == 0
 
 
-class TestLowRankApply:
-    def _solution(self):
-        lams = np.array([10.0, 5.0, 1.0])
-        Ad, Bd, _ = exact_rank_pencil(30, lams, b_kappa=20.0, seed=13)
-        B = rg.dense_spd(Bd)
-        sol = rg.ghep_two_pass(rg.dense_operator(Ad), B, SketchConfig(k=3, p=4, seed=2))
-        return sol, B, Ad, Bd
-
-    def test_on_eigenvectors(self):
-        sol, B, _, Bd = self._solution()
-        out = rg.low_rank_apply(sol, B, sol.U)
-        expect = (Bd @ sol.U) * sol.eigenvalues
-        np.testing.assert_allclose(out, expect, rtol=1e-9, atol=1e-10)
-
-    def test_matches_operator_on_exact_rank(self):
-        sol, B, Ad, _ = self._solution()
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(30)
-        lhs = rg.low_rank_apply(sol, B, x)
-        rhs = Ad @ x
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-    def test_zero_block(self):
-        sol, B, _, _ = self._solution()
-        out = rg.low_rank_apply(sol, B, np.zeros((30, 2)))
-        assert np.all(out == 0.0)
-
-
 def test_report_dict_schema():
     pencil = make_kle_pencil(0.5)
     sol = rg.ghep_nystrom(pencil.A, pencil.B, SketchConfig(k=5, p=3, seed=1))

@@ -193,11 +193,12 @@ class TestKlePencil:
         pencil = make_kle_pencil(1.5, n=101)
         rng = np.random.default_rng(7)
         Md = pencil.dense_b
-        C = rg.c_operator(pencil.A, pencil.B)
         for _ in range(3):
             x, y = rng.standard_normal(101), rng.standard_normal(101)
-            lhs = y @ (Md @ C.apply(x))
-            rhs = C.apply(y) @ (Md @ x)
+            Cx = pencil.B.apply_inverse(pencil.A.apply(x))
+            Cy = pencil.B.apply_inverse(pencil.A.apply(y))
+            lhs = y @ (Md @ Cx)
+            rhs = Cy @ (Md @ x)
             assert abs(lhs - rhs) <= 1e-10 * np.sqrt(x @ (Md @ x)) * np.sqrt(y @ (Md @ y))
 
     def test_pencil_spectrum_equals_gamma_m_spectrum(self):
@@ -292,34 +293,6 @@ class TestKleSolve:
 class TestKleRealize:
     def _solution(self, n=51, k=12):
         return kle.kle_solve(kle.Grid1D(n=n), kle.MaternConfig(1.5, 0.5), k=k, p=5, seed=9)
-
-    def test_zero_coefficients(self):
-        sol = self._solution()
-        assert np.all(kle.kle_realize(sol, np.zeros(sol.K)) == 0.0)
-
-    def test_single_mode(self):
-        sol = self._solution()
-        xi = np.zeros(sol.K)
-        xi[0] = 1.0
-        field = kle.kle_realize(sol, xi)
-        np.testing.assert_allclose(field, math.sqrt(sol.eigenvalues[0]) * sol.modes[:, 0])
-
-    def test_length_mismatch(self):
-        sol = self._solution()
-        with pytest.raises(ConfigError):
-            kle.kle_realize(sol, np.zeros(sol.K + 1))
-
-    def test_negative_eigenvalues_clipped_and_counted(self):
-        sol = self._solution()
-        assert "clipped_negative_eigenvalues" not in sol.diagnostics
-        sol.solution.eigenvalues = sol.eigenvalues.copy()
-        sol.solution.eigenvalues[-2:] = [-1e-12, -3e-13]
-        xi = np.ones(sol.K)
-        field = kle.kle_realize(sol, xi)
-        assert sol.diagnostics["clipped_negative_eigenvalues"] == 2
-        lam = np.concatenate([sol.eigenvalues[:-2], [0.0, 0.0]])
-        np.testing.assert_array_equal(field, sol.modes @ np.sqrt(lam))
-        assert np.all(np.isfinite(field))
 
     def test_monte_carlo_covariance(self):
         # CLT check of the sampled nodal covariance against Phi Lambda Phi^T

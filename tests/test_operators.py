@@ -1,12 +1,10 @@
-"""Operator contracts, dense backends, Matrix Market / CSV interchange."""
+"""Operator contracts, dense backends, Matrix Market interchange."""
 
 import concurrent.futures
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import randghep as rg
 from randghep.operators import (
@@ -14,7 +12,6 @@ from randghep.operators import (
     MatrixFormatError,
     NotPositiveDefiniteError,
     NumericalError,
-    PoleError,
     UnsupportedFieldError,
     check_symmetric,
 )
@@ -78,25 +75,6 @@ class TestMatrixMarket:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             rg.load_matrix_market(tmp_path / "nope.mtx")
-
-
-class TestCsvVectors:
-    def test_roundtrip(self, tmp_path):
-        v = np.array([1.0, -2.5e-17, 3.25e9, 0.1])
-        path = tmp_path / "v.csv"
-        rg.save_vector_csv(path, v)
-        np.testing.assert_array_equal(rg.load_vector_csv(path), v)
-
-    def test_scientific_notation_accepted(self, tmp_path):
-        path = tmp_path / "v.csv"
-        path.write_text("1.5e-3\n\n2E+2\n")
-        np.testing.assert_array_equal(rg.load_vector_csv(path), [1.5e-3, 200.0])
-
-    def test_bad_value_reports_line(self, tmp_path):
-        path = tmp_path / "v.csv"
-        path.write_text("1.0\nabc\n")
-        with pytest.raises(MatrixFormatError, match="line 2"):
-            rg.load_vector_csv(path)
 
 
 class TestDenseSpd:
@@ -333,62 +311,3 @@ class TestLinearMap:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(lambda _: A.apply(X), range(80)))
         assert A.matvec_count == 240
-
-    def test_c_operator_self_adjoint_in_b(self):
-        rng = np.random.default_rng(23)
-        n = 25
-        G = rng.standard_normal((n, n))
-        Bd = G @ G.T + n * np.eye(n)
-        Ad = rng.standard_normal((n, n))
-        Ad = (Ad + Ad.T) / 2.0
-        B = rg.dense_spd(Bd)
-        C = rg.c_operator(rg.dense_operator(Ad), B)
-        for _ in range(3):
-            x, y = rng.standard_normal(n), rng.standard_normal(n)
-            lhs = y @ (Bd @ C.apply(x))
-            rhs = C.apply(y) @ (Bd @ x)
-            nx = np.sqrt(x @ (Bd @ x))
-            ny = np.sqrt(y @ (Bd @ y))
-            assert abs(lhs - rhs) <= 1e-10 * nx * ny
-
-
-class TestSpectralTransform:
-    def test_alpha_zero_is_scaling(self):
-        assert rg.spectral_transform(0.5, 0.0, 2.0) == pytest.approx(1.0)
-
-    def test_direct_substitution(self):
-        assert rg.spectral_transform(0.5, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_forward_map_roundtrip(self):
-        rng = np.random.default_rng(19)
-        checked = 0
-        while checked < 100:
-            lam, alpha, beta = rng.uniform(-5, 5, size=3)
-            denom = alpha * lam + beta
-            if abs(denom) < 1e-3:
-                continue
-            theta = lam / denom
-            if abs(1.0 - theta * alpha) < 1e-6:
-                continue
-            rec = rg.spectral_transform(theta, alpha, beta)
-            assert abs(rec - lam) <= 1e-12 * max(1.0, abs(lam))
-            checked += 1
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            rg.spectral_transform(0.5, 2.0, 1.0)
-
-    @given(
-        lam=st.floats(-100, 100),
-        alpha=st.floats(-3, 3),
-        beta=st.floats(-3, 3),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_roundtrip_property(self, lam, alpha, beta):
-        denom = alpha * lam + beta
-        if abs(denom) < 1e-2 or abs(lam) > 1e6:
-            return
-        theta = lam / denom
-        if abs(1.0 - theta * alpha) < 1e-4:
-            return
-        assert rg.spectral_transform(theta, alpha, beta) == pytest.approx(lam, rel=1e-9, abs=1e-9)
