@@ -158,11 +158,21 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
 
 
 def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
+    import math
+
     from . import errors, kle
     from .operators import ConfigError
     from .sketch import SketchConfig, range_finder_b
 
-    if args.A and args.B:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol must be a finite positive number, got {args.tol}")
+    if args.grow and args.tol is None:
+        raise ConfigError("--grow needs --tol")
+    if (args.A is None) != (args.B is None):
+        raise ConfigError("a file pencil needs both --A and --B")
+    if args.A is not None and args.nu is not None:
+        raise ConfigError("give either --A/--B or --nu, not both")
+    if args.A is not None:
         pencil = _load_pencil(args)
         report["config"] = {"A": args.A, "B": args.B}
     else:
@@ -174,8 +184,6 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     report["config"].update({"k": args.k, "alpha": args.alpha, "r": args.r,
                              "tol": args.tol, "grow": bool(args.grow)})
     if args.grow:
-        if args.tol is None:
-            raise ConfigError("--grow needs --tol")
         growth = errors.grow_sketch_until(pencil.A, pencil.B, k0=args.k, tol=args.tol,
                                           alpha=args.alpha, r_probes=args.r, seed=seed,
                                           binv_norm=args.binv)

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dpstrf
 
 from . import borth
 from .operators import ConfigError, IllConditionedError, LinearMap, NumericalError, SpdOperator
-from .sketch import SketchConfig, _check_order, _check_symmetry, range_finder_b, ritz
+from .sketch import SketchConfig, derive_seed, gaussian_matrix, range_finder_b
 
 
 @dataclass
@@ -60,6 +60,52 @@ class GhepSolution:
                 key: v for key, v in self.diagnostics.items() if not isinstance(v, np.ndarray)
             },
         }
+
+
+def _check_order(order: str) -> None:
+    """ConfigError unless ``order`` is one that ``ritz`` knows: "value" or "abs"."""
+    if order not in ("value", "abs"):
+        raise ConfigError(f"unknown order {order!r}; choose 'value' or 'abs'")
+
+
+_SYMMETRY_PROBES = 3
+
+
+def _check_symmetry(A: LinearMap, seed: int) -> int:
+    """Probe |x^T A y - y^T A x| on a few random pairs; returns applies spent.
+
+    The probe vectors come from their own seed stream, so the sketch drawn
+    from ``seed`` afterwards is the one drawn without the probe.
+    """
+    probes = gaussian_matrix(A.dim_in, 2 * _SYMMETRY_PROBES, derive_seed(seed, 0x51A))
+    X, Ynd = probes[:, :_SYMMETRY_PROBES], probes[:, _SYMMETRY_PROBES:]
+    AX = A.apply(X)
+    AY = A.apply(Ynd)
+    for j in range(_SYMMETRY_PROBES):
+        lhs = X[:, j] @ AY[:, j]
+        rhs = Ynd[:, j] @ AX[:, j]
+        scale = abs(lhs) + abs(rhs) + np.linalg.norm(AX[:, j]) * np.linalg.norm(Ynd[:, j])
+        if abs(lhs - rhs) > 1e-8 * max(scale, 1e-300):
+            raise ConfigError("A failed the symmetry probe; eigensolvers need symmetric A")
+    return 2 * _SYMMETRY_PROBES
+
+
+def ritz(
+    T: np.ndarray, Q: np.ndarray, k: int, order: str = "value"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rayleigh-Ritz step on a projected matrix T = Q^T A Q (or an estimate of it).
+
+    Symmetrizes T, eigendecomposes it, stable-sorts the eigenvalues
+    descending (by value, or by magnitude with order="abs"), keeps the top k
+    and lifts their eigenvectors by Q.  Returns (U, eigenvalues, all
+    eigenvalues in that order).
+    """
+    T = (T + T.T) / 2.0
+    lam, S = np.linalg.eigh(T)
+    idx = np.argsort(-np.abs(lam) if order == "abs" else -lam, kind="stable")
+    lam, S = lam[idx], S[:, idx]
+    kk = min(k, lam.size)
+    return Q @ S[:, :kk], lam[:kk], lam
 
 
 def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig,

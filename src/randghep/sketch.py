@@ -1,5 +1,5 @@
-"""Seeded Gaussian test matrices, the B = I randomized SVD/EVD, and the
-B-weighted range finder and Rayleigh-Ritz step shared by all GHEP solvers."""
+"""Seeded Gaussian test matrices, the B = I randomized SVD and EVD (the EVD
+is a GHEP solver on the pencil (A, I)), and the B-weighted range finder."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import borth
-from .operators import ConfigError, IllConditionedError, LinearMap, SpdOperator
+from .operators import ConfigError, LinearMap, SpdOperator
 
 #: Identifier of the pseudo-random stream: one Philox4x64 counter stream per
 #: column (key = seed, counter = column << 66), uniforms mapped to normals by
@@ -98,34 +98,6 @@ _QR_ALGORITHMS = {
 }
 
 
-def _check_order(order: str) -> None:
-    """ConfigError unless ``order`` is one that ``ritz`` knows: "value" or "abs"."""
-    if order not in ("value", "abs"):
-        raise ConfigError(f"unknown order {order!r}; choose 'value' or 'abs'")
-
-
-_SYMMETRY_PROBES = 3
-
-
-def _check_symmetry(A: LinearMap, seed: int) -> int:
-    """Probe |x^T A y - y^T A x| on a few random pairs; returns applies spent.
-
-    The probe vectors come from their own seed stream, so the sketch drawn
-    from ``seed`` afterwards is the one drawn without the probe.
-    """
-    probes = gaussian_matrix(A.dim_in, 2 * _SYMMETRY_PROBES, derive_seed(seed, 0x51A))
-    X, Ynd = probes[:, :_SYMMETRY_PROBES], probes[:, _SYMMETRY_PROBES:]
-    AX = A.apply(X)
-    AY = A.apply(Ynd)
-    for j in range(_SYMMETRY_PROBES):
-        lhs = X[:, j] @ AY[:, j]
-        rhs = Ynd[:, j] @ AX[:, j]
-        scale = abs(lhs) + abs(rhs) + np.linalg.norm(AX[:, j]) * np.linalg.norm(Ynd[:, j])
-        if abs(lhs - rhs) > 1e-8 * max(scale, 1e-300):
-            raise ConfigError("A failed the symmetry probe; eigensolvers need symmetric A")
-    return 2 * _SYMMETRY_PROBES
-
-
 def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-k randomized SVD of A (standard inner product).
 
@@ -144,57 +116,29 @@ def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndar
     return U, sig[: cfg.k], Vt[: cfg.k].T
 
 
-def ritz(
-    T: np.ndarray, Q: np.ndarray, k: int, order: str = "value"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rayleigh-Ritz step on a projected matrix T = Q^T A Q (or an estimate of it).
-
-    Symmetrizes T, eigendecomposes it, stable-sorts the eigenvalues
-    descending (by value, or by magnitude with order="abs"), keeps the top k
-    and lifts their eigenvectors by Q.  Returns (U, eigenvalues, all
-    eigenvalues in that order).
-    """
-    T = (T + T.T) / 2.0
-    lam, S = np.linalg.eigh(T)
-    idx = np.argsort(-np.abs(lam) if order == "abs" else -lam, kind="stable")
-    lam, S = lam[idx], S[:, idx]
-    kk = min(k, lam.size)
-    return Q @ S[:, :kk], lam[:kk], lam
-
-
 def randomized_evd(
     A: LinearMap, cfg: SketchConfig, mode: str = "two_pass", order: str = "value"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-k randomized eigendecomposition of a symmetric A (B = I).
 
-    ``two_pass`` forms T = Q^T A Q with a second round of products; the
-    ``single_pass`` variant reconstructs T ~ (Q^T Y)(Q^T Omega)^{-1} from the
-    sketch alone, trading accuracy for half the A-applies.  Eigenvalues come
-    back sorted descending (by value, or by magnitude with order="abs").
-    A is probed for symmetry first (``_SYMMETRY_PROBES`` pairs of applies);
-    an asymmetric A raises ConfigError.
+    Runs ``ghep.ghep_two_pass`` or ``ghep.ghep_single_pass`` on the pencil
+    (A, I) and returns their (U, eigenvalues): the GHEP solvers reduce to the
+    B = I methods of Halko, Martinsson and Tropp when B = I.  Eigenvalues come
+    back sorted descending (by value, or by magnitude with order="abs"), one
+    per kept basis column, so at most k.  A-applies: 6 for the solvers'
+    symmetry probe (an asymmetric A raises ConfigError), then 2(k+p) in
+    ``two_pass`` or k+p in ``single_pass``.
     """
+    from . import ghep
+
     n = A.dim_in
     if A.dim_out != n:
         raise ConfigError("randomized_evd needs a square operator")
-    if cfg.r > n:
-        raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={n}")
     if mode not in ("two_pass", "single_pass"):
         raise ConfigError(f"unknown mode {mode!r}")
-    _check_order(order)
-    _check_symmetry(A, cfg.seed)
-    Omega = gaussian_matrix(n, cfg.r, cfg.seed)
-    Y = A.apply(Omega)
-    Q, _ = np.linalg.qr(Y)
-    if mode == "two_pass":
-        T = Q.T @ A.apply(Q)
-    else:
-        G = Q.T @ Omega
-        svals = np.linalg.svd(G, compute_uv=False)
-        if svals[-1] <= 1e-12 * svals[0]:
-            raise IllConditionedError("Q^T Omega numerically singular; use two_pass")
-        T = np.linalg.solve(G.T, (Q.T @ Y).T).T
-    return ritz(T, Q, cfg.k, order)[:2]
+    solve = ghep.ghep_two_pass if mode == "two_pass" else ghep.ghep_single_pass
+    sol = solve(A, SpdOperator(n, lambda X: X, lambda X: X), cfg, order)
+    return sol.U, sol.eigenvalues
 
 
 def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResult:

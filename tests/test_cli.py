@@ -6,15 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randghep as rg
 from randghep.cli import _load_pencil, main
+from randghep.ghep import METHOD_CHOICES
 
 
 def _write_eye(path, n=5):
@@ -235,6 +239,61 @@ class TestSolve:
         assert rep["seed"] != 0
 
 
+def _malformed_pencil(defect, which, n, i, j, seed):
+    """A (name -> matrix) pencil with one defect; an int entry stands for an
+    empty matrix (a zero dimension in the header)."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    mats = {"A": (G + G.T) / 2.0, "B": G @ G.T + n * np.eye(n)}
+    i, j = i % n, (i + 1 + j % (n - 1)) % n  # i != j
+    if defect in ("nan", "inf", "-inf"):
+        mats[which][i, j] = float(defect)
+    elif defect == "asymmetric":
+        mats[which][i, j] += 1.0 + abs(mats[which][i, j])
+    elif defect == "indefinite_b":
+        mats["B"][i, i] = -mats["B"][i, i]
+    elif defect == "singular_b":
+        mats["B"][i, :] = 0.0
+        mats["B"][:, i] = 0.0
+    elif defect == "empty":
+        mats[which] = 0
+    elif defect == "mismatched":
+        # A not square, or B square but one row larger than A
+        mats[which] = rng.standard_normal((n, n + 1)) if which == "A" else np.eye(n + 1)
+    return mats
+
+
+class TestMalformedPencil:
+    """Property: a malformed pencil ends ``solve`` with exit 2 or 3, no traceback and no report."""
+
+    @given(
+        defect=st.sampled_from(["nan", "inf", "-inf", "asymmetric", "indefinite_b",
+                                "singular_b", "empty", "mismatched"]),
+        which=st.sampled_from(["A", "B"]),
+        n=st.integers(3, 7),
+        i=st.integers(0, 6),
+        j=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(METHOD_CHOICES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exits_2_or_3_without_report(self, defect, which, n, i, j, seed, method):
+        mats = _malformed_pencil(defect, which, n, i, j, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, M in mats.items():
+                paths[name] = Path(tmp) / f"{name}.mtx"
+                if isinstance(M, int):
+                    paths[name].write_text("%%MatrixMarket matrix array real general\n0 0\n")
+                else:
+                    rg.save_matrix_market(paths[name], M)
+            out = Path(tmp) / "run"
+            code = main(["solve", "--A", str(paths["A"]), "--B", str(paths["B"]), "--k", "1",
+                         "--p", "1", "--method", method, "--seed", "3", "--out", str(out)])
+            assert code in (2, 3)
+            assert not (out / "report.json").exists()
+
+
 class TestRemovedQrFlag:
     """The solvers have one weighted QR, so ``--qr`` is rejected, not ignored."""
 
@@ -403,11 +462,19 @@ class TestEstimate:
         ["--binv", "0"],
         ["--grow", "--tol", "nan"],
         ["--grow", "--tol", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--tol", "0"],
+        # a file that is given but would not be solved is an error, not ignored
+        ["--A", "{eye}"],
+        ["--B", "{eye}"],
+        ["--A", "{eye}", "--B", "{eye}"],
     ])
     def test_bad_estimator_input_exits_2(self, tmp_path, extra):
+        eye = _write_eye(tmp_path / "eye.mtx")
         out = tmp_path / "est"
         code = main(["estimate", "--nu", "2.5", "--n", "101", "--k", "5", "--seed", "4",
-                     "--out", str(out), *extra])
+                     "--out", str(out), *[arg.format(eye=eye) for arg in extra]])
         assert code == 2
         assert not (out / "report.json").exists()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import randghep as rg
-from randghep import errors, sketch
+from randghep import errors, ghep, sketch
 from randghep.operators import ConfigError, IllConditionedError, NumericalError
 from randghep.sketch import SketchConfig
 
@@ -70,15 +70,31 @@ def test_two_pass_beats_single_pass_per_seed(kle_oracle):
     assert ny_wins >= 0.7 * trials
 
 
-def test_single_pass_reduces_to_plain_single_pass_at_b_identity():
+@pytest.mark.parametrize("mode", ["two_pass", "single_pass"])
+def test_solver_reduces_to_randomized_evd_at_b_identity(mode):
     rng = np.random.default_rng(2)
     d = np.concatenate([[6.0, 3.0, 2.0], 0.5 * np.geomspace(1, 1e-3, 17)])
     Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     Ad = (Q * d) @ Q.T
     cfg = SketchConfig(k=4, p=3, seed=7)
-    sol = rg.ghep_single_pass(rg.dense_operator(Ad), rg.dense_spd(np.eye(20)), cfg)
-    _, lam_plain = sketch.randomized_evd(rg.dense_operator(Ad), cfg, mode="single_pass")
+    solve = ghep.solver_method(mode)
+    sol = solve(rg.dense_operator(Ad), rg.dense_spd(np.eye(20)), cfg)
+    U_plain, lam_plain = sketch.randomized_evd(rg.dense_operator(Ad), cfg, mode=mode)
     np.testing.assert_allclose(sol.eigenvalues, lam_plain, rtol=1e-9, atol=1e-10)
+    # the EVD is the solver on (A, I): same skeleton, same bits
+    eye = rg.SpdOperator(20, lambda X: X, lambda X: X)
+    exact = solve(rg.dense_operator(Ad), eye, cfg)
+    np.testing.assert_array_equal(U_plain, exact.U)
+    np.testing.assert_array_equal(lam_plain, exact.eigenvalues)
+
+
+@pytest.mark.parametrize("mode", ["two_pass", "single_pass"])
+def test_randomized_evd_keeps_one_eigenvalue_per_kept_column(mode):
+    # rank 2 with k + p = 6: the zero-range columns of the sketch are dropped
+    A = rg.dense_operator(np.diag([4.0, 2.0] + [0.0] * 8))
+    U, lam = sketch.randomized_evd(A, SketchConfig(k=3, p=3, seed=5), mode=mode)
+    assert lam.shape == (2,) and U.shape == (10, 2)
+    np.testing.assert_allclose(lam, [4.0, 2.0], rtol=1e-12)
 
 
 def test_single_pass_reports_conditioning():
@@ -100,7 +116,7 @@ def test_single_pass_ill_conditioned_sketch_raises(monkeypatch):
             Om[:, 1] = Om[:, 0] + 1e-14 * Om[:, 2]
         return Om
 
-    # the symmetry probe and the range finder both draw through sketch
+    # the range finder draws its sketch through sketch.gaussian_matrix
     monkeypatch.setattr("randghep.sketch.gaussian_matrix", doctored)
     with pytest.raises(IllConditionedError):
         rg.ghep_single_pass(pencil.A, pencil.B, SketchConfig(k=4, p=2, seed=3))
