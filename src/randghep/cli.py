@@ -158,47 +158,39 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
 
 
 def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
-    import math
-
     from . import errors, kle
     from .operators import ConfigError
-    from .sketch import SketchConfig, range_finder_b
 
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ConfigError(f"--tol must be a finite positive number, got {args.tol}")
     if args.grow and args.tol is None:
         raise ConfigError("--grow needs --tol")
     if (args.A is None) != (args.B is None):
         raise ConfigError("a file pencil needs both --A and --B")
-    if args.A is not None and args.nu is not None:
-        raise ConfigError("give either --A/--B or --nu, not both")
     if args.A is not None:
+        if args.nu is not None or args.n is not None or args.ell is not None:
+            raise ConfigError("give either --A/--B or --nu/--ell/--n, not both")
         pencil = _load_pencil(args)
         report["config"] = {"A": args.A, "B": args.B}
     else:
         if args.nu is None:
             raise ConfigError("estimate needs either --A/--B or a --nu/--ell/--n KLE configuration")
-        grid = kle.Grid1D(n=args.n)
-        pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=args.nu, ell=args.ell))
-        report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n}
+        n = 201 if args.n is None else args.n
+        ell = 2.0 if args.ell is None else args.ell
+        if args.oracle and n > kle.ORACLE_MAX_N:
+            raise ConfigError(f"--oracle needs --n <= {kle.ORACLE_MAX_N}, got {n}")
+        pencil = kle.kle_pencil(kle.Grid1D(n=n), kle.MaternConfig(nu=args.nu, ell=ell))
+        report["config"] = {"nu": args.nu, "ell": ell, "n": n}
     report["config"].update({"k": args.k, "alpha": args.alpha, "r": args.r,
                              "tol": args.tol, "grow": bool(args.grow)})
+    growth = errors.grow_sketch_until(pencil.A, pencil.B, k0=args.k, tol=args.tol,
+                                      alpha=args.alpha, r_probes=args.r, seed=seed,
+                                      max_cols=None if args.grow else args.k,
+                                      binv_norm=args.binv)
+    est = growth.estimate
     if args.grow:
-        growth = errors.grow_sketch_until(pencil.A, pencil.B, k0=args.k, tol=args.tol,
-                                          alpha=args.alpha, r_probes=args.r, seed=seed,
-                                          binv_norm=args.binv)
-        est = growth.estimate
         report["sketch_columns"] = growth.n_columns
-        report["converged"] = growth.converged
         report["trajectory"] = [{"columns": c, "estimate": e} for c, e in growth.history]
-        Q = growth.basis.Q
-    else:
-        rng = range_finder_b(pencil.A, pencil.B, SketchConfig(k=args.k, p=0, seed=seed))
-        est = errors.posterior_estimate(pencil.A, pencil.B, rng.basis, args.alpha, args.r,
-                                        seed, binv_norm=args.binv)
-        Q = rng.basis.Q
-        if args.tol is not None:
-            report["converged"] = bool(est.e <= args.tol)
+    if args.tol is not None:
+        report["converged"] = growth.converged
     report["e"] = est.e
     report["alpha"] = est.alpha
     report["r"] = est.r_probes
@@ -206,7 +198,8 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     report["binv_source"] = est.source
     report["binv_norm_used"] = est.binv_norm_used
     if args.oracle:
-        report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.dense_b, Q)
+        report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.dense_b,
+                                                               growth.basis.Q)
 
 
 def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:
@@ -297,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A")
     p.add_argument("--B")
     p.add_argument("--nu", type=float, choices=[0.5, 1.5, 2.5])
-    p.add_argument("--ell", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=201)
+    p.add_argument("--ell", type=float, help="KLE correlation length (default 2.0)")
+    p.add_argument("--n", type=int, help="KLE grid size (default 201)")
     p.add_argument("--k", type=int, required=True, help="initial sketch size")
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--r", type=int, default=5, help="number of probes")

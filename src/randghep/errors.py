@@ -283,6 +283,34 @@ def binv_norm_crude(Q: np.ndarray) -> float:
     return float(np.max(np.sum(Q * Q, axis=0)))
 
 
+def _check_estimator(alpha: float, r_probes: int, binv_norm: Optional[float]) -> None:
+    if not (math.isfinite(alpha) and alpha > 1.0):
+        raise ConfigError(f"alpha must be a finite number above 1, got {alpha}")
+    if binv_norm is not None and not (math.isfinite(binv_norm) and binv_norm > 0.0):
+        raise ConfigError(f"binv_norm must be a finite positive number, got {binv_norm}")
+    if r_probes < 1:
+        raise ConfigError("need at least one probe")
+
+
+def _estimate(basis: BOrthoBasis, AW: np.ndarray, CW: np.ndarray, alpha: float,
+              binv_norm: Optional[float]) -> ErrorEstimate:
+    """e from the probes W, given as A W and C W = B^{-1} A W (one column per probe)."""
+    Q, BQ = basis.Q, basis.WQ
+    coeff = BQ.T @ CW
+    Z = CW - Q @ coeff
+    BZ = AW - BQ @ coeff  # B Z without extra B-applies (B*CW = A*W)
+    norms = np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0))
+    if binv_norm is None:
+        binv, source = binv_norm_crude(Q), "crude_lower_bound"
+    else:
+        binv, source = float(binv_norm), "exact_binv_norm"
+    e = float(alpha * math.sqrt(2.0 * binv / math.pi) * norms.max())
+    r = AW.shape[1]
+    return ErrorEstimate(e=e, alpha=float(alpha), r_probes=r,
+                         probability_floor=1.0 - float(alpha) ** (-r),
+                         binv_norm_used=binv, source=source)
+
+
 def posterior_estimate(
     A: LinearMap,
     B: SpdOperator,
@@ -292,43 +320,20 @@ def posterior_estimate(
     seed: int,
     binv_norm: Optional[float] = None,
 ) -> ErrorEstimate:
-    """Randomized upper estimate of the range error from r fresh Gaussian probes.
+    """Randomized upper estimate of the range error from r Gaussian probes.
 
     e = alpha * sqrt(2 ||B^{-1}|| / pi) * max_i ||(I - QQ^T B) C w_i||_B, an
     upper bound on ||(I - QQ^T B) C||_B with probability >= 1 - alpha^{-r}.
+    The probes are drawn from their own stream, ``derive_seed(seed, 0xE57)``;
+    ``grow_sketch_until`` takes them from its sketch stream's next columns.
     The probe B-norms are exact vector norms; B(I-P)Cw is assembled from the
     cached A w and BQ, so the cost is r A-applies plus r B-solves.  When no
     ||B^{-1}|| value is supplied the crude lower bound from Q is used and
     flagged in ``source``.
     """
-    if not (math.isfinite(alpha) and alpha > 1.0):
-        raise ConfigError(f"alpha must be a finite number above 1, got {alpha}")
-    if binv_norm is not None and not (math.isfinite(binv_norm) and binv_norm > 0.0):
-        raise ConfigError(f"binv_norm must be a finite positive number, got {binv_norm}")
-    if r_probes < 1:
-        raise ConfigError("need at least one probe")
-    Q, BQ = basis.Q, basis.WQ
-    n = Q.shape[0]
-    Om = gaussian_matrix(n, r_probes, derive_seed(seed, 0xE57))
-    AW = A.apply(Om)
-    CW = B.apply_inverse(AW)
-    coeff = BQ.T @ CW
-    Z = CW - Q @ coeff
-    BZ = AW - BQ @ coeff  # B Z without extra B-applies (B*CW = A*Omega)
-    norms = np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0))
-    if binv_norm is None:
-        binv, source = binv_norm_crude(Q), "crude_lower_bound"
-    else:
-        binv, source = float(binv_norm), "exact_binv_norm"
-    e = float(alpha * math.sqrt(2.0 * binv / math.pi) * norms.max())
-    return ErrorEstimate(
-        e=e,
-        alpha=float(alpha),
-        r_probes=int(r_probes),
-        probability_floor=1.0 - float(alpha) ** (-r_probes),
-        binv_norm_used=binv,
-        source=source,
-    )
+    _check_estimator(alpha, r_probes, binv_norm)
+    AW = A.apply(gaussian_matrix(basis.Q.shape[0], r_probes, derive_seed(seed, 0xE57)))
+    return _estimate(basis, AW, B.apply_inverse(AW), alpha, binv_norm)
 
 
 def apriori_bound(sigmas_B: np.ndarray, k: int, p: int, binv_norm: float) -> float:
@@ -422,7 +427,7 @@ def grow_sketch_until(
     A: LinearMap,
     B: SpdOperator,
     k0: int,
-    tol: float,
+    tol: Optional[float],
     alpha: float = 2.0,
     r_probes: int = 5,
     seed: int = 0,
@@ -432,36 +437,37 @@ def grow_sketch_until(
 ) -> GrowthResult:
     """Grow a B-orthonormal sketch until the a-posteriori estimate drops below tol.
 
-    Starts from k0 columns and appends ``step`` fresh Gaussian columns per
-    round.  Each round extends the existing factorization with
-    ``pre_chol_qr_w(..., basis=)``: the new block is projected against the
-    cached (Q, BQ) twice (BCGS2) and factorized with one block B-apply; the
-    earlier columns and their matvecs are reused as they are.  Per-column
-    generator streams make the grown sketch bitwise identical to a one-shot
-    draw.  Probes are fresh each round.
+    The sketch is one stream, ``gaussian_matrix(n, ., seed)``, read left to
+    right (Halko, Martinsson and Tropp 2011, Alg. 4.2): k0 columns, then per
+    round the next max(new, r_probes), new = min(step, max_cols - ncols),
+    applied once.  Their first r_probes columns are the probes of e for the
+    current basis: Gaussian and independent of Q, so e has
+    ``posterior_estimate``'s law and floor.  If e misses tol below max_cols,
+    the first ``new`` are appended by ``pre_chol_qr_w(..., basis=)``.  With
+    r_probes <= step, a stop at N columns costs N + max(new, r_probes)
+    A-applies and B-solves.  The basis factors ``gaussian_matrix(n, N, seed)``.
+    tol=None sets no target.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a finite positive number, got {tol}")
+    _check_estimator(alpha, r_probes, binv_norm)
     n = B.dim
-    if max_cols is None:
-        max_cols = n
-    max_cols = min(max_cols, n)
-    if k0 < 1 or k0 > max_cols:
-        raise ConfigError("k0 out of range")
+    if A.dim_in != n or A.dim_out != n:
+        raise ConfigError("A and B dimensions do not agree")
+    max_cols = n if max_cols is None else min(max_cols, n)
+    if k0 < 1 or k0 > max_cols or step < 1:
+        raise ConfigError("k0 or step out of range")
     history: list = []
-    basis: Optional[BOrthoBasis] = None
-    ncols = 0
-    round_no = 0
+    basis = pre_chol_qr_w(B.apply_inverse(A.apply(gaussian_matrix(n, k0, seed))), B)
+    ncols = k0
     while True:
-        new = k0 if ncols == 0 else min(step, max_cols - ncols)
-        Om_new = gaussian_matrix(n, new, seed, first_col=ncols)
-        Y_new = B.apply_inverse(A.apply(Om_new))
-        basis = pre_chol_qr_w(Y_new, B, basis=basis)
-        ncols += new
-        est = posterior_estimate(
-            A, B, basis, alpha, r_probes, derive_seed(seed, 9000 + round_no), binv_norm=binv_norm
-        )
+        new = min(step, max_cols - ncols)
+        AW = A.apply(gaussian_matrix(n, max(new, r_probes), seed, first_col=ncols))
+        CW = B.apply_inverse(AW)
+        est = _estimate(basis, AW[:, :r_probes], CW[:, :r_probes], alpha, binv_norm)
         history.append((ncols, est.e))
-        round_no += 1
-        if est.e <= tol or ncols >= max_cols:
-            return GrowthResult(basis, ncols, est, history, est.e <= tol)
+        converged = tol is not None and est.e <= tol
+        if converged or new == 0:
+            return GrowthResult(basis, ncols, est, history, converged)
+        basis = pre_chol_qr_w(CW[:, :new], B, basis=basis)
+        ncols += new

@@ -469,14 +469,51 @@ class TestEstimate:
         ["--A", "{eye}"],
         ["--B", "{eye}"],
         ["--A", "{eye}", "--B", "{eye}"],
+        # a KLE option next to a file pencil ("{files}" stands for --A/--B in
+        # place of the --nu/--n pencil)
+        ["{files}", "--n", "50"],
+        ["{files}", "--ell", "9"],
     ])
     def test_bad_estimator_input_exits_2(self, tmp_path, extra):
         eye = _write_eye(tmp_path / "eye.mtx")
         out = tmp_path / "est"
-        code = main(["estimate", "--nu", "2.5", "--n", "101", "--k", "5", "--seed", "4",
+        pencil = ["--nu", "2.5", "--n", "101"]
+        if extra[0] == "{files}":
+            pencil, extra = ["--A", eye, "--B", eye], extra[1:]
+        code = main(["estimate", *pencil, "--k", "5", "--seed", "4",
                      "--out", str(out), *[arg.format(eye=eye) for arg in extra]])
         assert code == 2
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("grow", [[], ["--grow", "--tol", "1e9"]])
+    def test_oracle_above_cap_exits_2_before_any_apply(self, tmp_path, monkeypatch, grow):
+        applied = []
+        apply = rg.LinearMap.apply
+
+        def spy(op, X):
+            applied.append(X)
+            return apply(op, X)
+
+        monkeypatch.setattr(rg.LinearMap, "apply", spy)
+        out = tmp_path / "est"
+        code = main(["estimate", "--nu", "1.5", "--n", str(rg.kle.ORACLE_MAX_N + 1), "--k", "5",
+                     "--oracle", *grow, "--out", str(out)])
+        assert code == 2
+        assert not (out / "report.json").exists()
+        assert applied == []
+
+    def test_without_growth_is_the_first_round(self, tmp_path):
+        # the same loop with and without --grow: at a tolerance met by the
+        # first round, every estimator field agrees bitwise
+        reps = []
+        for grow in ([], ["--grow"]):
+            out = tmp_path / f"est{len(grow)}"
+            assert main(["estimate", "--nu", "1.5", "--n", "101", "--k", "8", "--tol", "1e9",
+                         *grow, "--seed", "4", "--out", str(out)]) == 0
+            reps.append(_read_report(out))
+        assert reps[1]["sketch_columns"] == 8
+        for key in ("e", "converged", "probability_floor", "binv_norm_used"):
+            assert reps[0][key] == reps[1][key]
 
     def test_file_pencil_route(self, tmp_path):
         rng = np.random.default_rng(9)

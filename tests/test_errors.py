@@ -609,6 +609,43 @@ class TestGrowth:
             errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=tol, seed=3)
         assert pencil.A.matvec_count == 0
 
+    @pytest.mark.parametrize("bad", [{"alpha": np.nan}, {"alpha": 1.0}, {"r_probes": 0},
+                                     {"binv_norm": -1.0}, {"binv_norm": np.inf}, {"step": 0}])
+    def test_bad_estimator_argument_typed_before_any_apply(self, bad):
+        pencil = make_kle_pencil(2.5, n=41)
+        with pytest.raises(ConfigError):
+            errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-3, seed=3, **bad)
+        assert pencil.A.matvec_count == 0 and pencil.B.solve_count == 0
+
+    def test_probes_are_the_next_block(self):
+        # each round applies the next max(step, r) stream columns once, and all
+        # rounds' blocks but the last are appended: the probes cost one block
+        pencil = make_kle_pencil(1.5)
+        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3, step=10,
+                                       r_probes=5)
+        assert out.converged and len(out.history) > 2
+        assert pencil.A.matvec_count == out.n_columns + 10
+        assert pencil.B.solve_count == out.n_columns + 10
+
+    def test_no_target_stops_at_max_cols(self):
+        pencil = make_kle_pencil(1.5)
+        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=12, tol=None, seed=3, max_cols=12)
+        assert not out.converged and out.n_columns == 12 and len(out.history) == 1
+        assert pencil.A.matvec_count == 12 + 5
+
+    def test_estimate_covers_exact_error(self, kle_oracle):
+        # criterion 04's floor, with the probes taken from each sketch's next columns
+        pencil = make_kle_pencil(1.5)
+        ref = kle_oracle(1.5)
+        trials = 200
+        hits = 0
+        for seed in range(1, trials + 1):
+            out = errors.grow_sketch_until(pencil.A, pencil.B, k0=40, tol=None, seed=seed,
+                                           max_cols=40, binv_norm=ref.binv_norm)
+            hits += out.estimate.e >= ref.range_error(out.basis.Q)
+        assert out.estimate.probability_floor == 1.0 - 2.0**-5
+        assert hits / trials >= 1.0 - 2.0**-5 - 0.05
+
     def test_no_growth_when_tolerance_loose(self):
         pencil = make_kle_pencil(2.5)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=10, tol=1e9, seed=3)
