@@ -35,18 +35,17 @@ class BOrthoBasis:
     zeroed in place rather than removed so indexing is preserved; use
     ``compact()`` to drop them.
 
-    ``n_w_applies`` counts the columns the factorization proper applies W
-    to (MGS: every column; PreCholQR: the kept ones).  ``n_reorth_applies``
-    counts the extra columns that MGS-R's re-orthogonalization sweeps apply
-    W to.  The block path makes no such sweeps, so its bases keep that count
-    at the value of the basis they extend (0 for a fresh one).
+    ``n_reorth_applies`` counts the extra columns that MGS-R's
+    re-orthogonalization sweeps apply W to, beyond the one apply per column
+    (MGS) or per kept column (PreCholQR) of the factorization proper.  The
+    block path makes no such sweeps, so its bases keep that count at the
+    value of the basis they extend (0 for a fresh one).
     """
 
     Q: np.ndarray
     WQ: np.ndarray
     R: np.ndarray
     rank_flags: np.ndarray
-    n_w_applies: int = 0
     n_reorth_applies: int = 0
 
     @property
@@ -66,7 +65,6 @@ class BOrthoBasis:
             WQ=self.WQ[:, keep],
             R=self.R[np.ix_(keep, keep)],
             rank_flags=np.ones(keep.size, dtype=bool),
-            n_w_applies=self.n_w_applies,
             n_reorth_applies=self.n_reorth_applies,
         )
 
@@ -99,12 +97,11 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
     r = Q.shape[1]
     R = np.zeros((r, r))
     flags = np.ones(r, dtype=bool)
-    base_applies, reorth_applies = 0, 0
+    reorth_applies = 0
 
     for k in range(r):
         q = Q[:, k].copy()
         qhat = W.apply(q)
-        base_applies += 1
         t = float(np.sqrt(max(qhat @ q, 0.0)))
         tt = t
         sweeps = 0
@@ -141,7 +138,7 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
             Q[:, k] = q / tt
             WQ[:, k] = qhat / tt
 
-    return BOrthoBasis(Q, WQ, R, flags, base_applies, reorth_applies)
+    return BOrthoBasis(Q, WQ, R, flags, reorth_applies)
 
 
 def mgs_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
@@ -180,7 +177,7 @@ def chol_qr_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
     Q = _solve_right(np.array(Y, order="F"), R)
     WQ = _solve_right(Z, R)
     flags = np.ones(Y.shape[1], dtype=bool)
-    return BOrthoBasis(Q, WQ, R, flags, n_w_applies=Y.shape[1])
+    return BOrthoBasis(Q, WQ, R, flags)
 
 
 def _fresh_apply(W: SpdOperator, X: np.ndarray) -> np.ndarray:
@@ -301,7 +298,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
         # a dependent column's weights on later kept columns are roundoff
         Q, WQ, R = Q_new, WQ_new, np.triu(R_new)
     if basis is None:
-        return BOrthoBasis(Q, WQ, R, ~dependent, n_w_applies=n_kept)
+        return BOrthoBasis(Q, WQ, R, ~dependent)
 
     Q_all = np.empty((n, r0 + m), order="F")
     WQ_all = np.empty((n, r0 + m), order="F")
@@ -316,7 +313,6 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
         WQ_all,
         R_all,
         np.concatenate([basis.rank_flags, ~dependent]),
-        n_w_applies=basis.n_w_applies + n_kept,
         n_reorth_applies=basis.n_reorth_applies,
     )
 

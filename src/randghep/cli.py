@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_default=1):
-        p.add_argument("--seed", type=int, default=seed_default,
+    def common(p):
+        p.add_argument("--seed", type=int, default=1,
                        help="RNG seed; 0 draws one from entropy and records it")
         p.add_argument("--out", default=".", help="output directory")
 

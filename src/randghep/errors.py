@@ -27,10 +27,10 @@ from .borth import BOrthoBasis, pre_chol_qr_w
 from .operators import (
     ConfigError,
     LinearMap,
-    NotPositiveDefiniteError,
     NumericalError,
     SpdOperator,
     check_symmetric,
+    cholesky_lower,
 )
 from .sketch import derive_seed, gaussian_matrix
 
@@ -151,24 +151,15 @@ def _finite(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
-def _cholesky(B: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of a finite symmetric B = L L^T."""
-    check_symmetric(B)
-    try:
-        return scipy.linalg.cholesky(B, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"B is not positive definite: {exc}") from exc
-
-
 def _dense_pencil(
     A: np.ndarray, B: np.ndarray, name: str = "A"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, B, L): finite matrices of one shape and the Cholesky factor of B."""
     A = _finite(A, name)
-    B = _finite(B, "B")
+    B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ConfigError(f"{name} has shape {A.shape}, B has shape {B.shape}")
-    return A, B, _cholesky(B)
+    return A, B, cholesky_lower(B, "B")
 
 
 def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -423,6 +414,10 @@ class GrowthResult:
     converged: bool
 
 
+#: Columns that ``grow_sketch_until`` appends per round.
+GROWTH_STEP = 10
+
+
 def grow_sketch_until(
     A: LinearMap,
     B: SpdOperator,
@@ -431,7 +426,6 @@ def grow_sketch_until(
     alpha: float = 2.0,
     r_probes: int = 5,
     seed: int = 0,
-    step: int = 10,
     max_cols: Optional[int] = None,
     binv_norm: Optional[float] = None,
 ) -> GrowthResult:
@@ -439,14 +433,15 @@ def grow_sketch_until(
 
     The sketch is one stream, ``gaussian_matrix(n, ., seed)``, read left to
     right (Halko, Martinsson and Tropp 2011, Alg. 4.2): k0 columns, then per
-    round the next max(new, r_probes), new = min(step, max_cols - ncols),
-    applied once.  Their first r_probes columns are the probes of e for the
-    current basis: Gaussian and independent of Q, so e has
+    round the next max(new, r_probes), new = min(GROWTH_STEP, max_cols - ncols).
+    Each stream column is applied once: the columns of a round's block that
+    were not appended are kept, with their A- and B^{-1}A-images, for the
+    next round.  The block's first r_probes columns are the probes of e for
+    the current basis: Gaussian and independent of Q, so e has
     ``posterior_estimate``'s law and floor.  If e misses tol below max_cols,
-    the first ``new`` are appended by ``pre_chol_qr_w(..., basis=)``.  With
-    r_probes <= step, a stop at N columns costs N + max(new, r_probes)
-    A-applies and B-solves.  The basis factors ``gaussian_matrix(n, N, seed)``.
-    tol=None sets no target.
+    the first ``new`` are appended by ``pre_chol_qr_w(..., basis=)``.  A stop
+    at N columns costs N + max(new, r_probes) A-applies and B-solves.  The
+    basis factors ``gaussian_matrix(n, N, seed)``.  tol=None sets no target.
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a finite positive number, got {tol}")
@@ -455,19 +450,26 @@ def grow_sketch_until(
     if A.dim_in != n or A.dim_out != n:
         raise ConfigError("A and B dimensions do not agree")
     max_cols = n if max_cols is None else min(max_cols, n)
-    if k0 < 1 or k0 > max_cols or step < 1:
-        raise ConfigError("k0 or step out of range")
+    if k0 < 1 or k0 > max_cols:
+        raise ConfigError("k0 out of range")
     history: list = []
     basis = pre_chol_qr_w(B.apply_inverse(A.apply(gaussian_matrix(n, k0, seed))), B)
     ncols = k0
+    AW = CW = np.empty((n, 0))  # applied stream columns ncols, ncols + 1, ...
     while True:
-        new = min(step, max_cols - ncols)
-        AW = A.apply(gaussian_matrix(n, max(new, r_probes), seed, first_col=ncols))
-        CW = B.apply_inverse(AW)
+        new = min(GROWTH_STEP, max_cols - ncols)
+        have, width = AW.shape[1], max(new, r_probes)
+        if have < width:
+            fresh = A.apply(gaussian_matrix(n, width - have, seed, first_col=ncols + have))
+            if have:
+                AW, CW = np.hstack([AW, fresh]), np.hstack([CW, B.apply_inverse(fresh)])
+            else:  # the operators' own arrays: their memory order fixes the estimate's bits
+                AW, CW = fresh, B.apply_inverse(fresh)
         est = _estimate(basis, AW[:, :r_probes], CW[:, :r_probes], alpha, binv_norm)
         history.append((ncols, est.e))
         converged = tol is not None and est.e <= tol
         if converged or new == 0:
             return GrowthResult(basis, ncols, est, history, converged)
         basis = pre_chol_qr_w(CW[:, :new], B, basis=basis)
+        AW, CW = AW[:, new:], CW[:, new:]
         ncols += new

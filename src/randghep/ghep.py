@@ -62,12 +62,6 @@ class GhepSolution:
         }
 
 
-def _check_order(order: str) -> None:
-    """ConfigError unless ``order`` is one that ``ritz`` knows: "value" or "abs"."""
-    if order not in ("value", "abs"):
-        raise ConfigError(f"unknown order {order!r}; choose 'value' or 'abs'")
-
-
 _SYMMETRY_PROBES = 3
 
 
@@ -90,44 +84,40 @@ def _check_symmetry(A: LinearMap, seed: int) -> int:
     return 2 * _SYMMETRY_PROBES
 
 
-def ritz(
-    T: np.ndarray, Q: np.ndarray, k: int, order: str = "value"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ritz(T: np.ndarray, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rayleigh-Ritz step on a projected matrix T = Q^T A Q (or an estimate of it).
 
     Symmetrizes T, eigendecomposes it, stable-sorts the eigenvalues
-    descending (by value, or by magnitude with order="abs"), keeps the top k
-    and lifts their eigenvectors by Q.  Returns (U, eigenvalues, all
-    eigenvalues in that order).
+    descending by value (an indefinite A's negative eigenvalues come last),
+    keeps the top k and lifts their eigenvectors by Q.  Returns (U,
+    eigenvalues, all eigenvalues in that order).
     """
     T = (T + T.T) / 2.0
     lam, S = np.linalg.eigh(T)
-    idx = np.argsort(-np.abs(lam) if order == "abs" else -lam, kind="stable")
+    idx = np.argsort(-lam, kind="stable")
     lam, S = lam[idx], S[:, idx]
     kk = min(k, lam.size)
     return Q @ S[:, :kk], lam[:kk], lam
 
 
-def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig,
-           order: str) -> GhepSolution:
+def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
     """The skeleton of the three solvers: validate, probe, range finder, projection.
 
-    ``project(A, B, cfg, rng, basis, order)`` solves the method's small
-    projected problem on the compacted basis and returns (U, eigenvalues,
-    all projected eigenvalues, method diagnostics).  The dimension, sketch
-    and order checks come before the symmetry probe, so a rejected pencil
-    spends no A-applies; ``counts`` starts after the probe.
+    ``project(A, B, cfg, rng, basis)`` solves the method's small projected
+    problem on the compacted basis and returns (U, eigenvalues sorted
+    descending by value, all projected eigenvalues, method diagnostics).
+    The dimension and sketch checks come before the symmetry probe, so a
+    rejected pencil spends no A-applies; ``counts`` starts after the probe.
     """
     if A.dim_in != B.dim or A.dim_out != B.dim:
         raise ConfigError("A and B dimensions do not agree")
     if cfg.r > B.dim:
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={B.dim}")
-    _check_order(order)
     probe = _check_symmetry(A, cfg.seed)
     a0, b0, s0 = A.matvec_count, B.matvec_count, B.solve_count
     rng = range_finder_b(A, B, cfg)
     basis = rng.basis.compact()
-    U, lam, lam_all, method_diag = project(A, B, cfg, rng, basis, order)
+    U, lam, lam_all, method_diag = project(A, B, cfg, rng, basis)
     counts = {
         "a_applies": A.matvec_count - a0,
         "b_applies": B.matvec_count - b0,
@@ -143,12 +133,12 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
     return GhepSolution(U, lam, method, counts, cfg.seed, cfg.k, cfg.p, diag, basis)
 
 
-def _project_two_pass(A, B, cfg, rng, basis, order):
+def _project_two_pass(A, B, cfg, rng, basis):
     Q = basis.Q
-    return (*ritz(Q.T @ A.apply(Q), Q, cfg.k, order), {})
+    return (*ritz(Q.T @ A.apply(Q), Q, cfg.k), {})
 
 
-def _project_single_pass(A, B, cfg, rng, basis, order):
+def _project_single_pass(A, B, cfg, rng, basis):
     F = basis.WQ.T @ rng.Omega  # Q^T B Omega, no extra B-applies
     fvals = np.linalg.svd(F, compute_uv=False)
     if fvals[-1] <= 1e-10 * fvals[0]:
@@ -167,7 +157,7 @@ def _project_single_pass(A, B, cfg, rng, basis, order):
         "sigma_min_F": float(fvals[-1]),
         "sigma_max_omega": float(np.linalg.svd(rng.Omega, compute_uv=False)[0]),
     }
-    return (*ritz(T, basis.Q, cfg.k, order), diag)
+    return (*ritz(T, basis.Q, cfg.k), diag)
 
 
 def _psd_half_factor(T: np.ndarray, r: int) -> tuple[np.ndarray, bool, int]:
@@ -195,7 +185,7 @@ def _psd_half_factor(T: np.ndarray, r: int) -> tuple[np.ndarray, bool, int]:
     return H, True, T.shape[0] - rank
 
 
-def _project_nystrom(A, B, cfg, rng, basis, order):
+def _project_nystrom(A, B, cfg, rng, basis):
     Q = basis.Q
     AQ = A.apply(Q)
     T = Q.T @ AQ
@@ -220,27 +210,17 @@ def _project_nystrom(A, B, cfg, rng, basis, order):
     return U, lam_all[:kk], lam_all, diag
 
 
-def ghep_two_pass(
-    A: LinearMap,
-    B: SpdOperator,
-    cfg: SketchConfig,
-    order: str = "value",
-) -> GhepSolution:
+def ghep_two_pass(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
     """Two-pass solver: T = Q^T A Q from a second round of A-applies.
 
     Costs 2(k+p) A-applies, (k+p) B-applies and (k+p) B-solves (no
     re-orthogonalization).  T is symmetrized before the dense eigensolve;
     the top k of the k+p computed modes are kept.
     """
-    return _solve("two_pass", _project_two_pass, A, B, cfg, order)
+    return _solve("two_pass", _project_two_pass, A, B, cfg)
 
 
-def ghep_single_pass(
-    A: LinearMap,
-    B: SpdOperator,
-    cfg: SketchConfig,
-    order: str = "value",
-) -> GhepSolution:
+def ghep_single_pass(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
     """Single-pass solver: T ~ (Omega^T B Q)^{-1} (Omega^T Ybar) (Q^T B Omega)^{-1}.
 
     Reuses Ybar = A*Omega so only (k+p) A-applies are spent, with (k+p)
@@ -248,15 +228,10 @@ def ghep_single_pass(
     O((k+p)^3) extra flops.  Reports sigma_min(F) and sigma_max(Omega) so the
     two-pass/single-pass eigenvalue gap bound can be evaluated.
     """
-    return _solve("single_pass", _project_single_pass, A, B, cfg, order)
+    return _solve("single_pass", _project_single_pass, A, B, cfg)
 
 
-def ghep_nystrom(
-    A: LinearMap,
-    B: SpdOperator,
-    cfg: SketchConfig,
-    order: str = "value",
-) -> GhepSolution:
+def ghep_nystrom(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
     """Nystrom solver: A ~ (AQ)(Q^T A Q)^{-1}(AQ)^T, re-expressed as (BU) Lambda (BU)^T.
 
     Factorizes T = L L^T, forms M = A Q L^{-T}, B^{-1}-orthonormalizes M
@@ -264,9 +239,9 @@ def ghep_nystrom(
     singular values of the small R factor.  One implicit power-iteration step
     over the two-pass solver, at the price of a second round of B-solves:
     2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves.  The eigenvalues are
-    squares, so ``order`` does not change their order.
+    squared singular values, sorted descending.
     """
-    return _solve("nystrom", _project_nystrom, A, B, cfg, order)
+    return _solve("nystrom", _project_nystrom, A, B, cfg)
 
 
 _METHODS = {

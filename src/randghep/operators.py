@@ -216,8 +216,8 @@ class GhepPencil:
 _SYMMETRY_BLOCK = 1 << 16
 
 
-def check_symmetric(M: np.ndarray, tol: float = 1e-13) -> None:
-    """Validate the symmetric-storage invariant ||M - M^T||_max <= tol*||M||_max.
+def check_symmetric(M: np.ndarray) -> None:
+    """Validate the symmetric-storage invariant ||M - M^T||_max <= 1e-13 ||M||_max.
 
     Raises ConfigError if M is not square, is empty or is not symmetric.
     Row blocks of M are compared with column blocks, so the only temporary
@@ -239,7 +239,7 @@ def check_symmetric(M: np.ndarray, tol: float = 1e-13) -> None:
     for i in range(0, n, rows):
         diff = np.subtract(M[i : i + rows], M[:, i : i + rows].T)
         worst.append(np.abs(diff, out=diff).max())
-    if np.max(worst) > tol * scale:
+    if np.max(worst) > 1e-13 * scale:
         raise ConfigError("matrix is not symmetric to within tolerance")
 
 
@@ -256,28 +256,38 @@ def dense_operator(M: np.ndarray) -> LinearMap:
     return LinearMap(M.shape[0], M.shape[1], lambda X: M @ X, lambda X: M.T @ X)
 
 
+def cholesky_lower(M: np.ndarray, name: str) -> np.ndarray:
+    """The lower Cholesky factor L of a dense SPD matrix M = L L^T.
+
+    Raises NumericalError if M has a NaN or Inf entry, ConfigError if M is
+    empty or not symmetric, and NotPositiveDefiniteError if the factorization
+    meets a non-positive pivot; ``name`` names M in the messages.
+    """
+    M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise NumericalError(f"{name} has non-finite (NaN or Inf) entries")
+    check_symmetric(M)
+    try:
+        return scipy.linalg.cholesky(M, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{name} is not positive definite: {exc}") from exc
+
+
 def dense_spd(M: np.ndarray) -> SpdOperator:
     """SPD operator backed by a dense matrix; B^{-1}x served by a one-time Cholesky.
 
     Like ``dense_operator`` it wraps a float64 M in place and marks it
-    read-only; the Cholesky factor is the only new n-by-n array.  Raises
-    NumericalError if M has a NaN or Inf entry, NotPositiveDefiniteError if
-    the factorization meets a non-positive pivot, ConfigError if M is empty
-    or not symmetric.
+    read-only; the Cholesky factor is the only new n-by-n array.  M is
+    validated and factored by ``cholesky_lower``, and its typed errors pass
+    through.
     """
     M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
-        raise NumericalError("matrix has non-finite entries")
-    check_symmetric(M)
-    try:
-        factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    L = cholesky_lower(M, "matrix")
     M.setflags(write=False)
     return SpdOperator(
         M.shape[0],
         lambda X: M @ X,
-        lambda X: scipy.linalg.cho_solve(factor, X, check_finite=False),
+        lambda X: scipy.linalg.cho_solve((L, True), X, check_finite=False),
     )
 
 
@@ -344,10 +354,10 @@ def load_matrix_market(path) -> np.ndarray:
     return M
 
 
-def save_matrix_market(path, M: np.ndarray, comment: str = "") -> None:
+def save_matrix_market(path, M: np.ndarray) -> None:
     """Write a dense matrix as a Matrix Market array file (round-trips float64).
 
     Each entry is written as the shortest decimal string that reads back as
     the same float64.
     """
-    scipy.io.mmwrite(path, np.asarray(M, dtype=float), comment=comment)
+    scipy.io.mmwrite(path, np.asarray(M, dtype=float))

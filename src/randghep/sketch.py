@@ -117,15 +117,15 @@ def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndar
 
 
 def randomized_evd(
-    A: LinearMap, cfg: SketchConfig, mode: str = "two_pass", order: str = "value"
+    A: LinearMap, cfg: SketchConfig, mode: str = "two_pass"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-k randomized eigendecomposition of a symmetric A (B = I).
 
     Runs ``ghep.ghep_two_pass`` or ``ghep.ghep_single_pass`` on the pencil
     (A, I) and returns their (U, eigenvalues): the GHEP solvers reduce to the
     B = I methods of Halko, Martinsson and Tropp when B = I.  Eigenvalues come
-    back sorted descending (by value, or by magnitude with order="abs"), one
-    per kept basis column, so at most k.  A-applies: 6 for the solvers'
+    back sorted descending by value (an indefinite A's negative ones last),
+    one per kept basis column, so at most k.  A-applies: 6 for the solvers'
     symmetry probe (an asymmetric A raises ConfigError), then 2(k+p) in
     ``two_pass`` or k+p in ``single_pass``.
     """
@@ -137,7 +137,7 @@ def randomized_evd(
     if mode not in ("two_pass", "single_pass"):
         raise ConfigError(f"unknown mode {mode!r}")
     solve = ghep.ghep_two_pass if mode == "two_pass" else ghep.ghep_single_pass
-    sol = solve(A, SpdOperator(n, lambda X: X, lambda X: X), cfg, order)
+    sol = solve(A, SpdOperator(n, lambda X: X, lambda X: X), cfg)
     return sol.U, sol.eigenvalues
 
 

@@ -1,11 +1,14 @@
-"""Every export of ``randghep`` is reached by code outside its own unit tests.
+"""Every export of ``randghep``, and every defaulted parameter of its
+functions, is used by code outside the unit tests.
 
 A name that ``randghep/__init__.py`` imports counts as reached when another
 ``src/randghep`` module, a script, the benchmark harness or the acceptance
 criteria refer to it: as a bare name, as an attribute (``errors.b_sine``), or
 as a string equal to the name (the benchmark's span table names functions by
 string).  A reference inside the name's own ``def`` or ``class`` does not
-count.  The files are parsed with ``ast``; nothing from them is imported.
+count.  A parameter with a default counts as set when one of those files
+calls a function of its name and passes it by keyword or by position.  The
+files are parsed with ``ast``; nothing from them is imported.
 """
 
 import ast
@@ -69,3 +72,71 @@ def test_every_export_is_reached():
         reached |= references(path.read_text())
     unreached = sorted(exported_names() - reached)
     assert not unreached, f"exported but reached only by unit tests: {unreached}"
+
+
+def defaulted_parameters(source: str) -> set[tuple[str, str, int | None]]:
+    """(function, parameter, call position) of each parameter with a default.
+
+    A class's ``__init__`` is named by its class.  A function defined in a
+    class body is a method: its positions skip ``self``.  Keyword-only
+    parameters have no position.
+    """
+    found: set[tuple[str, str, int | None]] = set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                skip = 0 if cls is None else 1
+                name = cls if cls is not None and child.name == "__init__" else child.name
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    found.add((name, positional[i].arg, i - skip))
+                found.update((name, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def passed_arguments(source: str) -> set[tuple[str, str | int]]:
+    """(function, keyword or position) of each argument a call in ``source`` passes."""
+    found: set[tuple[str, str | int]] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            found |= {(name, i) for i in range(len(node.args))}
+            found |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+    return found
+
+
+def unset_defaults(definitions: list[str], callers: list[str]) -> list[str]:
+    """``function(parameter=)`` for each defaulted parameter no caller sets."""
+    passed: set = set().union(*map(passed_arguments, callers))
+    return sorted(f"{name}({param}=)" for source in definitions
+                  for name, param, position in defaulted_parameters(source)
+                  if (name, param) not in passed and (name, position) not in passed)
+
+
+def test_set_rule():
+    definitions = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class K:\n    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0):\n        pass\n"
+    )
+    callers = "f(1, 2)\nmod.f(d=4)\nK(5)\nobj.m()\n"
+    assert defaulted_parameters(definitions) == {
+        ("f", "b", 1), ("f", "c", 2), ("f", "d", None), ("K", "x", 0), ("m", "y", 0)}
+    assert passed_arguments(callers) == {("f", 0), ("f", 1), ("f", "d"), ("K", 0)}
+    assert unset_defaults([definitions], [callers]) == ["f(c=)", "m(y=)"]
+
+
+def test_every_defaulted_parameter_is_set():
+    definitions = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    unset = unset_defaults(definitions, [p.read_text() for p in caller_files()])
+    assert not unset, f"defaulted parameters set only by unit tests, or by nothing: {unset}"

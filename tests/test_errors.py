@@ -610,22 +610,22 @@ class TestGrowth:
         assert pencil.A.matvec_count == 0
 
     @pytest.mark.parametrize("bad", [{"alpha": np.nan}, {"alpha": 1.0}, {"r_probes": 0},
-                                     {"binv_norm": -1.0}, {"binv_norm": np.inf}, {"step": 0}])
+                                     {"binv_norm": -1.0}, {"binv_norm": np.inf}])
     def test_bad_estimator_argument_typed_before_any_apply(self, bad):
         pencil = make_kle_pencil(2.5, n=41)
         with pytest.raises(ConfigError):
             errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-3, seed=3, **bad)
         assert pencil.A.matvec_count == 0 and pencil.B.solve_count == 0
 
-    def test_probes_are_the_next_block(self):
-        # each round applies the next max(step, r) stream columns once, and all
-        # rounds' blocks but the last are appended: the probes cost one block
+    @pytest.mark.parametrize("r", [5, 15])
+    def test_probes_are_the_next_block(self, r):
+        # every stream column is applied once, including the ones a round's
+        # probes read beyond its appended block: the probes cost one block
         pencil = make_kle_pencil(1.5)
-        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3, step=10,
-                                       r_probes=5)
+        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3, r_probes=r)
         assert out.converged and len(out.history) > 2
-        assert pencil.A.matvec_count == out.n_columns + 10
-        assert pencil.B.solve_count == out.n_columns + 10
+        assert pencil.A.matvec_count == out.n_columns + max(10, r)
+        assert pencil.B.solve_count == out.n_columns + max(10, r)
 
     def test_no_target_stops_at_max_cols(self):
         pencil = make_kle_pencil(1.5)
@@ -654,7 +654,7 @@ class TestGrowth:
 
     def test_growth_monotone_bookkeeping(self):
         pencil = make_kle_pencil(1.5)
-        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3, step=10)
+        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3)
         cols = [c for c, _ in out.history]
         assert cols == sorted(cols)
         assert out.basis.Q.shape[1] == out.n_columns
@@ -669,7 +669,7 @@ class TestGrowth:
         ref = kle_oracle(2.5)
         tol = 1e-4
         out = errors.grow_sketch_until(
-            pencil.A, pencil.B, k0=5, tol=tol, seed=11, step=10, binv_norm=ref.binv_norm
+            pencil.A, pencil.B, k0=5, tol=tol, seed=11, binv_norm=ref.binv_norm
         )
         assert out.converged
         ks = np.arange(1, 60)

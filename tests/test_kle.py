@@ -261,7 +261,7 @@ class TestKleSolve:
         assert sum(gamma_cols) == sol.counts["a_applies"] + sol.diagnostics["symmetry_probe_applies"]
         assert sol.diagnostics["reorth_b_applies"] == 0
         assert sol.diagnostics.get("reorth_b_solves", 0) == 0
-        assert qr_deltas == [sol.basis.n_w_applies] == [r]
+        assert [d - sol.basis.n_reorth_applies for d in qr_deltas] == [r]
 
     def test_error_ordering_in_smoothness(self, kle_oracle):
         wins = 0

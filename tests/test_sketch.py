@@ -213,30 +213,18 @@ class TestRandomizedEvd:
             wins += e1 >= e2
         assert wins >= 40
 
-    def test_magnitude_ordering_option(self):
+    @pytest.mark.parametrize("mode", ["two_pass", "single_pass"])
+    def test_indefinite_operator_sorted_by_value(self, mode):
+        # -5 leads in magnitude, but eigenvalues are ranked by value
         A = rg.dense_operator(np.diag([-5.0, 3.0, 1.0, 0.1, 0.0, 0.0]))
-        _, lam = rg.randomized_evd(A, SketchConfig(k=2, p=3, seed=2), order="abs")
-        np.testing.assert_allclose(lam, [-5.0, 3.0], atol=1e-11)
+        _, lam = rg.randomized_evd(A, SketchConfig(k=2, p=3, seed=2), mode=mode)
+        np.testing.assert_allclose(lam, [3.0, 1.0], atol=1e-11)
 
     @pytest.mark.parametrize("mode", ["two_pass", "single_pass"])
     def test_asymmetric_operator_rejected(self, mode):
         A = rg.dense_operator(np.random.default_rng(6).standard_normal((30, 30)))
         with pytest.raises(ConfigError, match="symmetry"):
             rg.randomized_evd(A, SketchConfig(k=3, p=2, seed=1), mode=mode)
-
-
-@pytest.mark.parametrize("solve", [
-    lambda A, B, cfg, order: rg.ghep_two_pass(A, B, cfg, order=order),
-    lambda A, B, cfg, order: rg.ghep_single_pass(A, B, cfg, order=order),
-    lambda A, B, cfg, order: rg.ghep_nystrom(A, B, cfg, order=order),
-    lambda A, B, cfg, order: rg.randomized_evd(A, cfg, order=order),
-], ids=["two_pass", "single_pass", "nystrom", "evd"])
-@pytest.mark.parametrize("order", ["magnitude", "ABS", ""])
-def test_unknown_order_rejected_before_any_apply(solve, order):
-    A = rg.dense_operator(np.diag(np.arange(1.0, 11.0)))
-    with pytest.raises(ConfigError, match="'value' or 'abs'"):
-        solve(A, rg.dense_spd(np.eye(10)), SketchConfig(k=2, p=2, seed=1), order)
-    assert A.matvec_count == 0
 
 
 class TestRangeFinderB:
