@@ -91,7 +91,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
     oracle = bound_flags = None
     if args.oracle:
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b, pencil.B.cholesky_factor)
         eps = ref.range_error(sol.basis.Q)
         report["range_error_exact"] = eps
         m = sol.eigenvalues.size
@@ -188,15 +188,27 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     est = growth.estimate
     if args.grow:
         report["sketch_columns"] = growth.n_columns
-        report["trajectory"] = [{"columns": c, "estimate": e} for c, e in growth.history]
+        report["trajectory"] = [{"columns": h.columns, "estimate": h.estimate,
+                                 "certified": h.certified} for h in growth.history]
+        checks = [h for h in growth.history if h.certified is not None]
+        cert = {key: sum(getattr(h, key) for h in checks)
+                for key in ("a_applies", "b_solves", "b_applies")}
+        # the counters are the pencil's own: everything else was the sketch's
+        report["certificate"] = {"checks": len(checks), "lanczos_steps": errors.LANCZOS_STEPS, **cert}
+        report["sketch_applies"] = {"a_applies": pencil.A.matvec_count - cert["a_applies"],
+                                    "b_solves": pencil.B.solve_count - cert["b_solves"],
+                                    "b_applies": pencil.B.matvec_count - cert["b_applies"]}
     if args.tol is not None:
         report["converged"] = growth.converged
     report["e"] = est.e
     report["alpha"] = est.alpha
     report["r"] = est.r_probes
     report["probability_floor"] = est.probability_floor
-    report["binv_source"] = est.source
-    report["binv_norm_used"] = est.binv_norm_used
+    if args.grow:
+        report["source"] = est.source
+    else:
+        report["binv_source"] = est.source
+        report["binv_norm_used"] = est.binv_norm_used
     if args.oracle:
         report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.dense_b,
                                                                growth.basis.Q)
@@ -298,9 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--grow", action="store_true", help="enlarge the sketch until the estimate <= tol")
     p.add_argument("--binv", type=float,
-                   help="known value of ||B^-1||_2; without it the estimate scales by a lower "
-                        "bound on ||B^-1||_2, so e is not a guaranteed bound (the report says "
-                        "binv_source: crude_lower_bound)")
+                   help="known value of ||B^-1||_2, which scales the probe estimate. Without "
+                        "--grow that estimate is e; without --binv it scales by a lower bound "
+                        "on ||B^-1||_2, so e is not a guaranteed bound (the report says "
+                        "binv_source: crude_lower_bound). With --grow the probe estimate only "
+                        "decides when a Lanczos certificate runs, and e is that certificate, "
+                        "with no ||B^-1|| factor")
     p.add_argument("--oracle", action="store_true")
     common(p)
     p.set_defaults(func=cmd_estimate)

@@ -23,7 +23,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
 
-from .borth import BOrthoBasis, pre_chol_qr_w
+from .borth import EPS, BOrthoBasis, pre_chol_qr_w
 from .operators import (
     ConfigError,
     LinearMap,
@@ -37,17 +37,27 @@ from .sketch import derive_seed, gaussian_matrix
 
 @dataclass
 class ErrorEstimate:
-    """Randomized a-posteriori estimate of the range error ||(I - QQ^T B) C||_B.
+    """Randomized a-posteriori estimate e of the range error f = ||(I - QQ^T B) C||_B.
 
-    Holds with probability at least ``probability_floor`` = 1 - alpha^{-r}.
+    ``source`` says what e is.  "exact_binv_norm" and "crude_lower_bound" are
+    the probe estimate of ``posterior_estimate``, scaled by the ||B^{-1}||
+    in ``binv_norm_used``: with the exact value, e >= f with probability at
+    least ``probability_floor`` = 1 - alpha^{-r}; the crude value is a lower
+    bound on ||B^{-1}||, so that e is not a guaranteed bound.
+    "lanczos_certificate" is the Lanczos bound that ends a grown sketch
+    (``grow_sketch_until``): it has no ||B^{-1}|| factor
+    (``binv_norm_used`` is None), and e >= f holds with probability at least
+    1 - alpha^{-r} over all the checks of the run.  "heuristic" is the same
+    Lanczos value from a start that B could not whiten; it carries no floor
+    (``probability_floor`` is None).
     """
 
     e: float
     alpha: float
     r_probes: int
-    probability_floor: float
-    binv_norm_used: float
-    source: str  # "exact_binv_norm" | "crude_lower_bound"
+    probability_floor: Optional[float]
+    binv_norm_used: Optional[float]
+    source: str  # "exact_binv_norm" | "crude_lower_bound" | "lanczos_certificate" | "heuristic"
 
 
 @dataclass
@@ -152,14 +162,18 @@ def _finite(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def _dense_pencil(
-    A: np.ndarray, B: np.ndarray, name: str = "A"
+    A: np.ndarray, B: np.ndarray, name: str = "A", L: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, L): finite matrices of one shape and the Cholesky factor of B."""
+    """(A, B, L): finite matrices of one shape and the Cholesky factor of B.
+
+    A factor L that the caller already holds is returned as it is, and B is
+    not factored again.
+    """
     A = _finite(A, name)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ConfigError(f"{name} has shape {A.shape}, B has shape {B.shape}")
-    return A, B, cholesky_lower(B, "B")
+    return A, B, cholesky_lower(B, "B") if L is None else L
 
 
 def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -227,10 +241,14 @@ def b_norm(M: np.ndarray, B: np.ndarray) -> float:
     return _norm2(_solve_right_lt(dtrmm(1.0, L, M, lower=1, trans_a=1), L))
 
 
-def dense_ghep_oracle(A: np.ndarray, B: np.ndarray) -> SpectrumReference:
+def dense_ghep_oracle(A: np.ndarray, B: np.ndarray,
+                      L: Optional[np.ndarray] = None) -> SpectrumReference:
     """Every eigenvalue of the pencil (A, B) from one Cholesky-congruence reduction.
 
-    B = L L^T is factored once, A^ = L^{-1} A L^{-T} is formed once and
+    B = L L^T is factored once, or not at all when the caller passes the
+    lower Cholesky factor L that ``operators.cholesky_lower`` made of this B
+    (the ``cholesky_factor`` of a ``dense_spd`` operator; the results are
+    then bitwise the same).  A^ = L^{-1} A L^{-T} is formed once and
     reduced to tridiagonal T once (dsytrd on a copy; A^ is kept for the range
     error).  All n eigenvalues, descending, come from T at O(n^2) cost.
     Eigenvectors come back B-orthonormal from the same reduction, and only
@@ -238,7 +256,7 @@ def dense_ghep_oracle(A: np.ndarray, B: np.ndarray) -> SpectrumReference:
     The generalized singular values and the extreme eigenvalues of B are
     computed only when they are read.
     """
-    A, B, L = _dense_pencil(A, B)
+    A, B, L = _dense_pencil(A, B, "A", L)
     check_symmetric(A)
     Ahat = _congruent(A, L)
     n = Ahat.shape[0]
@@ -266,7 +284,9 @@ def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> float:
 def binv_norm_crude(Q: np.ndarray) -> float:
     """Crude lower bound on ||B^{-1}||_2 from a B-orthonormal Q: (max_i ||q_i||_2)^2.
 
-    Follows from ||q_i||_2^2 / ||B^{-1}|| <= ||q_i||_B^2 = 1.
+    Follows from ||q_i||_2^2 / ||B^{-1}|| <= ||q_i||_B^2 = 1.  The bound of
+    a block of columns is the max of the bounds of its parts, so a growing
+    basis keeps it as a running max over the appended columns.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.size == 0:
@@ -283,18 +303,21 @@ def _check_estimator(alpha: float, r_probes: int, binv_norm: Optional[float]) ->
         raise ConfigError("need at least one probe")
 
 
+def _binv_scale(Q: np.ndarray, binv_norm: Optional[float]) -> tuple[float, str]:
+    """The ||B^{-1}|| that scales a probe estimate, and its ``source``."""
+    if binv_norm is None:
+        return binv_norm_crude(Q), "crude_lower_bound"
+    return float(binv_norm), "exact_binv_norm"
+
+
 def _estimate(basis: BOrthoBasis, AW: np.ndarray, CW: np.ndarray, alpha: float,
-              binv_norm: Optional[float]) -> ErrorEstimate:
+              binv: float, source: str) -> ErrorEstimate:
     """e from the probes W, given as A W and C W = B^{-1} A W (one column per probe)."""
     Q, BQ = basis.Q, basis.WQ
     coeff = BQ.T @ CW
     Z = CW - Q @ coeff
     BZ = AW - BQ @ coeff  # B Z without extra B-applies (B*CW = A*W)
     norms = np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0))
-    if binv_norm is None:
-        binv, source = binv_norm_crude(Q), "crude_lower_bound"
-    else:
-        binv, source = float(binv_norm), "exact_binv_norm"
     e = float(alpha * math.sqrt(2.0 * binv / math.pi) * norms.max())
     r = AW.shape[1]
     return ErrorEstimate(e=e, alpha=float(alpha), r_probes=r,
@@ -324,7 +347,103 @@ def posterior_estimate(
     """
     _check_estimator(alpha, r_probes, binv_norm)
     AW = A.apply(gaussian_matrix(basis.Q.shape[0], r_probes, derive_seed(seed, 0xE57)))
-    return _estimate(basis, AW, B.apply_inverse(AW), alpha, binv_norm)
+    return _estimate(basis, AW, B.apply_inverse(AW), alpha, *_binv_scale(basis.Q, binv_norm))
+
+
+#: Lanczos steps of one certificate check in ``grow_sketch_until``.
+LANCZOS_STEPS = 16
+
+#: Stream tag of the certificate's random starts, one column per check.
+_START_STREAM = 0x1A2C
+
+
+def check_budget(check: int, delta: float) -> float:
+    """The failure probability that check number ``check`` (1, 2, ...) spends.
+
+    delta_c = 6 delta / (pi^2 c^2): over any number of checks the budgets sum
+    to less than delta, since sum 1/c^2 = pi^2 / 6.
+    """
+    return 6.0 * delta / (math.pi**2 * check**2)
+
+
+def _lanczos_slack(n: int, steps: int, delta: float) -> float:
+    """The eps with 1.648 sqrt(n) exp(-sqrt(eps) (2 steps - 1)) = delta.
+
+    Kuczynski and Wozniakowski (1992) bound k Lanczos steps on a symmetric
+    positive semidefinite n-by-n matrix from a start uniform on the unit
+    sphere: P(xi_k < (1 - eps) lambda_1) <= 1.648 sqrt(n) exp(-sqrt(eps)(2k - 1)).
+    An eps >= 1 bounds nothing.
+    """
+    root = math.log(1.648 * math.sqrt(n) / delta) / (2 * steps - 1)
+    return root * root
+
+
+def _top_ritz_value(A: LinearMap, B: SpdOperator, basis: BOrthoBasis,
+                    x: np.ndarray, Bx: np.ndarray, steps: int) -> tuple[float, int, int]:
+    """The largest Ritz value of M = C P C, P = I - Q Q^T B, on the Krylov space of x.
+
+    M is B-self-adjoint and positive semidefinite, and its largest eigenvalue
+    is f^2.  x is B-normalized and Bx is its B-image.  Each step applies M
+    once: C v, its projection with the cached (Q, BQ), then A and B^{-1}
+    again.  The A-image of P C v is the B-image of M v, so the B-inner
+    products need no B-apply.  Each new Lanczos vector is B-orthogonalized
+    against all earlier ones twice (CGS2), and the Ritz values are those of
+    H = V^T B M V.  An invariant Krylov space ends the steps early.  Returns
+    (xi, A-applies, B^{-1}-solves).
+    """
+    Q, BQ = basis.Q, basis.WQ
+    n = x.shape[0]
+    V, BV, BMV = (np.empty((n, steps), order="F") for _ in range(3))
+    V[:, 0], BV[:, 0] = x, Bx
+    m = steps
+    # no update in place: an operator may return its input or a view of it
+    for j in range(steps):
+        y = B.apply_inverse(A.apply(V[:, j]))
+        BMV[:, j] = A.apply(y - Q @ (BQ.T @ y))
+        if j + 1 == steps:
+            break
+        w, Bw = B.apply_inverse(BMV[:, j]), BMV[:, j]
+        scale = math.sqrt(max(float(w @ Bw), 0.0))
+        for _ in range(2):
+            c = V[:, : j + 1].T @ Bw
+            w = w - V[:, : j + 1] @ c
+            Bw = Bw - BV[:, : j + 1] @ c
+        beta = math.sqrt(max(float(w @ Bw), 0.0))
+        if beta <= EPS * scale:
+            m = j + 1
+            break
+        V[:, j + 1], BV[:, j + 1] = w / beta, Bw / beta
+    H = V[:, :m].T @ BMV[:, :m]
+    xi = float(scipy.linalg.eigvalsh((H + H.T) / 2.0, check_finite=False)[-1])
+    # every step but the last solves with B twice
+    return max(xi, 0.0), 2 * m, 2 * m - (m == steps)
+
+
+def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check: int,
+             delta: float) -> tuple[float, int, int, int]:
+    """Check number ``check``: a bound e on f that fails with probability <= its budget.
+
+    The start is column check - 1 of the stream ``derive_seed(seed,
+    _START_STREAM)``, independent of the sketch.  With B's whitening hook,
+    x = L^{-T} g for B = L L^T, so L^T x is uniform on the unit sphere after
+    B-normalization, and Lanczos on M in the B-inner product is Lanczos on
+    the symmetric L^T M L^{-T} from that start.  Kuczynski and Wozniakowski
+    then give e = sqrt(xi / (1 - eps)) >= f with probability at least
+    1 - ``check_budget(check, delta)``.  Without the hook the start is g.
+    The B-normalization costs one B-apply.  Returns (e, A-applies,
+    B^{-1}-solves, B-applies).
+    """
+    n = B.dim
+    g = gaussian_matrix(n, 1, derive_seed(seed, _START_STREAM), first_col=check - 1)[:, 0]
+    x = B.whiten(g) if B.has_whitening else g
+    Bx = B.apply(x)
+    norm = math.sqrt(float(x @ Bx))
+    xi, a_applies, b_solves = _top_ritz_value(A, B, basis, x / norm, Bx / norm, LANCZOS_STEPS)
+    # LANCZOS_STEPS even after an early end: an invariant Krylov space has the
+    # Ritz values of every longer run
+    eps = _lanczos_slack(n, LANCZOS_STEPS, check_budget(check, delta))
+    e = math.sqrt(xi / (1.0 - eps)) if eps < 1.0 else math.inf
+    return e, a_applies, b_solves, 1
 
 
 def apriori_bound(sigmas_B: np.ndarray, k: int, p: int, binv_norm: float) -> float:
@@ -403,14 +522,31 @@ def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float | np.ndarray:
     return float(sines[0]) if x.ndim == 1 else sines
 
 
+class GrowthRound(NamedTuple):
+    """One round of ``grow_sketch_until``.
+
+    ``estimate`` is the round's probe estimate, which only triggers checks.
+    A round that ran a certificate check has its bound in ``certified`` and
+    the check's operator columns in the counts; otherwise ``certified`` is
+    None and the counts are 0.
+    """
+
+    columns: int
+    estimate: float
+    certified: Optional[float]
+    a_applies: int
+    b_solves: int
+    b_applies: int
+
+
 @dataclass
 class GrowthResult:
-    """Outcome of estimator-driven sketch growth."""
+    """Outcome of estimator-driven sketch growth; ``history`` has one GrowthRound per round."""
 
     basis: BOrthoBasis
     n_columns: int
     estimate: ErrorEstimate
-    history: list
+    history: list[GrowthRound]
     converged: bool
 
 
@@ -429,19 +565,33 @@ def grow_sketch_until(
     max_cols: Optional[int] = None,
     binv_norm: Optional[float] = None,
 ) -> GrowthResult:
-    """Grow a B-orthonormal sketch until the a-posteriori estimate drops below tol.
+    """Grow a B-orthonormal sketch until a certified bound on its range error meets tol.
 
     The sketch is one stream, ``gaussian_matrix(n, ., seed)``, read left to
     right (Halko, Martinsson and Tropp 2011, Alg. 4.2): k0 columns, then per
     round the next max(new, r_probes), new = min(GROWTH_STEP, max_cols - ncols).
     Each stream column is applied once: the columns of a round's block that
     were not appended are kept, with their A- and B^{-1}A-images, for the
-    next round.  The block's first r_probes columns are the probes of e for
-    the current basis: Gaussian and independent of Q, so e has
-    ``posterior_estimate``'s law and floor.  If e misses tol below max_cols,
-    the first ``new`` are appended by ``pre_chol_qr_w(..., basis=)``.  A stop
-    at N columns costs N + max(new, r_probes) A-applies and B-solves.  The
-    basis factors ``gaussian_matrix(n, N, seed)``.  tol=None sets no target.
+    next round.  The block's first r_probes columns are the probes of the
+    round's estimate: Gaussian and independent of Q, so it has
+    ``posterior_estimate``'s law, ||B^{-1}|| factor included.  If the round
+    does not stop, the first ``new`` are appended by
+    ``pre_chol_qr_w(..., basis=)``.  The basis factors
+    ``gaussian_matrix(n, N, seed)`` at N columns.
+
+    A run that can grow (tol set, max_cols > k0) stops only on a certificate
+    check (``_certify``): LANCZOS_STEPS Lanczos steps on C P C from a
+    whitened random start, a bound on f with no ||B^{-1}|| factor.  Check c
+    spends ``check_budget(c, delta)`` of delta = alpha^{-r}, so e >= f at the
+    stop with probability >= 1 - alpha^{-r} over all checks.  The probe
+    estimate e_free only triggers checks: one at the first round calibrates
+    rho = e_cert / e_free, later rounds check when rho e_free <= tol, and a
+    check that fails calibrates rho again.  At max_cols a last check runs.
+    Without B's whitening hook the checks run from an unwhitened start and
+    the result says ``source: "heuristic"`` with no floor.  With tol=None or
+    max_cols == k0 there are no checks, and the estimate is the probe
+    estimate of the last round; a run that stops in its first round then
+    costs k0 + max(new, r_probes) A-applies and B-solves.
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a finite positive number, got {tol}")
@@ -452,9 +602,12 @@ def grow_sketch_until(
     max_cols = n if max_cols is None else min(max_cols, n)
     if k0 < 1 or k0 > max_cols:
         raise ConfigError("k0 out of range")
+    certify = tol is not None and max_cols > k0
+    delta = float(alpha) ** (-r_probes)
     history: list = []
     basis = pre_chol_qr_w(B.apply_inverse(A.apply(gaussian_matrix(n, k0, seed))), B)
-    ncols = k0
+    binv, source = _binv_scale(basis.Q, binv_norm)
+    ncols, checks, rho = k0, 0, None
     AW = CW = np.empty((n, 0))  # applied stream columns ncols, ncols + 1, ...
     while True:
         new = min(GROWTH_STEP, max_cols - ncols)
@@ -465,11 +618,24 @@ def grow_sketch_until(
                 AW, CW = np.hstack([AW, fresh]), np.hstack([CW, B.apply_inverse(fresh)])
             else:  # the operators' own arrays: their memory order fixes the estimate's bits
                 AW, CW = fresh, B.apply_inverse(fresh)
-        est = _estimate(basis, AW[:, :r_probes], CW[:, :r_probes], alpha, binv_norm)
-        history.append((ncols, est.e))
-        converged = tol is not None and est.e <= tol
+        est = _estimate(basis, AW[:, :r_probes], CW[:, :r_probes], alpha, binv, source)
+        if certify and (rho is None or rho * est.e <= tol or new == 0):
+            checks += 1
+            e_cert, *applies = _certify(A, B, basis, seed, checks, delta)
+            rho = e_cert / est.e if est.e > 0.0 else 1.0
+            history.append(GrowthRound(ncols, est.e, e_cert, *applies))
+            est = ErrorEstimate(e=e_cert, alpha=float(alpha), r_probes=r_probes,
+                                probability_floor=1.0 - delta if B.has_whitening else None,
+                                binv_norm_used=None,
+                                source="lanczos_certificate" if B.has_whitening else "heuristic")
+            converged = est.e <= tol
+        else:
+            history.append(GrowthRound(ncols, est.e, None, 0, 0, 0))
+            converged = not certify and tol is not None and est.e <= tol
         if converged or new == 0:
             return GrowthResult(basis, ncols, est, history, converged)
         basis = pre_chol_qr_w(CW[:, :new], B, basis=basis)
+        if binv_norm is None:
+            binv = max(binv, binv_norm_crude(basis.Q[:, ncols:]))
         AW, CW = AW[:, new:], CW[:, new:]
         ncols += new

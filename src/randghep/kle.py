@@ -121,7 +121,8 @@ def assemble_mass_1d(grid: Grid1D) -> np.ndarray:
 
 
 class MassOperator(SpdOperator):
-    """The 1D mass matrix as an SpdOperator: stencil apply, banded Cholesky solve."""
+    """The 1D mass matrix as an SpdOperator: stencil apply, banded Cholesky solve,
+    and whitening by the same banded factor."""
 
     def __init__(self, grid: Grid1D) -> None:
         n, h = grid.n, grid.h
@@ -132,7 +133,7 @@ class MassOperator(SpdOperator):
         ab[0, 1:] = self._off
         ab[1] = self._main
         self._cb = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
-        super().__init__(n, self._stencil, self._solve)
+        super().__init__(n, self._stencil, self._solve, self._whiten)
 
     def _stencil(self, X: np.ndarray) -> np.ndarray:
         out = self._main[:, None] * X
@@ -142,6 +143,11 @@ class MassOperator(SpdOperator):
 
     def _solve(self, X: np.ndarray) -> np.ndarray:
         return scipy.linalg.cho_solve_banded((self._cb, False), X, check_finite=False)
+
+    def _whiten(self, X: np.ndarray) -> np.ndarray:
+        # B = U^T U with the banded upper factor U, so L = U^T and L^{-T} X = U^{-1} X;
+        # U's diagonal is positive, so the triangular solve cannot fail
+        return scipy.linalg.lapack.dtbtrs(self._cb, X, uplo="U")[0]
 
 
 def _fast_len(m: int) -> int:

@@ -143,16 +143,27 @@ class SpdOperator(LinearMap):
     """Symmetric-positive-definite operator: ``apply`` (Bx) plus ``apply_inverse`` (B^{-1}x).
 
     Symmetry makes transpose application identical to ``apply``.
+
+    ``whiten``, when given, applies L^{-T} for some factor B = L L^T.  It
+    serves the error estimator only (``errors.grow_sketch_until`` draws its
+    certificate's random starts with it) and is outside the Bx/B^{-1}x
+    model the solvers use, so it moves no counter.  ``cholesky_factor`` is
+    the dense lower Cholesky factor of B when the backend holds one
+    (``dense_spd``), for the dense oracle to reuse; otherwise None.
     """
+
+    cholesky_factor: Optional[np.ndarray] = None
 
     def __init__(
         self,
         dim: int,
         apply: Callable[[np.ndarray], np.ndarray],
         apply_inverse: Callable[[np.ndarray], np.ndarray],
+        whiten: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         super().__init__(dim, dim, apply, apply_transpose=apply)
         self._apply_inv = apply_inverse
+        self._whiten = whiten
         self._solves = _Counter()
 
     @property
@@ -167,6 +178,21 @@ class SpdOperator(LinearMap):
         Xb, vec = _as_block(X, self.dim_in)
         out = _checked_output(self._apply_inv(Xb), (self.dim_in, Xb.shape[1]), "apply_inverse")
         self._solves.add(Xb.shape[1])
+        return out[:, 0] if vec else out
+
+    @property
+    def has_whitening(self) -> bool:
+        return self._whiten is not None
+
+    def whiten(self, X) -> np.ndarray:
+        """L^{-T} X for the factor B = L L^T of the whitening hook (no counter moves).
+
+        Raises ConfigError when the operator has no hook.
+        """
+        if self._whiten is None:
+            raise ConfigError("operator has no whitening hook")
+        Xb, vec = _as_block(X, self.dim_in)
+        out = _checked_output(self._whiten(Xb), (self.dim_in, Xb.shape[1]), "whiten")
         return out[:, 0] if vec else out
 
     def inverse_view(self) -> "SpdOperator":
@@ -277,18 +303,23 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     """SPD operator backed by a dense matrix; B^{-1}x served by a one-time Cholesky.
 
     Like ``dense_operator`` it wraps a float64 M in place and marks it
-    read-only; the Cholesky factor is the only new n-by-n array.  M is
+    read-only; the Cholesky factor L is the only new n-by-n array.  M is
     validated and factored by ``cholesky_lower``, and its typed errors pass
-    through.
+    through.  L also serves the whitening hook (L^{-T}x) and is the
+    operator's ``cholesky_factor``, read-only.
     """
     M = np.asarray(M, dtype=float)
     L = cholesky_lower(M, "matrix")
     M.setflags(write=False)
-    return SpdOperator(
+    L.setflags(write=False)
+    op = SpdOperator(
         M.shape[0],
         lambda X: M @ X,
         lambda X: scipy.linalg.cho_solve((L, True), X, check_finite=False),
+        lambda X: scipy.linalg.solve_triangular(L, X, trans="T", lower=True, check_finite=False),
     )
+    op.cholesky_factor = L
+    return op
 
 
 # ---------------------------------------------------------------------------

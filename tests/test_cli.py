@@ -111,21 +111,21 @@ class TestSolve:
             assert all(r["sine_bound_ok"] == "True" for r in rows)
 
     def test_oracle_factors_b_once(self, tmp_path, monkeypatch):
-        # spies on scipy itself: Cholesky calls that randghep.errors makes through
-        # operators.cholesky_lower, and any eigh given a second matrix (which would
-        # factor B again inside LAPACK)
+        # spies on scipy itself: the Cholesky calls of operators.cholesky_lower,
+        # which factors every dense SPD matrix (the solver's B-operator and the
+        # oracle share one factor), and any eigh given a second matrix (which
+        # would factor B again inside LAPACK)
         grid = rg.Grid1D(a=-1.0, b=1.0, n=61)
         pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
         a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
         rg.save_matrix_market(a_path, pencil.dense_a)
         rg.save_matrix_market(b_path, pencil.dense_b)
         cholesky, eigh = scipy.linalg.cholesky, scipy.linalg.eigh
-        errors_choleskys, generalized = [], []
+        choleskys, generalized = [], []
 
         def cholesky_spy(a, *args, **kwargs):
-            callers = (sys._getframe(1).f_globals["__name__"], sys._getframe(2).f_globals["__name__"])
-            if "randghep.errors" in callers:
-                errors_choleskys.append(a.shape)
+            if sys._getframe(1).f_globals["__name__"] == "randghep.operators":
+                choleskys.append(a.shape)
             return cholesky(a, *args, **kwargs)
 
         def eigh_spy(a, *args, **kwargs):
@@ -138,7 +138,7 @@ class TestSolve:
         code = main(["solve", "--A", str(a_path), "--B", str(b_path), "--k", "8", "--p", "4",
                      "--seed", "6", "--oracle", "--out", str(tmp_path / "run")])
         assert code == 0
-        assert errors_choleskys == [(61, 61)]
+        assert choleskys == [(61, 61)]
         assert generalized == []
         assert _read_report(tmp_path / "run")["range_error_exact"] > 0.0
         assert all(r["sine_bound_ok"] == "True" for r in _read_csv(tmp_path / "run" / "spectrum.csv"))
@@ -506,16 +506,46 @@ class TestEstimate:
 
     def test_without_growth_is_the_first_round(self, tmp_path):
         # the same loop with and without --grow: at a tolerance met by the
-        # first round, every estimator field agrees bitwise
+        # first round, the grown run's probe estimate is the single-round e
+        # bitwise, and its e is the first round's certificate
         reps = []
         for grow in ([], ["--grow"]):
             out = tmp_path / f"est{len(grow)}"
             assert main(["estimate", "--nu", "1.5", "--n", "101", "--k", "8", "--tol", "1e9",
                          *grow, "--seed", "4", "--out", str(out)]) == 0
             reps.append(_read_report(out))
-        assert reps[1]["sketch_columns"] == 8
-        for key in ("e", "converged", "probability_floor", "binv_norm_used"):
-            assert reps[0][key] == reps[1][key]
+        single, grown = reps
+        assert grown["sketch_columns"] == 8
+        assert grown["trajectory"] == [{"columns": 8, "estimate": single["e"], "certified": grown["e"]}]
+        assert single["converged"] is grown["converged"] is True
+        assert single["probability_floor"] == grown["probability_floor"] == 1.0 - 2.0**-5
+        assert single["binv_source"] == "crude_lower_bound" and grown["source"] == "lanczos_certificate"
+
+    def test_grown_file_pencil_is_certified(self, tmp_path):
+        # a dense B whitens with its own Cholesky factor: the grown e is a
+        # certified bound on the exact range error, and the report splits the
+        # operator columns between the sketch and the certificate
+        grid = rg.Grid1D(a=-1.0, b=1.0, n=81)
+        pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
+        rg.save_matrix_market(tmp_path / "a.mtx", pencil.dense_a)
+        rg.save_matrix_market(tmp_path / "b.mtx", pencil.dense_b)
+        out = tmp_path / "est"
+        code = main(["estimate", "--A", str(tmp_path / "a.mtx"), "--B", str(tmp_path / "b.mtx"),
+                     "--k", "5", "--tol", "1e-5", "--grow", "--oracle", "--seed", "3",
+                     "--out", str(out)])
+        assert code == 0
+        rep = _read_report(out)
+        assert rep["converged"] is True and rep["source"] == "lanczos_certificate"
+        assert rep["probability_floor"] == 1.0 - 2.0**-5
+        assert rep["range_error_exact"] <= rep["e"] <= 1e-5
+        checks = [t for t in rep["trajectory"] if t["certified"] is not None]
+        assert checks[0] is rep["trajectory"][0] and checks[-1]["certified"] == rep["e"]
+        cert = rep["certificate"]
+        assert cert["checks"] == len(checks) and cert["b_applies"] == len(checks)
+        assert cert["a_applies"] == 2 * cert["lanczos_steps"] * len(checks)
+        # the sketch applied each of its columns once, plus the last round's block
+        assert rep["sketch_applies"]["a_applies"] == rep["sketch_columns"] + 10
+        assert rep["sketch_applies"]["b_solves"] == rep["sketch_columns"] + 10
 
     def test_file_pencil_route(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -349,6 +349,20 @@ class TestCachedRangeError:
             for basis in (Q, Q @ rng.uniform(0.5, 1.5, (k, k))):
                 assert ref.range_error(basis) == errors.range_error_exact(pencil.dense_a, pencil.dense_b, basis)
 
+    def test_operator_factor_gives_the_same_bits(self):
+        # the dense_spd operator's Cholesky factor, handed to the oracle, is the
+        # factor the oracle would make: every output is bitwise the same
+        pencil = make_kle_pencil(1.5, n=61)
+        Ad, Bd = pencil.dense_a, np.array(pencil.dense_b)
+        B = rg.dense_spd(Bd)
+        own = errors.dense_ghep_oracle(Ad, Bd)
+        shared = errors.dense_ghep_oracle(Ad, Bd, B.cholesky_factor)
+        assert shared.L is B.cholesky_factor
+        np.testing.assert_array_equal(own.lambdas, shared.lambdas)
+        np.testing.assert_array_equal(own.top_eigenvectors(4), shared.top_eigenvectors(4))
+        Q = range_finder_b(pencil.A, B, SketchConfig(k=6, p=2, seed=1)).basis.Q
+        assert shared.range_error(Q) == own.range_error(Q) == errors.range_error_exact(Ad, Bd, Q)
+
     def test_ahat_is_cached_and_left_untouched(self):
         # A^ is built on construction; reading eigenvectors and range errors leaves it as it was
         pencil = make_kle_pencil(1.5, n=41)
@@ -620,18 +634,105 @@ class TestGrowth:
     @pytest.mark.parametrize("r", [5, 15])
     def test_probes_are_the_next_block(self, r):
         # every stream column is applied once, including the ones a round's
-        # probes read beyond its appended block: the probes cost one block
+        # probes read beyond its appended block: the probes cost one block;
+        # the certificate checks add their own applies, and nothing else runs
         pencil = make_kle_pencil(1.5)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3, r_probes=r)
         assert out.converged and len(out.history) > 2
-        assert pencil.A.matvec_count == out.n_columns + max(10, r)
-        assert pencil.B.solve_count == out.n_columns + max(10, r)
+        checks = [h for h in out.history if h.certified is not None]
+        assert len(checks) >= 2 and out.history[0].certified is not None
+        assert all(h.a_applies == 2 * errors.LANCZOS_STEPS for h in checks)
+        cert = {key: sum(getattr(h, key) for h in out.history)
+                for key in ("a_applies", "b_solves", "b_applies")}
+        assert pencil.A.matvec_count == out.n_columns + max(10, r) + cert["a_applies"]
+        assert pencil.B.solve_count == out.n_columns + max(10, r) + cert["b_solves"]
+        # one B-apply per QR'd column, one per check
+        assert pencil.B.matvec_count == out.n_columns + cert["b_applies"]
 
     def test_no_target_stops_at_max_cols(self):
         pencil = make_kle_pencil(1.5)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=12, tol=None, seed=3, max_cols=12)
         assert not out.converged and out.n_columns == 12 and len(out.history) == 1
         assert pencil.A.matvec_count == 12 + 5
+
+    def test_grown_estimate_covers_exact_error(self, kle_oracle):
+        # the stated floor of a grown run holds over all of its checks: e is the
+        # certificate of the stopping round, and the run stops only on it
+        pencil = make_kle_pencil(1.5)
+        ref = kle_oracle(1.5)
+        trials = 200
+        hits = 0
+        for seed in range(1, trials + 1):
+            out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-5, seed=seed)
+            assert out.converged and out.history[-1].certified == out.estimate.e
+            hits += out.estimate.e >= ref.range_error(out.basis.Q)
+        assert out.estimate.source == "lanczos_certificate" and out.estimate.binv_norm_used is None
+        assert out.estimate.probability_floor == 1.0 - 2.0**-5
+        assert hits / trials >= 1.0 - 2.0**-5 - 0.05
+
+    def test_checks_start_from_whitened_draws_of_their_own_stream(self, monkeypatch):
+        pencil = make_kle_pencil(1.5)
+        starts = []
+        whiten = pencil.B.whiten
+        monkeypatch.setattr(pencil.B, "whiten", lambda g: starts.append(g.copy()) or whiten(g))
+        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-5, seed=3)
+        checks = sum(h.certified is not None for h in out.history)
+        assert checks >= 2 and len(starts) == checks
+        # check c whitens column c - 1 of a stream independent of the sketch's
+        G = rg.gaussian_matrix(pencil.B.dim, checks, errors.derive_seed(3, errors._START_STREAM))
+        np.testing.assert_array_equal(np.column_stack(starts), G)
+
+    def test_check_budgets_sum_below_delta(self):
+        delta = 2.0**-5
+        budgets = [errors.check_budget(c, delta) for c in range(1, 100_001)]
+        assert budgets == sorted(budgets, reverse=True)
+        assert math.fsum(budgets) <= delta
+        assert errors.check_budget(1, delta) == 6.0 * delta / math.pi**2
+
+    def test_certificate_without_whitening_is_a_heuristic(self, kle_oracle):
+        pencil = make_kle_pencil(1.5)
+        M = pencil.B
+        B = rg.SpdOperator(M.dim, M.apply, M.apply_inverse)  # no whitening hook
+        out = errors.grow_sketch_until(pencil.A, B, k0=5, tol=1e-5, seed=3)
+        assert out.converged
+        assert out.estimate.source == "heuristic" and out.estimate.probability_floor is None
+        assert out.estimate.e >= kle_oracle(1.5).range_error(out.basis.Q)
+
+    def test_certificate_survives_operators_that_return_their_input(self):
+        # B = I served by functions that return their argument: the Lanczos
+        # vectors must not be overwritten through those aliases (the copies
+        # differ in memory order, so the two runs agree to roundoff only)
+        rng = np.random.default_rng(0)
+        U, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        Ad = (U * 0.7 ** np.arange(60)) @ U.T
+        runs = []
+        for identity in (lambda X: X, lambda X: X.copy()):
+            B = rg.SpdOperator(60, identity, identity, identity)
+            out = errors.grow_sketch_until(rg.dense_operator(Ad.copy()), B, k0=3, tol=1e-3, seed=4)
+            assert out.converged
+            assert out.estimate.e >= errors.range_error_exact(Ad, np.eye(60), out.basis.Q)
+            runs.append((out.n_columns, out.estimate.e))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == pytest.approx(runs[1][1], rel=1e-9)
+
+    def test_running_binv_bound_equals_full_recompute(self, monkeypatch):
+        # the crude ||B^-1|| bound of each round's probe estimate is a running
+        # max over appended columns; it equals a rescan of the whole basis bitwise
+        seen = []
+        estimate = errors._estimate
+
+        def spy(basis, AW, CW, alpha, binv, source):
+            seen.append((basis, binv))
+            return estimate(basis, AW, CW, alpha, binv, source)
+
+        monkeypatch.setattr(errors, "_estimate", spy)
+        pencil = make_kle_pencil(0.5, ell=0.5)
+        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=2)
+        assert len(seen) == len(out.history) > 5
+        for (basis, binv), h in zip(seen, out.history):
+            assert basis.Q.shape[1] == h.columns
+            assert binv == errors.binv_norm_crude(basis.Q)
+        assert len({binv for _, binv in seen}) > 1  # the bound did grow
 
     def test_estimate_covers_exact_error(self, kle_oracle):
         # criterion 04's floor, with the probes taken from each sketch's next columns
@@ -655,7 +756,7 @@ class TestGrowth:
     def test_growth_monotone_bookkeeping(self):
         pencil = make_kle_pencil(1.5)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3)
-        cols = [c for c, _ in out.history]
+        cols = [h.columns for h in out.history]
         assert cols == sorted(cols)
         assert out.basis.Q.shape[1] == out.n_columns
         # the grown basis factors the same column streams as a one-shot draw

@@ -98,6 +98,15 @@ class TestAssembly:
         np.testing.assert_allclose(op.apply(X), M @ X, rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(M @ op.apply_inverse(X), X, rtol=1e-11, atol=1e-13)
 
+    def test_mass_operator_whitens_by_its_banded_factor(self):
+        grid = kle.Grid1D(n=63)
+        op = kle.MassOperator(grid)
+        M = kle.assemble_mass_1d(grid)
+        X = np.random.default_rng(5).standard_normal((63, 4))
+        W = op.whiten(X)
+        np.testing.assert_allclose(W.T @ M @ W, X.T @ X, rtol=1e-12, atol=1e-12)
+        assert op.matvec_count == 0 and op.solve_count == 0
+
 
 def _smallest_5_smooth_at_least(m):
     k = m

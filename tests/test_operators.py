@@ -127,6 +127,22 @@ class TestDenseSpd:
         X = rng.standard_normal((15, 4))
         np.testing.assert_allclose(B.apply(B.apply_inverse(X)), X, rtol=1e-10, atol=1e-12)
 
+    def test_whitening_by_the_solve_factor(self):
+        # X = L^{-T} G gives X^T B X = G^T G; the hook moves no counter, and
+        # its factor is the read-only cholesky_factor the oracle reuses
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((15, 15))
+        M = G @ G.T + 15 * np.eye(15)
+        B = rg.dense_spd(M)
+        X = rng.standard_normal((15, 3))
+        W = B.whiten(X)
+        assert B.has_whitening
+        np.testing.assert_allclose(W.T @ M @ W, X.T @ X, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(B.cholesky_factor.T @ W, X, rtol=1e-12, atol=1e-12)
+        assert B.whiten(X[:, 0]).shape == (15,)
+        assert B.matvec_count == 0 and B.solve_count == 0
+        assert not B.cholesky_factor.flags.writeable
+
 
 def _held_bytes(wrap, M):
     """(operator, bytes that wrapping M allocated and the operator still holds)."""
@@ -249,6 +265,12 @@ class TestLinearMap:
         B.apply_inverse(np.ones((4, 7)))
         assert B.solve_count == 7
         assert B.matvec_count == 0
+
+    def test_no_whitening_hook(self):
+        B = rg.SpdOperator(3, lambda X: X, lambda X: X)
+        assert not B.has_whitening and B.cholesky_factor is None
+        with pytest.raises(ConfigError, match="whitening"):
+            B.whiten(np.ones(3))
 
     def test_inverse_view_routes_counters(self):
         B = rg.dense_spd(np.diag([2.0, 3.0]))
