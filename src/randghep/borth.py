@@ -7,17 +7,21 @@ through one block apply per call.  Plain modified Gram-Schmidt (``mgs_w``),
 MGS with Rutishauser-style re-orthogonalization (``mgs_w_reorth``) and plain
 CholQR (``chol_qr_w``) are reference algorithms for the QR-quality
 comparison (``randghep qr-bench``); MGS-R also serves Nystrom's second,
-B^{-1}-weighted QR.  All return the factor Q, the cached product W*Q, and
-the upper-triangular R.
+B^{-1}-weighted QR.  The MGS core applies W to one column at a time, keeps
+each column contiguous (as a row of its work array) and projects with
+in-place BLAS-1 updates; it copies every W-apply's output into its own
+storage, since an operator may return its input.  All return the factor Q,
+the cached product W*Q, and the upper-triangular R.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import daxpy, ddot, dtrsm
 
 from .operators import ConfigError, IllConditionedError, NumericalError, SpdOperator
 
@@ -86,37 +90,49 @@ def _check_input(Y: np.ndarray, W: SpdOperator) -> np.ndarray:
 def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
     """Shared MGS core.
 
-    The W-image of the working column is tracked through the projection
-    updates (W(q - s*q_i) = Wq - s*Wq_i), so the mandatory first sweep costs
-    one W-apply per column; every extra re-orthogonalization sweep recomputes
+    Column j of Q and of W*Q is kept as row j of a C-ordered r x n work
+    array, so every vector the sweeps touch is contiguous, and the
+    projections are in-place BLAS-1 calls (``ddot``, ``daxpy``) that
+    allocate nothing.  Q and WQ come back as the transposes of those arrays.
+    Each W-apply's output is copied into its row, because an operator may
+    return its input (or a view of it), which the in-place updates of the
+    working column would then change twice.
+
+    The W-image of the working column is tracked through the first sweep's
+    projection updates (W(q - s*q_i) = Wq - s*Wq_i), so that sweep costs one
+    W-apply per column; every extra re-orthogonalization sweep recomputes
     the image fresh, which is what restores orthogonality for collapsing
     columns and what makes re-orthogonalization cost extra W-applies.
     """
-    Q = _check_input(Y, W).copy()
-    WQ = np.zeros_like(Q)
-    r = Q.shape[1]
+    Qt = _check_input(Y, W).T.copy()
+    WQt = np.empty_like(Qt)
+    Q_rows, WQ_rows = list(Qt), list(WQt)
+    r = Qt.shape[0]
     R = np.zeros((r, r))
     flags = np.ones(r, dtype=bool)
     reorth_applies = 0
 
     for k in range(r):
-        q = Q[:, k].copy()
-        qhat = W.apply(q)
-        t = float(np.sqrt(max(qhat @ q, 0.0)))
+        q, qhat = Q_rows[k], WQ_rows[k]
+        qhat[:] = W.apply(q)
+        t = math.sqrt(max(ddot(qhat, q), 0.0))
         tt = t
         sweeps = 0
         collapsing = t == 0.0
         while t > 0.0:
             sweeps += 1
-            for i in range(k):
-                s = WQ[:, i] @ q
-                R[i, k] += s
-                q -= s * Q[:, i]
-                qhat -= s * WQ[:, i]
+            coef = []
+            for q_i, wq_i in zip(Q_rows[:k], WQ_rows[:k]):
+                s = ddot(wq_i, q)
+                coef.append(s)
+                daxpy(q_i, q, a=-s)
+                if sweeps == 1:
+                    daxpy(wq_i, qhat, a=-s)
+            R[:k, k] += coef
             if sweeps > 1:
-                qhat = W.apply(q)
+                qhat[:] = W.apply(q)
                 reorth_applies += 1
-            tt = float(np.sqrt(max(qhat @ q, 0.0)))
+            tt = math.sqrt(max(ddot(qhat, q), 0.0))
             if tt <= 10.0 * EPS * t:
                 tt = 0.0
                 collapsing = False
@@ -131,14 +147,14 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
             # Dependent column: zero it, keep the index.
             R[k, k] = 0.0
             flags[k] = False
-            Q[:, k] = 0.0
-            WQ[:, k] = 0.0
+            q[:] = 0.0
+            qhat[:] = 0.0
         else:
             R[k, k] = tt
-            Q[:, k] = q / tt
-            WQ[:, k] = qhat / tt
+            q /= tt
+            qhat /= tt
 
-    return BOrthoBasis(Q, WQ, R, flags, reorth_applies)
+    return BOrthoBasis(Qt.T, WQt.T, R, flags, reorth_applies)
 
 
 def mgs_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:

@@ -211,7 +211,7 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
         report["binv_norm_used"] = est.binv_norm_used
     if args.oracle:
         report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.dense_b,
-                                                               growth.basis.Q)
+                                                               growth.basis.Q, pencil.B.cholesky_factor)
 
 
 def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:

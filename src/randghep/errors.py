@@ -267,16 +267,19 @@ def dense_ghep_oracle(A: np.ndarray, B: np.ndarray,
                              _tri=(d, e, np.asfortranarray(c[1:, : n - 1]), tau))
 
 
-def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> float:
+def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
+                      L: Optional[np.ndarray] = None) -> float:
     """Exact f = ||(I - Q Q^T B) C||_B for a dense pencil (oracle scale).
 
     With B = L L^T, A^ = L^{-1} A L^{-T} and W = L^T Q (one dtrmm), the
     matrix L^T (I - Q Q^T B) C L^{-T} equals (I - W W^T) A^, so f is its
-    exact 2-norm, taken by ``_norm2``.  Q need not be B-orthonormal.  Each
-    call factors B; ``SpectrumReference.range_error`` reuses the factor and
-    A^ of one ``dense_ghep_oracle`` and returns the same bits.
+    exact 2-norm, taken by ``_norm2``.  Q need not be B-orthonormal.  B is
+    factored unless the caller passes its lower Cholesky factor L, as for
+    ``dense_ghep_oracle`` (the result is then bitwise the same);
+    ``SpectrumReference.range_error`` reuses the factor and A^ of one
+    ``dense_ghep_oracle`` and returns the same bits.
     """
-    A, B, L = _dense_pencil(A, B)
+    A, B, L = _dense_pencil(A, B, "A", L)
     Q = _basis(Q, B.shape[0])
     return _range_error(_congruent(A, L), L, Q)
 

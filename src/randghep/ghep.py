@@ -33,8 +33,10 @@ class GhepSolution:
     probe (the probe's A-applies are excluded and reported as
     ``diagnostics["symmetry_probe_applies"]``).  The range finder's block QR
     makes no re-orthogonalization applies, so ``diagnostics["reorth_b_applies"]``
-    is 0.  Nystrom's second QR (MGS-R in the B^{-1}-inner product) adds
-    ``diagnostics["reorth_b_solves"]`` B-solves, which ``counts`` includes.
+    is 0.  Nystrom's second QR (MGS-R in the B^{-1}-inner product) solves
+    with B one column at a time: one B-solve per column of M, plus
+    ``diagnostics["reorth_b_solves"]`` for its re-orthogonalization sweeps,
+    all of which ``counts`` includes.
     """
 
     U: np.ndarray
@@ -235,10 +237,13 @@ def ghep_nystrom(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolutio
     """Nystrom solver: A ~ (AQ)(Q^T A Q)^{-1}(AQ)^T, re-expressed as (BU) Lambda (BU)^T.
 
     Factorizes T = L L^T, forms M = A Q L^{-T}, B^{-1}-orthonormalizes M
-    (yielding the companion Qhat with Qhat^T B Qhat = I), and squares the
+    by MGS-R (``borth.mgs_w_reorth``: contiguous columns, in-place BLAS-1
+    projections, one single-column B-solve per column and per extra sweep),
+    yielding the companion Qhat with Qhat^T B Qhat = I, and squares the
     singular values of the small R factor.  One implicit power-iteration step
     over the two-pass solver, at the price of a second round of B-solves:
-    2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves.  The eigenvalues are
+    2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves, less one B-solve per
+    direction the pivoted-Cholesky fallback drops.  The eigenvalues are
     squared singular values, sorted descending.
     """
     return _solve("nystrom", _project_nystrom, A, B, cfg)

@@ -80,6 +80,57 @@ class TestMgsWReorth:
         assert m[0] <= 1e-13 * np.linalg.norm(Y, 2)
 
 
+@pytest.mark.parametrize("alg", [rg.mgs_w, rg.mgs_w_reorth])
+def test_mgs_applies_w_to_one_column_per_column_and_sweep(alg):
+    # one single-column W-apply per column, plus one per extra sweep: the
+    # column-at-a-time B-solves of Nystrom's second QR rest on this
+    Y, _ = _kle_sketch(2.5)
+    W = CallCountingSpd(np.array(make_kle_pencil(2.5).dense_b))
+    basis = alg(Y, W)
+    assert (basis.n_reorth_applies > 0) == (alg is rg.mgs_w_reorth)
+    assert W.calls == [1] * (Y.shape[1] + basis.n_reorth_applies)
+    assert W.matvec_count == len(W.calls)
+
+
+@pytest.mark.parametrize("alg", [rg.mgs_w, rg.mgs_w_reorth])
+def test_mgs_operator_returning_its_input(alg):
+    # an identity weight that hands back its argument gives the bits of a
+    # dense identity: the in-place updates of the working column must not
+    # reach the weight's output
+    Y = np.random.default_rng(0).standard_normal((50, 8))
+    aliasing = alg(Y, rg.SpdOperator(50, lambda X: X, lambda X: X))
+    dense = alg(Y, rg.dense_spd(np.eye(50)))
+    for name in ("Q", "WQ", "R", "rank_flags"):
+        assert np.array_equal(getattr(aliasing, name), getattr(dense, name)), name
+    assert np.linalg.norm(aliasing.Q.T @ aliasing.Q - np.eye(8), 2) <= 1e-14
+    assert np.linalg.norm(aliasing.Q @ aliasing.R - Y, 2) <= 1e-14 * np.linalg.norm(Y, 2)
+
+
+# (nu, algorithm) -> n_reorth_applies of the n = 201 KLE sketches with
+# kappa(Y) >= 1e9; every column is kept
+HARD_SKETCH_REORTH = {(1.5, "mgs_w"): 0, (1.5, "mgs_w_reorth"): 98,
+                      (2.5, "mgs_w"): 0, (2.5, "mgs_w_reorth"): 99}
+
+
+@pytest.mark.parametrize("nu, name", sorted(HARD_SKETCH_REORTH))
+def test_mgs_rank_decisions_on_ill_conditioned_sketches(nu, name):
+    Y, B = _kle_sketch(nu)
+    kappa = np.linalg.cond(Y)
+    assert kappa >= 1e9
+    basis = getattr(rg, name)(Y, B)
+    assert basis.rank_flags.all()
+    assert basis.n_reorth_applies == HARD_SKETCH_REORTH[nu, name]
+    m = rg.qr_metrics(Y, basis, B)
+    y_scale = np.linalg.norm(Y, 2)
+    assert m[0] <= 1e-13 * y_scale
+    if name == "mgs_w_reorth":
+        assert m[1] <= 1e-13 and m[2] <= 1e-13 * y_scale
+    else:
+        assert m[1] >= 1e-9
+    # ||Y R^{-1} - Q|| is a forward error: of order eps kappa(Y)
+    assert m[3] <= 100 * borth.EPS * kappa
+
+
 class TestCholQr:
     def test_single_column(self):
         basis = rg.chol_qr_w(np.array([[3.0], [4.0]]), rg.dense_spd(np.eye(2)))

@@ -52,6 +52,41 @@ def _run_cli(argv):
                           capture_output=True, text=True, timeout=120)
 
 
+def _write_kle_pencil(tmp_path, n):
+    """A.mtx and B.mtx of a KLE pencil on n nodes; returns their paths."""
+    pencil = rg.kle_pencil(rg.Grid1D(a=-1.0, b=1.0, n=n), rg.MaternConfig(nu=1.5, ell=0.5))
+    a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    rg.save_matrix_market(a_path, pencil.dense_a)
+    rg.save_matrix_market(b_path, pencil.dense_b)
+    return str(a_path), str(b_path)
+
+
+def _spy_factorizations(monkeypatch):
+    """Record the shapes of the factorizations of B that the library makes.
+
+    Spies on scipy itself: the Cholesky calls of operators.cholesky_lower,
+    which factors every dense SPD matrix (the solver's B-operator and the
+    oracle share one factor), and any eigh given a second matrix (which would
+    factor B again inside LAPACK).  Returns the two lists (choleskys, generalized).
+    """
+    cholesky, eigh = scipy.linalg.cholesky, scipy.linalg.eigh
+    choleskys, generalized = [], []
+
+    def cholesky_spy(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "randghep.operators":
+            choleskys.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    def eigh_spy(a, *args, **kwargs):
+        if args or kwargs.get("b") is not None:
+            generalized.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", cholesky_spy)
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
+    return choleskys, generalized
+
+
 class TestSolve:
     def test_identity_pencil(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx")
@@ -111,31 +146,9 @@ class TestSolve:
             assert all(r["sine_bound_ok"] == "True" for r in rows)
 
     def test_oracle_factors_b_once(self, tmp_path, monkeypatch):
-        # spies on scipy itself: the Cholesky calls of operators.cholesky_lower,
-        # which factors every dense SPD matrix (the solver's B-operator and the
-        # oracle share one factor), and any eigh given a second matrix (which
-        # would factor B again inside LAPACK)
-        grid = rg.Grid1D(a=-1.0, b=1.0, n=61)
-        pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
-        a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
-        rg.save_matrix_market(a_path, pencil.dense_a)
-        rg.save_matrix_market(b_path, pencil.dense_b)
-        cholesky, eigh = scipy.linalg.cholesky, scipy.linalg.eigh
-        choleskys, generalized = [], []
-
-        def cholesky_spy(a, *args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == "randghep.operators":
-                choleskys.append(a.shape)
-            return cholesky(a, *args, **kwargs)
-
-        def eigh_spy(a, *args, **kwargs):
-            if args or kwargs.get("b") is not None:
-                generalized.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cholesky", cholesky_spy)
-        monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
-        code = main(["solve", "--A", str(a_path), "--B", str(b_path), "--k", "8", "--p", "4",
+        a_path, b_path = _write_kle_pencil(tmp_path, 61)
+        choleskys, generalized = _spy_factorizations(monkeypatch)
+        code = main(["solve", "--A", a_path, "--B", b_path, "--k", "8", "--p", "4",
                      "--seed", "6", "--oracle", "--out", str(tmp_path / "run")])
         assert code == 0
         assert choleskys == [(61, 61)]
@@ -546,6 +559,18 @@ class TestEstimate:
         # the sketch applied each of its columns once, plus the last round's block
         assert rep["sketch_applies"]["a_applies"] == rep["sketch_columns"] + 10
         assert rep["sketch_applies"]["b_solves"] == rep["sketch_columns"] + 10
+
+    def test_oracle_factors_b_once(self, tmp_path, monkeypatch):
+        # the certificate's whitening and the exact range error both use the
+        # factor that dense_spd made for the B-operator
+        a_path, b_path = _write_kle_pencil(tmp_path, 81)
+        choleskys, generalized = _spy_factorizations(monkeypatch)
+        code = main(["estimate", "--A", a_path, "--B", b_path, "--k", "5", "--tol", "1e-5",
+                     "--grow", "--oracle", "--seed", "3", "--out", str(tmp_path / "est")])
+        assert code == 0
+        assert choleskys == [(81, 81)]
+        assert generalized == []
+        assert _read_report(tmp_path / "est")["range_error_exact"] > 0.0
 
     def test_file_pencil_route(self, tmp_path):
         rng = np.random.default_rng(9)

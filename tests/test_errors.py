@@ -362,6 +362,7 @@ class TestCachedRangeError:
         np.testing.assert_array_equal(own.top_eigenvectors(4), shared.top_eigenvectors(4))
         Q = range_finder_b(pencil.A, B, SketchConfig(k=6, p=2, seed=1)).basis.Q
         assert shared.range_error(Q) == own.range_error(Q) == errors.range_error_exact(Ad, Bd, Q)
+        assert errors.range_error_exact(Ad, Bd, Q, B.cholesky_factor) == errors.range_error_exact(Ad, Bd, Q)
 
     def test_ahat_is_cached_and_left_untouched(self):
         # A^ is built on construction; reading eigenvectors and range errors leaves it as it was

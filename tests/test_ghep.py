@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import randghep as rg
-from randghep import errors, ghep, sketch
+from randghep import borth, errors, ghep, sketch
 from randghep.operators import ConfigError, IllConditionedError, NumericalError
 from randghep.sketch import SketchConfig
 
@@ -166,6 +166,61 @@ def test_nystrom_nonnegative_and_fallback():
     assert sol.diagnostics["cholesky_fallback"]
     assert sol.diagnostics["dropped_dimensions"] >= 1
     assert np.abs(sol.eigenvalues[:2] - [10.0, 5.0]).max() <= 1e-6
+
+
+def _exact_rank_case():
+    Ad, Bd, _ = exact_rank_pencil(40, [10.0, 5.0, 1.0], b_kappa=100.0, seed=5)
+    return rg.dense_operator(Ad), rg.dense_spd(Bd), SketchConfig(k=3, p=4, seed=17)
+
+
+def _kle_case():
+    pencil = make_kle_pencil(2.5, ell=0.5)
+    return pencil.A, pencil.B, SketchConfig(k=20, p=5, seed=7)
+
+
+@pytest.mark.parametrize("case", [_exact_rank_case, _kle_case])
+def test_nystrom_second_qr_solves_one_column_at_a_time(case, monkeypatch):
+    # the range finder makes one block B-solve; the second QR makes one
+    # single-column B-solve per column of M (k + p less the directions the
+    # pivoted Cholesky dropped) and one per re-orthogonalization sweep.  On
+    # both pencils the second QR keeps every column of M without a sweep.
+    A, inner, cfg = case()
+    cols, bases = [], []
+    factor = borth.mgs_w_reorth
+
+    def solve(X):
+        cols.append(X.shape[1])
+        return inner.apply_inverse(X)
+
+    def mgs_w_reorth(M, W):
+        bases.append(factor(M, W))
+        return bases[-1]
+
+    monkeypatch.setattr(borth, "mgs_w_reorth", mgs_w_reorth)
+    sol = rg.ghep_nystrom(A, rg.SpdOperator(inner.dim, inner.apply, solve), cfg)
+    d = sol.diagnostics
+    m_cols = cfg.r - d["dropped_dimensions"]
+    [basis] = bases
+    assert basis.rank_flags.tolist() == [True] * m_cols
+    assert basis.n_reorth_applies == d["reorth_b_solves"] == 0
+    assert cols == [cfg.r] + [1] * (m_cols + d["reorth_b_solves"])
+    assert sol.counts["b_solves"] == cfg.r + m_cols + d["reorth_b_solves"]
+    if not d["cholesky_fallback"]:
+        assert sol.counts["b_solves"] == 2 * cfg.r + d["reorth_b_solves"]
+
+
+def test_nystrom_with_b_returning_its_input():
+    # B = I served by an operator that returns its argument gives the
+    # eigenvalues of a dense identity B to roundoff.  Had the second QR
+    # updated the operator's output in place along with its input, it would
+    # subtract every projection twice (1.0002, 0.505, 0.261, 0.142, ...)
+    n = 200
+    A = rg.dense_operator(np.diag(2.0 ** -np.arange(n)))
+    cfg = SketchConfig(k=5, p=5, seed=3)
+    aliasing = rg.ghep_nystrom(A, rg.SpdOperator(n, lambda X: X, lambda X: X), cfg)
+    dense = rg.ghep_nystrom(A, rg.dense_spd(np.eye(n)), cfg)
+    np.testing.assert_allclose(aliasing.eigenvalues, dense.eigenvalues, rtol=1e-13)
+    np.testing.assert_allclose(aliasing.eigenvalues[:4], 2.0 ** -np.arange(4), rtol=1e-6)
 
 
 def test_nonsymmetric_a_rejected():
