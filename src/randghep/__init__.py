@@ -67,6 +67,7 @@ from .operators import (
     dense_spd,
     load_matrix_market,
     save_matrix_market,
+    sparse_spd,
 )
 from .sketch import (
     GENERATOR_ID,

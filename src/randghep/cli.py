@@ -63,15 +63,35 @@ def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> Non
     _write_csv(outdir / "spectrum.csv", header, rows)
 
 
+def _load_spd(path):
+    """The SPD operator of the Matrix Market file ``path``, and a builder of its dense matrix.
+
+    The file's storage picks the backend.  Coordinate storage stays sparse
+    (``sparse_spd``), and the builder makes a new dense array on each call.
+    Array storage is wrapped in place by ``dense_spd``, and the builder
+    returns that very array.
+    """
+    import scipy.sparse
+
+    from . import operators
+
+    M = operators.read_matrix_market(path)
+    if scipy.sparse.issparse(M):
+        return operators.sparse_spd(M), M.toarray
+    return operators.dense_spd(M), lambda: M
+
+
 def _load_pencil(args):
-    """The pencil of the files ``--A`` and ``--B``.  Its ``dense_a``/``dense_b``
-    are the arrays its operators wrap, so each matrix is held once."""
+    """The pencil of the files ``--A`` and ``--B``.  Its ``dense_a`` is the
+    array its A-operator wraps.  Its ``dense_b`` is the array a dense B wraps,
+    or, for a B in coordinate storage, a dense copy made the first time an
+    oracle reads it.  So no matrix is held twice, and no sparse B is held
+    dense until an oracle asks for it."""
     from . import operators
 
     Ad = operators.load_matrix_market(args.A)
-    Bd = operators.load_matrix_market(args.B)
-    return operators.GhepPencil(operators.dense_operator(Ad), operators.dense_spd(Bd),
-                                lambda: Ad, lambda: Bd)
+    B, build_dense_b = _load_spd(args.B)
+    return operators.GhepPencil(operators.dense_operator(Ad), B, lambda: Ad, build_dense_b)
 
 
 # Each cmd_* fills ``report`` and writes its own files into ``outdir``; main
@@ -144,22 +164,20 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
     from .sketch import SketchConfig
 
     Ad = operators.load_matrix_market(args.A)
-    Sd = operators.load_matrix_market(args.S)
-    Td = operators.load_matrix_market(args.T)
-    S = operators.dense_spd(Sd)
-    T = operators.dense_spd(Td)
+    S, _ = _load_spd(args.S)
+    T, _ = _load_spd(args.T)
     res = gsvd.randomized_gsvd(operators.dense_operator(Ad), S, T,
                                SketchConfig(k=args.k, p=args.p, seed=seed))
     k = res.sigma.size
     report["singular_values"] = [float(s) for s in res.sigma]
-    report["orthogonality_residual_U"] = float(np.linalg.norm(res.U.T @ (Sd @ res.U) - np.eye(k), 2))
-    report["orthogonality_residual_V"] = float(np.linalg.norm(res.V.T @ (Td @ res.V) - np.eye(k), 2))
+    report["orthogonality_residual_U"] = float(np.linalg.norm(res.U.T @ S.apply(res.U) - np.eye(k), 2))
+    report["orthogonality_residual_V"] = float(np.linalg.norm(res.V.T @ T.apply(res.V) - np.eye(k), 2))
     report["config"] = {"A": args.A, "S": args.S, "T": args.T, "k": args.k, "p": args.p}
 
 
 def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     from . import errors, kle
-    from .operators import ConfigError
+    from .operators import ConfigError, check_symmetric
 
     if args.grow and args.tol is None:
         raise ConfigError("--grow needs --tol")
@@ -169,6 +187,9 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
         if args.nu is not None or args.n is not None or args.ell is not None:
             raise ConfigError("give either --A/--B or --nu/--ell/--n, not both")
         pencil = _load_pencil(args)
+        # solve probes A for symmetry; the estimator's Lanczos certificate
+        # assumes it too, so a file A is checked here
+        check_symmetric(pencil.dense_a)
         report["config"] = {"A": args.A, "B": args.B}
     else:
         if args.nu is None:

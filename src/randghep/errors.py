@@ -248,7 +248,9 @@ def dense_ghep_oracle(A: np.ndarray, B: np.ndarray,
     B = L L^T is factored once, or not at all when the caller passes the
     lower Cholesky factor L that ``operators.cholesky_lower`` made of this B
     (the ``cholesky_factor`` of a ``dense_spd`` operator; the results are
-    then bitwise the same).  A^ = L^{-1} A L^{-T} is formed once and
+    then bitwise the same).  A ``sparse_spd`` operator holds no dense
+    factor, so for a sparse B the caller passes a dense copy of B and no L,
+    and B is factored here.  A^ = L^{-1} A L^{-T} is formed once and
     reduced to tridiagonal T once (dsytrd on a copy; A^ is kept for the range
     error).  All n eigenvalues, descending, come from T at O(n^2) cost.
     Eigenvectors come back B-orthonormal from the same reduction, and only
@@ -275,7 +277,8 @@ def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     matrix L^T (I - Q Q^T B) C L^{-T} equals (I - W W^T) A^, so f is its
     exact 2-norm, taken by ``_norm2``.  Q need not be B-orthonormal.  B is
     factored unless the caller passes its lower Cholesky factor L, as for
-    ``dense_ghep_oracle`` (the result is then bitwise the same);
+    ``dense_ghep_oracle`` (the result is then bitwise the same; a dense copy
+    of a ``sparse_spd`` B comes with no L and is factored here);
     ``SpectrumReference.range_error`` reuses the factor and A^ of one
     ``dense_ghep_oracle`` and returns the same bits.
     """

@@ -1,9 +1,10 @@
-"""Matrix-free linear-operator contracts, dense backends, and matrix interchange I/O.
+"""Matrix-free linear-operator contracts, dense and sparse backends, and matrix interchange I/O.
 
 The solvers in this package only ever touch an operator through block
 products ``A @ X``, ``B @ X`` and solves ``B^{-1} @ X``.  Square roots of B
-are never requested by any algorithm; the dense backend factorizes B once
-(Cholesky) purely to serve the solve contract.
+are never requested by any algorithm; each SPD backend factorizes B once
+purely to serve the solve contract: the dense one by Cholesky, the sparse
+one by a SuperLU LDL^T with a symmetric ordering.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class LinearMap:
     Operators are immutable after construction and safe for concurrent
     read-only use; the counters use locked increments.  The dense backends
     keep the matrix they wrap without copying it and mark it read-only, so
-    the operator stays immutable although the caller still holds the array.
+    the operator stays immutable although the caller still holds the array;
+    the sparse backend keeps a copy of its own.
     """
 
     def __init__(
@@ -144,12 +146,14 @@ class SpdOperator(LinearMap):
 
     Symmetry makes transpose application identical to ``apply``.
 
-    ``whiten``, when given, applies L^{-T} for some factor B = L L^T.  It
+    ``whiten``, when given, applies F^{-T} for some factor B = F F^T (the
+    Cholesky factor of ``dense_spd``, P^T L D^{1/2} of ``sparse_spd``).  It
     serves the error estimator only (``errors.grow_sketch_until`` draws its
     certificate's random starts with it) and is outside the Bx/B^{-1}x
     model the solvers use, so it moves no counter.  ``cholesky_factor`` is
     the dense lower Cholesky factor of B when the backend holds one
-    (``dense_spd``), for the dense oracle to reuse; otherwise None.
+    (``dense_spd``), for the dense oracle to reuse; otherwise None, as for
+    ``sparse_spd``, and the oracle factors a dense copy of B itself.
     """
 
     cholesky_factor: Optional[np.ndarray] = None
@@ -185,7 +189,7 @@ class SpdOperator(LinearMap):
         return self._whiten is not None
 
     def whiten(self, X) -> np.ndarray:
-        """L^{-T} X for the factor B = L L^T of the whitening hook (no counter moves).
+        """F^{-T} X for the factor B = F F^T of the whitening hook (no counter moves).
 
         Raises ConfigError when the operator has no hook.
         """
@@ -219,9 +223,9 @@ class GhepPencil:
     ``dense_a``/``dense_b`` are the dense matrices for oracle-scale checks.
     They are lazy: ``build_dense_a``/``build_dense_b`` run the first time the
     attribute is read, and only oracle code reads it.  Without a builder the
-    attribute is None.  A matrix-free pencil (the KLE pencil) builds them on
-    demand; a pencil over dense operators returns the very arrays the
-    operators wrap, so each matrix is held once.
+    attribute is None.  A matrix-free pencil (the KLE pencil) and a sparse
+    B (``sparse_spd``) build them on demand; a pencil over dense operators
+    returns the very arrays the operators wrap, so each matrix is held once.
     """
 
     A: LinearMap
@@ -242,30 +246,37 @@ class GhepPencil:
 _SYMMETRY_BLOCK = 1 << 16
 
 
-def check_symmetric(M: np.ndarray) -> None:
+def check_symmetric(M) -> None:
     """Validate the symmetric-storage invariant ||M - M^T||_max <= 1e-13 ||M||_max.
 
-    Raises ConfigError if M is not square, is empty or is not symmetric.
-    Row blocks of M are compared with column blocks, so the only temporary
-    is one block of ``_SYMMETRY_BLOCK`` entries, not an n-by-n difference.  A
-    NaN in M, or in M - M^T, passes the check, as it would in the n-by-n
-    formula; callers test finiteness first.
+    M is a dense array or a scipy sparse matrix.  Raises ConfigError if M is
+    not square, is empty or is not symmetric.  Row blocks of a dense M are
+    compared with column blocks, so the only temporary is one block of
+    ``_SYMMETRY_BLOCK`` entries, not an n-by-n difference; a sparse M is
+    compared as the sparse M - M^T.  A NaN in M, or in M - M^T, passes the
+    check, as it would in the n-by-n formula; callers test finiteness first.
     """
-    M = np.asarray(M, dtype=float)
+    sparse = scipy.sparse.issparse(M)
+    if not sparse:
+        M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {M.shape}")
-    if M.size == 0:
+    if M.shape[0] == 0:
         raise ConfigError(f"expected a nonempty matrix, got shape {M.shape}")
     scale = np.maximum(M.max(), -M.min())
     if scale == 0.0:
         return
-    n = M.shape[0]
-    rows = max(1, _SYMMETRY_BLOCK // n)
-    worst = []
-    for i in range(0, n, rows):
-        diff = np.subtract(M[i : i + rows], M[:, i : i + rows].T)
-        worst.append(np.abs(diff, out=diff).max())
-    if np.max(worst) > 1e-13 * scale:
+    if sparse:
+        worst = abs(M - M.T).max()
+    else:
+        n = M.shape[0]
+        rows = max(1, _SYMMETRY_BLOCK // n)
+        blocks = []
+        for i in range(0, n, rows):
+            diff = np.subtract(M[i : i + rows], M[:, i : i + rows].T)
+            blocks.append(np.abs(diff, out=diff).max())
+        worst = np.max(blocks)
+    if worst > 1e-13 * scale:
         raise ConfigError("matrix is not symmetric to within tolerance")
 
 
@@ -322,6 +333,48 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     return op
 
 
+def sparse_spd(M) -> SpdOperator:
+    """SPD operator backed by a scipy sparse matrix; B^{-1}x served by one sparse LDL^T.
+
+    M is copied to CSR, which serves Bx as a sparse product.  SuperLU
+    factors P M P^T = L D L^T once, with a symmetric fill-reducing ordering
+    and diagonal pivots only; ``lu.solve`` serves B^{-1}x.  With
+    F = P^T L D^{1/2}, M = F F^T, and the whitening hook applies
+    F^{-T} = P^T L^{-T} D^{-1/2}.  ``cholesky_factor`` stays None.
+
+    Raises NumericalError if M has a NaN or Inf entry, ConfigError if M is
+    empty, not square or not symmetric (``check_symmetric``), and
+    NotPositiveDefiniteError if M is singular, needs an off-diagonal pivot
+    (a zero on the diagonal) or has a pivot D_jj <= 0.
+    """
+    # imported here: the ~15 ms import is paid only by a sparse B
+    import scipy.sparse.linalg
+
+    M = scipy.sparse.csr_matrix(M, dtype=float, copy=True)
+    if not np.isfinite(M.data).all():
+        raise NumericalError("matrix has non-finite (NaN or Inf) entries")
+    check_symmetric(M)
+    try:
+        lu = scipy.sparse.linalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotPositiveDefiniteError("matrix is not positive definite: it needs an off-diagonal pivot")
+    d = lu.U.diagonal()
+    if not (d > 0.0).all():
+        raise NotPositiveDefiniteError("matrix is not positive definite: a pivot of its LDL^T is not positive")
+    Lt = lu.L.T  # CSR, as the triangular solve wants it
+    root_d = np.sqrt(d)[:, None]
+    order = lu.perm_c
+
+    def whiten(X: np.ndarray) -> np.ndarray:
+        Z = scipy.sparse.linalg.spsolve_triangular(Lt, X / root_d, lower=False, unit_diagonal=True)
+        return Z[order]
+
+    return SpdOperator(M.shape[0], lambda X: M @ X, lu.solve, whiten)
+
+
 # ---------------------------------------------------------------------------
 # Matrix Market interchange
 # ---------------------------------------------------------------------------
@@ -351,12 +404,22 @@ def _locate_bad_line(path) -> int:
 def load_matrix_market(path) -> np.ndarray:
     """Read a real Matrix Market file (array or coordinate) into a dense matrix.
 
+    Validation is ``read_matrix_market``'s.  The result is a new float64
+    array that the caller owns: ``dense_operator`` and ``dense_spd`` can
+    wrap it without a copy.
+    """
+    M = read_matrix_market(path)
+    return M.toarray() if scipy.sparse.issparse(M) else M
+
+
+def read_matrix_market(path):
+    """Read a real Matrix Market file in its own storage: coordinate storage
+    as a float64 sparse CSR matrix, array storage as a float64 array.
+
     Symmetric/skew storage is expanded to full.  Complex and pattern fields
     raise UnsupportedFieldError; a zero row or column count in the header,
     parse failures and NaN or Inf values raise MatrixFormatError, with a line
-    number when one can be determined.  The result is a new float64 array
-    that the caller owns: ``dense_operator`` and ``dense_spd`` can wrap it
-    without a copy.
+    number when one can be determined.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -378,9 +441,11 @@ def load_matrix_market(path) -> np.ndarray:
         where = f" at line {lineno}" if lineno else ""
         raise MatrixFormatError(f"{path}: parse failure{where}: {exc}") from exc
     if scipy.sparse.issparse(M):
-        M = M.toarray()
-    M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
+        M = scipy.sparse.csr_matrix(M, dtype=float)  # sums duplicate entries
+        values = M.data
+    else:
+        M = values = np.asarray(M, dtype=float)
+    if not np.isfinite(values).all():
         raise MatrixFormatError(f"{path}: non-finite (NaN or Inf) value")
     return M
 

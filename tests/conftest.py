@@ -1,4 +1,5 @@
-"""Shared fixtures: KLE pencils, dense oracles, and exact-rank pencil builders.
+"""Shared fixtures: KLE pencils, dense oracles, exact-rank pencil builders,
+and a writer of file pencils in the benchmark's storage.
 
 The suite runs with one BLAS thread unless the caller sets
 ``RANDGHEP_THREADS`` (or a BLAS thread variable) itself: ``randghep`` is
@@ -15,8 +16,10 @@ os.environ.setdefault("RANDGHEP_THREADS", "1")
 import randghep  # noqa: E402,F401  (applies the thread cap before numpy loads BLAS)
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import scipy.io  # noqa: E402
+import scipy.sparse  # noqa: E402
 
-from randghep import errors, kle  # noqa: E402
+from randghep import errors, kle, save_matrix_market  # noqa: E402
 
 
 def make_kle_pencil(nu: float, ell: float = 2.0, n: int = 201):
@@ -92,3 +95,14 @@ def exact_rank_pencil(n: int, lams, b_kappa: float, seed: int):
 def rel_eig_error(approx: np.ndarray, exact: np.ndarray) -> float:
     k = approx.size
     return float(np.sum(np.abs(exact[:k] - approx)) / np.sum(np.abs(exact[:k])))
+
+
+def write_coordinate_pencil(directory, Ad: np.ndarray, Bd) -> tuple[str, str]:
+    """Write the pencil as the benchmark's solve workload does: A as a dense
+    array file, B in symmetric coordinate storage.  Unlike the benchmark, every
+    entry keeps its full float64 precision.  Returns the paths (a.mtx, b.mtx).
+    """
+    a_path, b_path = directory / "a.mtx", directory / "b.mtx"
+    save_matrix_market(a_path, Ad)
+    scipy.io.mmwrite(b_path, scipy.sparse.coo_matrix(Bd), symmetry="symmetric")
+    return str(a_path), str(b_path)

@@ -12,7 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from conftest import make_kle_pencil, write_coordinate_pencil
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,12 +69,14 @@ def _spy_factorizations(monkeypatch):
     """Record the shapes of the factorizations of B that the library makes.
 
     Spies on scipy itself: the Cholesky calls of operators.cholesky_lower,
-    which factors every dense SPD matrix (the solver's B-operator and the
-    oracle share one factor), and any eigh given a second matrix (which would
-    factor B again inside LAPACK).  Returns the two lists (choleskys, generalized).
+    which factors every dense SPD matrix (a dense B-operator and the oracle
+    share one factor), the SuperLU calls of operators.sparse_spd, which
+    factors a sparse B-operator, and any eigh given a second matrix (which
+    would factor B again inside LAPACK).  Returns the three lists
+    (choleskys, generalized, sparse).
     """
-    cholesky, eigh = scipy.linalg.cholesky, scipy.linalg.eigh
-    choleskys, generalized = [], []
+    cholesky, eigh, splu = scipy.linalg.cholesky, scipy.linalg.eigh, scipy.sparse.linalg.splu
+    choleskys, generalized, sparse = [], [], []
 
     def cholesky_spy(a, *args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "randghep.operators":
@@ -82,9 +88,35 @@ def _spy_factorizations(monkeypatch):
             generalized.append(a.shape)
         return eigh(a, *args, **kwargs)
 
+    def splu_spy(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "randghep.operators":
+            sparse.append(a.shape)
+        return splu(a, *args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "cholesky", cholesky_spy)
     monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
-    return choleskys, generalized
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu_spy)
+    return choleskys, generalized, sparse
+
+
+def _write_coordinate_kle_pencil(tmp_path, n):
+    """The pencil of ``_write_kle_pencil`` with B in symmetric coordinate storage."""
+    pencil = make_kle_pencil(1.5, 0.5, n)
+    return write_coordinate_pencil(tmp_path, pencil.dense_a, pencil.dense_b)
+
+
+def _write_mtx(path, M, storage):
+    """Write M in ``storage``: "array", or "coordinate" in general storage, so
+    that asymmetric and non-finite entries are written as they are.  An int M
+    stands for an empty matrix (a zero dimension in the header)."""
+    if isinstance(M, int):
+        size = "0 0" if storage == "array" else "0 0 0"
+        path.write_text(f"%%MatrixMarket matrix {storage} real general\n{size}\n")
+    elif storage == "array":
+        rg.save_matrix_market(path, M)
+    else:
+        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(M), symmetry="general")
+    return str(path)
 
 
 class TestSolve:
@@ -147,14 +179,73 @@ class TestSolve:
 
     def test_oracle_factors_b_once(self, tmp_path, monkeypatch):
         a_path, b_path = _write_kle_pencil(tmp_path, 61)
-        choleskys, generalized = _spy_factorizations(monkeypatch)
+        choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
         code = main(["solve", "--A", a_path, "--B", b_path, "--k", "8", "--p", "4",
                      "--seed", "6", "--oracle", "--out", str(tmp_path / "run")])
         assert code == 0
         assert choleskys == [(61, 61)]
-        assert generalized == []
+        assert generalized == [] and sparse == []
         assert _read_report(tmp_path / "run")["range_error_exact"] > 0.0
         assert all(r["sine_bound_ok"] == "True" for r in _read_csv(tmp_path / "run" / "spectrum.csv"))
+
+    def test_oracle_factors_coordinate_b_once_each_way(self, tmp_path, monkeypatch):
+        # a coordinate B: one sparse factorization for the operator, one dense
+        # Cholesky for the oracle, which has no dense factor to reuse
+        a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 61)
+        choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
+        code = main(["solve", "--A", a_path, "--B", b_path, "--k", "8", "--p", "4",
+                     "--seed", "6", "--oracle", "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert sparse == [(61, 61)] and choleskys == [(61, 61)]
+        assert generalized == []
+
+    @pytest.mark.parametrize("method", ["two-pass", "nystrom"])
+    def test_coordinate_b_matches_array_b(self, tmp_path, method):
+        # the same B read sparse or dense: equal counts, equal oracle columns,
+        # eigenvalues equal up to roundoff, every bound flag True
+        a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 101)
+        dense_b = tmp_path / "b_array.mtx"
+        rg.save_matrix_market(dense_b, rg.load_matrix_market(b_path))
+        reps, rows = [], []
+        for name, path in (("coordinate", b_path), ("array", str(dense_b))):
+            out = tmp_path / name
+            assert main(["solve", "--A", a_path, "--B", path, "--k", "10", "--p", "5",
+                         "--method", method, "--seed", "2", "--oracle", "--out", str(out)]) == 0
+            reps.append(_read_report(out))
+            rows.append(_read_csv(out / "spectrum.csv"))
+        assert reps[0]["counts"] == reps[1]["counts"]
+        lam, ref = np.array(reps[0]["eigenvalues"]), np.array(reps[1]["eigenvalues"])
+        assert np.sum(np.abs(lam - ref)) <= 1e-13 * np.sum(np.abs(ref))
+        assert [r["lambda_oracle"] for r in rows[0]] == [r["lambda_oracle"] for r in rows[1]]
+        for table in rows:
+            assert all(r["lambda_bound_ok"] == "True" and r["sine_bound_ok"] == "True" for r in table)
+
+    @pytest.mark.parametrize("defect, code", [
+        ("singular", 3), ("zero_diagonal", 3), ("indefinite", 3), ("asymmetric", 2), ("nan", 2),
+        ("empty", 2), ("non_square", 2),
+    ])
+    def test_coordinate_b_errors_are_typed(self, tmp_path, defect, code):
+        Bd = np.diag([4.0, 4.0, 4.0, 4.0]) + np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, 1.0], -1)
+        if defect == "singular":
+            Bd[2, :] = Bd[:, 2] = 0.0
+        elif defect == "zero_diagonal":
+            Bd = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+        elif defect == "indefinite":
+            Bd[1, 1] = -4.0
+        elif defect == "asymmetric":
+            Bd[0, 3] = 1e-6
+        elif defect == "nan":
+            Bd[1, 2] = np.nan
+        elif defect == "empty":
+            Bd = 0
+        elif defect == "non_square":
+            Bd = np.ones((4, 5))
+        a_path = _write_eye(tmp_path / "a.mtx", 4)
+        b_path = _write_mtx(tmp_path / "b.mtx", Bd, "coordinate")
+        out = tmp_path / "run"
+        assert main(["solve", "--A", a_path, "--B", b_path, "--k", "1", "--p", "1",
+                     "--out", str(out)]) == code
+        assert not (out / "report.json").exists()
 
     def test_methods_differ_only_in_reported_fields(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", 8)
@@ -243,6 +334,49 @@ class TestSolve:
         np.testing.assert_array_equal(pencil.dense_b, Bd)
         assert held < 3.5 * Ad.nbytes  # A, B and the Cholesky factor of B
 
+    def test_load_pencil_keeps_coordinate_b_sparse(self, tmp_path):
+        n = 200
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((n, n))
+        Bd = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        args = argparse.Namespace(**dict(zip("AB", write_coordinate_pencil(tmp_path, (G + G.T) / 2.0, Bd))))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pencil = _load_pencil(args)
+            held = tracemalloc.get_traced_memory()[0] - before
+            dense_b = pencil.dense_b
+            held_after_read = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # A and the sparse B with its factors: no second n-by-n array until
+        # the oracle reads dense_b, which is then built once and kept
+        assert held < 1.5 * G.nbytes
+        assert held_after_read - held >= G.nbytes
+        assert pencil.B.cholesky_factor is None and pencil.B.has_whitening
+        np.testing.assert_array_equal(dense_b, Bd)
+        assert pencil.dense_b is dense_b
+
+    def test_sparse_linalg_is_imported_only_for_a_sparse_b(self, tmp_path):
+        # the import costs ~15 ms, which kle and a dense file pencil do not pay
+        eye = _write_eye(tmp_path / "eye.mtx", 6)
+        sparse_eye = _write_mtx(tmp_path / "sparse_eye.mtx", np.eye(6), "coordinate")
+        code = (
+            "import sys\n"
+            "from randghep.cli import main\n"
+            "def run(*argv):\n"
+            "    assert main([*argv, '--out', sys.argv[1]]) == 0\n"
+            "    return 'scipy.sparse.linalg' in sys.modules\n"
+            "print(run('kle', '--nu', '1.5', '--n', '41', '--k', '3'),\n"
+            "      run('solve', '--A', sys.argv[2], '--B', sys.argv[2], '--k', '2', '--p', '1'),\n"
+            "      run('solve', '--A', sys.argv[2], '--B', sys.argv[3], '--k', '2', '--p', '1'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run"), eye, sparse_eye],
+                              env=_child_env(dict(os.environ)), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "False False True"
+
     def test_seed_zero_draws_from_entropy(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", 6)
         out = tmp_path / "run"
@@ -307,6 +441,125 @@ class TestMalformedPencil:
                          "--p", "1", "--method", method, "--seed", "3", "--out", str(out)])
             assert code in (2, 3)
             assert not (out / "report.json").exists()
+
+
+_PENCIL_DEFECTS = ["nan", "inf", "-inf", "asymmetric", "indefinite_b", "singular_b", "empty", "mismatched"]
+
+
+def _exits_2_or_3_without_report(argv, mats, storage):
+    """Write each (name -> matrix) file in its storage, run ``argv`` on them
+    ("{name}" stands for a file's path) and check the typed exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: _write_mtx(Path(tmp) / f"{name}.mtx", M, storage[name]) for name, M in mats.items()}
+        out = Path(tmp) / "run"
+        code = main([arg.format(**paths) for arg in argv] + ["--seed", "3", "--out", str(out)])
+        assert code in (2, 3)
+        assert not (out / "report.json").exists()
+
+
+class TestMalformedCoordinatePencil:
+    """``TestMalformedPencil`` with both files in general coordinate storage:
+    a sparse B takes the SuperLU path, whose every failure is typed too."""
+
+    @given(
+        defect=st.sampled_from(_PENCIL_DEFECTS),
+        which=st.sampled_from(["A", "B"]),
+        n=st.integers(3, 7),
+        i=st.integers(0, 6),
+        j=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(METHOD_CHOICES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exits_2_or_3_without_report(self, defect, which, n, i, j, seed, method):
+        _exits_2_or_3_without_report(
+            ["solve", "--A", "{A}", "--B", "{B}", "--k", "1", "--p", "1", "--method", method],
+            _malformed_pencil(defect, which, n, i, j, seed), {"A": "coordinate", "B": "coordinate"})
+
+
+_STORAGE = st.sampled_from(["array", "coordinate"])
+
+
+class TestMalformedFiles:
+    """Property: a malformed file ends ``estimate``, ``gsvd`` and ``svd`` with
+    exit 2 or 3, no traceback and no report, in either storage."""
+
+    @given(
+        defect=st.sampled_from(_PENCIL_DEFECTS),
+        which=st.sampled_from(["A", "B"]),
+        n=st.integers(3, 7),
+        i=st.integers(0, 6),
+        j=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        storage=st.fixed_dictionaries({"A": _STORAGE, "B": _STORAGE}),
+        grow=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_estimate(self, defect, which, n, i, j, seed, storage, grow):
+        extra = ["--grow", "--tol", "1e-3"] if grow else []
+        _exits_2_or_3_without_report(["estimate", "--A", "{A}", "--B", "{B}", "--k", "1", "--oracle", *extra],
+                                     _malformed_pencil(defect, which, n, i, j, seed), storage)
+
+    @given(
+        defect=st.sampled_from(["nan", "inf", "-inf", "asymmetric", "indefinite", "singular", "empty",
+                                "mismatched"]),
+        which=st.sampled_from(["A", "S", "T"]),
+        m=st.integers(3, 6),
+        n=st.integers(3, 6),
+        i=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        storage=st.fixed_dictionaries({"A": _STORAGE, "S": _STORAGE, "T": _STORAGE}),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_gsvd(self, defect, which, m, n, i, seed, storage):
+        rng = np.random.default_rng(seed)
+        G, H = rng.standard_normal((m, m)), rng.standard_normal((n, n))
+        mats = {"A": rng.standard_normal((m, n)), "S": G @ G.T + m * np.eye(m), "T": H @ H.T + n * np.eye(n)}
+        if defect in ("asymmetric", "indefinite", "singular", "mismatched") and which == "A":
+            which = "S"  # A is general: these are defects of a weight
+        M = mats[which]
+        r, c = i % M.shape[0], (i + 1) % M.shape[1]
+        if defect in ("nan", "inf", "-inf"):
+            M[r, c] = float(defect)
+        elif defect == "asymmetric":
+            M[r, c] += 1.0 + abs(M[r, c])
+        elif defect == "indefinite":
+            M[r, r] = -M[r, r]
+        elif defect == "singular":
+            M[r, :] = M[:, r] = 0.0
+        elif defect == "empty":
+            mats[which] = 0
+        elif defect == "mismatched":
+            mats[which] = np.eye(M.shape[0] + 1)
+        _exits_2_or_3_without_report(["gsvd", "--A", "{A}", "--S", "{S}", "--T", "{T}", "--k", "1", "--p", "1"],
+                                     mats, storage)
+
+    @given(
+        defect=st.sampled_from(["nan", "inf", "-inf", "empty", "asymmetric", "non_square"]),
+        mode=st.sampled_from(["svd", "evd-two-pass", "evd-single-pass"]),
+        n=st.integers(3, 7),
+        i=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        storage=_STORAGE,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_svd(self, defect, mode, n, i, seed, storage):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, n))
+        A = (G + G.T) / 2.0
+        r, c = i % n, (i + 1) % n
+        if defect in ("asymmetric", "non_square") and mode == "svd":
+            mode = "evd-two-pass"  # a general A is valid input for the SVD
+        if defect in ("nan", "inf", "-inf"):
+            A[r, c] = float(defect)
+        elif defect == "empty":
+            A = 0
+        elif defect == "asymmetric":
+            A[r, c] += 1.0 + abs(A[r, c])
+        elif defect == "non_square":
+            A = rng.standard_normal((n, n + 1))
+        _exits_2_or_3_without_report(["svd", "--A", "{A}", "--k", "1", "--p", "1", "--mode", mode],
+                                     {"A": A}, {"A": storage})
 
 
 class TestRemovedQrFlag:
@@ -564,13 +817,49 @@ class TestEstimate:
         # the certificate's whitening and the exact range error both use the
         # factor that dense_spd made for the B-operator
         a_path, b_path = _write_kle_pencil(tmp_path, 81)
-        choleskys, generalized = _spy_factorizations(monkeypatch)
+        choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
         code = main(["estimate", "--A", a_path, "--B", b_path, "--k", "5", "--tol", "1e-5",
                      "--grow", "--oracle", "--seed", "3", "--out", str(tmp_path / "est")])
         assert code == 0
         assert choleskys == [(81, 81)]
-        assert generalized == []
+        assert generalized == [] and sparse == []
         assert _read_report(tmp_path / "est")["range_error_exact"] > 0.0
+
+    def test_oracle_factors_coordinate_b_once_each_way(self, tmp_path, monkeypatch):
+        # a coordinate B: one sparse factorization serves the operator, the
+        # certificate's whitening included, and one dense Cholesky the oracle
+        a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 81)
+        choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
+        code = main(["estimate", "--A", a_path, "--B", b_path, "--k", "5", "--tol", "1e-5",
+                     "--grow", "--oracle", "--seed", "3", "--out", str(tmp_path / "est")])
+        assert code == 0
+        assert sparse == [(81, 81)] and choleskys == [(81, 81)]
+        assert generalized == []
+
+    def test_grown_coordinate_pencil_is_certified(self, tmp_path):
+        # the sparse backend whitens by its LDL^T factor, so the grown e keeps
+        # its proven floor and bounds the exact range error
+        a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 81)
+        out = tmp_path / "est"
+        code = main(["estimate", "--A", a_path, "--B", b_path, "--k", "5", "--tol", "1e-5",
+                     "--grow", "--oracle", "--seed", "3", "--out", str(out)])
+        assert code == 0
+        rep = _read_report(out)
+        assert rep["converged"] is True and rep["source"] == "lanczos_certificate"
+        assert rep["probability_floor"] == 1.0 - 2.0**-5
+        assert rep["range_error_exact"] <= rep["e"] <= 1e-5
+
+    @pytest.mark.parametrize("storage", ["array", "coordinate"])
+    def test_asymmetric_file_a_exits_2(self, tmp_path, storage):
+        # the certificate assumes a symmetric A, as the solvers' probe does
+        A = np.eye(6)
+        A[0, 5] = 1.0
+        a_path = _write_mtx(tmp_path / "a.mtx", A, storage)
+        out = tmp_path / "est"
+        code = main(["estimate", "--A", a_path, "--B", _write_eye(tmp_path / "b.mtx", 6), "--k", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert not (out / "report.json").exists()
 
     def test_file_pencil_route(self, tmp_path):
         rng = np.random.default_rng(9)

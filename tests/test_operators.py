@@ -1,10 +1,11 @@
-"""Operator contracts, dense backends, Matrix Market interchange."""
+"""Operator contracts, dense and sparse backends, Matrix Market interchange."""
 
 import concurrent.futures
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import randghep as rg
 from randghep.operators import (
@@ -14,6 +15,7 @@ from randghep.operators import (
     NumericalError,
     UnsupportedFieldError,
     check_symmetric,
+    read_matrix_market,
 )
 
 
@@ -75,6 +77,34 @@ class TestMatrixMarket:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             rg.load_matrix_market(tmp_path / "nope.mtx")
+
+    def test_read_keeps_the_file_storage(self, tmp_path):
+        coo, arr = tmp_path / "c.mtx", tmp_path / "a.mtx"
+        coo.write_text("%%MatrixMarket matrix coordinate integer symmetric\n3 3 2\n1 1 4\n3 1 2\n")
+        arr.write_text("%%MatrixMarket matrix array real general\n1 2\n1\n2\n")
+        M = read_matrix_market(coo)
+        assert scipy.sparse.issparse(M) and M.format == "csr" and M.dtype == np.float64
+        np.testing.assert_array_equal(M.toarray(), rg.load_matrix_market(coo))
+        assert M.nnz == 3
+        A = read_matrix_market(arr)
+        assert isinstance(A, np.ndarray) and A.dtype == np.float64
+        np.testing.assert_array_equal(A, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("body, match", [
+        ("coordinate real general\n2 2 2\n1 1 1\n2 1 nan\n", "non-finite"),
+        ("coordinate real general\n2 2 2\n1 1 1\n2 1 foo\n", "line 4"),
+        ("coordinate real general\n0 0 0\n", "empty"),
+        ("coordinate complex general\n1 1 1\n1 1 1 2\n", "complex"),
+        ("coordinate pattern general\n1 1 1\n1 1\n", "pattern"),
+        # duplicate entries are summed before the check
+        ("coordinate real general\n1 1 2\n1 1 1e308\n1 1 1e308\n", "non-finite"),
+    ], ids=["nan", "parse", "empty", "complex", "pattern", "overflowing-duplicates"])
+    def test_sparse_read_validates_as_the_dense_load(self, tmp_path, body, match):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix " + body)
+        for read in (read_matrix_market, rg.load_matrix_market):
+            with pytest.raises(MatrixFormatError, match=match):
+                read(path)
 
 
 class TestDenseSpd:
@@ -142,6 +172,92 @@ class TestDenseSpd:
         assert B.whiten(X[:, 0]).shape == (15,)
         assert B.matvec_count == 0 and B.solve_count == 0
         assert not B.cholesky_factor.flags.writeable
+
+
+def _sparse_spd_matrix(n, seed):
+    """A random sparse symmetric matrix made SPD by strict diagonal dominance (CSR)."""
+    R = scipy.sparse.random(n, n, density=0.05, random_state=np.random.default_rng(seed), format="csr")
+    S = R + R.T
+    return (S + scipy.sparse.diags(np.asarray(abs(S).sum(axis=1)).ravel() + 1.0)).tocsr()
+
+
+class TestSparseSpd:
+    """The SuperLU LDL^T backend serves the contract that dense_spd serves."""
+
+    def test_agrees_with_dense_spd(self):
+        M = _sparse_spd_matrix(120, 1)
+        sparse, dense = rg.sparse_spd(M), rg.dense_spd(M.toarray())
+        X = np.random.default_rng(2).standard_normal((120, 7))
+        for op in ("apply", "apply_inverse"):
+            for Y in (X, X[:, 3]):
+                got, want = getattr(sparse, op)(Y), getattr(dense, op)(Y)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert sparse.matvec_count == dense.matvec_count == 8
+        assert sparse.solve_count == dense.solve_count == 8
+        assert sparse.cholesky_factor is None
+
+    def test_whitening_inverts_a_factor(self):
+        # G = F^{-T} for B = F F^T, so G^T B G = I; the hook moves no counter
+        M = _sparse_spd_matrix(150, 3)
+        B = rg.sparse_spd(M)
+        G = B.whiten(np.eye(150))
+        assert B.has_whitening
+        assert np.linalg.norm(G.T @ (M @ G) - np.eye(150), 2) <= 1e-13
+        assert B.whiten(np.ones(150)).shape == (150,)
+        assert B.matvec_count == 0 and B.solve_count == 0
+
+    def test_concurrent_solves_and_counts_are_exact(self):
+        # one SuperLU factor serves every thread: each solve returns the bits
+        # of a solve made alone, and the counter loses no column
+        B = rg.sparse_spd(_sparse_spd_matrix(200, 6))
+        X = np.random.default_rng(7).standard_normal((200, 16))
+        alone = [B.apply_inverse(X[:, j]) for j in range(16)]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda j: B.apply_inverse(X[:, j % 16]), range(320)))
+        assert all(np.array_equal(y, alone[j % 16]) for j, y in enumerate(got))
+        assert B.solve_count == 16 + 320
+
+    def test_keeps_a_copy_of_its_own(self):
+        M = _sparse_spd_matrix(40, 4)
+        B = rg.sparse_spd(M)
+        x = np.ones(40)
+        y = B.apply(x)
+        M.data[:] = 0.0
+        np.testing.assert_array_equal(B.apply(x), y)
+
+    @pytest.mark.parametrize("dense, error, match", [
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], NotPositiveDefiniteError, "singular"),
+        ([[0.0, 1.0], [1.0, 0.0]], NotPositiveDefiniteError, "off-diagonal pivot"),
+        # the ordering can put a zero diagonal entry last, where fill makes its pivot negative
+        ([[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]], NotPositiveDefiniteError, "not positive definite"),
+        ([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], NotPositiveDefiniteError, "pivot"),
+        ([[2.0, 1.0], [1.0, 0.5]], NotPositiveDefiniteError, "not positive definite"),
+        ([[2.0, 1.0], [0.0, 2.0]], ConfigError, "not symmetric"),
+        ([[2.0, np.nan], [np.nan, 2.0]], NumericalError, "non-finite"),
+        ([[2.0, 0.0], [0.0, np.inf]], NumericalError, "non-finite"),
+        (np.zeros((0, 0)), ConfigError, "nonempty"),
+        (np.ones((2, 3)), ConfigError, "square"),
+    ], ids=["singular", "zero-diagonal", "zero-diagonal-filled", "negative-pivot", "semidefinite",
+            "asymmetric", "nan", "inf", "empty", "non-square"])
+    def test_typed_errors(self, dense, error, match):
+        with pytest.raises(error, match=match):
+            rg.sparse_spd(scipy.sparse.csr_matrix(np.array(dense)))
+
+    def test_asymmetry_within_tolerance_passes(self):
+        M = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]))
+        np.testing.assert_allclose(rg.sparse_spd(M).apply_inverse(np.array([3.0, 3.0])), [1.0, 1.0])
+
+    @pytest.mark.parametrize("size", [0.0, 5e-14, 2e-13])
+    def test_symmetry_verdict_matches_dense(self, size):
+        M = _sparse_spd_matrix(90, 5).tolil()
+        M[10, 70] += size * abs(M).max()
+        M = M.tocsr()
+        if _nxn_symmetry_verdict(M.toarray()):
+            check_symmetric(M)
+        else:
+            with pytest.raises(ConfigError, match="not symmetric"):
+                check_symmetric(M)
 
 
 def _held_bytes(wrap, M):
