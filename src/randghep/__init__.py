@@ -32,7 +32,6 @@ from .errors import (
     apriori_bound,
     b_norm,
     b_sine,
-    binv_norm_crude,
     dense_ghep_oracle,
     eigenpair_bounds,
     grow_sketch_until,

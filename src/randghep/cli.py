@@ -204,32 +204,25 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
                              "tol": args.tol, "grow": bool(args.grow)})
     growth = errors.grow_sketch_until(pencil.A, pencil.B, k0=args.k, tol=args.tol,
                                       alpha=args.alpha, r_probes=args.r, seed=seed,
-                                      max_cols=None if args.grow else args.k,
-                                      binv_norm=args.binv)
+                                      max_cols=None if args.grow else args.k)
     est = growth.estimate
-    if args.grow:
-        report["sketch_columns"] = growth.n_columns
-        report["trajectory"] = [{"columns": h.columns, "estimate": h.estimate,
-                                 "certified": h.certified} for h in growth.history]
-        checks = [h for h in growth.history if h.certified is not None]
-        cert = {key: sum(getattr(h, key) for h in checks)
-                for key in ("a_applies", "b_solves", "b_applies")}
-        # the counters are the pencil's own: everything else was the sketch's
-        report["certificate"] = {"checks": len(checks), "lanczos_steps": errors.LANCZOS_STEPS, **cert}
-        report["sketch_applies"] = {"a_applies": pencil.A.matvec_count - cert["a_applies"],
-                                    "b_solves": pencil.B.solve_count - cert["b_solves"],
-                                    "b_applies": pencil.B.matvec_count - cert["b_applies"]}
+    report["sketch_columns"] = growth.n_columns
+    report["trajectory"] = [{"columns": h.columns, "estimate": h.estimate,
+                             "certified": h.certified} for h in growth.history]
+    checks = [h for h in growth.history if h.certified is not None]
+    cert = {key: sum(getattr(h, key) for h in checks) for key in ("a_applies", "b_solves", "b_applies")}
+    # the counters are the pencil's own: everything else was the sketch's
+    report["certificate"] = {"checks": len(checks), "lanczos_steps": errors.LANCZOS_STEPS, **cert}
+    report["sketch_applies"] = {"a_applies": pencil.A.matvec_count - cert["a_applies"],
+                                "b_solves": pencil.B.solve_count - cert["b_solves"],
+                                "b_applies": pencil.B.matvec_count - cert["b_applies"]}
     if args.tol is not None:
         report["converged"] = growth.converged
     report["e"] = est.e
     report["alpha"] = est.alpha
     report["r"] = est.r_probes
     report["probability_floor"] = est.probability_floor
-    if args.grow:
-        report["source"] = est.source
-    else:
-        report["binv_source"] = est.source
-        report["binv_norm_used"] = est.binv_norm_used
+    report["source"] = est.source
     if args.oracle:
         report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.dense_b,
                                                                growth.basis.Q, pencil.B.cholesky_factor)
@@ -319,24 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_gsvd)
 
-    p = sub.add_parser("estimate", help="a-posteriori range-error estimate, optionally growing the sketch")
+    p = sub.add_parser("estimate", help="certified a-posteriori range-error bound e (a Lanczos "
+                                        "certificate), optionally growing the sketch")
     p.add_argument("--A")
     p.add_argument("--B")
     p.add_argument("--nu", type=float, choices=[0.5, 1.5, 2.5])
     p.add_argument("--ell", type=float, help="KLE correlation length (default 2.0)")
     p.add_argument("--n", type=int, help="KLE grid size (default 201)")
     p.add_argument("--k", type=int, required=True, help="initial sketch size")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--r", type=int, default=5, help="number of probes")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--grow", action="store_true", help="enlarge the sketch until the estimate <= tol")
-    p.add_argument("--binv", type=float,
-                   help="known value of ||B^-1||_2, which scales the probe estimate. Without "
-                        "--grow that estimate is e; without --binv it scales by a lower bound "
-                        "on ||B^-1||_2, so e is not a guaranteed bound (the report says "
-                        "binv_source: crude_lower_bound). With --grow the probe estimate only "
-                        "decides when a Lanczos certificate runs, and e is that certificate, "
-                        "with no ||B^-1|| factor")
+    p.add_argument("--alpha", type=float, default=2.0,
+                   help="e bounds the range error with probability at least 1 - alpha^-r")
+    p.add_argument("--r", type=int, default=5, help="number of probes per round")
+    p.add_argument("--tol", type=float,
+                   help="target for e; the report says whether e <= tol (converged)")
+    p.add_argument("--grow", action="store_true",
+                   help="enlarge the sketch 10 columns a round until e <= tol; without it the "
+                        "sketch keeps its --k columns")
     p.add_argument("--oracle", action="store_true")
     common(p)
     p.set_defaults(func=cmd_estimate)

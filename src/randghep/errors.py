@@ -14,6 +14,7 @@ caller reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -39,25 +40,21 @@ from .sketch import derive_seed, gaussian_matrix
 class ErrorEstimate:
     """Randomized a-posteriori estimate e of the range error f = ||(I - QQ^T B) C||_B.
 
-    ``source`` says what e is.  "exact_binv_norm" and "crude_lower_bound" are
-    the probe estimate of ``posterior_estimate``, scaled by the ||B^{-1}||
-    in ``binv_norm_used``: with the exact value, e >= f with probability at
-    least ``probability_floor`` = 1 - alpha^{-r}; the crude value is a lower
-    bound on ||B^{-1}||, so that e is not a guaranteed bound.
-    "lanczos_certificate" is the Lanczos bound that ends a grown sketch
-    (``grow_sketch_until``): it has no ||B^{-1}|| factor
-    (``binv_norm_used`` is None), and e >= f holds with probability at least
-    1 - alpha^{-r} over all the checks of the run.  "heuristic" is the same
-    Lanczos value from a start that B could not whiten; it carries no floor
-    (``probability_floor`` is None).
+    ``source`` says what e is.  "lanczos_certificate" is the Lanczos bound
+    that ends every ``grow_sketch_until`` run: e >= f with probability at
+    least ``probability_floor`` = 1 - alpha^{-r} over all the checks of the
+    run.  "heuristic" is the same Lanczos value from a start that B could not
+    whiten; it carries no floor (``probability_floor`` is None).
+    "exact_binv_norm" is the probe estimate of ``posterior_estimate``, scaled
+    by the caller's ||B^{-1}||: with the exact value, e >= f with
+    probability at least 1 - alpha^{-r}.
     """
 
     e: float
     alpha: float
     r_probes: int
     probability_floor: Optional[float]
-    binv_norm_used: Optional[float]
-    source: str  # "exact_binv_norm" | "crude_lower_bound" | "lanczos_certificate" | "heuristic"
+    source: str  # "lanczos_certificate" | "heuristic" | "exact_binv_norm"
 
 
 @dataclass
@@ -287,48 +284,27 @@ def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
     return _range_error(_congruent(A, L), L, Q)
 
 
-def binv_norm_crude(Q: np.ndarray) -> float:
-    """Crude lower bound on ||B^{-1}||_2 from a B-orthonormal Q: (max_i ||q_i||_2)^2.
-
-    Follows from ||q_i||_2^2 / ||B^{-1}|| <= ||q_i||_B^2 = 1.  The bound of
-    a block of columns is the max of the bounds of its parts, so a growing
-    basis keeps it as a running max over the appended columns.
-    """
-    Q = np.asarray(Q, dtype=float)
-    if Q.size == 0:
-        raise ConfigError("need at least one column")
-    return float(np.max(np.sum(Q * Q, axis=0)))
-
-
-def _check_estimator(alpha: float, r_probes: int, binv_norm: Optional[float]) -> None:
+def _check_estimator(alpha: float, r_probes: int) -> float:
+    """The failure probability delta = alpha^{-r} of an estimate, or ConfigError."""
     if not (math.isfinite(alpha) and alpha > 1.0):
         raise ConfigError(f"alpha must be a finite number above 1, got {alpha}")
-    if binv_norm is not None and not (math.isfinite(binv_norm) and binv_norm > 0.0):
-        raise ConfigError(f"binv_norm must be a finite positive number, got {binv_norm}")
     if r_probes < 1:
         raise ConfigError("need at least one probe")
+    # check c of a run takes the log of its share 6 delta / (pi^2 c^2); a delta
+    # in the normal range keeps that share above zero for c up to ~7e7 checks
+    delta = float(alpha) ** (-r_probes)
+    if not delta >= sys.float_info.min:
+        raise ConfigError(f"the failure probability alpha^-r = {alpha}^-{r_probes} underflows")
+    return delta
 
 
-def _binv_scale(Q: np.ndarray, binv_norm: Optional[float]) -> tuple[float, str]:
-    """The ||B^{-1}|| that scales a probe estimate, and its ``source``."""
-    if binv_norm is None:
-        return binv_norm_crude(Q), "crude_lower_bound"
-    return float(binv_norm), "exact_binv_norm"
-
-
-def _estimate(basis: BOrthoBasis, AW: np.ndarray, CW: np.ndarray, alpha: float,
-              binv: float, source: str) -> ErrorEstimate:
-    """e from the probes W, given as A W and C W = B^{-1} A W (one column per probe)."""
+def _probe_norm(basis: BOrthoBasis, AW: np.ndarray, CW: np.ndarray) -> float:
+    """max_i ||(I - QQ^T B) C w_i||_B over the probes W, given as A W and C W = B^{-1} A W."""
     Q, BQ = basis.Q, basis.WQ
     coeff = BQ.T @ CW
     Z = CW - Q @ coeff
     BZ = AW - BQ @ coeff  # B Z without extra B-applies (B*CW = A*W)
-    norms = np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0))
-    e = float(alpha * math.sqrt(2.0 * binv / math.pi) * norms.max())
-    r = AW.shape[1]
-    return ErrorEstimate(e=e, alpha=float(alpha), r_probes=r,
-                         probability_floor=1.0 - float(alpha) ** (-r),
-                         binv_norm_used=binv, source=source)
+    return float(np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0)).max())
 
 
 def posterior_estimate(
@@ -338,22 +314,27 @@ def posterior_estimate(
     alpha: float,
     r_probes: int,
     seed: int,
-    binv_norm: Optional[float] = None,
+    binv_norm: float,
 ) -> ErrorEstimate:
     """Randomized upper estimate of the range error from r Gaussian probes.
 
     e = alpha * sqrt(2 ||B^{-1}|| / pi) * max_i ||(I - QQ^T B) C w_i||_B, an
-    upper bound on ||(I - QQ^T B) C||_B with probability >= 1 - alpha^{-r}.
-    The probes are drawn from their own stream, ``derive_seed(seed, 0xE57)``;
-    ``grow_sketch_until`` takes them from its sketch stream's next columns.
-    The probe B-norms are exact vector norms; B(I-P)Cw is assembled from the
-    cached A w and BQ, so the cost is r A-applies plus r B-solves.  When no
-    ||B^{-1}|| value is supplied the crude lower bound from Q is used and
-    flagged in ``source``.
+    upper bound on ||(I - QQ^T B) C||_B with probability >= 1 - alpha^{-r}
+    when ``binv_norm`` is ||B^{-1}||_2 or more (Halko, Martinsson and Tropp
+    2011, Lemma 4.1, in the B-inner product).  The probes are drawn from
+    their own stream, ``derive_seed(seed, 0xE57)``.  The probe B-norms are
+    exact vector norms; B(I-P)Cw is assembled from the cached A w and BQ, so
+    the cost is r A-applies plus r B-solves.  ``grow_sketch_until`` needs no
+    ||B^{-1}||: its e is a Lanczos certificate.
     """
-    _check_estimator(alpha, r_probes, binv_norm)
+    delta = _check_estimator(alpha, r_probes)
+    if not (math.isfinite(binv_norm) and binv_norm > 0.0):
+        raise ConfigError(f"binv_norm must be a finite positive number, got {binv_norm}")
     AW = A.apply(gaussian_matrix(basis.Q.shape[0], r_probes, derive_seed(seed, 0xE57)))
-    return _estimate(basis, AW, B.apply_inverse(AW), alpha, *_binv_scale(basis.Q, binv_norm))
+    norm = _probe_norm(basis, AW, B.apply_inverse(AW))
+    return ErrorEstimate(e=float(alpha * math.sqrt(2.0 * binv_norm / math.pi) * norm),
+                         alpha=float(alpha), r_probes=r_probes,
+                         probability_floor=1.0 - delta, source="exact_binv_norm")
 
 
 #: Lanczos steps of one certificate check in ``grow_sketch_until``.
@@ -531,10 +512,11 @@ def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float | np.ndarray:
 class GrowthRound(NamedTuple):
     """One round of ``grow_sketch_until``.
 
-    ``estimate`` is the round's probe estimate, which only triggers checks.
-    A round that ran a certificate check has its bound in ``certified`` and
-    the check's operator columns in the counts; otherwise ``certified`` is
-    None and the counts are 0.
+    ``estimate`` is the round's trigger value, max_i ||(I - QQ^T B) C w_i||_B
+    over its probes, with no ||B^{-1}|| or alpha factor: it only decides when
+    a check runs.  A round that ran a certificate check has its bound in
+    ``certified`` and the check's operator columns in the counts; otherwise
+    ``certified`` is None and the counts are 0.
     """
 
     columns: int
@@ -569,7 +551,6 @@ def grow_sketch_until(
     r_probes: int = 5,
     seed: int = 0,
     max_cols: Optional[int] = None,
-    binv_norm: Optional[float] = None,
 ) -> GrowthResult:
     """Grow a B-orthonormal sketch until a certified bound on its range error meets tol.
 
@@ -578,41 +559,35 @@ def grow_sketch_until(
     round the next max(new, r_probes), new = min(GROWTH_STEP, max_cols - ncols).
     Each stream column is applied once: the columns of a round's block that
     were not appended are kept, with their A- and B^{-1}A-images, for the
-    next round.  The block's first r_probes columns are the probes of the
-    round's estimate: Gaussian and independent of Q, so it has
-    ``posterior_estimate``'s law, ||B^{-1}|| factor included.  If the round
-    does not stop, the first ``new`` are appended by
+    next round.  The block's first r_probes columns are the round's probes,
+    and their largest residual B-norm is its trigger value e_free.  If the
+    round does not stop, the first ``new`` are appended by
     ``pre_chol_qr_w(..., basis=)``.  The basis factors
     ``gaussian_matrix(n, N, seed)`` at N columns.
 
-    A run that can grow (tol set, max_cols > k0) stops only on a certificate
-    check (``_certify``): LANCZOS_STEPS Lanczos steps on C P C from a
-    whitened random start, a bound on f with no ||B^{-1}|| factor.  Check c
-    spends ``check_budget(c, delta)`` of delta = alpha^{-r}, so e >= f at the
-    stop with probability >= 1 - alpha^{-r} over all checks.  The probe
-    estimate e_free only triggers checks: one at the first round calibrates
-    rho = e_cert / e_free, later rounds check when rho e_free <= tol, and a
-    check that fails calibrates rho again.  At max_cols a last check runs.
-    Without B's whitening hook the checks run from an unwhitened start and
-    the result says ``source: "heuristic"`` with no floor.  With tol=None or
-    max_cols == k0 there are no checks, and the estimate is the probe
-    estimate of the last round; a run that stops in its first round then
-    costs k0 + max(new, r_probes) A-applies and B-solves.
+    Every run ends on a certificate check (``_certify``): LANCZOS_STEPS
+    Lanczos steps on C P C from a whitened random start, a bound on f with no
+    ||B^{-1}|| factor.  Check c spends ``check_budget(c, delta)`` of
+    delta = alpha^{-r}, so e >= f at the stop with probability
+    >= 1 - alpha^{-r} over all checks.  A check runs at the first round,
+    where it calibrates rho = e_cert / e_free, at every later round with
+    rho e_free <= tol (a check that fails calibrates rho again), and at
+    max_cols.  So a run with max_cols == k0 is one round and one check.
+    With tol=None only the first round and max_cols check.  Without B's
+    whitening hook the checks run from an unwhitened start and the result
+    says ``source: "heuristic"`` with no floor.
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a finite positive number, got {tol}")
-    _check_estimator(alpha, r_probes, binv_norm)
+    delta = _check_estimator(alpha, r_probes)
     n = B.dim
     if A.dim_in != n or A.dim_out != n:
         raise ConfigError("A and B dimensions do not agree")
     max_cols = n if max_cols is None else min(max_cols, n)
     if k0 < 1 or k0 > max_cols:
         raise ConfigError("k0 out of range")
-    certify = tol is not None and max_cols > k0
-    delta = float(alpha) ** (-r_probes)
     history: list = []
     basis = pre_chol_qr_w(B.apply_inverse(A.apply(gaussian_matrix(n, k0, seed))), B)
-    binv, source = _binv_scale(basis.Q, binv_norm)
     ncols, checks, rho = k0, 0, None
     AW = CW = np.empty((n, 0))  # applied stream columns ncols, ncols + 1, ...
     while True:
@@ -622,26 +597,22 @@ def grow_sketch_until(
             fresh = A.apply(gaussian_matrix(n, width - have, seed, first_col=ncols + have))
             if have:
                 AW, CW = np.hstack([AW, fresh]), np.hstack([CW, B.apply_inverse(fresh)])
-            else:  # the operators' own arrays: their memory order fixes the estimate's bits
+            else:  # the operators' own arrays: their memory order fixes the trigger's bits
                 AW, CW = fresh, B.apply_inverse(fresh)
-        est = _estimate(basis, AW[:, :r_probes], CW[:, :r_probes], alpha, binv, source)
-        if certify and (rho is None or rho * est.e <= tol or new == 0):
+        e_free = _probe_norm(basis, AW[:, :r_probes], CW[:, :r_probes])
+        if rho is None or new == 0 or (tol is not None and rho * e_free <= tol):
             checks += 1
-            e_cert, *applies = _certify(A, B, basis, seed, checks, delta)
-            rho = e_cert / est.e if est.e > 0.0 else 1.0
-            history.append(GrowthRound(ncols, est.e, e_cert, *applies))
-            est = ErrorEstimate(e=e_cert, alpha=float(alpha), r_probes=r_probes,
-                                probability_floor=1.0 - delta if B.has_whitening else None,
-                                binv_norm_used=None,
-                                source="lanczos_certificate" if B.has_whitening else "heuristic")
-            converged = est.e <= tol
+            e, *applies = _certify(A, B, basis, seed, checks, delta)
+            rho = e / e_free if e_free > 0.0 else 1.0
+            history.append(GrowthRound(ncols, e_free, e, *applies))
+            converged = tol is not None and e <= tol
+            if converged or new == 0:
+                est = ErrorEstimate(e=e, alpha=float(alpha), r_probes=r_probes,
+                                    probability_floor=1.0 - delta if B.has_whitening else None,
+                                    source="lanczos_certificate" if B.has_whitening else "heuristic")
+                return GrowthResult(basis, ncols, est, history, converged)
         else:
-            history.append(GrowthRound(ncols, est.e, None, 0, 0, 0))
-            converged = not certify and tol is not None and est.e <= tol
-        if converged or new == 0:
-            return GrowthResult(basis, ncols, est, history, converged)
+            history.append(GrowthRound(ncols, e_free, None, 0, 0, 0))
         basis = pre_chol_qr_w(CW[:, :new], B, basis=basis)
-        if binv_norm is None:
-            binv = max(binv, binv_norm_crude(basis.Q[:, ncols:]))
         AW, CW = AW[:, new:], CW[:, new:]
         ncols += new

@@ -684,15 +684,6 @@ class TestEstimate:
         assert rep["sketch_columns"] == 8
         assert len(rep["trajectory"]) == 1
 
-    def test_crude_source_reported(self, tmp_path):
-        out = tmp_path / "est"
-        code = main(["estimate", "--nu", "1.5", "--n", "101", "--k", "10",
-                     "--seed", "4", "--out", str(out)])
-        assert code == 0
-        rep = _read_report(out)
-        assert rep["binv_source"] == "crude_lower_bound"
-        assert rep["probability_floor"] == pytest.approx(1 - 2.0**-5)
-
     def test_growth_trajectory_and_oracle(self, tmp_path):
         out = tmp_path / "est"
         code = main(["estimate", "--nu", "2.5", "--n", "201", "--k", "5", "--tol", "1e-4",
@@ -711,7 +702,8 @@ class TestEstimate:
         assert code == 0
         rep = _read_report(out)
         assert rep["converged"] is True
-        assert "sketch_columns" not in rep and "trajectory" not in rep
+        assert rep["sketch_columns"] == 8 and len(rep["trajectory"]) == 1
+        assert rep["source"] == "lanczos_certificate"
 
     def test_growth_needs_tolerance(self, tmp_path):
         out = tmp_path / "est"
@@ -725,9 +717,12 @@ class TestEstimate:
 
     @pytest.mark.parametrize("extra", [
         ["--alpha", "nan"],
-        ["--binv", "-3"],
-        ["--binv", "nan"],
-        ["--binv", "0"],
+        # a failure probability alpha^-r that underflows: to zero (1e300^-2),
+        # or to the least subnormal number (4e161^-2), whose second check
+        # budget underflows to zero
+        ["--alpha", "1e300", "--r", "2", "--tol", "1e-3", "--grow"],
+        ["--alpha", "1e300", "--r", "2"],
+        ["--alpha", "4e161", "--r", "2", "--tol", "1e-3", "--grow"],
         ["--grow", "--tol", "nan"],
         ["--grow", "--tol", "-1"],
         ["--tol", "nan"],
@@ -772,8 +767,8 @@ class TestEstimate:
 
     def test_without_growth_is_the_first_round(self, tmp_path):
         # the same loop with and without --grow: at a tolerance met by the
-        # first round, the grown run's probe estimate is the single-round e
-        # bitwise, and its e is the first round's certificate
+        # first round, the single-round report is the grown run's first round,
+        # its certificate e bitwise included
         reps = []
         for grow in ([], ["--grow"]):
             out = tmp_path / f"est{len(grow)}"
@@ -781,11 +776,13 @@ class TestEstimate:
                          *grow, "--seed", "4", "--out", str(out)]) == 0
             reps.append(_read_report(out))
         single, grown = reps
-        assert grown["sketch_columns"] == 8
-        assert grown["trajectory"] == [{"columns": 8, "estimate": single["e"], "certified": grown["e"]}]
+        assert single["sketch_columns"] == grown["sketch_columns"] == 8
+        assert single["e"] == grown["e"] == grown["trajectory"][0]["certified"]
+        assert single["trajectory"] == grown["trajectory"]
+        assert single["source"] == grown["source"] == "lanczos_certificate"
         assert single["converged"] is grown["converged"] is True
         assert single["probability_floor"] == grown["probability_floor"] == 1.0 - 2.0**-5
-        assert single["binv_source"] == "crude_lower_bound" and grown["source"] == "lanczos_certificate"
+        assert single["certificate"] == grown["certificate"]
 
     def test_grown_file_pencil_is_certified(self, tmp_path):
         # a dense B whitens with its own Cholesky factor: the grown e is a
@@ -877,6 +874,32 @@ class TestEstimate:
         assert np.isfinite(rep["e"]) and rep["e"] >= 0.0
         assert np.isfinite(rep["range_error_exact"])
         assert rep["config"]["A"].endswith("a.mtx")
+
+
+class TestEstimateSettings:
+    """Property: any --alpha in (1, 1e308], --r in 1..64 and --tol, with or
+    without --grow, ends ``estimate`` with exit 0 or 2, never a traceback, and
+    every report it writes is a certificate with a floor in [0, 1]."""
+
+    @given(
+        alpha=st.floats(1.0, 1e308, exclude_min=True),
+        r=st.integers(1, 64),
+        tol=st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
+        grow=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exits_0_or_2(self, alpha, r, tol, grow):
+        extra = ([] if tol is None else ["--tol", repr(tol)]) + (["--grow"] if grow else [])
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "est"
+            code = main(["estimate", "--nu", "1.5", "--n", "41", "--k", "5", "--alpha", repr(alpha),
+                         "--r", str(r), *extra, "--seed", "3", "--out", str(out)])
+            assert code in (0, 2)
+            assert (out / "report.json").exists() is (code == 0)
+            if code == 0:
+                rep = _read_report(out)
+                assert rep["source"] == "lanczos_certificate"
+                assert 0.0 <= rep["probability_floor"] <= 1.0
 
 
 class TestGsvdCommand:
