@@ -4,11 +4,15 @@ dense reference oracles for the B-weighted geometry.
 The oracles (B-norm, generalized singular values, exact range error, exact
 GHEP) work on one Cholesky factor B = L L^T, the reduction of the
 symmetric-definite pencil that LAPACK's sygv uses: the B-norm of M is
-||L^T M L^{-T}||_2 and C = B^{-1}A is congruent to L^{-1} A L^{-T}.  No square
-root of B is formed, by the oracles or by the solvers.  The exact GHEP
-reduces L^{-1} A L^{-T} to tridiagonal form once: every eigenvalue comes from
-that reduction, and eigenvectors are computed only for the top m that a
-caller reads.
+||L^T M L^{-T}||_2 and C = B^{-1}A is congruent to L^{-1} A L^{-T}, which
+LAPACK's dsygst forms in n^3 flops.  No square root of B is formed, by the
+oracles or by the solvers.  The exact GHEP reduces L^{-1} A L^{-T} to
+tridiagonal form once: every eigenvalue comes from that reduction, and
+eigenvectors are computed only for the top m that a caller reads.  A
+spectral norm (B-norm, exact range error) is the square root of the top
+eigenvalue of a Gram matrix, taken by Lanczos and certified to be the top
+one by a single Cholesky factorization, so it is exact to a relative 5e-15
+plus rounding; a dense eigensolve takes over when the certificate fails.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
+from scipy.linalg.blas import dsymv, dsyrk, dtrmm, dtrsm
 
 from .borth import EPS, BOrthoBasis, pre_chol_qr_w
 from .operators import (
@@ -178,9 +182,29 @@ def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return dtrsm(1.0, L, X, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
+#: Rows of the upper triangle that ``_congruent`` mirrors per block.
+_MIRROR_BLOCK = 128
+
+
 def _congruent(A: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """A^ = L^{-1} A L^{-T}, a new F-ordered array."""
-    return _solve_right_lt(dtrsm(1.0, L, A, lower=1), L)
+    """A^ = L^{-1} A L^{-T}, a new F-ordered symmetric array.
+
+    LAPACK's dsygst (itype 1) forms the lower triangle of A^ from the lower
+    triangles of A and L on an F-ordered copy of A, in n^3 flops against the
+    2n^3 of two triangular solves.  The upper triangle is then mirrored from
+    the lower one in place, one block of rows at a time, so A^ is exactly
+    symmetric and no n-by-n temporary is made.
+    """
+    # info reports only an illegal argument
+    Ahat = lapack.dsygst(np.array(A, order="F"), L, itype=1, lower=1, overwrite_a=1)[0]
+    n = Ahat.shape[0]
+    for r0 in range(0, n, _MIRROR_BLOCK):
+        r1 = min(r0 + _MIRROR_BLOCK, n)
+        diag = Ahat[r0:r1, r0:r1]
+        upper = np.triu_indices(r1 - r0, 1)
+        diag[upper] = diag.T[upper]
+        Ahat[r0:r1, r1:] = Ahat[r1:, r0:r1].T
+    return Ahat
 
 
 def _basis(Q: np.ndarray, n: int) -> np.ndarray:
@@ -200,17 +224,90 @@ def _range_error(Ahat: np.ndarray, L: np.ndarray, Q: np.ndarray) -> float:
     return _norm2(np.subtract(Ahat, G, out=G))
 
 
+#: Lanczos steps that ``_norm2`` takes before it falls back to a full eigensolve.
+_NORM_STEPS = 64
+
+#: ``_norm2`` stops Lanczos once the top Ritz pair's residual |beta_j s_j| is
+#: at most this multiple of its Ritz value.
+_NORM_RESIDUAL = 1e-14
+
+#: Relative slack tau of the certificate (1 + tau) theta I - G > 0.
+_NORM_SLACK = 1e-14
+
+#: Stream tag of the fixed Lanczos start of ``_norm2``.
+_NORM_START = 0x4E02
+
+
+def _gram(M: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """The upper triangle of M^T M, one dsyrk (into ``out`` when it is given)."""
+    into = {} if out is None else {"c": out, "overwrite_c": 1}
+    return dsyrk(1.0, M, trans=1, **into) if M.flags.f_contiguous else dsyrk(1.0, M.T, **into)
+
+
+def _lanczos_top(G: np.ndarray) -> Optional[float]:
+    """The top Ritz value theta of G (upper triangle read), or None at the step cap.
+
+    Lanczos with full re-orthogonalization (each new vector is projected
+    off all earlier ones twice), one dsymv per step, from the fixed start
+    ``gaussian_matrix(n, 1, _NORM_START)``.  It stops when the top Ritz
+    pair of the tridiagonal T_j has residual |beta_j s_j| <= _NORM_RESIDUAL
+    theta, or when the Krylov space is invariant.  A Ritz value never
+    exceeds lambda_max, but a small residual shows only that *some*
+    eigenvalue lies near theta; ``_certify_top`` shows it is the largest.
+    """
+    n = G.shape[0]
+    steps = min(n, _NORM_STEPS)
+    V = np.empty((steps, n))  # Lanczos vectors as contiguous rows
+    alpha, beta = np.empty(steps), np.empty(steps)
+    v = gaussian_matrix(n, 1, _NORM_START)[:, 0]
+    V[0] = v / np.linalg.norm(v)
+    for j in range(steps):
+        w = dsymv(1.0, G, V[j])
+        alpha[j] = V[j] @ w
+        for _ in range(2):
+            w -= V[: j + 1].T @ (V[: j + 1] @ w)
+        beta[j] = np.linalg.norm(w)
+        ritz, S = scipy.linalg.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i",
+                                                select_range=(j, j), check_finite=False)
+        theta = float(ritz[0])
+        if abs(beta[j] * S[j, 0]) <= _NORM_RESIDUAL * theta or beta[j] == 0.0:
+            return theta
+        if j + 1 < steps:
+            V[j + 1] = w / beta[j]
+    return None
+
+
+def _certify_top(G: np.ndarray, theta: float) -> bool:
+    """True when (1 + tau) theta I - G is positive definite (G is overwritten).
+
+    One dpotrf in G's own storage (upper triangle).  Its success shows
+    lambda_max(G) <= (1 + tau) theta, tau = _NORM_SLACK, up to the rounding
+    of the factorization.
+    """
+    np.negative(G, out=G)
+    G[np.diag_indices(G.shape[0])] += (1.0 + _NORM_SLACK) * theta
+    return lapack.dpotrf(G, lower=0, clean=0, overwrite_a=1)[1] == 0
+
+
 def _norm2(M: np.ndarray) -> float:
     """Spectral norm sigma_1(M) as sqrt(lambda_max(M^T M)) (M is overwritten).
 
-    Squaring is safe for the largest singular value only.  The symmetric
-    eigensolve is backward stable, so lambda_max comes back with an error of
-    at most p(n) eps ||M^T M|| = p(n) eps sigma_1^2, and its square root
-    carries a relative error O(eps).  The small singular values would lose
-    all digits below eps sigma_1^2, but none is read.  M is first scaled by
-    the power of two just above max |M_ij|, which is exact and keeps M^T M
-    from overflowing or underflowing; the Gram matrix is one dsyrk, and only
-    its top eigenvalue is computed.
+    Squaring is safe for the largest singular value only: an error of
+    eps ||M^T M|| = eps sigma_1^2 in lambda_max is a relative error O(eps)
+    in its square root, and the small singular values, which would lose all
+    digits below eps sigma_1^2, are not read.  M is first scaled by the
+    power of two just above max |M_ij|, which is exact and keeps M^T M from
+    overflowing or underflowing; the Gram matrix G is one dsyrk.
+
+    lambda_max(G) is the top Ritz value theta of a few Lanczos steps
+    (``_lanczos_top``), certified by one Cholesky factorization of
+    (1 + tau) theta I - G (``_certify_top``): every Ritz value is at most
+    lambda_max, and the factorization shows lambda_max <= (1 + tau) theta.
+    So theta is lambda_max to a relative error of tau = 1e-14, and sigma_1
+    to tau / 2, up to the rounding of the dsyrk and of the factorization, a
+    few n eps, the size of a dense eigensolver's backward error bound.  If
+    the factorization fails, or Lanczos reaches its step cap, G is formed
+    again and its top eigenvalue taken by a dense eigensolve.
     """
     peak = float(np.max(np.abs(M), initial=0.0))
     if peak == 0.0:
@@ -219,7 +316,12 @@ def _norm2(M: np.ndarray) -> float:
         raise NumericalError("the matrix whose norm is taken has non-finite entries")
     e = math.frexp(peak)[1]
     np.ldexp(M, -e, out=M)
-    gram = dsyrk(1.0, M, trans=1) if M.flags.f_contiguous else dsyrk(1.0, M.T)
+    gram = _gram(M, None)
+    theta = _lanczos_top(gram)
+    if theta is not None and _certify_top(gram, theta):
+        return math.ldexp(math.sqrt(theta), e)
+    if theta is not None:  # the certificate overwrote the Gram matrix
+        gram = _gram(M, gram)
     n = gram.shape[0]
     top = scipy.linalg.eigh(gram, lower=False, eigvals_only=True, overwrite_a=True,
                             check_finite=False, subset_by_index=[n - 1, n - 1])
@@ -359,7 +461,8 @@ def _lanczos_slack(n: int, steps: int, delta: float) -> float:
     Kuczynski and Wozniakowski (1992) bound k Lanczos steps on a symmetric
     positive semidefinite n-by-n matrix from a start uniform on the unit
     sphere: P(xi_k < (1 - eps) lambda_1) <= 1.648 sqrt(n) exp(-sqrt(eps)(2k - 1)).
-    An eps >= 1 bounds nothing.
+    An eps >= 1 bounds nothing, so ``grow_sketch_until`` rejects an alpha and
+    r whose last possible check would need one.
     """
     root = math.log(1.648 * math.sqrt(n) / delta) / (2 * steps - 1)
     return root * root
@@ -429,8 +532,7 @@ def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check:
     # LANCZOS_STEPS even after an early end: an invariant Krylov space has the
     # Ritz values of every longer run
     eps = _lanczos_slack(n, LANCZOS_STEPS, check_budget(check, delta))
-    e = math.sqrt(xi / (1.0 - eps)) if eps < 1.0 else math.inf
-    return e, a_applies, b_solves, 1
+    return math.sqrt(xi / (1.0 - eps)), a_applies, b_solves, 1
 
 
 def apriori_bound(sigmas_B: np.ndarray, k: int, p: int, binv_norm: float) -> float:
@@ -575,7 +677,10 @@ def grow_sketch_until(
     max_cols.  So a run with max_cols == k0 is one round and one check.
     With tol=None only the first round and max_cols check.  Without B's
     whitening hook the checks run from an unwhitened start and the result
-    says ``source: "heuristic"`` with no floor.
+    says ``source: "heuristic"`` with no floor.  An alpha^{-r} so small that
+    the Lanczos slack of the run's last possible check, number
+    ceil((max_cols - k0) / GROWTH_STEP) + 1, reaches 1 is a ConfigError
+    before any apply: that check could bound nothing.
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a finite positive number, got {tol}")
@@ -586,6 +691,11 @@ def grow_sketch_until(
     max_cols = n if max_cols is None else min(max_cols, n)
     if k0 < 1 or k0 > max_cols:
         raise ConfigError("k0 out of range")
+    # the slack grows with the check number; the last possible check has the largest
+    last_check = -(-(max_cols - k0) // GROWTH_STEP) + 1
+    if _lanczos_slack(n, LANCZOS_STEPS, check_budget(last_check, delta)) >= 1.0:
+        raise ConfigError(f"alpha^-r = {alpha}^-{r_probes} is too small for a {LANCZOS_STEPS}-step "
+                          f"certificate to bound anything at n = {n}: lower r or alpha")
     history: list = []
     basis = pre_chol_qr_w(B.apply_inverse(A.apply(gaussian_matrix(n, k0, seed))), B)
     ncols, checks, rho = k0, 0, None

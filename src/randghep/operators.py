@@ -310,6 +310,19 @@ def cholesky_lower(M: np.ndarray, name: str) -> np.ndarray:
         raise NotPositiveDefiniteError(f"{name} is not positive definite: {exc}") from exc
 
 
+def _check_conditioning(rcond: float) -> None:
+    """IllConditionedError when an SPD matrix is singular to working precision.
+
+    ``rcond`` estimates 1 / (||M||_1 ||M^{-1}||_1).  Below machine epsilon a
+    change of M at the size of its own rounding can make it singular, so no
+    digit of M^{-1}x is determined; LAPACK's expert drivers (xPOSVX) call
+    such a matrix singular to working precision.
+    """
+    if not rcond >= np.finfo(float).eps:
+        raise IllConditionedError(
+            f"matrix is singular to working precision (reciprocal condition estimate {rcond:.1e})")
+
+
 def dense_spd(M: np.ndarray) -> SpdOperator:
     """SPD operator backed by a dense matrix; B^{-1}x served by a one-time Cholesky.
 
@@ -317,10 +330,15 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     read-only; the Cholesky factor L is the only new n-by-n array.  M is
     validated and factored by ``cholesky_lower``, and its typed errors pass
     through.  L also serves the whitening hook (L^{-T}x) and is the
-    operator's ``cholesky_factor``, read-only.
+    operator's ``cholesky_factor``, read-only.  LAPACK's dpocon estimates
+    the condition of M from L, and an M singular to working precision
+    raises IllConditionedError (``_check_conditioning``).
     """
     M = np.asarray(M, dtype=float)
     L = cholesky_lower(M, "matrix")
+    # ||M||_1 = ||M^T||_1 for a symmetric M; dlange reads an F-ordered view without a copy
+    anorm = scipy.linalg.lapack.dlange("1", M.T if M.flags.c_contiguous else M)
+    _check_conditioning(scipy.linalg.lapack.dpocon(L, anorm, uplo="L")[0])
     M.setflags(write=False)
     L.setflags(write=False)
     op = SpdOperator(
@@ -345,7 +363,10 @@ def sparse_spd(M) -> SpdOperator:
     Raises NumericalError if M has a NaN or Inf entry, ConfigError if M is
     empty, not square or not symmetric (``check_symmetric``), and
     NotPositiveDefiniteError if M is singular, needs an off-diagonal pivot
-    (a zero on the diagonal) or has a pivot D_jj <= 0.
+    (a zero on the diagonal) or has a pivot D_jj <= 0.  ||M^{-1}||_1 is
+    estimated from the factor (Higham's one-norm estimator, one column, so
+    no random draw), and an M singular to working precision raises
+    IllConditionedError (``_check_conditioning``).
     """
     # imported here: the ~15 ms import is paid only by a sparse B
     import scipy.sparse.linalg
@@ -364,6 +385,9 @@ def sparse_spd(M) -> SpdOperator:
     d = lu.U.diagonal()
     if not (d > 0.0).all():
         raise NotPositiveDefiniteError("matrix is not positive definite: a pivot of its LDL^T is not positive")
+    inverse = scipy.sparse.linalg.LinearOperator(M.shape, matvec=lu.solve, rmatvec=lu.solve, dtype=float)
+    norm1 = abs(M).sum(axis=0).max()
+    _check_conditioning(1.0 / (norm1 * scipy.sparse.linalg.onenormest(inverse, t=1)))
     Lt = lu.L.T  # CSR, as the triangular solve wants it
     root_d = np.sqrt(d)[:, None]
     order = lu.perm_c

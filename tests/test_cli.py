@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from conftest import make_kle_pencil, write_coordinate_pencil
+from conftest import make_kle_pencil, random_spd, write_coordinate_pencil
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +31,13 @@ def _write_eye(path, n=5):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
 def _read_report(outdir):
-    return json.loads((outdir / "report.json").read_text())
+    """report.json, parsed strictly: NaN and Infinity are not JSON."""
+    return json.loads((outdir / "report.json").read_text(), parse_constant=_reject_constant)
 
 
 def _read_csv(path):
@@ -562,6 +568,76 @@ class TestMalformedFiles:
                                      {"A": A}, {"A": storage})
 
 
+_RANK_COMMANDS = [["solve", "--A", "{A}", "--B", "{B}", "--k", "3", "--p", "3", "--method", method, "--oracle"]
+                  for method in METHOD_CHOICES]
+_RANK_COMMANDS.append(["estimate", "--A", "{A}", "--B", "{B}", "--k", "3", "--grow", "--tol", "1e-3", "--oracle"])
+
+
+def _run_on_pencil(argv, A, B, storage):
+    """Run ``argv`` on A (array storage) and B (in ``storage``) in a fresh
+    directory; returns (exit code, parsed report or None, spectrum rows)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if storage == "coordinate":
+            a_path, b_path = write_coordinate_pencil(Path(tmp), A, B)
+        else:
+            a_path, b_path = (_write_mtx(Path(tmp) / name, M, "array") for name, M in (("a.mtx", A), ("b.mtx", B)))
+        out = Path(tmp) / "run"
+        code = main([arg.format(A=a_path, B=b_path) for arg in argv] + ["--seed", "3", "--out", str(out)])
+        report = _read_report(out) if (out / "report.json").exists() else None
+        rows = _read_csv(out / "spectrum.csv") if (out / "spectrum.csv").exists() else []
+        return code, report, rows
+
+
+class TestNumericallyRankDeficientPencil:
+    """Property: numerically rank-deficient input ends ``solve`` (every method,
+    ``--oracle``) and ``estimate --grow --oracle`` without a traceback, with B in
+    array or coordinate storage.  An A of numerical rank below k + p is valid
+    input: exit 0 and finite outputs.  A B of condition number ~1e17 is
+    singular to working precision: exit 3 and no report."""
+
+    @given(
+        argv=st.sampled_from(_RANK_COMMANDS),
+        n=st.integers(8, 24),
+        rank=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        storage=_STORAGE,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_low_numerical_rank_a_exits_0(self, argv, n, rank, seed, storage):
+        # rank eigenvalues in [0.1, 1], the rest of either sign at 1e-30..1e-15:
+        # numerically PSD, so Nystrom takes it too
+        rng = np.random.default_rng(seed)
+        tiny = 10.0 ** rng.uniform(-30.0, -15.0, n - rank) * rng.choice([-1.0, 1.0], n - rank)
+        lams = np.concatenate([np.geomspace(1.0, 0.1, rank), tiny])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (Q * lams) @ Q.T
+        B = random_spd(n, 10.0 ** rng.uniform(0.0, 3.0), seed % 1000)
+        code, report, rows = _run_on_pencil(argv, (A + A.T) / 2.0, (B + B.T) / 2.0, storage)
+        assert code == 0
+        assert math.isfinite(report["range_error_exact"])
+        if argv[0] == "estimate":
+            assert math.isfinite(report["e"])
+        else:  # a rank decision may report fewer than k eigenvalues
+            assert 1 <= len(rows) <= 3
+            for row in rows:
+                for column in ("lambda_approx", "lambda_oracle", "abs_err"):
+                    assert math.isfinite(float(row[column]))
+
+    @given(
+        argv=st.sampled_from(_RANK_COMMANDS),
+        n=st.integers(8, 24),
+        seed=st.integers(0, 2**32 - 1),
+        storage=_STORAGE,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_b_singular_to_working_precision_exits_3(self, argv, n, seed, storage):
+        G = np.random.default_rng(seed).standard_normal((n, n))
+        B = random_spd(n, 1e17, seed % 1000)
+        code, report, _ = _run_on_pencil(argv, G @ G.T, (B + B.T) / 2.0, storage)
+        assert code == 3
+        assert report is None
+
+
 class TestRemovedQrFlag:
     """The solvers have one weighted QR, so ``--qr`` is rejected, not ignored."""
 
@@ -747,6 +823,21 @@ class TestEstimate:
                      "--out", str(out), *[arg.format(eye=eye) for arg in extra]])
         assert code == 2
         assert not (out / "report.json").exists()
+
+    def test_probes_beyond_the_certificate_exit_2(self, tmp_path, capsys):
+        # at n = 101 and alpha = 2, r = 40 leaves the last possible check a
+        # failure budget so small that its Lanczos slack reaches 1; r = 30 does not
+        argv = ["estimate", "--nu", "2.5", "--n", "101", "--k", "5", "--alpha", "2",
+                "--tol", "1e-3", "--grow"]
+        out = tmp_path / "r40"
+        assert main([*argv, "--r", "40", "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert "2.0^-40" in capsys.readouterr().err
+        out = tmp_path / "r30"
+        assert main([*argv, "--r", "30", "--out", str(out)]) == 0
+        rep = _read_report(out)
+        assert rep["converged"] is True
+        assert all(math.isfinite(t["certified"]) for t in rep["trajectory"] if t["certified"] is not None)
 
     @pytest.mark.parametrize("grow", [[], ["--grow", "--tol", "1e9"]])
     def test_oracle_above_cap_exits_2_before_any_apply(self, tmp_path, monkeypatch, grow):

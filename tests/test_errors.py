@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +56,17 @@ class TestDenseGhepOracle:
         expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1]
         assert np.max(np.abs(ref.lambdas - expected)) <= 1e-14 * abs(expected[0])
 
+    def test_sparse_mass_pencil(self):
+        # n = 144 spans two of _congruent's mirror blocks; dsygst's A^ is
+        # mirrored into an exactly symmetric array
+        Ad, Bs = jittered_matern_pencil_2d(12, seed=3)
+        Bd = Bs.toarray()
+        ref = errors.dense_ghep_oracle(Ad, Bd)
+        expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1]
+        assert np.max(np.abs(ref.lambdas - expected)) <= 1e-14 * abs(expected[0])
+        assert ref.Ahat.flags.f_contiguous
+        np.testing.assert_array_equal(ref.Ahat, ref.Ahat.T)
+
     def test_sigma_b_dominated_by_scaled_singular_values(self):
         rng = np.random.default_rng(9)
         n = 20
@@ -78,6 +90,31 @@ def matern_pencil_2d(m, nu=1.5, ell=0.5):
     dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
     A = M @ kle.matern_kernel(kle.MaternConfig(nu=nu, ell=ell), dist, 0.0) @ M
     return (A + A.T) / 2.0, M
+
+
+def jittered_matern_pencil_2d(m, seed, nu=1.5, ell=0.5):
+    """(B Gamma B, B) of a 2D Matern field on an m-by-m grid of [-1, 1]^2 whose
+    interior nodes are moved at random by up to 0.2 grid widths, with B the
+    sparse P1 mass matrix of two triangles per cell (A dense, B CSR)."""
+    h = 2.0 / (m - 1)
+    x = np.linspace(-1.0, 1.0, m)
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+    rng = np.random.default_rng(seed)
+    pts[1:-1, 1:-1] += rng.uniform(-0.2 * h, 0.2 * h, size=(m - 2, m - 2, 2))
+    pts = pts.reshape(-1, 2)
+    idx = np.arange(m * m).reshape(m, m)
+    corner = [idx[:-1, :-1], idx[1:, :-1], idx[:-1, 1:], idx[1:, 1:]]
+    tris = np.concatenate([np.stack([corner[0], corner[1], corner[3]], -1).reshape(-1, 3),
+                           np.stack([corner[0], corner[3], corner[2]], -1).reshape(-1, 3)])
+    e1, e2 = pts[tris[:, 1]] - pts[tris[:, 0]], pts[tris[:, 2]] - pts[tris[:, 0]]
+    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    rows, cols = np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, 3).ravel()
+    vals = (area[:, None] * local.ravel()).ravel()
+    B = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    A = B @ (B @ kle.matern_kernel(kle.MaternConfig(nu=nu, ell=ell), dist, 0.0)).T
+    return (A + A.T) / 2.0, B
 
 
 def pencil_with_spectrum(w, seed):
@@ -390,14 +427,114 @@ class TestNorm2:
         for layout in (np.asfortranarray(M), np.ascontiguousarray(M)):
             assert abs(errors._norm2(layout.copy(order="K")) - expected) <= 1e-14 * expected
 
-    def test_kle_range_residual(self, kle_oracle):
+    @staticmethod
+    def _kle_range_residual(kle_oracle):
         pencil = make_kle_pencil(2.5)
         ref = kle_oracle(2.5)
         Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=100, p=5, seed=0)).basis.Q
         W = ref.L.T @ Q
         G = ref.Ahat - W @ (W.T @ ref.Ahat)  # f = ||G||_2
         assert scipy.linalg.svdvals(G)[0] <= 1e-8 * ref.lambdas[0]
-        self._check(G)
+        return G
+
+    @staticmethod
+    def _spy_branches(monkeypatch):
+        """Record what _norm2's Lanczos run and certificate return, and count
+        its dense eigensolves."""
+        seen = {"lanczos": [], "certified": [], "eigh": 0}
+        lanczos, certify, eigh = errors._lanczos_top, errors._certify_top, scipy.linalg.eigh
+
+        def lanczos_spy(G):
+            seen["lanczos"].append(lanczos(G))
+            return seen["lanczos"][-1]
+
+        def certify_spy(G, theta):
+            seen["certified"].append(certify(G, theta))
+            return seen["certified"][-1]
+
+        def eigh_spy(*args, **kwargs):
+            seen["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(errors, "_lanczos_top", lanczos_spy)
+        monkeypatch.setattr(errors, "_certify_top", certify_spy)
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
+        return seen
+
+    @staticmethod
+    def _with_gram_spectrum(lams, seed, hide_top):
+        """A square M whose Gram matrix M^T M has eigenvalues ``lams`` (first
+        the largest) and random eigenvectors; with ``hide_top`` the top one is
+        orthogonal to _norm2's fixed Lanczos start."""
+        n = len(lams)
+        start = errors.gaussian_matrix(n, 1, errors._NORM_START)[:, 0]
+        X = np.random.default_rng(seed).standard_normal((n, n))
+        if hide_top:
+            X[:, 0] -= start * (start @ X[:, 0]) / (start @ start)
+        V, _ = np.linalg.qr(X)
+        return np.sqrt(np.asarray(lams))[:, None] * V.T
+
+    def test_kle_range_residual(self, kle_oracle):
+        self._check(self._kle_range_residual(kle_oracle))
+
+    def test_kle_range_residual_needs_no_dense_eigensolve(self, kle_oracle, monkeypatch):
+        G = self._kle_range_residual(kle_oracle)
+        expected = scipy.linalg.svdvals(G)[0]
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("_norm2 fell back to a dense eigensolve")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+        for layout in (np.asfortranarray(G), np.ascontiguousarray(G)):
+            assert abs(errors._norm2(layout.copy(order="K")) - expected) <= 1e-14 * expected
+
+    def test_certificate_failure_falls_back(self, monkeypatch):
+        # lambda_1 = 1 + 1e-9 is invisible from the start, so Lanczos settles
+        # on the well-separated lambda_2 = 1, and (1 + tau) I - G is indefinite
+        lams = np.concatenate([[1.0 + 1e-9, 1.0], np.geomspace(0.5, 1e-3, 58)])
+        M = self._with_gram_spectrum(lams, seed=2, hide_top=True)
+        expected = scipy.linalg.svdvals(M)[0]
+        seen = self._spy_branches(monkeypatch)
+        got = errors._norm2(M.copy())
+        e = math.frexp(np.abs(M).max())[1]  # _norm2 works on M / 2^e
+        assert abs(math.ldexp(seen["lanczos"][0], 2 * e) - 1.0) <= 1e-13
+        assert seen["certified"] == [False]
+        assert seen["eigh"] == 1
+        assert abs(got - expected) <= 1e-14 * expected
+        assert got > math.sqrt(1.0 + 0.5e-9)  # lambda_1, not lambda_2
+
+    def test_step_cap_falls_back(self, monkeypatch):
+        # 300 evenly spaced eigenvalues: the top one is not resolved to the
+        # stopping residual within the step cap, and no certificate is tried
+        M = self._with_gram_spectrum(np.linspace(1.0, 0.01, 300), seed=4, hide_top=False)
+        expected = scipy.linalg.svdvals(M)[0]
+        seen = self._spy_branches(monkeypatch)
+        got = errors._norm2(np.asfortranarray(M))
+        assert seen == {"lanczos": [None], "certified": [], "eigh": 1}
+        assert abs(got - expected) <= 1e-14 * expected
+
+    @given(rows=st.integers(1, 80), cols=st.integers(1, 80), top=st.integers(1, 4),
+           gap=st.sampled_from([0.0, 1e-15, 1e-14, 3e-14, 1e-13, 1e-10, 1e-6, 1e-2]),
+           order=st.sampled_from(["F", "C"]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_svd_on_clustered_spectra(self, rows, cols, top, gap, order, seed):
+        # the top singular values 1, 1 - gap, ..., the rest uniform in [0, 0.9].
+        # A certified Ritz value is sigma_1^2 to a relative tau, so sigma_1 to
+        # tau / 2, plus rounding: of the Gram matrix and its factorization on
+        # one side and of the SVD on the other, each of order n eps.  Inside
+        # a cluster 1e-14 wide, Lanczos can stop on a Ritz value that only
+        # this allowance separates from sigma_1.
+        rng = np.random.default_rng(seed)
+        r = min(rows, cols)
+        s = np.sort(rng.uniform(0.0, 0.9, r))[::-1]
+        head = min(top, r)
+        s[:head] = 1.0 - gap * np.arange(head)
+        U, _ = np.linalg.qr(rng.standard_normal((rows, r)))
+        V, _ = np.linalg.qr(rng.standard_normal((cols, r)))
+        M = np.array((U * s) @ V.T, order=order)
+        expected = scipy.linalg.svdvals(M)[0]
+        allowance = errors._NORM_SLACK / 2.0 + 2.0 * max(rows, cols) * np.finfo(float).eps
+        assert abs(errors._norm2(M) - expected) <= allowance * expected
 
     def test_non_symmetric_b_norm_matrix(self):
         rng = np.random.default_rng(21)
