@@ -209,10 +209,10 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     report["sketch_columns"] = growth.n_columns
     report["trajectory"] = [{"columns": h.columns, "estimate": h.estimate,
                              "certified": h.certified} for h in growth.history]
-    checks = [h for h in growth.history if h.certified is not None]
-    cert = {key: sum(getattr(h, key) for h in checks) for key in ("a_applies", "b_solves", "b_applies")}
+    cert = growth.certificate
     # the counters are the pencil's own: everything else was the sketch's
-    report["certificate"] = {"checks": len(checks), "lanczos_steps": errors.LANCZOS_STEPS, **cert}
+    report["certificate"] = {"checks": sum(h.certified is not None for h in growth.history),
+                             "lanczos_steps": errors.LANCZOS_STEPS, **cert}
     report["sketch_applies"] = {"a_applies": pencil.A.matvec_count - cert["a_applies"],
                                 "b_solves": pencil.B.solve_count - cert["b_solves"],
                                 "b_applies": pencil.B.matvec_count - cert["b_applies"]}

@@ -37,7 +37,7 @@ from .operators import (
     check_symmetric,
     cholesky_lower,
 )
-from .sketch import derive_seed, gaussian_matrix
+from .sketch import SketchConfig, derive_seed, gaussian_matrix, range_finder_b
 
 
 @dataclass
@@ -468,29 +468,42 @@ def _lanczos_slack(n: int, steps: int, delta: float) -> float:
     return root * root
 
 
-def _top_ritz_value(A: LinearMap, B: SpdOperator, basis: BOrthoBasis,
-                    x: np.ndarray, Bx: np.ndarray, steps: int) -> tuple[float, int, int]:
-    """The largest Ritz value of M = C P C, P = I - Q Q^T B, on the Krylov space of x.
+def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check: int,
+             delta: float) -> float:
+    """Check number ``check``: a bound e on f that fails with probability <= its budget.
 
-    M is B-self-adjoint and positive semidefinite, and its largest eigenvalue
-    is f^2.  x is B-normalized and Bx is its B-image.  Each step applies M
-    once: C v, its projection with the cached (Q, BQ), then A and B^{-1}
-    again.  The A-image of P C v is the B-image of M v, so the B-inner
-    products need no B-apply.  Each new Lanczos vector is B-orthogonalized
-    against all earlier ones twice (CGS2), and the Ritz values are those of
-    H = V^T B M V.  An invariant Krylov space ends the steps early.  Returns
-    (xi, A-applies, B^{-1}-solves).
+    e comes from the largest Ritz value xi of M = C P C, P = I - Q Q^T B,
+    which is B-self-adjoint and positive semidefinite with top eigenvalue
+    f^2.  The start is column check - 1 of the stream ``derive_seed(seed,
+    _START_STREAM)``, independent of the sketch.  With B's whitening hook,
+    x = L^{-T} g for B = L L^T, so L^T x is uniform on the unit sphere after
+    B-normalization, and Lanczos on M in the B-inner product is Lanczos on
+    the symmetric L^T M L^{-T} from that start.  Kuczynski and Wozniakowski
+    then give e = sqrt(xi / (1 - eps)) >= f with probability at least
+    1 - ``check_budget(check, delta)``.  Without the hook the start is g.
+
+    Each step applies M once: C v, its projection with the cached (Q, BQ),
+    then A and B^{-1} again; the A-image of P C v is the B-image of M v, so
+    the B-inner products need no B-apply.  Each new Lanczos vector is
+    B-orthogonalized against all earlier ones twice (CGS2).  An invariant
+    Krylov space ends the steps early.  A check costs at most
+    2 LANCZOS_STEPS A-applies, 2 LANCZOS_STEPS - 1 B-solves and the
+    B-normalization's one B-apply; the operators' counters say what it spent.
     """
+    n = B.dim
+    g = gaussian_matrix(n, 1, derive_seed(seed, _START_STREAM), first_col=check - 1)[:, 0]
+    x = B.whiten(g) if B.has_whitening else g
+    Bx = B.apply(x)
+    norm = math.sqrt(float(x @ Bx))
     Q, BQ = basis.Q, basis.WQ
-    n = x.shape[0]
-    V, BV, BMV = (np.empty((n, steps), order="F") for _ in range(3))
-    V[:, 0], BV[:, 0] = x, Bx
-    m = steps
+    V, BV, BMV = (np.empty((n, LANCZOS_STEPS), order="F") for _ in range(3))
+    V[:, 0], BV[:, 0] = x / norm, Bx / norm
+    m = LANCZOS_STEPS
     # no update in place: an operator may return its input or a view of it
-    for j in range(steps):
+    for j in range(LANCZOS_STEPS):
         y = B.apply_inverse(A.apply(V[:, j]))
         BMV[:, j] = A.apply(y - Q @ (BQ.T @ y))
-        if j + 1 == steps:
+        if j + 1 == LANCZOS_STEPS:
             break
         w, Bw = B.apply_inverse(BMV[:, j]), BMV[:, j]
         scale = math.sqrt(max(float(w @ Bw), 0.0))
@@ -504,35 +517,11 @@ def _top_ritz_value(A: LinearMap, B: SpdOperator, basis: BOrthoBasis,
             break
         V[:, j + 1], BV[:, j + 1] = w / beta, Bw / beta
     H = V[:, :m].T @ BMV[:, :m]
-    xi = float(scipy.linalg.eigvalsh((H + H.T) / 2.0, check_finite=False)[-1])
-    # every step but the last solves with B twice
-    return max(xi, 0.0), 2 * m, 2 * m - (m == steps)
-
-
-def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check: int,
-             delta: float) -> tuple[float, int, int, int]:
-    """Check number ``check``: a bound e on f that fails with probability <= its budget.
-
-    The start is column check - 1 of the stream ``derive_seed(seed,
-    _START_STREAM)``, independent of the sketch.  With B's whitening hook,
-    x = L^{-T} g for B = L L^T, so L^T x is uniform on the unit sphere after
-    B-normalization, and Lanczos on M in the B-inner product is Lanczos on
-    the symmetric L^T M L^{-T} from that start.  Kuczynski and Wozniakowski
-    then give e = sqrt(xi / (1 - eps)) >= f with probability at least
-    1 - ``check_budget(check, delta)``.  Without the hook the start is g.
-    The B-normalization costs one B-apply.  Returns (e, A-applies,
-    B^{-1}-solves, B-applies).
-    """
-    n = B.dim
-    g = gaussian_matrix(n, 1, derive_seed(seed, _START_STREAM), first_col=check - 1)[:, 0]
-    x = B.whiten(g) if B.has_whitening else g
-    Bx = B.apply(x)
-    norm = math.sqrt(float(x @ Bx))
-    xi, a_applies, b_solves = _top_ritz_value(A, B, basis, x / norm, Bx / norm, LANCZOS_STEPS)
+    xi = max(float(scipy.linalg.eigvalsh((H + H.T) / 2.0, check_finite=False)[-1]), 0.0)
     # LANCZOS_STEPS even after an early end: an invariant Krylov space has the
     # Ritz values of every longer run
     eps = _lanczos_slack(n, LANCZOS_STEPS, check_budget(check, delta))
-    return math.sqrt(xi / (1.0 - eps)), a_applies, b_solves, 1
+    return math.sqrt(xi / (1.0 - eps))
 
 
 def apriori_bound(sigmas_B: np.ndarray, k: int, p: int, binv_norm: float) -> float:
@@ -593,6 +582,8 @@ def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float | np.ndarray:
     sqrt(eps) floor that arccos of a near-unit cosine carries.  Vectors x and
     y give a float.  (n, m) blocks give the m sines of the column pairs
     (x_j, y_j) as an array, from three block B-applies of m columns each.
+    A zero column is a ConfigError; a column whose B-norm^2 is not positive
+    (B not positive definite in floating point) is a NumericalError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -600,14 +591,17 @@ def b_sine(x: np.ndarray, y: np.ndarray, B: SpdOperator) -> float | np.ndarray:
         raise ConfigError(f"b_sine needs vectors or blocks of one shape, got {x.shape} and {y.shape}")
     X = x.reshape(x.shape[0], -1)
     Y = y.reshape(X.shape)
+    if not (np.any(X, axis=0).all() and np.any(Y, axis=0).all()):
+        raise ConfigError("b_sine needs nonzero vectors")
     BX = B.apply(X)
     nx2 = np.einsum("ij,ij->j", X, BX)
-    if np.any(nx2 <= 0.0) or not np.all(np.any(Y, axis=0)):
-        raise ConfigError("b_sine needs nonzero vectors")
-    R = Y - X * (np.einsum("ij,ij->j", Y, BX) / nx2)
     ny2 = np.einsum("ij,ij->j", Y, B.apply(Y))
+    if not ((nx2 > 0.0).all() and (ny2 > 0.0).all()):
+        raise NumericalError("b_sine met a nonzero vector whose B-norm^2 is not positive: "
+                             "B is not positive definite in floating point")
+    R = Y - X * (np.einsum("ij,ij->j", Y, BX) / nx2)
     r2 = np.maximum(np.einsum("ij,ij->j", R, B.apply(R)), 0.0)
-    sines = np.sqrt(np.divide(r2, ny2, out=np.zeros_like(r2), where=ny2 > 0.0))
+    sines = np.sqrt(r2 / ny2)
     return float(sines[0]) if x.ndim == 1 else sines
 
 
@@ -617,27 +611,28 @@ class GrowthRound(NamedTuple):
     ``estimate`` is the round's trigger value, max_i ||(I - QQ^T B) C w_i||_B
     over its probes, with no ||B^{-1}|| or alpha factor: it only decides when
     a check runs.  A round that ran a certificate check has its bound in
-    ``certified`` and the check's operator columns in the counts; otherwise
-    ``certified`` is None and the counts are 0.
+    ``certified``; otherwise ``certified`` is None.
     """
 
     columns: int
     estimate: float
     certified: Optional[float]
-    a_applies: int
-    b_solves: int
-    b_applies: int
 
 
 @dataclass
 class GrowthResult:
-    """Outcome of estimator-driven sketch growth; ``history`` has one GrowthRound per round."""
+    """Outcome of estimator-driven sketch growth; ``history`` has one GrowthRound per round.
+
+    ``certificate`` holds the "a_applies", "b_solves" and "b_applies" of all
+    certificate checks: the operators' counter deltas across each check.
+    """
 
     basis: BOrthoBasis
     n_columns: int
     estimate: ErrorEstimate
     history: list[GrowthRound]
     converged: bool
+    certificate: dict
 
 
 #: Columns that ``grow_sketch_until`` appends per round.
@@ -657,8 +652,9 @@ def grow_sketch_until(
     """Grow a B-orthonormal sketch until a certified bound on its range error meets tol.
 
     The sketch is one stream, ``gaussian_matrix(n, ., seed)``, read left to
-    right (Halko, Martinsson and Tropp 2011, Alg. 4.2): k0 columns, then per
-    round the next max(new, r_probes), new = min(GROWTH_STEP, max_cols - ncols).
+    right (Halko, Martinsson and Tropp 2011, Alg. 4.2): k0 columns, factored
+    by ``range_finder_b`` with p = 0, then per round the next
+    max(new, r_probes), new = min(GROWTH_STEP, max_cols - ncols).
     Each stream column is applied once: the columns of a round's block that
     were not appended are kept, with their A- and B^{-1}A-images, for the
     next round.  The block's first r_probes columns are the round's probes,
@@ -697,7 +693,8 @@ def grow_sketch_until(
         raise ConfigError(f"alpha^-r = {alpha}^-{r_probes} is too small for a {LANCZOS_STEPS}-step "
                           f"certificate to bound anything at n = {n}: lower r or alpha")
     history: list = []
-    basis = pre_chol_qr_w(B.apply_inverse(A.apply(gaussian_matrix(n, k0, seed))), B)
+    certificate = dict.fromkeys(("a_applies", "b_solves", "b_applies"), 0)
+    basis = range_finder_b(A, B, SketchConfig(k=k0, p=0, seed=seed)).basis
     ncols, checks, rho = k0, 0, None
     AW = CW = np.empty((n, 0))  # applied stream columns ncols, ncols + 1, ...
     while True:
@@ -712,17 +709,20 @@ def grow_sketch_until(
         e_free = _probe_norm(basis, AW[:, :r_probes], CW[:, :r_probes])
         if rho is None or new == 0 or (tol is not None and rho * e_free <= tol):
             checks += 1
-            e, *applies = _certify(A, B, basis, seed, checks, delta)
+            before = A.matvec_count, B.solve_count, B.matvec_count
+            e = _certify(A, B, basis, seed, checks, delta)
+            for key, c0, c1 in zip(certificate, before, (A.matvec_count, B.solve_count, B.matvec_count)):
+                certificate[key] += c1 - c0
             rho = e / e_free if e_free > 0.0 else 1.0
-            history.append(GrowthRound(ncols, e_free, e, *applies))
+            history.append(GrowthRound(ncols, e_free, e))
             converged = tol is not None and e <= tol
             if converged or new == 0:
                 est = ErrorEstimate(e=e, alpha=float(alpha), r_probes=r_probes,
                                     probability_floor=1.0 - delta if B.has_whitening else None,
                                     source="lanczos_certificate" if B.has_whitening else "heuristic")
-                return GrowthResult(basis, ncols, est, history, converged)
+                return GrowthResult(basis, ncols, est, history, converged, certificate)
         else:
-            history.append(GrowthRound(ncols, e_free, None, 0, 0, 0))
+            history.append(GrowthRound(ncols, e_free, None))
         basis = pre_chol_qr_w(CW[:, :new], B, basis=basis)
         AW, CW = AW[:, new:], CW[:, new:]
         ncols += new

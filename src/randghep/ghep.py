@@ -67,8 +67,8 @@ class GhepSolution:
 _SYMMETRY_PROBES = 3
 
 
-def _check_symmetry(A: LinearMap, seed: int) -> int:
-    """Probe |x^T A y - y^T A x| on a few random pairs; returns applies spent.
+def _check_symmetry(A: LinearMap, seed: int) -> None:
+    """Probe |x^T A y - y^T A x| on a few random pairs (2 _SYMMETRY_PROBES A-applies).
 
     The probe vectors come from their own seed stream, so the sketch drawn
     from ``seed`` afterwards is the one drawn without the probe.
@@ -83,7 +83,6 @@ def _check_symmetry(A: LinearMap, seed: int) -> int:
         scale = abs(lhs) + abs(rhs) + np.linalg.norm(AX[:, j]) * np.linalg.norm(Ynd[:, j])
         if abs(lhs - rhs) > 1e-8 * max(scale, 1e-300):
             raise ConfigError("A failed the symmetry probe; eigensolvers need symmetric A")
-    return 2 * _SYMMETRY_PROBES
 
 
 def ritz(T: np.ndarray, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,7 +114,8 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
         raise ConfigError("A and B dimensions do not agree")
     if cfg.r > B.dim:
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={B.dim}")
-    probe = _check_symmetry(A, cfg.seed)
+    before_probe = A.matvec_count
+    _check_symmetry(A, cfg.seed)
     a0, b0, s0 = A.matvec_count, B.matvec_count, B.solve_count
     rng = range_finder_b(A, B, cfg)
     basis = rng.basis.compact()
@@ -128,7 +128,7 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
     diag = {
         "effective_rank": int(basis.n_kept),
         "reorth_b_applies": int(basis.n_reorth_applies),
-        "symmetry_probe_applies": probe,
+        "symmetry_probe_applies": a0 - before_probe,
         "projected_eigenvalues_full": [float(v) for v in np.sort(lam_all)[::-1]],
         **method_diag,
     }

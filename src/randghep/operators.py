@@ -63,38 +63,40 @@ class _Counter:
         return self._value
 
 
-def _as_block(X, dim: int):
-    """Promote a vector to a one-column block.  Returns (block, was_vector)."""
+def _product(fn, X, dim_in: int, dim_out: int, counter: Optional[_Counter], what: str):
+    """fn(X) for a vector or a ``(dim_in, m)`` block X, checked; ``counter`` (if any) moves by m.
+
+    Any other X is a ConfigError.  An output that is not ``(dim_out, m)`` or
+    has a NaN or Inf entry is a NumericalError and moves no counter.  This
+    is the only code that moves an operator's counters.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        if X.shape[0] != dim:
-            raise ConfigError(f"operand has length {X.shape[0]}, expected {dim}")
-        return X[:, None], True
-    if X.ndim != 2 or X.shape[0] != dim:
-        raise ConfigError(f"operand has shape {X.shape}, expected ({dim}, m)")
-    return X, False
-
-
-def _checked_output(out, shape: tuple[int, int], what: str) -> np.ndarray:
-    """An operator's output as a float array, or NumericalError if it has the
-    wrong shape or a NaN or Inf entry."""
-    out = np.asarray(out, dtype=float)
+    vec = X.ndim == 1
+    if X.ndim not in (1, 2) or X.shape[0] != dim_in:
+        raise ConfigError(f"operand has shape {X.shape}, expected ({dim_in},) or ({dim_in}, m)")
+    Xb = X[:, None] if vec else X
+    shape = (dim_out, Xb.shape[1])
+    out = np.asarray(fn(Xb), dtype=float)
     if out.shape != shape:
         raise NumericalError(f"{what} produced shape {out.shape}, expected {shape}")
     if not np.isfinite(out).all():
         raise NumericalError(f"{what} produced non-finite (NaN or Inf) values")
-    return out
+    if counter is not None:
+        counter.add(shape[1])
+    return out[:, 0] if vec else out
 
 
 class LinearMap:
     """A linear operator applied to blocks of column vectors.
 
     ``apply`` maps a ``(dim_in, m)`` block to a ``(dim_out, m)`` block and
-    increments the matvec counter by exactly ``m``.  An output of the wrong
-    shape or with a NaN or Inf entry raises NumericalError and is not
-    counted; the same holds for ``apply_transpose`` and
-    ``SpdOperator.apply_inverse``.  One-dimensional inputs
-    are treated as single columns and returned one-dimensional.
+    increments the matvec counter by exactly ``m``.  It, ``apply_transpose``
+    and ``SpdOperator.apply_inverse``/``whiten`` run one checked product
+    (``_product``): an output of the wrong shape or with a NaN or Inf entry
+    raises NumericalError and is not counted.  One-dimensional inputs are
+    treated as single columns and returned one-dimensional.  The counters
+    are the only record of apply counts: callers read ``matvec_count`` and
+    ``solve_count`` before and after.
 
     Operators are immutable after construction and safe for concurrent
     read-only use; the counters use locked increments.  The dense backends
@@ -127,18 +129,12 @@ class LinearMap:
         return self._matvecs.value
 
     def apply(self, X) -> np.ndarray:
-        Xb, vec = _as_block(X, self.dim_in)
-        out = _checked_output(self._apply(Xb), (self.dim_out, Xb.shape[1]), "apply")
-        self._matvecs.add(Xb.shape[1])
-        return out[:, 0] if vec else out
+        return _product(self._apply, X, self.dim_in, self.dim_out, self._matvecs, "apply")
 
     def apply_transpose(self, X) -> np.ndarray:
         if self._apply_t is None:
             raise ConfigError("operator does not expose transpose application")
-        Xb, vec = _as_block(X, self.dim_out)
-        out = _checked_output(self._apply_t(Xb), (self.dim_in, Xb.shape[1]), "apply_transpose")
-        self._matvecs.add(Xb.shape[1])
-        return out[:, 0] if vec else out
+        return _product(self._apply_t, X, self.dim_out, self.dim_in, self._matvecs, "apply_transpose")
 
 
 class SpdOperator(LinearMap):
@@ -150,7 +146,8 @@ class SpdOperator(LinearMap):
     Cholesky factor of ``dense_spd``, P^T L D^{1/2} of ``sparse_spd``).  It
     serves the error estimator only (``errors.grow_sketch_until`` draws its
     certificate's random starts with it) and is outside the Bx/B^{-1}x
-    model the solvers use, so it moves no counter.  ``cholesky_factor`` is
+    model the solvers use, so it moves no counter.  ``apply_inverse``
+    moves the solve counter, as ``apply`` moves the matvec counter.  ``cholesky_factor`` is
     the dense lower Cholesky factor of B when the backend holds one
     (``dense_spd``), for the dense oracle to reuse; otherwise None, as for
     ``sparse_spd``, and the oracle factors a dense copy of B itself.
@@ -179,10 +176,7 @@ class SpdOperator(LinearMap):
         return self._solves.value
 
     def apply_inverse(self, X) -> np.ndarray:
-        Xb, vec = _as_block(X, self.dim_in)
-        out = _checked_output(self._apply_inv(Xb), (self.dim_in, Xb.shape[1]), "apply_inverse")
-        self._solves.add(Xb.shape[1])
-        return out[:, 0] if vec else out
+        return _product(self._apply_inv, X, self.dim, self.dim, self._solves, "apply_inverse")
 
     @property
     def has_whitening(self) -> bool:
@@ -195,9 +189,7 @@ class SpdOperator(LinearMap):
         """
         if self._whiten is None:
             raise ConfigError("operator has no whitening hook")
-        Xb, vec = _as_block(X, self.dim_in)
-        out = _checked_output(self._whiten(Xb), (self.dim_in, Xb.shape[1]), "whiten")
-        return out[:, 0] if vec else out
+        return _product(self._whiten, X, self.dim, self.dim, None, "whiten")
 
     def inverse_view(self) -> "SpdOperator":
         """View of B^{-1} as an SpdOperator.

@@ -702,6 +702,15 @@ class TestBSine:
         with pytest.raises(ConfigError):
             errors.b_sine(np.zeros(3), np.ones(3), B)
 
+    @pytest.mark.parametrize("x, y", [(0, 1), (1, 0)], ids=["y_indefinite", "x_indefinite"])
+    def test_non_positive_b_norm_is_numerical(self, x, y):
+        # an "SPD" operator that applies diag(1, -1, 1): e_2 has B-norm^2 -1
+        d = np.array([1.0, -1.0, 1.0])
+        B = rg.SpdOperator(3, lambda X: d[:, None] * X, lambda X: X / d[:, None])
+        E = np.eye(3)
+        with pytest.raises(NumericalError):
+            errors.b_sine(E[:, x], E[:, y], B)
+
     @pytest.mark.parametrize("t, rtol", [(9.4e-10, 1e-7), (9.4e-13, 1e-4)])
     def test_small_angle_on_kle_mass_matrix(self, t, rtol):
         # arccos of a cosine this close to 1 reads 0 or an angle off by ~sqrt(eps)
@@ -749,13 +758,29 @@ class TestGrowth:
         assert out.converged and len(out.history) > 2
         checks = [h for h in out.history if h.certified is not None]
         assert len(checks) >= 2 and out.history[0].certified is not None
-        assert all(h.a_applies == 2 * errors.LANCZOS_STEPS for h in checks)
-        cert = {key: sum(getattr(h, key) for h in out.history)
-                for key in ("a_applies", "b_solves", "b_applies")}
+        cert = out.certificate
+        assert cert["a_applies"] == 2 * errors.LANCZOS_STEPS * len(checks)
         assert pencil.A.matvec_count == out.n_columns + max(10, r) + cert["a_applies"]
         assert pencil.B.solve_count == out.n_columns + max(10, r) + cert["b_solves"]
         # one B-apply per QR'd column, one per check
         assert pencil.B.matvec_count == out.n_columns + cert["b_applies"]
+
+    def test_early_ended_certificate_books_its_counters(self):
+        # A = v v^T has rank one, so a 2-column sketch leaves C P C at
+        # roundoff and the check's Krylov space is invariant after 2 steps
+        n = 30
+        v = np.random.default_rng(6).standard_normal(n)
+        A = rg.dense_operator(np.outer(v, v))
+        B = rg.dense_spd(random_spd(n, 10.0, 2))
+        out = errors.grow_sketch_until(A, B, k0=2, tol=None, seed=3, max_cols=2)
+        assert len(out.history) == 1 and out.history[0].certified == out.estimate.e
+        assert out.certificate == {"a_applies": 4, "b_solves": 4, "b_applies": 1}
+        # the sketch and its probes, one B-apply per kept column (the QR drops
+        # the dependent one), then the check
+        assert out.basis.n_kept == 1
+        assert A.matvec_count == 2 + 5 + out.certificate["a_applies"]
+        assert B.solve_count == 2 + 5 + out.certificate["b_solves"]
+        assert B.matvec_count == 1 + out.certificate["b_applies"]
 
     def test_no_target_stops_at_max_cols(self):
         pencil = make_kle_pencil(1.5)
