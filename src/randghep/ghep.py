@@ -5,8 +5,10 @@ the pencil only through A.apply, B.apply and B.apply_inverse, so the
 operators' counters see every product.  The skeleton validates the pencil,
 probes A for symmetry, runs the B-weighted range finder (Y = B^{-1} A Omega,
 then Q with Q^T B Q = I), compacts the basis and assembles the diagnostics
-and the matvec accounting split by operator.  The projection forms and
-solves the method's small problem.  All three return B-orthonormal
+and the matvec accounting split by operator.  The projection forms the
+method's small problem and takes its rank decision and its solve from one
+decomposition (single-pass: an SVD of F = Q^T B Omega; Nystrom: an
+eigendecomposition of Q^T A Q).  All three return B-orthonormal
 eigenvectors (U^T B U = I) with the low-rank form A ~ (BU) Lambda (BU)^T.
 """
 
@@ -16,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpstrf
 
 from . import borth
 from .operators import ConfigError, IllConditionedError, LinearMap, NumericalError, SpdOperator
@@ -28,15 +28,15 @@ from .sketch import SketchConfig, derive_seed, gaussian_matrix, range_finder_b
 class GhepSolution:
     """Approximate dominant eigenpairs of a pencil (A, B).
 
-    ``eigenvalues`` is length k, sorted descending; ``counts`` holds the
+    ``eigenvalues`` has at most k entries, sorted descending; ``counts`` holds the
     A-applies, B-applies and B-solves the solve consumed after its symmetry
     probe (the probe's A-applies are excluded and reported as
     ``diagnostics["symmetry_probe_applies"]``).  The range finder's block QR
     makes no re-orthogonalization applies, so ``diagnostics["reorth_b_applies"]``
     is 0.  Nystrom's second QR (MGS-R in the B^{-1}-inner product) solves
-    with B one column at a time: one B-solve per column of M, plus
-    ``diagnostics["reorth_b_solves"]`` for its re-orthogonalization sweeps,
-    all of which ``counts`` includes.
+    with B one column at a time: one B-solve per column of M (per kept
+    eigenvalue of Q^T A Q), plus ``diagnostics["reorth_b_solves"]`` for its
+    re-orthogonalization sweeps, all of which ``counts`` includes.
     """
 
     U: np.ndarray
@@ -142,19 +142,15 @@ def _project_two_pass(A, B, cfg, rng, basis):
 
 def _project_single_pass(A, B, cfg, rng, basis):
     F = basis.WQ.T @ rng.Omega  # Q^T B Omega, no extra B-applies
-    fvals = np.linalg.svd(F, compute_uv=False)
+    W, fvals, Zt = np.linalg.svd(F, full_matrices=False)
     if fvals[-1] <= 1e-10 * fvals[0]:
         raise IllConditionedError(
             "F = Q^T B Omega is numerically singular (sigma_min/sigma_max <= 1e-10); "
             "use the two-pass solver"
         )
-    G = rng.Omega.T @ rng.Ybar
-    if F.shape[0] == F.shape[1]:
-        T = np.linalg.solve(F.T, G)
-        T = np.linalg.solve(F.T, T.T).T
-    else:
-        Fp = np.linalg.pinv(F)
-        T = Fp.T @ G @ Fp
+    # T = F^{+T} (Omega^T Ybar) F^+ with F^+ = Z Sigma^{-1} W^T
+    WS = W / fvals
+    T = WS @ (Zt @ (rng.Omega.T @ rng.Ybar) @ Zt.T) @ WS.T
     diag = {
         "sigma_min_F": float(fvals[-1]),
         "sigma_max_omega": float(np.linalg.svd(rng.Omega, compute_uv=False)[0]),
@@ -162,51 +158,23 @@ def _project_single_pass(A, B, cfg, rng, basis):
     return (*ritz(T, basis.Q, cfg.k), diag)
 
 
-def _psd_half_factor(T: np.ndarray, r: int) -> tuple[np.ndarray, bool, int]:
-    """Cholesky half of T, falling back to pivoted Cholesky on the positive part.
-
-    Returns (H, fallback_used, dropped) with T ~ H H^T restricted to pivots
-    above 1e-12 * trace(T) / r.
-    """
-    try:
-        L = scipy.linalg.cholesky(T, lower=True, check_finite=False)
-        return L, False, 0
-    except scipy.linalg.LinAlgError:
-        pass
-    tol = 1e-12 * max(np.trace(T), 0.0) / max(r, 1)
-    c, piv, rank, info = dpstrf(T, lower=1, tol=tol)
-    if info < 0:
-        raise NumericalError(f"pivoted Cholesky failed with info={info}")
-    rank = int(rank)
-    if rank == 0:
-        raise NumericalError("projected matrix Q^T A Q has no positive part; Nystrom needs A PSD on range(Q)")
-    perm = np.asarray(piv, dtype=int) - 1
-    L = np.tril(c)[:, :rank]
-    H = np.zeros((T.shape[0], rank))
-    H[perm, :] = L  # T ~ H H^T since P^T T P = L L^T
-    return H, True, T.shape[0] - rank
-
-
 def _project_nystrom(A, B, cfg, rng, basis):
     Q = basis.Q
     AQ = A.apply(Q)
     T = Q.T @ AQ
-    T = (T + T.T) / 2.0
-    H, fallback, dropped = _psd_half_factor(T, cfg.r)
-    if H.shape[0] == H.shape[1]:
-        M = scipy.linalg.solve_triangular(H, AQ.T, lower=True, check_finite=False).T
-    else:
-        # Pseudo-inverse route on the positive part: M = AQ * H (H^T H)^{-1}.
-        gram = H.T @ H
-        M = np.linalg.solve(gram, (AQ @ H).T).T
+    theta, V = np.linalg.eigh((T + T.T) / 2.0)
+    # keep the positive part above the relative tolerance, largest first
+    keep = np.flatnonzero(theta > 1e-12 * max(np.trace(T), 0.0) / cfg.r)[::-1]
+    if keep.size == 0:
+        raise NumericalError("projected matrix Q^T A Q has no positive part; Nystrom needs A PSD on range(Q)")
+    M = AQ @ (V[:, keep] / np.sqrt(theta[keep]))  # A ~ M M^T
     mbasis = borth.mgs_w_reorth(M, B.inverse_view()).compact()
     UM, sig, _ = np.linalg.svd(mbasis.R)
     lam_all = sig**2
     kk = min(cfg.k, lam_all.size)
     U = mbasis.WQ @ UM[:, :kk]  # WQ = B^{-1} Q_M satisfies (B^{-1}Q_M)^T B (B^{-1}Q_M) = I
     diag = {
-        "cholesky_fallback": bool(fallback),
-        "dropped_dimensions": int(dropped),
+        "dropped_dimensions": int(theta.size - keep.size),
         "reorth_b_solves": int(mbasis.n_reorth_applies),
     }
     return U, lam_all[:kk], lam_all, diag
@@ -223,28 +191,31 @@ def ghep_two_pass(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSoluti
 
 
 def ghep_single_pass(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
-    """Single-pass solver: T ~ (Omega^T B Q)^{-1} (Omega^T Ybar) (Q^T B Omega)^{-1}.
+    """Single-pass solver: T ~ (Omega^T B Q)^+ (Omega^T Ybar) (Q^T B Omega)^+.
 
     Reuses Ybar = A*Omega so only (k+p) A-applies are spent, with (k+p)
     B-applies and (k+p) B-solves; F = Q^T B Omega comes from the cached BQ at
-    O((k+p)^3) extra flops.  Reports sigma_min(F) and sigma_max(Omega) so the
+    O((k+p)^3) extra flops.  One SVD of F gives the conditioning check and
+    F^+, square or wide.  Reports sigma_min(F) and sigma_max(Omega) so the
     two-pass/single-pass eigenvalue gap bound can be evaluated.
     """
     return _solve("single_pass", _project_single_pass, A, B, cfg)
 
 
 def ghep_nystrom(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
-    """Nystrom solver: A ~ (AQ)(Q^T A Q)^{-1}(AQ)^T, re-expressed as (BU) Lambda (BU)^T.
+    """Nystrom solver: A ~ (AQ)(Q^T A Q)^+(AQ)^T, re-expressed as (BU) Lambda (BU)^T.
 
-    Factorizes T = L L^T, forms M = A Q L^{-T}, B^{-1}-orthonormalizes M
-    by MGS-R (``borth.mgs_w_reorth``: contiguous columns, in-place BLAS-1
+    Eigendecomposes T = Q^T A Q = V diag(theta) V^T, keeps the theta above
+    1e-12 trace(T)/(k+p) (``dropped_dimensions`` counts the rest), forms
+    M = A Q V+ theta+^{-1/2}, B^{-1}-orthonormalizes M by MGS-R
+    (``borth.mgs_w_reorth``: contiguous columns, in-place BLAS-1
     projections, one single-column B-solve per column and per extra sweep),
     yielding the companion Qhat with Qhat^T B Qhat = I, and squares the
     singular values of the small R factor.  One implicit power-iteration step
     over the two-pass solver, at the price of a second round of B-solves:
     2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves, less one B-solve per
-    direction the pivoted-Cholesky fallback drops.  The eigenvalues are
-    squared singular values, sorted descending.
+    dropped theta.  The eigenvalues are squared singular values, sorted
+    descending.
     """
     return _solve("nystrom", _project_nystrom, A, B, cfg)
 

@@ -104,17 +104,22 @@ def assemble_covariance(grid: Grid1D, cfg: MaternConfig) -> np.ndarray:
     return G
 
 
+def _mass_bands(grid: Grid1D) -> tuple[np.ndarray, float]:
+    """The mass matrix's diagonal (2h/3, h/3 at the two ends) and off-diagonal h/6."""
+    main = np.full(grid.n, 2.0 * grid.h / 3.0)
+    main[0] = main[-1] = grid.h / 3.0
+    return main, grid.h / 6.0
+
+
 def assemble_mass_1d(grid: Grid1D) -> np.ndarray:
     """Piecewise-linear mass matrix on the uniform grid (dense tridiagonal).
 
     Interior rows are (h/6)[1, 4, 1]; the two end rows are (h/6)[2, 1].
     """
-    n, h = grid.n, grid.h
+    n = grid.n
+    main, off = _mass_bands(grid)
     M = np.zeros((n, n))
-    main = np.full(n, 2.0 * h / 3.0)
-    main[0] = main[-1] = h / 3.0
     np.fill_diagonal(M, main)
-    off = np.full(n - 1, h / 6.0)
     M[np.arange(n - 1), np.arange(1, n)] = off
     M[np.arange(1, n), np.arange(n - 1)] = off
     return M
@@ -125,15 +130,12 @@ class MassOperator(SpdOperator):
     and whitening by the same banded factor."""
 
     def __init__(self, grid: Grid1D) -> None:
-        n, h = grid.n, grid.h
-        self._main = np.full(n, 2.0 * h / 3.0)
-        self._main[0] = self._main[-1] = h / 3.0
-        self._off = h / 6.0
-        ab = np.zeros((2, n))
+        self._main, self._off = _mass_bands(grid)
+        ab = np.zeros((2, grid.n))
         ab[0, 1:] = self._off
         ab[1] = self._main
         self._cb = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
-        super().__init__(n, self._stencil, self._solve, self._whiten)
+        super().__init__(grid.n, self._stencil, self._solve, self._whiten)
 
     def _stencil(self, X: np.ndarray) -> np.ndarray:
         out = self._main[:, None] * X

@@ -201,6 +201,7 @@ class SpdOperator(LinearMap):
         view = SpdOperator.__new__(SpdOperator)
         LinearMap.__init__(view, self.dim, self.dim, self._apply_inv, self._apply_inv)
         view._apply_inv = self._apply
+        view._whiten = None
         view._matvecs = self._solves
         view._solves = self._matvecs
         return view

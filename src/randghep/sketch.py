@@ -98,22 +98,28 @@ _QR_ALGORITHMS = {
 }
 
 
+def _identity(n: int) -> SpdOperator:
+    """B = I as an SpdOperator, for the B = I SVD and EVD."""
+    return SpdOperator(n, lambda X: X, lambda X: X)
+
+
 def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-k randomized SVD of A (standard inner product).
 
-    Sketch Y = A*Omega, orthonormalize, project B = Q^T A, SVD the small
-    matrix, lift the left factor.  Returns (U, sigma, V) with A ~ U diag(s) V^T.
+    Sketch Y = A*Omega, orthonormalize it by ``borth.pre_chol_qr_w`` under
+    W = I, project B = Q^T A, SVD the small matrix, lift the left factor.
+    Returns (U, sigma, V) with A ~ U diag(s) V^T: at most k singular
+    values, one per kept column of Q.
     """
     m, n = A.dim_out, A.dim_in
     if cfg.r > min(m, n):
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds min(m, n)={min(m, n)}")
     Omega = gaussian_matrix(n, cfg.r, cfg.seed)
-    Y = A.apply(Omega)
-    Q, _ = np.linalg.qr(Y)
+    Q = borth.pre_chol_qr_w(A.apply(Omega), _identity(m)).compact().Q
     B_small = A.apply_transpose(Q).T
     Ut, sig, Vt = np.linalg.svd(B_small, full_matrices=False)
-    U = Q @ Ut[:, : cfg.k]
-    return U, sig[: cfg.k], Vt[: cfg.k].T
+    kk = min(cfg.k, sig.size)
+    return Q @ Ut[:, :kk], sig[:kk], Vt[:kk].T
 
 
 def randomized_evd(
@@ -137,7 +143,7 @@ def randomized_evd(
     if mode not in ("two_pass", "single_pass"):
         raise ConfigError(f"unknown mode {mode!r}")
     solve = ghep.ghep_two_pass if mode == "two_pass" else ghep.ghep_single_pass
-    sol = solve(A, SpdOperator(n, lambda X: X, lambda X: X), cfg)
+    sol = solve(A, _identity(n), cfg)
     return sol.U, sol.eigenvalues
 
 

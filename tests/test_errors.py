@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
@@ -418,6 +419,14 @@ class TestCachedRangeError:
         np.testing.assert_array_equal(Ahat, before)
 
 
+def _sigma1_30_digits(M):
+    """sigma_1(M) from the smaller Gram matrix, eigensolved with 30 digits."""
+    X = M if M.shape[0] >= M.shape[1] else M.T
+    with mpmath.workdps(30):
+        X = mpmath.matrix(X.tolist())
+        return float(mpmath.sqrt(max(mpmath.eigsy(X.T * X, eigvals_only=True))))
+
+
 class TestNorm2:
     """_norm2 = sqrt(lambda_max(M^T M)) against the SVD's sigma_1."""
 
@@ -513,6 +522,7 @@ class TestNorm2:
         assert seen == {"lanczos": [None], "certified": [], "eigh": 1}
         assert abs(got - expected) <= 1e-14 * expected
 
+    @example(rows=3, cols=3, top=3, gap=1e-14, order="F", seed=3)
     @given(rows=st.integers(1, 80), cols=st.integers(1, 80), top=st.integers(1, 4),
            gap=st.sampled_from([0.0, 1e-15, 1e-14, 3e-14, 1e-13, 1e-10, 1e-6, 1e-2]),
            order=st.sampled_from(["F", "C"]), seed=st.integers(0, 2**32 - 1))
@@ -532,9 +542,16 @@ class TestNorm2:
         U, _ = np.linalg.qr(rng.standard_normal((rows, r)))
         V, _ = np.linalg.qr(rng.standard_normal((cols, r)))
         M = np.array((U * s) @ V.T, order=order)
+        M0 = M.copy()
         expected = scipy.linalg.svdvals(M)[0]
         allowance = errors._NORM_SLACK / 2.0 + 2.0 * max(rows, cols) * np.finfo(float).eps
-        assert abs(errors._norm2(M) - expected) <= allowance * expected
+        got = errors._norm2(M)
+        if abs(got - expected) > allowance * expected:
+            # LAPACK's sigma_1 can itself be off by tens of eps on such
+            # clusters (the pinned example: 1 - 7.4e-15 against sigma_1 =
+            # 1 + 2.2e-16, 34 eps); judge by a 30-digit reference
+            expected = _sigma1_30_digits(M0)
+        assert abs(got - expected) <= allowance * expected
 
     def test_non_symmetric_b_norm_matrix(self):
         rng = np.random.default_rng(21)

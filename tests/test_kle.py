@@ -89,6 +89,19 @@ class TestAssembly:
         assert w[0] > 0.0
         assert w[-1] / w[0] <= 10.0
 
+    @pytest.mark.parametrize("n", [2, 3, 201])
+    def test_mass_dense_and_operator_share_one_definition(self, n):
+        # bands 2h/3 (h/3 at the two ends) and h/6, bitwise, in the dense
+        # matrix and in the operator's stencil
+        grid = kle.Grid1D(n=n)
+        h = grid.h
+        main = np.full(n, 2.0 * h / 3.0)
+        main[0] = main[-1] = h / 3.0
+        off = np.full(n - 1, h / 6.0)
+        M = kle.assemble_mass_1d(grid)
+        assert np.array_equal(M, np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.array_equal(kle.MassOperator(grid).apply(np.eye(n)), M)
+
     def test_mass_operator_matches_dense(self):
         grid = kle.Grid1D(n=63)
         op = kle.MassOperator(grid)

@@ -396,6 +396,12 @@ class TestLinearMap:
         W.apply_inverse(np.ones(2))
         assert B.matvec_count == 1
 
+    def test_inverse_view_has_no_whitening_hook(self):
+        W = rg.dense_spd(np.eye(3)).inverse_view()
+        assert not W.has_whitening
+        with pytest.raises(ConfigError, match="whitening"):
+            W.whiten(np.ones(3))
+
     def test_shape_validation(self):
         A = rg.dense_operator(np.eye(4))
         with pytest.raises(ConfigError):

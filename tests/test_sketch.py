@@ -170,6 +170,24 @@ class TestRandomizedSvd:
         err = np.linalg.norm(Ad - (U * sig) @ V.T, 2)
         assert err <= 1e-11 * np.linalg.norm(Ad, 2)
 
+    def test_rank_deficient_sketch_returns_one_value_per_kept_column(self):
+        # A = L R has rank 3 and only its first three rows nonzero, so the
+        # sketch A*Omega does too: the Householder QR projects its dependent
+        # columns to true zeros, the block QR drops them, and the SVD returns
+        # 3 values, not k = 5 with two at roundoff.  (A generic rank-3 sketch
+        # can keep a roundoff column: the QR's per-column threshold is
+        # ROADMAP item 4.)
+        rng = np.random.default_rng(8)
+        L = np.zeros((30, 3))
+        L[:3] = rng.standard_normal((3, 3))
+        Ad = L @ rng.standard_normal((3, 20))
+        U, sig, V = rg.randomized_svd(rg.dense_operator(Ad), SketchConfig(k=5, p=2, seed=3))
+        assert sig.size == 3
+        assert U.shape == (30, 3) and V.shape == (20, 3)
+        np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-14)
+        err = np.linalg.norm(Ad - (U * sig) @ V.T, 2)
+        assert err <= 1e-11 * np.linalg.norm(Ad, 2)
+
     def test_full_rank_near_optimal(self):
         # Eckart-Young reference from a dense SVD; randomized error within 10x
         rng = np.random.default_rng(10)
