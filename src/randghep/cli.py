@@ -84,9 +84,10 @@ def _load_spd(path):
 def _load_pencil(args):
     """The pencil of the files ``--A`` and ``--B``.  Its ``dense_a`` is the
     array its A-operator wraps.  Its ``dense_b`` is the array a dense B wraps,
-    or, for a B in coordinate storage, a dense copy made the first time an
-    oracle reads it.  So no matrix is held twice, and no sparse B is held
-    dense until an oracle asks for it."""
+    or, for a B in coordinate storage, a dense copy made the first time it is
+    read.  The oracles read B's factor (``SpdOperator.dense_factor``), not
+    ``dense_b``, so no matrix is held twice and a sparse B is never held
+    dense."""
     from . import operators
 
     Ad = operators.load_matrix_market(args.A)
@@ -111,7 +112,8 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
     oracle = bound_flags = None
     if args.oracle:
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b, pencil.B.cholesky_factor)
+        # the B-operator's own factor: a coordinate B is neither densified nor factored again
+        ref = errors.dense_ghep_oracle(pencil.dense_a, None, pencil.B.dense_factor())
         eps = ref.range_error(sol.basis.Q)
         report["range_error_exact"] = eps
         m = sol.eigenvalues.size
@@ -125,8 +127,8 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
             bound_flags = []
             for i, lam in enumerate(sol.eigenvalues):
                 lam_ex = float(oracle[i])
-                others = np.delete(ref.lambdas, i)
-                delta = float(np.min(np.abs(lam - others)))
+                # the gap to the rest of the spectrum; a 1-by-1 pencil has none
+                delta = float(np.min(np.abs(lam - np.delete(ref.lambdas, i)), initial=np.inf))
                 bounds = errors.eigenpair_bounds(eps, delta)
                 # roundoff allowance: the booleans compare measured quantities
                 lam_slack = 1e-12 * max(1.0, abs(lam_ex))
@@ -224,8 +226,9 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     report["probability_floor"] = est.probability_floor
     report["source"] = est.source
     if args.oracle:
-        report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.dense_b,
-                                                               growth.basis.Q, pencil.B.cholesky_factor)
+        factor = pencil.B.dense_factor()  # None for the KLE pencil's banded mass operator
+        report["range_error_exact"] = errors.range_error_exact(
+            pencil.dense_a, None if factor else pencil.dense_b, growth.basis.Q, factor)
 
 
 def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:

@@ -2,17 +2,21 @@
 dense reference oracles for the B-weighted geometry.
 
 The oracles (B-norm, generalized singular values, exact range error, exact
-GHEP) work on one Cholesky factor B = L L^T, the reduction of the
-symmetric-definite pencil that LAPACK's sygv uses: the B-norm of M is
-||L^T M L^{-T}||_2 and C = B^{-1}A is congruent to L^{-1} A L^{-T}, which
-LAPACK's dsygst forms in n^3 flops.  No square root of B is formed, by the
-oracles or by the solvers.  The exact GHEP reduces L^{-1} A L^{-T} to
+GHEP) work on one factor B = F F^T, the reduction of the symmetric-definite
+pencil that LAPACK's sygv uses: the B-norm of M is ||F^T M F^{-T}||_2 and
+C = B^{-1}A is congruent to F^{-1} A F^{-T}, which LAPACK's dsygst forms in
+n^3 flops.  F = P^T L is a dense lower-triangular L under a symmetric
+ordering P: the Cholesky factor of a dense B (P = I), or the factor that a
+B-operator already holds (``SpdOperator.dense_factor``), so a sparse B is
+neither densified nor factored again.  No square root of B is formed, by
+the oracles or by the solvers.  The exact GHEP reduces F^{-1} A F^{-T} to
 tridiagonal form once: every eigenvalue comes from that reduction, and
-eigenvectors are computed only for the top m that a caller reads.  A
-spectral norm (B-norm, exact range error) is the square root of the top
-eigenvalue of a Gram matrix, taken by Lanczos and certified to be the top
-one by a single Cholesky factorization, so it is exact to a relative 5e-15
-plus rounding; a dense eigensolve takes over when the certificate fails.
+eigenvectors are computed, by inverse iteration on those eigenvalues, only
+for the top m that a caller reads.  A spectral norm (B-norm, exact range
+error) is the square root of the top eigenvalue of a Gram matrix, taken by
+Lanczos and certified to be the top one by a single Cholesky
+factorization, so it is exact to a relative 5e-15 plus rounding; a dense
+eigensolve takes over when the certificate fails.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.linalg.blas import dsymv, dsyrk, dtrmm, dtrsm
+from scipy.linalg.blas import dgemm, dsymv, dsyrk, dtrmm, dtrsm
 
 from .borth import EPS, BOrthoBasis, pre_chol_qr_w
 from .operators import (
@@ -65,28 +69,32 @@ class ErrorEstimate:
 class SpectrumReference:
     """Dense reference data for a pencil (A, B), built by ``dense_ghep_oracle``.
 
-    On construction: ``L``, the Cholesky factor of B; ``Ahat`` =
-    L^{-1} A L^{-T}, the congruent symmetric matrix, which ``range_error``
-    reuses for every basis; its one reduction to tridiagonal form; and from
-    that reduction ``lambdas``, every eigenvalue of the pencil (descending,
-    assignable).  ``top_eigenvectors(m)`` computes B-orthonormal eigenvectors
-    from the same reduction only when they are read, and only the top m;
-    ``eigenvectors`` is all n of them.  The rest is computed on first read
-    and then cached: ``sigmas_B``, the generalized singular values of
-    C = B^{-1}A, as the singular values of L^{-1}A (the same as those of
-    B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2, ``b_norm`` = ||B||_2 and
-    ``kappa_B`` from one values-only eigensolve of B.  ``range_error(Q)`` is
-    ``range_error_exact(A, B, Q)`` without a second factorization of B, and
-    equals it bitwise.
+    On construction: ``L`` and ``order``, the factor B = F F^T with
+    F = P^T L (B[order][:, order] = L L^T; ``order`` is None for P = I);
+    ``Ahat`` = F^{-1} A F^{-T}, the congruent symmetric matrix, which
+    ``range_error`` reuses for every basis; its one reduction to tridiagonal
+    form; and from that reduction ``lambdas``, every eigenvalue of the pencil
+    (descending, assignable).  ``top_eigenvectors(m)`` computes B-orthonormal
+    eigenvectors from the same reduction and eigenvalues only when they are
+    read, and only the top m; ``eigenvectors`` is all n of them.  The rest
+    is computed on first read and then cached: ``sigmas_B``, the generalized
+    singular values of C = B^{-1}A, as the singular values of F^{-1}A (the
+    same as those of B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2,
+    ``b_norm`` = ||B||_2 and ``kappa_B`` from one values-only eigensolve of
+    B, or of L L^T when the oracle was given only B's factor.
+    ``range_error(Q)`` is ``range_error_exact(A, B, Q)`` on the same factor
+    without forming A^ again, and equals it bitwise.
     """
 
     lambdas: np.ndarray
     A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
-    L: np.ndarray = field(repr=False)  # lower Cholesky factor of B
+    B: Optional[np.ndarray] = field(repr=False)  # None when only its factor was given
+    L: np.ndarray = field(repr=False)  # lower-triangular, B[order][:, order] = L L^T
+    order: Optional[np.ndarray] = field(repr=False)
     Ahat: np.ndarray = field(repr=False)
     # dsytrd's lower-storage reduction Q^T A^ Q = T: (diagonal, off-diagonal,
-    # the Householder vectors of Q as rows 1..n-1 of the reduced array, their scalars)
+    # the Householder vectors of Q as rows 1..n-1 of the reduced array, their
+    # scalars, every eigenvalue of T ascending)
     _tri: tuple = field(repr=False)
     _vectors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -94,10 +102,13 @@ class SpectrumReference:
         """The B-orthonormal eigenvectors of the m largest eigenvalues, an n-by-m block.
 
         Column j belongs to the j-th largest eigenvalue.  The top m
-        eigenvectors Z of T come from bisection and inverse iteration (all n
-        from divide and conquer when m = n); X = L^{-T} Q Z is one dormqr on
-        rows 1..n-1 (row 0 of Q is e_0^T) and one dtrsm.  The widest block
-        computed so far is cached, and a narrower read is a view of it.
+        eigenvectors Z of T come from inverse iteration on the top m of the
+        eigenvalues that the oracle already took from T
+        (``_top_tridiagonal_vectors``; all n from divide and conquer when
+        m = n).  X = F^{-T} Q Z is one dormqr on rows 1..n-1 (row 0 of Q is
+        e_0^T), one dtrsm and, under an ordering, one scatter of the rows.
+        The widest block computed so far is cached, and a narrower read is a
+        view of it.
         """
         n = self.L.shape[0]
         if not 0 <= m <= n:
@@ -105,14 +116,16 @@ class SpectrumReference:
         if m == 0:
             return np.empty((n, 0))
         if self._vectors is None or self._vectors.shape[1] < m:
-            d, e, reflectors, tau = self._tri
-            top = {} if m == n else {"select": "i", "select_range": (n - m, n - 1)}
-            _, Z = scipy.linalg.eigh_tridiagonal(d, e, check_finite=False, **top)
-            Z = np.asfortranarray(Z[:, ::-1])
+            d, e, reflectors, tau, values = self._tri
+            Z = _top_tridiagonal_vectors(d, e, values, m)
             if n > 1:
                 lwork = lapack.dormqr("L", "N", reflectors, tau, Z[1:], lwork=-1)[1][0]
                 Z[1:] = lapack.dormqr("L", "N", reflectors, tau, Z[1:], lwork=max(1, int(lwork)))[0]
-            self._vectors = dtrsm(1.0, self.L, Z, lower=1, trans_a=1, overwrite_b=1)
+            X = dtrsm(1.0, self.L, Z, lower=1, trans_a=1, overwrite_b=1)
+            if self.order is not None:  # X = P^T (L^{-T} Q Z): row order[i] of X is row i
+                X, rows = np.empty_like(X), X
+                X[self.order] = rows
+            self._vectors = X
         return self._vectors[:, :m]
 
     @property
@@ -122,16 +135,19 @@ class SpectrumReference:
 
     def range_error(self, Q: np.ndarray) -> float:
         """Exact f = ||(I - Q Q^T B) C||_B; see ``range_error_exact``."""
-        return _range_error(self.Ahat, self.L, _basis(Q, self.L.shape[0]))
+        return _range_error(self.Ahat, self.L, self.order, _basis(Q, self.L.shape[0]))
 
     @cached_property
     def sigmas_B(self) -> np.ndarray:
-        return scipy.linalg.svdvals(dtrsm(1.0, self.L, self.A, lower=1), overwrite_a=True,
+        PA = self.A if self.order is None else self.A[self.order]
+        return scipy.linalg.svdvals(dtrsm(1.0, self.L, PA, lower=1), overwrite_a=True,
                                     check_finite=False)
 
     @cached_property
     def _b_extreme_eigenvalues(self) -> tuple[float, float]:
-        w = scipy.linalg.eigvalsh(self.B, check_finite=False)
+        # L L^T is B under the ordering: the same eigenvalues
+        B = dsyrk(1.0, self.L, lower=1) if self.B is None else self.B
+        w = scipy.linalg.eigvalsh(B, check_finite=False)
         return float(w[0]), float(w[-1])
 
     @cached_property
@@ -162,19 +178,24 @@ def _finite(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
-def _dense_pencil(
-    A: np.ndarray, B: np.ndarray, name: str = "A", L: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, L): finite matrices of one shape and the Cholesky factor of B.
+def _dense_pencil(A: np.ndarray, B: Optional[np.ndarray], name: str = "A",
+                  factor: Optional[tuple] = None) -> tuple:
+    """(A, B, L, order): a finite A, B, and a factor with B[order][:, order] = L L^T.
 
-    A factor L that the caller already holds is returned as it is, and B is
-    not factored again.
+    A ``factor`` (L, order) that the caller already holds is returned as it
+    is, and B is not read (it may be None).  Without one, B is checked and
+    Cholesky-factored, and order is None.
     """
     A = _finite(A, name)
+    if factor is not None:
+        L, order = factor
+        if A.shape != L.shape:
+            raise ConfigError(f"{name} has shape {A.shape}, the factor of B has shape {L.shape}")
+        return A, B, L, order
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ConfigError(f"{name} has shape {A.shape}, B has shape {B.shape}")
-    return A, B, cholesky_lower(B, "B") if L is None else L
+    return A, B, cholesky_lower(B, "B"), None
 
 
 def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -186,17 +207,21 @@ def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
 _MIRROR_BLOCK = 128
 
 
-def _congruent(A: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """A^ = L^{-1} A L^{-T}, a new F-ordered symmetric array.
+def _congruent(A: np.ndarray, L: np.ndarray, order: Optional[np.ndarray]) -> np.ndarray:
+    """A^ = L^{-1} P A P^T L^{-T}, a new F-ordered symmetric array.
 
     LAPACK's dsygst (itype 1) forms the lower triangle of A^ from the lower
-    triangles of A and L on an F-ordered copy of A, in n^3 flops against the
-    2n^3 of two triangular solves.  The upper triangle is then mirrored from
-    the lower one in place, one block of rows at a time, so A^ is exactly
-    symmetric and no n-by-n temporary is made.
+    triangles of P A P^T and L on one F-ordered copy of P A P^T, in n^3 flops
+    against the 2n^3 of two triangular solves.  The upper triangle is then
+    mirrored from the lower one in place, one block of rows at a time, so A^
+    is exactly symmetric and no n-by-n temporary is made.
     """
+    if order is None:
+        PA = np.array(A, order="F")
+    else:  # one gather of A[order][:, order]; A is symmetric, so its F-ordered transpose is it
+        PA = A[np.ix_(order, order)].T
     # info reports only an illegal argument
-    Ahat = lapack.dsygst(np.array(A, order="F"), L, itype=1, lower=1, overwrite_a=1)[0]
+    Ahat = lapack.dsygst(PA, L, itype=1, lower=1, overwrite_a=1)[0]
     n = Ahat.shape[0]
     for r0 in range(0, n, _MIRROR_BLOCK):
         r1 = min(r0 + _MIRROR_BLOCK, n)
@@ -215,13 +240,17 @@ def _basis(Q: np.ndarray, n: int) -> np.ndarray:
     return Q
 
 
-def _range_error(Ahat: np.ndarray, L: np.ndarray, Q: np.ndarray) -> float:
-    """||(I - W W^T) A^||_2 with W = L^T Q; A^ is left untouched."""
-    if Q.shape[1] == 0:
-        return _norm2(Ahat.copy(order="F"))
-    W = dtrmm(1.0, L, Q, lower=1, trans_a=1)
-    G = W @ (W.T @ Ahat)
-    return _norm2(np.subtract(Ahat, G, out=G))
+def _range_error(Ahat: np.ndarray, L: np.ndarray, order: Optional[np.ndarray], Q: np.ndarray) -> float:
+    """||(I - W W^T) A^||_2 with W = F^T Q = L^T Q[order]; A^ is left untouched.
+
+    The residual is formed in one pass: one dgemm (beta = 1) updates an
+    F-ordered copy of A^ in place, and ``_norm2`` then overwrites it.
+    """
+    M = Ahat.copy(order="F")
+    if Q.shape[1]:
+        W = dtrmm(1.0, L, Q if order is None else Q[order], lower=1, trans_a=1)
+        M = dgemm(-1.0, W, dgemm(1.0, W, Ahat, trans_a=1), beta=1.0, c=M, overwrite_c=1)
+    return _norm2(M)
 
 
 #: Lanczos steps that ``_norm2`` takes before it falls back to a full eigensolve.
@@ -296,8 +325,9 @@ def _norm2(M: np.ndarray) -> float:
     eps ||M^T M|| = eps sigma_1^2 in lambda_max is a relative error O(eps)
     in its square root, and the small singular values, which would lose all
     digits below eps sigma_1^2, are not read.  M is first scaled by the
-    power of two just above max |M_ij|, which is exact and keeps M^T M from
-    overflowing or underflowing; the Gram matrix G is one dsyrk.
+    power of two just above max |M_ij| = max(max M, -min M) (two reductions,
+    no |M| temporary), which is exact and keeps M^T M from overflowing or
+    underflowing; the Gram matrix G is one dsyrk.
 
     lambda_max(G) is the top Ritz value theta of a few Lanczos steps
     (``_lanczos_top``), certified by one Cholesky factorization of
@@ -309,7 +339,7 @@ def _norm2(M: np.ndarray) -> float:
     the factorization fails, or Lanczos reaches its step cap, G is formed
     again and its top eigenvalue taken by a dense eigensolve.
     """
-    peak = float(np.max(np.abs(M), initial=0.0))
+    peak = float(max(M.max(), -M.min()))  # NaN when M has one: both reductions carry it
     if peak == 0.0:
         return 0.0
     if not math.isfinite(peak):
@@ -336,54 +366,97 @@ def b_norm(M: np.ndarray, B: np.ndarray) -> float:
     matrix is not symmetric; ``_norm2`` takes its largest singular value from
     the top eigenvalue of its Gram matrix.
     """
-    M, B, L = _dense_pencil(M, B, "M")
+    M, B, L, _ = _dense_pencil(M, B, "M")
     return _norm2(_solve_right_lt(dtrmm(1.0, L, M, lower=1, trans_a=1), L))
 
 
-def dense_ghep_oracle(A: np.ndarray, B: np.ndarray,
-                      L: Optional[np.ndarray] = None) -> SpectrumReference:
-    """Every eigenvalue of the pencil (A, B) from one Cholesky-congruence reduction.
+def dense_ghep_oracle(A: np.ndarray, B: Optional[np.ndarray],
+                      factor: Optional[tuple] = None) -> SpectrumReference:
+    """Every eigenvalue of the pencil (A, B) from one congruence reduction.
 
-    B = L L^T is factored once, or not at all when the caller passes the
-    lower Cholesky factor L that ``operators.cholesky_lower`` made of this B
-    (the ``cholesky_factor`` of a ``dense_spd`` operator; the results are
-    then bitwise the same).  A ``sparse_spd`` operator holds no dense
-    factor, so for a sparse B the caller passes a dense copy of B and no L,
-    and B is factored here.  A^ = L^{-1} A L^{-T} is formed once and
-    reduced to tridiagonal T once (dsytrd on a copy; A^ is kept for the range
+    B = F F^T, F = P^T L, is factored once, or not at all when the caller
+    passes the ``factor`` (L, order) that a B-operator already holds
+    (``SpdOperator.dense_factor``); B is then not read and may be None.  A
+    ``dense_spd`` factor is the one ``operators.cholesky_lower`` makes, and
+    the results are bitwise those of passing B alone.  A ``sparse_spd``
+    factor is its LDL^T factor under its fill-reducing ordering: another
+    exact factorization of the same B, so no dense copy of B is made and B
+    is not factored again.  A^ = F^{-1} A F^{-T} is formed once and reduced
+    to tridiagonal T once (dsytrd on a copy; A^ is kept for the range
     error).  All n eigenvalues, descending, come from T at O(n^2) cost.
-    Eigenvectors come back B-orthonormal from the same reduction, and only
-    for the top m that a caller reads (``SpectrumReference.top_eigenvectors``).
-    The generalized singular values and the extreme eigenvalues of B are
-    computed only when they are read.
+    Eigenvectors come back B-orthonormal from the same reduction and those
+    eigenvalues, and only for the top m that a caller reads
+    (``SpectrumReference.top_eigenvectors``).  The generalized singular
+    values and the extreme eigenvalues of B are computed only when they are
+    read.
     """
-    A, B, L = _dense_pencil(A, B, "A", L)
+    A, B, L, order = _dense_pencil(A, B, "A", factor)
     check_symmetric(A)
-    Ahat = _congruent(A, L)
+    Ahat = _congruent(A, L, order)
     n = Ahat.shape[0]
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     c, d, e, tau, _ = lapack.dsytrd(np.array(Ahat, order="F"), lower=1, lwork=lwork, overwrite_a=1)
     lam = scipy.linalg.eigvalsh_tridiagonal(d, e, check_finite=False)
-    return SpectrumReference(lambdas=lam[::-1], A=A, B=B, L=L, Ahat=Ahat,
-                             _tri=(d, e, np.asfortranarray(c[1:, : n - 1]), tau))
+    return SpectrumReference(lambdas=lam[::-1], A=A, B=B, L=L, order=order, Ahat=Ahat,
+                             _tri=(d, e, np.asfortranarray(c[1:, : n - 1]), tau, lam))
 
 
-def range_error_exact(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
-                      L: Optional[np.ndarray] = None) -> float:
+def _top_tridiagonal_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal eigenvectors of T = tridiag(e, d, e) for its m largest eigenvalues.
+
+    An F-ordered n-by-m block, largest first.  ``values`` are all n
+    eigenvalues of T, ascending.  For m < n, LAPACK's dstein runs inverse
+    iteration on the top m of them, with no bisection to find them again.
+    dstein works block by block where T splits: the split points are
+    dstebz's (e_j^2 < |d_j d_{j+1}| ulp^2 + the safe minimum), and each
+    value goes to the block whose own eigenvalues, pooled and sorted, hold
+    the eigenvalue of the same rank.  All
+    n (m = n, which covers n = 1, where dstein takes no empty e) come from
+    divide and conquer.
+    """
+    n = d.size
+    if m == n:
+        return np.asfortranarray(scipy.linalg.eigh_tridiagonal(d, e, check_finite=False)[1][:, ::-1])
+    w = values[n - m:]
+    fp = np.finfo(float)
+    split = np.abs(d[:-1] * d[1:]) * fp.eps**2 + fp.tiny > e * e  # dstebz's test
+    ends = np.r_[np.flatnonzero(split) + 1, n]  # the last row of each block, 1-based
+    if ends.size == 1:
+        block = np.ones(m, dtype=np.int32)
+    else:
+        starts = np.r_[0, ends[:-1]]
+        own = np.concatenate([scipy.linalg.eigvalsh_tridiagonal(d[s:t], e[s : t - 1], check_finite=False)
+                              for s, t in zip(starts, ends)])
+        owner = np.repeat(np.arange(1, ends.size + 1, dtype=np.int32), ends - starts)
+        block = owner[np.argsort(own, kind="stable")][n - m:]
+    grouped = np.lexsort((w, block))  # dstein wants the values by block, ascending within each
+    iblock, isplit = np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32)
+    iblock[:m], isplit[: ends.size] = block[grouped], ends
+    Z, info = lapack.dstein(d, e, w[grouped], iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"inverse iteration (dstein) did not converge: info = {info}")
+    X = np.empty((n, m), order="F")
+    X[:, m - 1 - grouped] = Z
+    return X
+
+
+def range_error_exact(A: np.ndarray, B: Optional[np.ndarray], Q: np.ndarray,
+                      factor: Optional[tuple] = None) -> float:
     """Exact f = ||(I - Q Q^T B) C||_B for a dense pencil (oracle scale).
 
-    With B = L L^T, A^ = L^{-1} A L^{-T} and W = L^T Q (one dtrmm), the
-    matrix L^T (I - Q Q^T B) C L^{-T} equals (I - W W^T) A^, so f is its
+    With B = F F^T, A^ = F^{-1} A F^{-T} and W = F^T Q (one dtrmm), the
+    matrix F^T (I - Q Q^T B) C F^{-T} equals (I - W W^T) A^, so f is its
     exact 2-norm, taken by ``_norm2``.  Q need not be B-orthonormal.  B is
-    factored unless the caller passes its lower Cholesky factor L, as for
-    ``dense_ghep_oracle`` (the result is then bitwise the same; a dense copy
-    of a ``sparse_spd`` B comes with no L and is factored here);
+    factored unless the caller passes the ``factor`` (L, order) of a
+    B-operator, as for ``dense_ghep_oracle``; B is then not read.  A
+    ``dense_spd`` factor gives bitwise the result of B alone; a
+    ``sparse_spd`` factor needs no dense copy of B.
     ``SpectrumReference.range_error`` reuses the factor and A^ of one
     ``dense_ghep_oracle`` and returns the same bits.
     """
-    A, B, L = _dense_pencil(A, B, "A", L)
-    Q = _basis(Q, B.shape[0])
-    return _range_error(_congruent(A, L), L, Q)
+    A, B, L, order = _dense_pencil(A, B, "A", factor)
+    Q = _basis(Q, A.shape[0])
+    return _range_error(_congruent(A, L, order), L, order, Q)
 
 
 def _check_estimator(alpha: float, r_probes: int) -> float:

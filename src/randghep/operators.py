@@ -3,8 +3,10 @@
 The solvers in this package only ever touch an operator through block
 products ``A @ X``, ``B @ X`` and solves ``B^{-1} @ X``.  Square roots of B
 are never requested by any algorithm; each SPD backend factorizes B once
-purely to serve the solve contract: the dense one by Cholesky, the sparse
-one by a SuperLU LDL^T with a symmetric ordering.
+to serve the solve contract: the dense one by Cholesky, the sparse one by a
+SuperLU LDL^T with a symmetric ordering.  The same factor serves the
+estimator's whitening and, through ``SpdOperator.dense_factor``, the dense
+oracles.
 """
 
 from __future__ import annotations
@@ -147,13 +149,10 @@ class SpdOperator(LinearMap):
     serves the error estimator only (``errors.grow_sketch_until`` draws its
     certificate's random starts with it) and is outside the Bx/B^{-1}x
     model the solvers use, so it moves no counter.  ``apply_inverse``
-    moves the solve counter, as ``apply`` moves the matvec counter.  ``cholesky_factor`` is
-    the dense lower Cholesky factor of B when the backend holds one
-    (``dense_spd``), for the dense oracle to reuse; otherwise None, as for
-    ``sparse_spd``, and the oracle factors a dense copy of B itself.
+    moves the solve counter, as ``apply`` moves the matvec counter.
+    ``dense_factor()`` hands that same factor to the dense oracles, when the
+    backend was given one (``factor``).
     """
-
-    cholesky_factor: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -161,10 +160,12 @@ class SpdOperator(LinearMap):
         apply: Callable[[np.ndarray], np.ndarray],
         apply_inverse: Callable[[np.ndarray], np.ndarray],
         whiten: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        factor: Optional[Callable[[], tuple]] = None,
     ) -> None:
         super().__init__(dim, dim, apply, apply_transpose=apply)
         self._apply_inv = apply_inverse
         self._whiten = whiten
+        self._factor = factor
         self._solves = _Counter()
 
     @property
@@ -191,6 +192,16 @@ class SpdOperator(LinearMap):
             raise ConfigError("operator has no whitening hook")
         return _product(self._whiten, X, self.dim, self.dim, None, "whiten")
 
+    def dense_factor(self) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+        """(L, order): a dense lower-triangular L with B[order][:, order] = L L^T.
+
+        ``order`` is None when it is the identity (``dense_spd``: L is its
+        read-only Cholesky factor).  ``sparse_spd`` builds a new dense L from
+        its LDL^T factor on each call.  None when the backend holds no
+        factor; the dense oracles then factor a dense B themselves.
+        """
+        return None if self._factor is None else self._factor()
+
     def inverse_view(self) -> "SpdOperator":
         """View of B^{-1} as an SpdOperator.
 
@@ -201,7 +212,7 @@ class SpdOperator(LinearMap):
         view = SpdOperator.__new__(SpdOperator)
         LinearMap.__init__(view, self.dim, self.dim, self._apply_inv, self._apply_inv)
         view._apply_inv = self._apply
-        view._whiten = None
+        view._whiten = view._factor = None
         view._matvecs = self._solves
         view._solves = self._matvecs
         return view
@@ -235,19 +246,20 @@ class GhepPencil:
         return None if self.build_dense_b is None else self.build_dense_b()
 
 
-#: Entries per block of ``check_symmetric``'s row-against-column comparison.
-_SYMMETRY_BLOCK = 1 << 16
+#: Side of the square tiles that ``check_symmetric`` compares with their mirror tiles.
+_SYMMETRY_TILE = 128
 
 
 def check_symmetric(M) -> None:
     """Validate the symmetric-storage invariant ||M - M^T||_max <= 1e-13 ||M||_max.
 
     M is a dense array or a scipy sparse matrix.  Raises ConfigError if M is
-    not square, is empty or is not symmetric.  Row blocks of a dense M are
-    compared with column blocks, so the only temporary is one block of
-    ``_SYMMETRY_BLOCK`` entries, not an n-by-n difference; a sparse M is
-    compared as the sparse M - M^T.  A NaN in M, or in M - M^T, passes the
-    check, as it would in the n-by-n formula; callers test finiteness first.
+    not square, is empty or is not symmetric.  A dense M is compared one
+    square tile of its upper block triangle at a time with the transpose of
+    the mirror tile, so each off-diagonal pair is read once and the only
+    temporary is one tile, not an n-by-n difference; a sparse M is compared
+    as the sparse M - M^T.  A NaN in M, or in M - M^T, passes the check, as
+    it would in the n-by-n formula; callers test finiteness first.
     """
     sparse = scipy.sparse.issparse(M)
     if not sparse:
@@ -262,13 +274,13 @@ def check_symmetric(M) -> None:
     if sparse:
         worst = abs(M - M.T).max()
     else:
-        n = M.shape[0]
-        rows = max(1, _SYMMETRY_BLOCK // n)
-        blocks = []
-        for i in range(0, n, rows):
-            diff = np.subtract(M[i : i + rows], M[:, i : i + rows].T)
-            blocks.append(np.abs(diff, out=diff).max())
-        worst = np.max(blocks)
+        n, t = M.shape[0], _SYMMETRY_TILE
+        tiles = []
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                diff = np.subtract(M[i : i + t, j : j + t], M[j : j + t, i : i + t].T)
+                tiles.append(np.abs(diff, out=diff).max())
+        worst = np.max(tiles)  # a NaN tile keeps the NaN
     if worst > 1e-13 * scale:
         raise ConfigError("matrix is not symmetric to within tolerance")
 
@@ -323,7 +335,7 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     read-only; the Cholesky factor L is the only new n-by-n array.  M is
     validated and factored by ``cholesky_lower``, and its typed errors pass
     through.  L also serves the whitening hook (L^{-T}x) and is the
-    operator's ``cholesky_factor``, read-only.  LAPACK's dpocon estimates
+    operator's ``dense_factor()``, read-only.  LAPACK's dpocon estimates
     the condition of M from L, and an M singular to working precision
     raises IllConditionedError (``_check_conditioning``).
     """
@@ -334,14 +346,13 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     _check_conditioning(scipy.linalg.lapack.dpocon(L, anorm, uplo="L")[0])
     M.setflags(write=False)
     L.setflags(write=False)
-    op = SpdOperator(
+    return SpdOperator(
         M.shape[0],
         lambda X: M @ X,
         lambda X: scipy.linalg.cho_solve((L, True), X, check_finite=False),
         lambda X: scipy.linalg.solve_triangular(L, X, trans="T", lower=True, check_finite=False),
+        lambda: (L, None),
     )
-    op.cholesky_factor = L
-    return op
 
 
 def sparse_spd(M) -> SpdOperator:
@@ -351,7 +362,9 @@ def sparse_spd(M) -> SpdOperator:
     factors P M P^T = L D L^T once, with a symmetric fill-reducing ordering
     and diagonal pivots only; ``lu.solve`` serves B^{-1}x.  With
     F = P^T L D^{1/2}, M = F F^T, and the whitening hook applies
-    F^{-T} = P^T L^{-T} D^{-1/2}.  ``cholesky_factor`` stays None.
+    F^{-T} = P^T L^{-T} D^{-1/2}.  ``dense_factor()`` hands F to the dense
+    oracles as the pair (L D^{1/2} densified, P's ordering), so they need
+    no dense copy of M and no second factorization of it.
 
     Raises NumericalError if M has a NaN or Inf entry, ConfigError if M is
     empty, not square or not symmetric (``check_symmetric``), and
@@ -382,14 +395,20 @@ def sparse_spd(M) -> SpdOperator:
     norm1 = abs(M).sum(axis=0).max()
     _check_conditioning(1.0 / (norm1 * scipy.sparse.linalg.onenormest(inverse, t=1)))
     Lt = lu.L.T  # CSR, as the triangular solve wants it
-    root_d = np.sqrt(d)[:, None]
+    root_d = np.sqrt(d)
     order = lu.perm_c
 
     def whiten(X: np.ndarray) -> np.ndarray:
-        Z = scipy.sparse.linalg.spsolve_triangular(Lt, X / root_d, lower=False, unit_diagonal=True)
+        Z = scipy.sparse.linalg.spsolve_triangular(Lt, X / root_d[:, None], lower=False, unit_diagonal=True)
         return Z[order]
 
-    return SpdOperator(M.shape[0], lambda X: M @ X, lu.solve, whiten)
+    def factor() -> tuple[np.ndarray, np.ndarray]:
+        # P M P^T = L D L^T with (P x)[i] = x[inverse[i]]
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        return (lu.L @ scipy.sparse.diags(root_d)).toarray(order="F"), inverse
+
+    return SpdOperator(M.shape[0], lambda X: M @ X, lu.solve, whiten, factor)
 
 
 # ---------------------------------------------------------------------------

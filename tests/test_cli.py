@@ -183,6 +183,20 @@ class TestSolve:
             assert all(r["lambda_bound_ok"] == "True" for r in rows)
             assert all(r["sine_bound_ok"] == "True" for r in rows)
 
+    @pytest.mark.parametrize("storage", ["array", "coordinate"])
+    @pytest.mark.parametrize("method", ["two-pass", "nystrom"])
+    def test_one_by_one_pencil_with_oracle(self, tmp_path, method, storage):
+        # the gap to an empty rest of the spectrum is +inf, which gives zero
+        # bounds: both flags True
+        a_path = _write_mtx(tmp_path / "a.mtx", np.array([[3.0]]), "array")
+        b_path = _write_mtx(tmp_path / "b.mtx", np.array([[2.0]]), storage)
+        out = tmp_path / "run"
+        assert main(["solve", "--A", a_path, "--B", b_path, "--k", "1", "--p", "0", "--method", method,
+                     "--oracle", "--seed", "3", "--out", str(out)]) == 0
+        (row,) = _read_csv(out / "spectrum.csv")
+        assert float(row["lambda_oracle"]) == pytest.approx(1.5, rel=1e-15)
+        assert row["lambda_bound_ok"] == "True" and row["sine_bound_ok"] == "True"
+
     def test_oracle_factors_b_once(self, tmp_path, monkeypatch):
         a_path, b_path = _write_kle_pencil(tmp_path, 61)
         choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
@@ -195,20 +209,21 @@ class TestSolve:
         assert all(r["sine_bound_ok"] == "True" for r in _read_csv(tmp_path / "run" / "spectrum.csv"))
 
     def test_oracle_factors_coordinate_b_once_each_way(self, tmp_path, monkeypatch):
-        # a coordinate B: one sparse factorization for the operator, one dense
-        # Cholesky for the oracle, which has no dense factor to reuse
+        # a coordinate B: one sparse factorization serves the operator, and the
+        # oracle reuses its factor; no dense Cholesky runs
         a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 61)
         choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
         code = main(["solve", "--A", a_path, "--B", b_path, "--k", "8", "--p", "4",
                      "--seed", "6", "--oracle", "--out", str(tmp_path / "run")])
         assert code == 0
-        assert sparse == [(61, 61)] and choleskys == [(61, 61)]
+        assert sparse == [(61, 61)] and choleskys == []
         assert generalized == []
 
     @pytest.mark.parametrize("method", ["two-pass", "nystrom"])
     def test_coordinate_b_matches_array_b(self, tmp_path, method):
-        # the same B read sparse or dense: equal counts, equal oracle columns,
-        # eigenvalues equal up to roundoff, every bound flag True
+        # the same B read sparse or dense: equal counts, eigenvalues and oracle
+        # columns equal up to roundoff (the oracle uses each backend's own
+        # exact factorization of B), every bound flag True
         a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 101)
         dense_b = tmp_path / "b_array.mtx"
         rg.save_matrix_market(dense_b, rg.load_matrix_market(b_path))
@@ -222,7 +237,12 @@ class TestSolve:
         assert reps[0]["counts"] == reps[1]["counts"]
         lam, ref = np.array(reps[0]["eigenvalues"]), np.array(reps[1]["eigenvalues"])
         assert np.sum(np.abs(lam - ref)) <= 1e-13 * np.sum(np.abs(ref))
-        assert [r["lambda_oracle"] for r in rows[0]] == [r["lambda_oracle"] for r in rows[1]]
+        Ad, Bd = rg.load_matrix_market(a_path), rg.load_matrix_market(b_path)
+        expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1][:len(rows[0])]
+        oracles = [np.array([float(r["lambda_oracle"]) for r in table]) for table in rows]
+        assert np.max(np.abs(oracles[0] - oracles[1])) <= 1e-14 * oracles[1][0]
+        for column in oracles:
+            assert np.max(np.abs(column - expected)) <= 1e-14 * expected[0]
         for table in rows:
             assert all(r["lambda_bound_ok"] == "True" and r["sine_bound_ok"] == "True" for r in table)
 
@@ -356,10 +376,11 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         # A and the sparse B with its factors: no second n-by-n array until
-        # the oracle reads dense_b, which is then built once and kept
+        # dense_b is read (the oracles read B's factor instead), and then it
+        # is built once and kept
         assert held < 1.5 * G.nbytes
         assert held_after_read - held >= G.nbytes
-        assert pencil.B.cholesky_factor is None and pencil.B.has_whitening
+        assert pencil.B.has_whitening
         np.testing.assert_array_equal(dense_b, Bd)
         assert pencil.dense_b is dense_b
 
@@ -915,13 +936,13 @@ class TestEstimate:
 
     def test_oracle_factors_coordinate_b_once_each_way(self, tmp_path, monkeypatch):
         # a coordinate B: one sparse factorization serves the operator, the
-        # certificate's whitening included, and one dense Cholesky the oracle
+        # certificate's whitening and the oracle; no dense Cholesky runs
         a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 81)
         choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
         code = main(["estimate", "--A", a_path, "--B", b_path, "--k", "5", "--tol", "1e-5",
                      "--grow", "--oracle", "--seed", "3", "--out", str(tmp_path / "est")])
         assert code == 0
-        assert sparse == [(81, 81)] and choleskys == [(81, 81)]
+        assert sparse == [(81, 81)] and choleskys == []
         assert generalized == []
 
     def test_grown_coordinate_pencil_is_certified(self, tmp_path):

@@ -163,6 +163,55 @@ class TestTopEigenvectors:
         assert ref.lambdas[0] == 0.75
         np.testing.assert_array_equal(ref.top_eigenvectors(1), [[0.5]])
 
+    def test_one_by_one_with_a_factor(self):
+        # a B-operator's factor, dense or sparse, at n = 1: no tridiagonal e at all
+        for B in (rg.dense_spd(np.array([[4.0]])), rg.sparse_spd(scipy.sparse.csr_matrix([[4.0]]))):
+            ref = errors.dense_ghep_oracle(np.array([[3.0]]), None, B.dense_factor())
+            assert ref.lambdas[0] == 0.75
+            np.testing.assert_array_equal(ref.top_eigenvectors(1), [[0.5]])
+
+    @pytest.mark.parametrize("m", [1, 3, 11, 12, 24])
+    @pytest.mark.parametrize("layout", ["interleaved", "twins"])
+    def test_split_tridiagonal(self, m, layout):
+        # block-diagonal A with B = I: the reduction keeps the blocks, so e has
+        # exact zeros and inverse iteration runs block by block (m = 24 = n:
+        # divide and conquer).  Interleaved blocks share no eigenvalue; twin
+        # blocks have every eigenvalue twice.
+        rng = np.random.default_rng(11)
+        if layout == "interleaved":
+            blocks = []
+            for size, shift in ((10, 0.0), (1, 2.5), (13, 0.3)):
+                G = rng.standard_normal((size, size))
+                blocks.append((G + G.T) / 4.0 + shift * np.eye(size))
+        else:
+            G = rng.standard_normal((12, 12))
+            blocks = [(G + G.T) / 4.0] * 2
+        Ad = scipy.linalg.block_diag(*blocks)
+        assert np.count_nonzero(errors.dense_ghep_oracle(Ad, np.eye(24))._tri[1] == 0.0) >= 1
+        self._check(Ad, np.eye(24), m)
+
+    def test_top_block_runs_no_bisection(self, monkeypatch):
+        # inverse iteration starts from the eigenvalues the oracle already
+        # holds: dstein runs once on the top m of them, dstebz never
+        pencil = make_kle_pencil(2.5, n=81)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        calls = {"dstebz": 0, "dstein": []}
+        dstebz, dstein = scipy.linalg._flapack.dstebz, scipy.linalg.lapack.dstein
+
+        def stebz_spy(*args, **kwargs):
+            calls["dstebz"] += 1
+            return dstebz(*args, **kwargs)
+
+        def stein_spy(d, e, w, *args):
+            calls["dstein"].append(np.array(w))
+            return dstein(d, e, w, *args)
+
+        monkeypatch.setattr(scipy.linalg._flapack, "dstebz", stebz_spy)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", stein_spy)
+        assert ref.top_eigenvectors(10).shape == (81, 10)
+        assert calls["dstebz"] == 0 and len(calls["dstein"]) == 1
+        np.testing.assert_array_equal(calls["dstein"][0], ref.lambdas[9::-1])
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_two_by_two(self, m):
         self._check(np.array([[2.0, 1.0], [1.0, 3.0]]), random_spd(2, 10.0, 2), m)
@@ -393,14 +442,39 @@ class TestCachedRangeError:
         pencil = make_kle_pencil(1.5, n=61)
         Ad, Bd = pencil.dense_a, np.array(pencil.dense_b)
         B = rg.dense_spd(Bd)
+        factor = B.dense_factor()
         own = errors.dense_ghep_oracle(Ad, Bd)
-        shared = errors.dense_ghep_oracle(Ad, Bd, B.cholesky_factor)
-        assert shared.L is B.cholesky_factor
+        shared = errors.dense_ghep_oracle(Ad, None, factor)
+        assert shared.L is factor[0] and factor[1] is None
         np.testing.assert_array_equal(own.lambdas, shared.lambdas)
         np.testing.assert_array_equal(own.top_eigenvectors(4), shared.top_eigenvectors(4))
         Q = range_finder_b(pencil.A, B, SketchConfig(k=6, p=2, seed=1)).basis.Q
         assert shared.range_error(Q) == own.range_error(Q) == errors.range_error_exact(Ad, Bd, Q)
-        assert errors.range_error_exact(Ad, Bd, Q, B.cholesky_factor) == errors.range_error_exact(Ad, Bd, Q)
+        assert errors.range_error_exact(Ad, None, Q, factor) == errors.range_error_exact(Ad, Bd, Q)
+
+    def test_sparse_operator_factor(self):
+        # a sparse_spd operator's LDL^T factor under its ordering: no dense B,
+        # and the outputs of the dense Cholesky route up to roundoff
+        Ad, Bs = jittered_matern_pencil_2d(12, seed=3)
+        Bd = Bs.toarray()
+        B = rg.sparse_spd(Bs)
+        factor = B.dense_factor()
+        ref = errors.dense_ghep_oracle(Ad, None, factor)
+        dense = errors.dense_ghep_oracle(Ad, Bd)
+        assert ref.B is None and ref.order is factor[1]
+        assert np.max(np.abs(ref.lambdas - dense.lambdas)) <= 1e-14 * dense.lambdas[0]
+        for m in (10, 144):
+            X = ref.top_eigenvectors(m)
+            assert np.linalg.norm(X.T @ Bd @ X - np.eye(m), 2) <= 1e-13
+            resid = Ad @ X - (Bd @ X) * ref.lambdas[:m]
+            assert np.linalg.norm(resid, 2) <= 1e-13 * np.linalg.norm(Ad, 2)
+        for k in (0, 8, 30):
+            Q = range_finder_b(rg.dense_operator(Ad.copy()), B, SketchConfig(k=max(k, 1), p=4, seed=k)).basis.Q
+            f = ref.range_error(Q[:, :k])
+            assert f == errors.range_error_exact(Ad, None, Q[:, :k], factor)
+            assert abs(f - dense.range_error(Q[:, :k])) <= 1e-13 * f
+        assert ref.kappa_B == pytest.approx(dense.kappa_B, rel=1e-12)
+        assert np.max(np.abs(ref.sigmas_B - dense.sigmas_B)) <= 1e-13 * dense.sigmas_B[0]
 
     def test_ahat_is_cached_and_left_untouched(self):
         # A^ is built on construction; reading eigenvectors and range errors leaves it as it was

@@ -159,7 +159,7 @@ class TestDenseSpd:
 
     def test_whitening_by_the_solve_factor(self):
         # X = L^{-T} G gives X^T B X = G^T G; the hook moves no counter, and
-        # its factor is the read-only cholesky_factor the oracle reuses
+        # its factor is the read-only dense_factor() the oracle reuses
         rng = np.random.default_rng(4)
         G = rng.standard_normal((15, 15))
         M = G @ G.T + 15 * np.eye(15)
@@ -168,10 +168,11 @@ class TestDenseSpd:
         W = B.whiten(X)
         assert B.has_whitening
         np.testing.assert_allclose(W.T @ M @ W, X.T @ X, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(B.cholesky_factor.T @ W, X, rtol=1e-12, atol=1e-12)
+        L, order = B.dense_factor()
+        np.testing.assert_allclose(L.T @ W, X, rtol=1e-12, atol=1e-12)
         assert B.whiten(X[:, 0]).shape == (15,)
         assert B.matvec_count == 0 and B.solve_count == 0
-        assert not B.cholesky_factor.flags.writeable
+        assert order is None and not L.flags.writeable
 
 
 def _sparse_spd_matrix(n, seed):
@@ -195,7 +196,8 @@ class TestSparseSpd:
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert sparse.matvec_count == dense.matvec_count == 8
         assert sparse.solve_count == dense.solve_count == 8
-        assert sparse.cholesky_factor is None
+        # a factor under the sparse ordering, against the dense Cholesky factor
+        assert sparse.dense_factor()[1] is not None and dense.dense_factor()[1] is None
 
     def test_whitening_inverts_a_factor(self):
         # G = F^{-T} for B = F F^T, so G^T B G = I; the hook moves no counter
@@ -205,6 +207,19 @@ class TestSparseSpd:
         assert B.has_whitening
         assert np.linalg.norm(G.T @ (M @ G) - np.eye(150), 2) <= 1e-13
         assert B.whiten(np.ones(150)).shape == (150,)
+        assert B.matvec_count == 0 and B.solve_count == 0
+
+    def test_dense_factor_is_the_whitening_factor(self):
+        # B[order][:, order] = L L^T with the L that whitening inverts: F = P^T L
+        M = _sparse_spd_matrix(150, 3)
+        B = rg.sparse_spd(M)
+        L, order = B.dense_factor()
+        Md = M.toarray()
+        assert L.flags.f_contiguous and np.array_equal(L, np.tril(L))
+        np.testing.assert_array_equal(np.sort(order), np.arange(150))
+        assert np.abs(Md[np.ix_(order, order)] - L @ L.T).max() <= 1e-14 * np.abs(Md).max()
+        X = np.random.default_rng(8).standard_normal((150, 4))
+        np.testing.assert_allclose(L.T @ B.whiten(X)[order], X, rtol=1e-12, atol=1e-12)
         assert B.matvec_count == 0 and B.solve_count == 0
 
     def test_concurrent_solves_and_counts_are_exact(self):
@@ -279,7 +294,7 @@ def _nxn_symmetry_verdict(M, tol=1e-13):
 
 
 class TestCheckSymmetric:
-    """The blockwise comparison decides as the n-by-n formula does, with one block of memory."""
+    """The tiled comparison decides as the n-by-n formula does, with one tile of memory."""
 
     def test_peak_memory_is_a_block(self):
         G = np.random.default_rng(4).standard_normal((1024, 1024))
@@ -295,10 +310,11 @@ class TestCheckSymmetric:
     @pytest.mark.parametrize("n", [1, 2, 65, 257, 1024])
     @pytest.mark.parametrize("size", [0.0, 5e-14, 2e-13])
     def test_verdict_matches_nxn_formula(self, n, size):
-        # one off-symmetric pair, at the corners, inside, and across a block
-        # edge (rows 63 | 64 at n = 1024, row 254 | 255 at n = 257)
+        # one off-symmetric pair, at the corners, inside, and across a tile
+        # edge (127 | 128 and 255 | 256 for tiles of 128)
         G = np.random.default_rng(n).standard_normal((n, n))
-        pairs = {(0, n - 1), (n - 1, 0), (n // 2, n // 3), (n - 1, n // 2), (63, 64), (64, 63), (254, 255)}
+        pairs = {(0, n - 1), (n - 1, 0), (n // 2, n // 3), (n - 1, n // 2), (63, 64), (64, 63), (254, 255),
+                 (127, 128), (128, 127), (255, 256), (256, 255)}
         for i, j in (pair for pair in pairs if max(pair) < n):
             M = G + G.T
             M[i, j] += size * np.abs(M).max()
@@ -320,6 +336,25 @@ class TestCheckSymmetric:
             with np.errstate(invalid="ignore"):  # inf - inf
                 assert _nxn_symmetry_verdict(M)  # a NaN in M or in M - M^T, or an inf scale, passes
                 check_symmetric(M)
+
+    @pytest.mark.parametrize("i, j", [(299, 280), (280, 299), (290, 10), (10, 290)])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_partial_edge_tiles_at_the_tolerance(self, i, j, factor):
+        # n = 300 is not a multiple of the tile side: one off-symmetric pair in
+        # the last, partial tiles, just below or just above 1e-13 max |M|
+        G = np.random.default_rng(2).standard_normal((300, 300))
+        M = G + G.T
+        M[i, j] += factor * 1e-13 * np.abs(M).max()
+        assert _nxn_symmetry_verdict(M) == (factor < 1.0)
+        if factor < 1.0:
+            check_symmetric(M)
+        else:
+            with pytest.raises(ConfigError, match="not symmetric"):
+                check_symmetric(M)
+
+    def test_one_by_one(self):
+        check_symmetric(np.array([[-3.0]]))
+        check_symmetric(np.array([[0.0]]))
 
     def test_zero_and_empty(self):
         check_symmetric(np.zeros((5, 5)))
@@ -384,7 +419,7 @@ class TestLinearMap:
 
     def test_no_whitening_hook(self):
         B = rg.SpdOperator(3, lambda X: X, lambda X: X)
-        assert not B.has_whitening and B.cholesky_factor is None
+        assert not B.has_whitening and B.dense_factor() is None
         with pytest.raises(ConfigError, match="whitening"):
             B.whiten(np.ones(3))
 
