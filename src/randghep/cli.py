@@ -64,35 +64,28 @@ def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> Non
 
 
 def _load_spd(path):
-    """The SPD operator of the Matrix Market file ``path``, and a builder of its dense matrix.
+    """The SPD operator of the Matrix Market file ``path``.
 
-    The file's storage picks the backend.  Coordinate storage stays sparse
-    (``sparse_spd``), and the builder makes a new dense array on each call.
-    Array storage is wrapped in place by ``dense_spd``, and the builder
-    returns that very array.
+    The file's storage picks the backend: coordinate storage stays sparse
+    (``sparse_spd``), and array storage is wrapped in place (``dense_spd``).
     """
     import scipy.sparse
 
     from . import operators
 
     M = operators.read_matrix_market(path)
-    if scipy.sparse.issparse(M):
-        return operators.sparse_spd(M), M.toarray
-    return operators.dense_spd(M), lambda: M
+    return operators.sparse_spd(M) if scipy.sparse.issparse(M) else operators.dense_spd(M)
 
 
 def _load_pencil(args):
     """The pencil of the files ``--A`` and ``--B``.  Its ``dense_a`` is the
-    array its A-operator wraps.  Its ``dense_b`` is the array a dense B wraps,
-    or, for a B in coordinate storage, a dense copy made the first time it is
-    read.  The oracles read B's factor (``SpdOperator.dense_factor``), not
-    ``dense_b``, so no matrix is held twice and a sparse B is never held
-    dense."""
+    array its A-operator wraps, and its ``dense_b`` is None: the oracles read
+    B's factor (``SpdOperator.dense_factor``), so no matrix is held twice and
+    a sparse B is never held dense."""
     from . import operators
 
     Ad = operators.load_matrix_market(args.A)
-    B, build_dense_b = _load_spd(args.B)
-    return operators.GhepPencil(operators.dense_operator(Ad), B, lambda: Ad, build_dense_b)
+    return operators.GhepPencil(operators.dense_operator(Ad), _load_spd(args.B), lambda: Ad)
 
 
 # Each cmd_* fills ``report`` and writes its own files into ``outdir``; main
@@ -166,8 +159,8 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
     from .sketch import SketchConfig
 
     Ad = operators.load_matrix_market(args.A)
-    S, _ = _load_spd(args.S)
-    T, _ = _load_spd(args.T)
+    S = _load_spd(args.S)
+    T = _load_spd(args.T)
     res = gsvd.randomized_gsvd(operators.dense_operator(Ad), S, T,
                                SketchConfig(k=args.k, p=args.p, seed=seed))
     k = res.sigma.size
@@ -226,9 +219,8 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     report["probability_floor"] = est.probability_floor
     report["source"] = est.source
     if args.oracle:
-        factor = pencil.B.dense_factor()  # None for the KLE pencil's banded mass operator
         report["range_error_exact"] = errors.range_error_exact(
-            pencil.dense_a, None if factor else pencil.dense_b, growth.basis.Q, factor)
+            pencil.dense_a, None, growth.basis.Q, pencil.B.dense_factor())
 
 
 def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:
@@ -325,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="initial sketch size")
     p.add_argument("--alpha", type=float, default=2.0,
                    help="e bounds the range error with probability at least 1 - alpha^-r")
-    p.add_argument("--r", type=int, default=5, help="number of probes per round")
+    p.add_argument("--r", type=int, default=5,
+                   help="the floor 1 - alpha^-r; a grown round also probes the first min(r, 10) "
+                        "columns it appends")
     p.add_argument("--tol", type=float,
                    help="target for e; the report says whether e <= tol (converged)")
     p.add_argument("--grow", action="store_true",

@@ -473,15 +473,6 @@ def _check_estimator(alpha: float, r_probes: int) -> float:
     return delta
 
 
-def _probe_norm(basis: BOrthoBasis, AW: np.ndarray, CW: np.ndarray) -> float:
-    """max_i ||(I - QQ^T B) C w_i||_B over the probes W, given as A W and C W = B^{-1} A W."""
-    Q, BQ = basis.Q, basis.WQ
-    coeff = BQ.T @ CW
-    Z = CW - Q @ coeff
-    BZ = AW - BQ @ coeff  # B Z without extra B-applies (B*CW = A*W)
-    return float(np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0)).max())
-
-
 def posterior_estimate(
     A: LinearMap,
     B: SpdOperator,
@@ -506,7 +497,11 @@ def posterior_estimate(
     if not (math.isfinite(binv_norm) and binv_norm > 0.0):
         raise ConfigError(f"binv_norm must be a finite positive number, got {binv_norm}")
     AW = A.apply(gaussian_matrix(basis.Q.shape[0], r_probes, derive_seed(seed, 0xE57)))
-    norm = _probe_norm(basis, AW, B.apply_inverse(AW))
+    CW = B.apply_inverse(AW)
+    coeff = basis.WQ.T @ CW
+    Z = CW - basis.Q @ coeff
+    BZ = AW - basis.WQ @ coeff  # B Z without extra B-applies (B*CW = A*W)
+    norm = float(np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0)).max())
     return ErrorEstimate(e=float(alpha * math.sqrt(2.0 * binv_norm / math.pi) * norm),
                          alpha=float(alpha), r_probes=r_probes,
                          probability_floor=1.0 - delta, source="exact_binv_norm")
@@ -682,13 +677,15 @@ class GrowthRound(NamedTuple):
     """One round of ``grow_sketch_until``.
 
     ``estimate`` is the round's trigger value, max_i ||(I - QQ^T B) C w_i||_B
-    over its probes, with no ||B^{-1}|| or alpha factor: it only decides when
-    a check runs.  A round that ran a certificate check has its bound in
-    ``certified``; otherwise ``certified`` is None.
+    over its probes, the first min(r, new) of the ``new`` columns it appends,
+    with no ||B^{-1}|| or alpha factor: it only decides when a check runs.  A
+    round that appends nothing (at max_cols) has no probes, and its
+    ``estimate`` is None.  A round that ran a certificate check has its bound
+    in ``certified``; otherwise ``certified`` is None.
     """
 
     columns: int
-    estimate: float
+    estimate: Optional[float]
     certified: Optional[float]
 
 
@@ -726,30 +723,31 @@ def grow_sketch_until(
 
     The sketch is one stream, ``gaussian_matrix(n, ., seed)``, read left to
     right (Halko, Martinsson and Tropp 2011, Alg. 4.2): k0 columns, factored
-    by ``range_finder_b`` with p = 0, then per round the next
-    max(new, r_probes), new = min(GROWTH_STEP, max_cols - ncols).
-    Each stream column is applied once: the columns of a round's block that
-    were not appended are kept, with their A- and B^{-1}A-images, for the
-    next round.  The block's first r_probes columns are the round's probes,
-    and their largest residual B-norm is its trigger value e_free.  If the
-    round does not stop, the first ``new`` are appended by
-    ``pre_chol_qr_w(..., basis=)``.  The basis factors
-    ``gaussian_matrix(n, N, seed)`` at N columns.
+    by ``range_finder_b`` with p = 0, then per round one block of the next
+    new = min(GROWTH_STEP, max_cols - ncols) columns W, applied once (A, then
+    B^{-1}) and appended by ``pre_chol_qr_w(..., basis=)``.  The block's
+    first min(r_probes, new) columns are the round's probes.  The appended Q
+    is B-orthonormal, so the B-norm of (I - QQ^T B) C w_i is the 2-norm of
+    the new rows of w_i's column of R, and their largest is the round's
+    trigger value e_free, with no product beyond the QR's own.  The basis
+    factors ``gaussian_matrix(n, N, seed)`` at N columns.
 
     Every run ends on a certificate check (``_certify``): LANCZOS_STEPS
     Lanczos steps on C P C from a whitened random start, a bound on f with no
-    ||B^{-1}|| factor.  Check c spends ``check_budget(c, delta)`` of
-    delta = alpha^{-r}, so e >= f at the stop with probability
-    >= 1 - alpha^{-r} over all checks.  A check runs at the first round,
-    where it calibrates rho = e_cert / e_free, at every later round with
-    rho e_free <= tol (a check that fails calibrates rho again), and at
-    max_cols.  So a run with max_cols == k0 is one round and one check.
-    With tol=None only the first round and max_cols check.  Without B's
-    whitening hook the checks run from an unwhitened start and the result
-    says ``source: "heuristic"`` with no floor.  An alpha^{-r} so small that
-    the Lanczos slack of the run's last possible check, number
-    ceil((max_cols - k0) / GROWTH_STEP) + 1, reaches 1 is a ConfigError
-    before any apply: that check could bound nothing.
+    ||B^{-1}|| factor.  A check certifies the basis from before the round's
+    append; one that meets tol discards the round's block.  Check c spends
+    ``check_budget(c, delta)`` of delta = alpha^{-r}, so e >= f at the stop
+    with probability >= 1 - alpha^{-r} over all checks.  A check runs at the
+    first round, where it calibrates rho = e_cert / e_free, at every later
+    round with rho e_free <= tol (a check that fails calibrates rho again),
+    and at max_cols, where nothing is appended and nothing is probed.  So a
+    run with max_cols == k0 is one round and one check, and applies no
+    column beyond its k0.  With tol=None only the first round and max_cols
+    check.  Without B's whitening hook the checks run from an unwhitened
+    start and the result says ``source: "heuristic"`` with no floor.  An
+    alpha^{-r} so small that the Lanczos slack of the run's last possible
+    check, number ceil((max_cols - k0) / GROWTH_STEP) + 1, reaches 1 is a
+    ConfigError before any apply: that check could bound nothing.
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"tol must be a finite positive number, got {tol}")
@@ -769,33 +767,28 @@ def grow_sketch_until(
     certificate = dict.fromkeys(("a_applies", "b_solves", "b_applies"), 0)
     basis = range_finder_b(A, B, SketchConfig(k=k0, p=0, seed=seed)).basis
     ncols, checks, rho = k0, 0, None
-    AW = CW = np.empty((n, 0))  # applied stream columns ncols, ncols + 1, ...
     while True:
         new = min(GROWTH_STEP, max_cols - ncols)
-        have, width = AW.shape[1], max(new, r_probes)
-        if have < width:
-            fresh = A.apply(gaussian_matrix(n, width - have, seed, first_col=ncols + have))
-            if have:
-                AW, CW = np.hstack([AW, fresh]), np.hstack([CW, B.apply_inverse(fresh)])
-            else:  # the operators' own arrays: their memory order fixes the trigger's bits
-                AW, CW = fresh, B.apply_inverse(fresh)
-        e_free = _probe_norm(basis, AW[:, :r_probes], CW[:, :r_probes])
-        if rho is None or new == 0 or (tol is not None and rho * e_free <= tol):
+        grown = e_free = None
+        if new:
+            CW = B.apply_inverse(A.apply(gaussian_matrix(n, new, seed, first_col=ncols)))
+            grown = pre_chol_qr_w(CW, B, basis=basis)
+            probes = grown.R[ncols:, ncols : ncols + min(r_probes, new)]
+            e_free = float(np.linalg.norm(probes, axis=0).max())
+        if grown is None or rho is None or (tol is not None and rho * e_free <= tol):
             checks += 1
             before = A.matvec_count, B.solve_count, B.matvec_count
             e = _certify(A, B, basis, seed, checks, delta)
             for key, c0, c1 in zip(certificate, before, (A.matvec_count, B.solve_count, B.matvec_count)):
                 certificate[key] += c1 - c0
-            rho = e / e_free if e_free > 0.0 else 1.0
             history.append(GrowthRound(ncols, e_free, e))
             converged = tol is not None and e <= tol
-            if converged or new == 0:
+            if converged or grown is None:
                 est = ErrorEstimate(e=e, alpha=float(alpha), r_probes=r_probes,
                                     probability_floor=1.0 - delta if B.has_whitening else None,
                                     source="lanczos_certificate" if B.has_whitening else "heuristic")
                 return GrowthResult(basis, ncols, est, history, converged, certificate)
+            rho = e / e_free if e_free > 0.0 else 1.0
         else:
             history.append(GrowthRound(ncols, e_free, None))
-        basis = pre_chol_qr_w(CW[:, :new], B, basis=basis)
-        AW, CW = AW[:, new:], CW[:, new:]
-        ncols += new
+        basis, ncols = grown, ncols + new

@@ -127,7 +127,8 @@ def assemble_mass_1d(grid: Grid1D) -> np.ndarray:
 
 class MassOperator(SpdOperator):
     """The 1D mass matrix as an SpdOperator: stencil apply, banded Cholesky solve,
-    and whitening by the same banded factor."""
+    and whitening by the same banded factor B = U^T U.  Its ``dense_factor()``
+    is (U^T densified, None), so the dense oracles factor no dense copy of B."""
 
     def __init__(self, grid: Grid1D) -> None:
         self._main, self._off = _mass_bands(grid)
@@ -135,7 +136,7 @@ class MassOperator(SpdOperator):
         ab[0, 1:] = self._off
         ab[1] = self._main
         self._cb = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
-        super().__init__(grid.n, self._stencil, self._solve, self._whiten)
+        super().__init__(grid.n, self._stencil, self._solve, self._whiten, self._factor_lt)
 
     def _stencil(self, X: np.ndarray) -> np.ndarray:
         out = self._main[:, None] * X
@@ -150,6 +151,13 @@ class MassOperator(SpdOperator):
         # B = U^T U with the banded upper factor U, so L = U^T and L^{-T} X = U^{-1} X;
         # U's diagonal is positive, so the triangular solve cannot fail
         return scipy.linalg.lapack.dtbtrs(self._cb, X, uplo="U")[0]
+
+    def _factor_lt(self) -> tuple[np.ndarray, None]:
+        # L = U^T, filled in place: U's diagonal is row 1 of the banded storage, its superdiagonal row 0
+        n = self._cb.shape[1]
+        L = np.diag(self._cb[1])
+        L[np.arange(1, n), np.arange(n - 1)] = self._cb[0, 1:]
+        return L, None
 
 
 def _fast_len(m: int) -> int:
@@ -268,7 +276,7 @@ def kle_solve(
     sol = solve(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=seed))
     diag = {}
     if compare_oracle:
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, None, pencil.B.dense_factor())
         kk = sol.eigenvalues.size
         diag["rel_eigenvalue_error"] = float(
             np.sum(np.abs(ref.lambdas[:kk] - sol.eigenvalues)) / np.sum(np.abs(ref.lambdas[:kk]))

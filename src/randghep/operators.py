@@ -145,7 +145,8 @@ class SpdOperator(LinearMap):
     Symmetry makes transpose application identical to ``apply``.
 
     ``whiten``, when given, applies F^{-T} for some factor B = F F^T (the
-    Cholesky factor of ``dense_spd``, P^T L D^{1/2} of ``sparse_spd``).  It
+    Cholesky factor of ``dense_spd``, P^T L D^{1/2} of ``sparse_spd``, U^T
+    of the KLE mass operator's banded B = U^T U).  It
     serves the error estimator only (``errors.grow_sketch_until`` draws its
     certificate's random starts with it) and is outside the Bx/B^{-1}x
     model the solvers use, so it moves no counter.  ``apply_inverse``
@@ -197,8 +198,9 @@ class SpdOperator(LinearMap):
 
         ``order`` is None when it is the identity (``dense_spd``: L is its
         read-only Cholesky factor).  ``sparse_spd`` builds a new dense L from
-        its LDL^T factor on each call.  None when the backend holds no
-        factor; the dense oracles then factor a dense B themselves.
+        its LDL^T factor on each call, and ``kle.MassOperator`` one from its
+        banded Cholesky factor (L = U^T, bidiagonal).  None when the backend
+        holds no factor; the dense oracles then factor a dense B themselves.
         """
         return None if self._factor is None else self._factor()
 
@@ -226,10 +228,10 @@ class GhepPencil:
     ``B.apply_inverse``, so the operators' counters see every product.
     ``dense_a``/``dense_b`` are the dense matrices for oracle-scale checks.
     They are lazy: ``build_dense_a``/``build_dense_b`` run the first time the
-    attribute is read, and only oracle code reads it.  Without a builder the
-    attribute is None.  A matrix-free pencil (the KLE pencil) and a sparse
-    B (``sparse_spd``) build them on demand; a pencil over dense operators
-    returns the very arrays the operators wrap, so each matrix is held once.
+    attribute is read.  Without a builder the attribute is None.  The
+    library's oracles read ``dense_a`` and B's ``SpdOperator.dense_factor``,
+    never ``dense_b``, which serves tests and scripts.  A pencil over dense
+    operators returns the very arrays the operators wrap.
     """
 
     A: LinearMap

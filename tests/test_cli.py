@@ -354,10 +354,11 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert isinstance(pencil, rg.GhepPencil)
-        # the oracle's matrices are the ones the operators froze when they wrapped them
-        assert not pencil.dense_a.flags.writeable and not pencil.dense_b.flags.writeable
+        # the oracle's A is the one the operator froze when it wrapped it; the
+        # oracles read B's factor, so the pencil has no dense B
+        assert not pencil.dense_a.flags.writeable
         np.testing.assert_array_equal(pencil.dense_a, Ad)
-        np.testing.assert_array_equal(pencil.dense_b, Bd)
+        assert pencil.dense_b is None
         assert held < 3.5 * Ad.nbytes  # A, B and the Cholesky factor of B
 
     def test_load_pencil_keeps_coordinate_b_sparse(self, tmp_path):
@@ -371,18 +372,13 @@ class TestSolve:
             before = tracemalloc.get_traced_memory()[0]
             pencil = _load_pencil(args)
             held = tracemalloc.get_traced_memory()[0] - before
-            dense_b = pencil.dense_b
-            held_after_read = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # A and the sparse B with its factors: no second n-by-n array until
-        # dense_b is read (the oracles read B's factor instead), and then it
-        # is built once and kept
+        # A and the sparse B with its factors: no second n-by-n array, and no
+        # dense B (the oracles read B's factor instead)
         assert held < 1.5 * G.nbytes
-        assert held_after_read - held >= G.nbytes
         assert pencil.B.has_whitening
-        np.testing.assert_array_equal(dense_b, Bd)
-        assert pencil.dense_b is dense_b
+        assert pencil.dense_b is None
 
     def test_sparse_linalg_is_imported_only_for_a_sparse_b(self, tmp_path):
         # the import costs ~15 ms, which kle and a dense file pencil do not pay
@@ -762,6 +758,16 @@ class TestKle:
         assert "rel_eigenvalue_error" not in rep
         assert len(_read_csv(out / "spectrum.csv")) == 10
 
+    def test_oracle_factors_no_dense_b(self, tmp_path, monkeypatch):
+        # the oracle column reads the mass operator's banded factor: B is
+        # neither Cholesky-factored densely nor factored inside an eigensolve
+        choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
+        out = tmp_path / "kle"
+        assert main(["kle", "--nu", "1.5", "--n", "400", "--k", "10", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert choleskys == [] and generalized == [] and sparse == []
+        assert _read_report(out)["rel_eigenvalue_error"] <= 1e-4
+
     def test_method_flag(self, tmp_path):
         out = tmp_path / "kle"
         code = main(["kle", "--nu", "0.5", "--n", "81", "--k", "6", "--method", "nystrom",
@@ -880,7 +886,8 @@ class TestEstimate:
     def test_without_growth_is_the_first_round(self, tmp_path):
         # the same loop with and without --grow: at a tolerance met by the
         # first round, the single-round report is the grown run's first round,
-        # its certificate e bitwise included
+        # its certificate e bitwise included; only the trigger differs, since
+        # a round that appends nothing draws no probes
         reps = []
         for grow in ([], ["--grow"]):
             out = tmp_path / f"est{len(grow)}"
@@ -890,7 +897,8 @@ class TestEstimate:
         single, grown = reps
         assert single["sketch_columns"] == grown["sketch_columns"] == 8
         assert single["e"] == grown["e"] == grown["trajectory"][0]["certified"]
-        assert single["trajectory"] == grown["trajectory"]
+        assert single["trajectory"] == [{**r, "estimate": None} for r in grown["trajectory"]]
+        assert grown["trajectory"][0]["estimate"] > 0.0
         assert single["source"] == grown["source"] == "lanczos_certificate"
         assert single["converged"] is grown["converged"] is True
         assert single["probability_floor"] == grown["probability_floor"] == 1.0 - 2.0**-5
@@ -933,6 +941,17 @@ class TestEstimate:
         assert choleskys == [(81, 81)]
         assert generalized == [] and sparse == []
         assert _read_report(tmp_path / "est")["range_error_exact"] > 0.0
+
+    def test_kle_oracle_factors_no_dense_b(self, tmp_path, monkeypatch):
+        # the mass operator's banded factor whitens the certificate's starts
+        # and serves the exact range error: no dense Cholesky runs
+        choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
+        out = tmp_path / "est"
+        assert main(["estimate", "--nu", "1.5", "--n", "201", "--k", "10", "--oracle",
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert choleskys == [] and generalized == [] and sparse == []
+        rep = _read_report(out)
+        assert 0.0 < rep["range_error_exact"] <= rep["e"]
 
     def test_oracle_factors_coordinate_b_once_each_way(self, tmp_path, monkeypatch):
         # a coordinate B: one sparse factorization serves the operator, the

@@ -841,9 +841,10 @@ class TestGrowth:
 
     @pytest.mark.parametrize("r", [5, 15])
     def test_probes_are_the_next_block(self, r):
-        # every stream column is applied once, including the ones a round's
-        # probes read beyond its appended block: the probes cost one block;
-        # the certificate checks add their own applies, and nothing else runs
+        # every stream column is applied once, and a round's probes are the
+        # first min(r, 10) columns of the block it appends: the check that
+        # converges discards one applied and QR'd block of 10; the certificate
+        # checks add their own applies, and nothing else runs
         pencil = make_kle_pencil(1.5)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, tol=1e-6, seed=3, r_probes=r)
         assert out.converged and len(out.history) > 2
@@ -851,10 +852,36 @@ class TestGrowth:
         assert len(checks) >= 2 and out.history[0].certified is not None
         cert = out.certificate
         assert cert["a_applies"] == 2 * errors.LANCZOS_STEPS * len(checks)
-        assert pencil.A.matvec_count == out.n_columns + max(10, r) + cert["a_applies"]
-        assert pencil.B.solve_count == out.n_columns + max(10, r) + cert["b_solves"]
+        assert pencil.A.matvec_count == out.n_columns + 10 + cert["a_applies"]
+        assert pencil.B.solve_count == out.n_columns + 10 + cert["b_solves"]
         # one B-apply per QR'd column, one per check
-        assert pencil.B.matvec_count == out.n_columns + cert["b_applies"]
+        assert pencil.B.matvec_count == out.n_columns + 10 + cert["b_applies"]
+
+    @pytest.mark.parametrize("r, max_cols", [(5, None), (15, None), (5, 38)])
+    def test_trigger_is_the_probes_residual_norm(self, r, max_cols):
+        # the trigger read off R is max_i ||(I - QQ^T B) C w_i||_B over the
+        # round's probes, the first min(r, new) columns of the block it
+        # appends, against the basis before the append (the first `columns`
+        # columns of the final basis); the reference projects the applied
+        # columns in extended precision; at max_cols 38 the round at 35
+        # appends 3 columns and the one at 38 none
+        pencil = make_kle_pencil(0.5, ell=0.5, n=300)
+        out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, seed=1, r_probes=r,
+                                       tol=5e-3 if max_cols is None else None, max_cols=max_cols)
+        Bd = pencil.dense_b.astype(np.longdouble)
+        for h in out.history:
+            new = min(errors.GROWTH_STEP, (max_cols or 300) - h.columns)
+            assert (h.estimate is None) is (new == 0)
+            if new == 0:
+                continue
+            c, m = h.columns, min(r, new)
+            W = rg.gaussian_matrix(300, c + m, 1)[:, c:]
+            Z = pencil.B.apply_inverse(pencil.A.apply(W)).astype(np.longdouble)
+            Q = out.basis.Q[:, :c].astype(np.longdouble)
+            for _ in range(2):
+                Z -= Q @ (Q.T @ (Bd @ Z))
+            ref = float(np.sqrt(np.einsum("ij,ij->j", Z, Bd @ Z)).max())
+            assert h.estimate == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_early_ended_certificate_books_its_counters(self):
         # A = v v^T has rank one, so a 2-column sketch leaves C P C at
@@ -866,20 +893,23 @@ class TestGrowth:
         out = errors.grow_sketch_until(A, B, k0=2, tol=None, seed=3, max_cols=2)
         assert len(out.history) == 1 and out.history[0].certified == out.estimate.e
         assert out.certificate == {"a_applies": 4, "b_solves": 4, "b_applies": 1}
-        # the sketch and its probes, one B-apply per kept column (the QR drops
-        # the dependent one), then the check
+        # the sketch (its one round appends nothing, so it draws no probes),
+        # one B-apply per kept column (the QR drops the dependent one), then
+        # the check
         assert out.basis.n_kept == 1
-        assert A.matvec_count == 2 + 5 + out.certificate["a_applies"]
-        assert B.solve_count == 2 + 5 + out.certificate["b_solves"]
+        assert A.matvec_count == 2 + out.certificate["a_applies"]
+        assert B.solve_count == 2 + out.certificate["b_solves"]
         assert B.matvec_count == 1 + out.certificate["b_applies"]
 
     def test_no_target_stops_at_max_cols(self):
         pencil = make_kle_pencil(1.5)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=12, tol=None, seed=3, max_cols=12)
         assert not out.converged and out.n_columns == 12 and len(out.history) == 1
-        # the sketch, the probes, and the one check that every run ends on
+        # the sketch and the one check that every run ends on: a round that
+        # appends nothing draws no probes
         assert out.history[0].certified == out.estimate.e
-        assert pencil.A.matvec_count == 12 + 5 + 2 * errors.LANCZOS_STEPS
+        assert out.history[0].estimate is None
+        assert pencil.A.matvec_count == 12 + 2 * errors.LANCZOS_STEPS
 
     @pytest.mark.parametrize("k0, max_cols, tol", [(5, None, 1e-5), (40, 40, None)],
                              ids=["grown", "single_round"])

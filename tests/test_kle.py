@@ -120,6 +120,20 @@ class TestAssembly:
         np.testing.assert_allclose(W.T @ M @ W, X.T @ X, rtol=1e-12, atol=1e-12)
         assert op.matvec_count == 0 and op.solve_count == 0
 
+    def test_dense_factor_is_the_whitening_factor(self):
+        # (U^T, None) for the banded B = U^T U: a lower-bidiagonal L with
+        # L L^T = M, whose L^{-T} is the whitening, and no counter moves
+        grid = kle.Grid1D(n=63)
+        op = kle.MassOperator(grid)
+        M = kle.assemble_mass_1d(grid)
+        L, order = op.dense_factor()
+        assert order is None
+        assert np.array_equal(L, np.tril(np.triu(L, -1)))
+        np.testing.assert_allclose(L @ L.T, M, rtol=1e-15, atol=1e-17)
+        X = np.random.default_rng(5).standard_normal((63, 4))
+        np.testing.assert_allclose(L.T @ op.whiten(X), X, rtol=1e-13, atol=1e-13)
+        assert op.matvec_count == 0 and op.solve_count == 0
+
 
 def _smallest_5_smooth_at_least(m):
     k = m
@@ -193,7 +207,7 @@ class TestLazyDenseCopies:
     def test_oracle_comparison_computes_no_eigenvectors(self, monkeypatch):
         refs, tridiagonal_solves = [], []
         oracle, eigh_tridiagonal = errors.dense_ghep_oracle, scipy.linalg.eigh_tridiagonal
-        monkeypatch.setattr(errors, "dense_ghep_oracle", lambda A, B: refs.append(oracle(A, B)) or refs[-1])
+        monkeypatch.setattr(errors, "dense_ghep_oracle", lambda *args: refs.append(oracle(*args)) or refs[-1])
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                             lambda *a, **kw: tridiagonal_solves.append(a) or eigh_tridiagonal(*a, **kw))
         sol = kle.kle_solve(kle.Grid1D(n=301), kle.MaternConfig(2.5, 0.5), k=10, p=5, seed=4,
