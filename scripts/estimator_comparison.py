@@ -29,7 +29,7 @@ def main() -> int:
 
     grid = kle.Grid1D(n=args.n)
     pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=args.nu, ell=args.ell))
-    ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+    ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
     print("k,f_exact,estimate,spectral_guide")
     for k in args.ks:
         res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=k, p=args.p, seed=args.seed))

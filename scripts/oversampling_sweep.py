@@ -35,7 +35,7 @@ def main() -> int:
     lines = ["kernel,method,k,p,mean_rel_error"]
     for nu in (0.5, 1.5, 2.5):
         pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=nu, ell=args.ell))
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         for k in args.ks:
             for p in args.ps:
                 for name, solver in SOLVERS.items():

@@ -1,7 +1,7 @@
 """randghep: randomized matrix-free solvers for A x = lambda B x and the GSVD.
 
 Everything runs on the three contracts Ax, Bx and B^{-1}x; no square root of
-B is ever formed, and the dense test oracles work on a Cholesky factor of B.
+B is ever formed, and the dense test oracles work on B's own factor.
 
 ``RANDGHEP_THREADS`` caps the BLAS thread pools: on import, before numpy is
 loaded by the submodules, its value becomes the default of the OpenMP,

@@ -79,9 +79,9 @@ def _load_spd(path):
 
 def _load_pencil(args):
     """The pencil of the files ``--A`` and ``--B``.  Its ``dense_a`` is the
-    array its A-operator wraps, and its ``dense_b`` is None: the oracles read
-    B's factor (``SpdOperator.dense_factor``), so no matrix is held twice and
-    a sparse B is never held dense."""
+    array its A-operator wraps, and the oracles take its B-operator, whose
+    factor they read (``SpdOperator.dense_factor``), so no matrix is held
+    twice and a sparse B is never held dense."""
     from . import operators
 
     Ad = operators.load_matrix_market(args.A)
@@ -105,8 +105,8 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
     oracle = bound_flags = None
     if args.oracle:
-        # the B-operator's own factor: a coordinate B is neither densified nor factored again
-        ref = errors.dense_ghep_oracle(pencil.dense_a, None, pencil.B.dense_factor())
+        # the oracle reads the B-operator's own factor: a coordinate B is not factored again
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         eps = ref.range_error(sol.basis.Q)
         report["range_error_exact"] = eps
         m = sol.eigenvalues.size
@@ -219,8 +219,7 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     report["probability_floor"] = est.probability_floor
     report["source"] = est.source
     if args.oracle:
-        report["range_error_exact"] = errors.range_error_exact(
-            pencil.dense_a, None, growth.basis.Q, pencil.B.dense_factor())
+        report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.B, growth.basis.Q)
 
 
 def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:

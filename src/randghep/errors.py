@@ -5,18 +5,19 @@ The oracles (B-norm, generalized singular values, exact range error, exact
 GHEP) work on one factor B = F F^T, the reduction of the symmetric-definite
 pencil that LAPACK's sygv uses: the B-norm of M is ||F^T M F^{-T}||_2 and
 C = B^{-1}A is congruent to F^{-1} A F^{-T}, which LAPACK's dsygst forms in
-n^3 flops.  F = P^T L is a dense lower-triangular L under a symmetric
-ordering P: the Cholesky factor of a dense B (P = I), or the factor that a
-B-operator already holds (``SpdOperator.dense_factor``), so a sparse B is
-neither densified nor factored again.  No square root of B is formed, by
-the oracles or by the solvers.  The exact GHEP reduces F^{-1} A F^{-T} to
-tridiagonal form once: every eigenvalue comes from that reduction, and
-eigenvectors are computed, by inverse iteration on those eigenvalues, only
-for the top m that a caller reads.  A spectral norm (B-norm, exact range
-error) is the square root of the top eigenvalue of a Gram matrix, taken by
-Lanczos and certified to be the top one by a single Cholesky
-factorization, so it is exact to a relative 5e-15 plus rounding; a dense
-eigensolve takes over when the certificate fails.
+n^3 flops.  The oracles take B as the ``SpdOperator`` that the solvers
+take, and F = P^T L is the factor it already holds, a dense
+lower-triangular L under a symmetric ordering P
+(``SpdOperator.dense_factor``), so B is never factored again and a sparse
+B is never densified.  No square root of B is formed, by the oracles or by
+the solvers.  The exact GHEP reduces F^{-1} A F^{-T} to tridiagonal form
+once: every eigenvalue comes from that reduction, and eigenvectors are
+computed, by inverse iteration on those eigenvalues, only for the top m
+that a caller reads.  A spectral norm (B-norm, exact range error) is the
+square root of the top eigenvalue of a Gram matrix, taken by Lanczos and
+certified to be the top one by a single Cholesky factorization, so it is
+exact to a relative 5e-15 plus rounding; a dense eigensolve takes over
+when the certificate fails.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .operators import (
     NumericalError,
     SpdOperator,
     check_symmetric,
-    cholesky_lower,
 )
 from .sketch import SketchConfig, derive_seed, gaussian_matrix, range_finder_b
 
@@ -81,14 +81,13 @@ class SpectrumReference:
     singular values of C = B^{-1}A, as the singular values of F^{-1}A (the
     same as those of B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2,
     ``b_norm`` = ||B||_2 and ``kappa_B`` from one values-only eigensolve of
-    B, or of L L^T when the oracle was given only B's factor.
-    ``range_error(Q)`` is ``range_error_exact(A, B, Q)`` on the same factor
-    without forming A^ again, and equals it bitwise.
+    L L^T, which is B under the ordering.  ``range_error(Q)`` is
+    ``range_error_exact(A, B, Q)`` on the same factor without forming A^
+    again, and equals it bitwise.
     """
 
     lambdas: np.ndarray
     A: np.ndarray = field(repr=False)
-    B: Optional[np.ndarray] = field(repr=False)  # None when only its factor was given
     L: np.ndarray = field(repr=False)  # lower-triangular, B[order][:, order] = L L^T
     order: Optional[np.ndarray] = field(repr=False)
     Ahat: np.ndarray = field(repr=False)
@@ -146,8 +145,7 @@ class SpectrumReference:
     @cached_property
     def _b_extreme_eigenvalues(self) -> tuple[float, float]:
         # L L^T is B under the ordering: the same eigenvalues
-        B = dsyrk(1.0, self.L, lower=1) if self.B is None else self.B
-        w = scipy.linalg.eigvalsh(B, check_finite=False)
+        w = scipy.linalg.eigvalsh(dsyrk(1.0, self.L, lower=1), check_finite=False)
         return float(w[0]), float(w[-1])
 
     @cached_property
@@ -178,24 +176,22 @@ def _finite(M: np.ndarray, name: str) -> np.ndarray:
     return M
 
 
-def _dense_pencil(A: np.ndarray, B: Optional[np.ndarray], name: str = "A",
-                  factor: Optional[tuple] = None) -> tuple:
-    """(A, B, L, order): a finite A, B, and a factor with B[order][:, order] = L L^T.
+def _dense_pencil(A: np.ndarray, B: SpdOperator, name: str = "A") -> tuple:
+    """(A, L, order): a finite A and the factor of B with B[order][:, order] = L L^T.
 
-    A ``factor`` (L, order) that the caller already holds is returned as it
-    is, and B is not read (it may be None).  Without one, B is checked and
-    Cholesky-factored, and order is None.
+    B is an ``SpdOperator``; its ``dense_factor()`` is read once, after the
+    shapes are checked.  ConfigError when B is not an SpdOperator, when the
+    shapes differ, or when B holds no factor.
     """
+    if not isinstance(B, SpdOperator):
+        raise ConfigError(f"B must be an SpdOperator, got {type(B).__name__}")
     A = _finite(A, name)
-    if factor is not None:
-        L, order = factor
-        if A.shape != L.shape:
-            raise ConfigError(f"{name} has shape {A.shape}, the factor of B has shape {L.shape}")
-        return A, B, L, order
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ConfigError(f"{name} has shape {A.shape}, B has shape {B.shape}")
-    return A, B, cholesky_lower(B, "B"), None
+    if A.shape != (B.dim, B.dim):
+        raise ConfigError(f"{name} has shape {A.shape}, B has shape {(B.dim, B.dim)}")
+    factor = B.dense_factor()
+    if factor is None:
+        raise ConfigError("B holds no dense factor for the dense oracles (SpdOperator.dense_factor)")
+    return (A, *factor)
 
 
 def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -358,30 +354,29 @@ def _norm2(M: np.ndarray) -> float:
     return math.ldexp(math.sqrt(max(float(top[0]), 0.0)), e)
 
 
-def b_norm(M: np.ndarray, B: np.ndarray) -> float:
+def b_norm(M: np.ndarray, B: SpdOperator) -> float:
     """The induced matrix B-norm ||M||_B = ||B^{1/2} M B^{-1/2}||_2 (dense oracle).
 
-    Computed as ||L^T M L^{-T}||_2 with B = L L^T: B^{1/2} = V L^T for an
-    orthogonal V, so the two matrices have the same singular values.  That
-    matrix is not symmetric; ``_norm2`` takes its largest singular value from
-    the top eigenvalue of its Gram matrix.
+    Computed as ||F^T M F^{-T}||_2 = ||L^T M[order][:, order] L^{-T}||_2 with
+    B's factor B = F F^T, F = P^T L (``SpdOperator.dense_factor``):
+    B^{1/2} = V F^T for an orthogonal V, so the two matrices have the same
+    singular values.  That matrix is not symmetric; ``_norm2`` takes its
+    largest singular value from the top eigenvalue of its Gram matrix.
     """
-    M, B, L, _ = _dense_pencil(M, B, "M")
-    return _norm2(_solve_right_lt(dtrmm(1.0, L, M, lower=1, trans_a=1), L))
+    M, L, order = _dense_pencil(M, B, "M")
+    PM = M if order is None else M[np.ix_(order, order)]
+    return _norm2(_solve_right_lt(dtrmm(1.0, L, PM, lower=1, trans_a=1), L))
 
 
-def dense_ghep_oracle(A: np.ndarray, B: Optional[np.ndarray],
-                      factor: Optional[tuple] = None) -> SpectrumReference:
+def dense_ghep_oracle(A: np.ndarray, B: SpdOperator) -> SpectrumReference:
     """Every eigenvalue of the pencil (A, B) from one congruence reduction.
 
-    B = F F^T, F = P^T L, is factored once, or not at all when the caller
-    passes the ``factor`` (L, order) that a B-operator already holds
-    (``SpdOperator.dense_factor``); B is then not read and may be None.  A
-    ``dense_spd`` factor is the one ``operators.cholesky_lower`` makes, and
-    the results are bitwise those of passing B alone.  A ``sparse_spd``
-    factor is its LDL^T factor under its fill-reducing ordering: another
-    exact factorization of the same B, so no dense copy of B is made and B
-    is not factored again.  A^ = F^{-1} A F^{-T} is formed once and reduced
+    B is the ``SpdOperator`` the solvers take, and its ``dense_factor()``
+    (L, order) is read once: B = F F^T with F = P^T L, so B is not factored
+    again.  For ``dense_spd`` L is its Cholesky factor; for ``sparse_spd``
+    it is the LDL^T factor under its fill-reducing ordering, so no dense
+    copy of B is made.  ConfigError when B holds no factor or A's shape is
+    not B's.  A^ = F^{-1} A F^{-T} is formed once and reduced
     to tridiagonal T once (dsytrd on a copy; A^ is kept for the range
     error).  All n eigenvalues, descending, come from T at O(n^2) cost.
     Eigenvectors come back B-orthonormal from the same reduction and those
@@ -390,14 +385,14 @@ def dense_ghep_oracle(A: np.ndarray, B: Optional[np.ndarray],
     values and the extreme eigenvalues of B are computed only when they are
     read.
     """
-    A, B, L, order = _dense_pencil(A, B, "A", factor)
+    A, L, order = _dense_pencil(A, B, "A")
     check_symmetric(A)
     Ahat = _congruent(A, L, order)
     n = Ahat.shape[0]
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     c, d, e, tau, _ = lapack.dsytrd(np.array(Ahat, order="F"), lower=1, lwork=lwork, overwrite_a=1)
     lam = scipy.linalg.eigvalsh_tridiagonal(d, e, check_finite=False)
-    return SpectrumReference(lambdas=lam[::-1], A=A, B=B, L=L, order=order, Ahat=Ahat,
+    return SpectrumReference(lambdas=lam[::-1], A=A, L=L, order=order, Ahat=Ahat,
                              _tri=(d, e, np.asfortranarray(c[1:, : n - 1]), tau, lam))
 
 
@@ -440,21 +435,17 @@ def _top_tridiagonal_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray, m
     return X
 
 
-def range_error_exact(A: np.ndarray, B: Optional[np.ndarray], Q: np.ndarray,
-                      factor: Optional[tuple] = None) -> float:
-    """Exact f = ||(I - Q Q^T B) C||_B for a dense pencil (oracle scale).
+def range_error_exact(A: np.ndarray, B: SpdOperator, Q: np.ndarray) -> float:
+    """Exact f = ||(I - Q Q^T B) C||_B for a dense A (oracle scale).
 
-    With B = F F^T, A^ = F^{-1} A F^{-T} and W = F^T Q (one dtrmm), the
-    matrix F^T (I - Q Q^T B) C F^{-T} equals (I - W W^T) A^, so f is its
-    exact 2-norm, taken by ``_norm2``.  Q need not be B-orthonormal.  B is
-    factored unless the caller passes the ``factor`` (L, order) of a
-    B-operator, as for ``dense_ghep_oracle``; B is then not read.  A
-    ``dense_spd`` factor gives bitwise the result of B alone; a
-    ``sparse_spd`` factor needs no dense copy of B.
-    ``SpectrumReference.range_error`` reuses the factor and A^ of one
-    ``dense_ghep_oracle`` and returns the same bits.
+    With B's factor B = F F^T (``SpdOperator.dense_factor``, read once, as
+    for ``dense_ghep_oracle``), A^ = F^{-1} A F^{-T} and W = F^T Q (one
+    dtrmm), the matrix F^T (I - Q Q^T B) C F^{-T} equals (I - W W^T) A^, so
+    f is its exact 2-norm, taken by ``_norm2``.  Q need not be
+    B-orthonormal.  ``SpectrumReference.range_error`` reuses the factor and
+    A^ of one ``dense_ghep_oracle`` and returns the same bits.
     """
-    A, B, L, order = _dense_pencil(A, B, "A", factor)
+    A, L, order = _dense_pencil(A, B, "A")
     Q = _basis(Q, A.shape[0])
     return _range_error(_congruent(A, L, order), L, order, Q)
 

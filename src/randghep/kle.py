@@ -8,8 +8,9 @@ O(n) memory (Dietrich & Newsam 1997), and the mass solves go through a banded
 Cholesky so B^{-1}x stays O(n).  The circulant has length N, the smallest
 2^a 3^b 5^c >= 2n - 1, with zero padding in the middle of its first column: a
 matvec needs only N >= 2n - 1, not a nonnegative spectrum, and a 5-smooth N
-keeps the FFT off its slow large-prime path.  Dense copies of the pencil are
-built only when an oracle reads them (n <= ORACLE_MAX_N).
+keeps the FFT off its slow large-prime path.  The dense A is built only when
+an oracle reads it (n <= ORACLE_MAX_N); the oracles read B as the mass
+operator's own banded factor, densified.
 """
 
 from __future__ import annotations
@@ -216,8 +217,8 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
 
     Gamma is applied matrix-free (``covariance_apply``) and B^{-1} by the
     banded Cholesky of ``MassOperator``; nothing n-by-n is formed unless an
-    oracle reads ``dense_a``/``dense_b``.  Every apply of Gamma is an A-apply,
-    counted by ``A.matvec_count``.
+    oracle reads ``dense_a`` or B's ``dense_factor()``.  Every apply of Gamma
+    is an A-apply, counted by ``A.matvec_count``.
     """
     gamma = covariance_apply(grid, cfg)
     mass = MassOperator(grid)
@@ -229,12 +230,8 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
         _check_oracle_size(grid)
         return mass._stencil(mass._stencil(assemble_covariance(grid, cfg)).T)
 
-    def dense_b() -> np.ndarray:
-        _check_oracle_size(grid)
-        return assemble_mass_1d(grid)
-
     A = LinearMap(grid.n, grid.n, apply_a, apply_a)
-    return GhepPencil(A=A, B=mass, build_dense_a=dense_a, build_dense_b=dense_b)
+    return GhepPencil(A=A, B=mass, build_dense_a=dense_a)
 
 
 @dataclass
@@ -276,7 +273,7 @@ def kle_solve(
     sol = solve(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=seed))
     diag = {}
     if compare_oracle:
-        ref = errors.dense_ghep_oracle(pencil.dense_a, None, pencil.B.dense_factor())
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         kk = sol.eigenvalues.size
         diag["rel_eigenvalue_error"] = float(
             np.sum(np.abs(ref.lambdas[:kk] - sol.eigenvalues)) / np.sum(np.abs(ref.lambdas[:kk]))

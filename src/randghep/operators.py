@@ -200,7 +200,7 @@ class SpdOperator(LinearMap):
         read-only Cholesky factor).  ``sparse_spd`` builds a new dense L from
         its LDL^T factor on each call, and ``kle.MassOperator`` one from its
         banded Cholesky factor (L = U^T, bidiagonal).  None when the backend
-        holds no factor; the dense oracles then factor a dense B themselves.
+        holds no factor; the dense oracles then raise ConfigError.
         """
         return None if self._factor is None else self._factor()
 
@@ -226,26 +226,20 @@ class GhepPencil:
 
     The solvers touch the pencil only through ``A.apply``, ``B.apply`` and
     ``B.apply_inverse``, so the operators' counters see every product.
-    ``dense_a``/``dense_b`` are the dense matrices for oracle-scale checks.
-    They are lazy: ``build_dense_a``/``build_dense_b`` run the first time the
-    attribute is read.  Without a builder the attribute is None.  The
-    library's oracles read ``dense_a`` and B's ``SpdOperator.dense_factor``,
-    never ``dense_b``, which serves tests and scripts.  A pencil over dense
-    operators returns the very arrays the operators wrap.
+    ``dense_a`` is the dense A for oracle-scale checks.  It is lazy:
+    ``build_dense_a`` runs the first time it is read, and without a builder
+    it is None.  A pencil over a dense A-operator returns the very array the
+    operator wraps.  The dense oracles take ``dense_a`` and the B-operator
+    itself, whose ``SpdOperator.dense_factor`` they read.
     """
 
     A: LinearMap
     B: SpdOperator
     build_dense_a: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
-    build_dense_b: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
 
     @cached_property
     def dense_a(self) -> Optional[np.ndarray]:
         return None if self.build_dense_a is None else self.build_dense_a()
-
-    @cached_property
-    def dense_b(self) -> Optional[np.ndarray]:
-        return None if self.build_dense_b is None else self.build_dense_b()
 
 
 #: Side of the square tiles that ``check_symmetric`` compares with their mirror tiles.
@@ -300,23 +294,6 @@ def dense_operator(M: np.ndarray) -> LinearMap:
     return LinearMap(M.shape[0], M.shape[1], lambda X: M @ X, lambda X: M.T @ X)
 
 
-def cholesky_lower(M: np.ndarray, name: str) -> np.ndarray:
-    """The lower Cholesky factor L of a dense SPD matrix M = L L^T.
-
-    Raises NumericalError if M has a NaN or Inf entry, ConfigError if M is
-    empty or not symmetric, and NotPositiveDefiniteError if the factorization
-    meets a non-positive pivot; ``name`` names M in the messages.
-    """
-    M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
-        raise NumericalError(f"{name} has non-finite (NaN or Inf) entries")
-    check_symmetric(M)
-    try:
-        return scipy.linalg.cholesky(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"{name} is not positive definite: {exc}") from exc
-
-
 def _check_conditioning(rcond: float) -> None:
     """IllConditionedError when an SPD matrix is singular to working precision.
 
@@ -334,15 +311,25 @@ def dense_spd(M: np.ndarray) -> SpdOperator:
     """SPD operator backed by a dense matrix; B^{-1}x served by a one-time Cholesky.
 
     Like ``dense_operator`` it wraps a float64 M in place and marks it
-    read-only; the Cholesky factor L is the only new n-by-n array.  M is
-    validated and factored by ``cholesky_lower``, and its typed errors pass
-    through.  L also serves the whitening hook (L^{-T}x) and is the
+    read-only; its lower Cholesky factor L, M = L L^T, is the only new
+    n-by-n array.  L also serves the whitening hook (L^{-T}x) and is the
     operator's ``dense_factor()``, read-only.  LAPACK's dpocon estimates
-    the condition of M from L, and an M singular to working precision
-    raises IllConditionedError (``_check_conditioning``).
+    the condition of M from L.
+
+    Raises NumericalError if M has a NaN or Inf entry, ConfigError if M is
+    empty, not square or not symmetric (``check_symmetric``),
+    NotPositiveDefiniteError if the factorization meets a non-positive
+    pivot, and IllConditionedError if M is singular to working precision
+    (``_check_conditioning``).
     """
     M = np.asarray(M, dtype=float)
-    L = cholesky_lower(M, "matrix")
+    if not np.isfinite(M).all():
+        raise NumericalError("matrix has non-finite (NaN or Inf) entries")
+    check_symmetric(M)
+    try:
+        L = scipy.linalg.cholesky(M, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
     # ||M||_1 = ||M^T||_1 for a symmetric M; dlange reads an F-ordered view without a copy
     anorm = scipy.linalg.lapack.dlange("1", M.T if M.flags.c_contiguous else M)
     _check_conditioning(scipy.linalg.lapack.dpocon(L, anorm, uplo="L")[0])
@@ -405,10 +392,10 @@ def sparse_spd(M) -> SpdOperator:
         return Z[order]
 
     def factor() -> tuple[np.ndarray, np.ndarray]:
-        # P M P^T = L D L^T with (P x)[i] = x[inverse[i]]
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        return (lu.L @ scipy.sparse.diags(root_d)).toarray(order="F"), inverse
+        # P M P^T = L D L^T with (P x)[i] = x[rows[i]]
+        rows = np.empty_like(order)
+        rows[order] = np.arange(order.size)
+        return (lu.L @ scipy.sparse.diags(root_d)).toarray(order="F"), rows
 
     return SpdOperator(M.shape[0], lambda X: M @ X, lu.solve, whiten, factor)
 

@@ -28,6 +28,12 @@ def make_kle_pencil(nu: float, ell: float = 2.0, n: int = 201):
     return kle.kle_pencil(grid, kle.MaternConfig(nu=nu, ell=ell))
 
 
+def make_kle_mass(n: int = 201) -> np.ndarray:
+    """The dense mass matrix B of ``make_kle_pencil(nu, ell, n)``, whose
+    ``B`` is the matrix-free ``kle.MassOperator``."""
+    return kle.assemble_mass_1d(kle.Grid1D(a=-1.0, b=1.0, n=n))
+
+
 def polished_eigenvalues(ref: errors.SpectrumReference, Ad: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     """The oracle's eigenvalues as long-double Rayleigh quotients of its eigenvectors.
 
@@ -53,8 +59,8 @@ def kle_oracle():
         key = (nu, ell, n)
         if key not in cache:
             pencil = make_kle_pencil(nu, ell, n)
-            ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
-            ref.lambdas = polished_eigenvalues(ref, pencil.dense_a, pencil.dense_b)
+            ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
+            ref.lambdas = polished_eigenvalues(ref, pencil.dense_a, make_kle_mass(n))
             cache[key] = ref
         return cache[key]
 

@@ -91,7 +91,7 @@ def test_criterion_04_estimator_coverage(kle_oracle):
     pencil = make_kle_pencil(1.5)
     ref = kle_oracle(1.5)
     res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=40, p=5, seed=7))
-    f = errors.range_error_exact(pencil.dense_a, pencil.dense_b, res.basis.Q)
+    f = errors.range_error_exact(pencil.dense_a, pencil.B, res.basis.Q)
     trials = 200
     hits = 0
     for t in range(trials):
@@ -127,7 +127,7 @@ def test_criterion_06_eigenpair_bounds(kle_oracle):
     pencil = make_kle_pencil(2.5)
     ref = kle_oracle(2.5)
     sol = rg.ghep_two_pass(pencil.A, pencil.B, SketchConfig(k=20, p=5, seed=3))
-    eps = errors.range_error_exact(pencil.dense_a, pencil.dense_b, sol.basis.Q)
+    eps = errors.range_error_exact(pencil.dense_a, pencil.B, sol.basis.Q)
     ok = True
     worst_margin = 0.0
     for i, lam in enumerate(sol.eigenvalues):
@@ -154,7 +154,7 @@ def test_criterion_07_single_pass_degradation(kle_oracle):
         for seed in range(25):
             sol = rg.ghep_single_pass(pencil.A, pencil.B, SketchConfig(k=40, p=5, seed=seed))
             Q = sol.basis.Q
-            eps = errors.range_error_exact(pencil.dense_a, pencil.dense_b, Q)
+            eps = errors.range_error_exact(pencil.dense_a, pencil.B, Q)
             T = Q.T @ (pencil.dense_a @ Q)
             mu = np.sort(np.linalg.eigvalsh((T + T.T) / 2.0))[::-1]
             theta = np.asarray(sol.diagnostics["projected_eigenvalues_full"])
@@ -245,9 +245,9 @@ def test_criterion_11_truncation_identity():
     grid = kle.Grid1D(n=501)
     cfgk = kle.MaternConfig(nu=1.5, ell=0.4)
     pencil = kle.kle_pencil(grid, cfgk)
-    ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+    ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
     sol = kle.kle_solve(grid, cfgk, k=80, p=5, seed=6)
-    eps = errors.range_error_exact(pencil.dense_a, pencil.dense_b, sol.solution.basis.Q)
+    eps = errors.range_error_exact(pencil.dense_a, pencil.B, sol.solution.basis.Q)
     gaps = [float(np.min(np.abs(np.delete(ref.lambdas, i) - sol.eigenvalues[i])))
             for i in range(sol.K)]
     rep = kle.kle_truncation_check(ref, sol, eps, min(gaps))

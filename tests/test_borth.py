@@ -8,7 +8,7 @@ from randghep import borth
 from randghep.operators import ConfigError, IllConditionedError, NumericalError
 from randghep.sketch import gaussian_matrix
 
-from conftest import make_kle_pencil
+from conftest import make_kle_mass, make_kle_pencil
 
 
 def _kle_sketch(nu, cols=100, seed=7):
@@ -85,7 +85,7 @@ def test_mgs_applies_w_to_one_column_per_column_and_sweep(alg):
     # one single-column W-apply per column, plus one per extra sweep: the
     # column-at-a-time B-solves of Nystrom's second QR rest on this
     Y, _ = _kle_sketch(2.5)
-    W = CallCountingSpd(np.array(make_kle_pencil(2.5).dense_b))
+    W = CallCountingSpd(make_kle_mass())
     basis = alg(Y, W)
     assert (basis.n_reorth_applies > 0) == (alg is rg.mgs_w_reorth)
     assert W.calls == [1] * (Y.shape[1] + basis.n_reorth_applies)

@@ -17,7 +17,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from conftest import make_kle_pencil, random_spd, write_coordinate_pencil
+from conftest import make_kle_mass, make_kle_pencil, random_spd, write_coordinate_pencil
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,19 +64,19 @@ def _run_cli(argv):
 
 def _write_kle_pencil(tmp_path, n):
     """A.mtx and B.mtx of a KLE pencil on n nodes; returns their paths."""
-    pencil = rg.kle_pencil(rg.Grid1D(a=-1.0, b=1.0, n=n), rg.MaternConfig(nu=1.5, ell=0.5))
+    pencil = make_kle_pencil(1.5, 0.5, n)
     a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
     rg.save_matrix_market(a_path, pencil.dense_a)
-    rg.save_matrix_market(b_path, pencil.dense_b)
+    rg.save_matrix_market(b_path, make_kle_mass(n))
     return str(a_path), str(b_path)
 
 
 def _spy_factorizations(monkeypatch):
     """Record the shapes of the factorizations of B that the library makes.
 
-    Spies on scipy itself: the Cholesky calls of operators.cholesky_lower,
-    which factors every dense SPD matrix (a dense B-operator and the oracle
-    share one factor), the SuperLU calls of operators.sparse_spd, which
+    Spies on scipy itself: the Cholesky calls of operators.dense_spd, which
+    factors every dense SPD matrix (a dense B-operator and the oracle share
+    one factor), the SuperLU calls of operators.sparse_spd, which
     factors a sparse B-operator, and any eigh given a second matrix (which
     would factor B again inside LAPACK).  Returns the three lists
     (choleskys, generalized, sparse).
@@ -108,7 +108,7 @@ def _spy_factorizations(monkeypatch):
 def _write_coordinate_kle_pencil(tmp_path, n):
     """The pencil of ``_write_kle_pencil`` with B in symmetric coordinate storage."""
     pencil = make_kle_pencil(1.5, 0.5, n)
-    return write_coordinate_pencil(tmp_path, pencil.dense_a, pencil.dense_b)
+    return write_coordinate_pencil(tmp_path, pencil.dense_a, make_kle_mass(n))
 
 
 def _write_mtx(path, M, storage):
@@ -166,13 +166,13 @@ class TestSolve:
         pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
         a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
         rg.save_matrix_market(a_path, pencil.dense_a)
-        rg.save_matrix_market(b_path, pencil.dense_b)
+        rg.save_matrix_market(b_path, rg.assemble_mass_1d(grid))
         out = tmp_path / "run"
         code = main(["solve", "--A", str(a_path), "--B", str(b_path), "--k", "10", "--p", "5",
                      "--method", method, "--seed", "2", "--oracle", "--out", str(out)])
         assert code == 0
         rows = _read_csv(out / "spectrum.csv")
-        lam = rg.dense_ghep_oracle(rg.load_matrix_market(a_path), rg.load_matrix_market(b_path)).lambdas
+        lam = rg.dense_ghep_oracle(rg.load_matrix_market(a_path), rg.dense_spd(rg.load_matrix_market(b_path))).lambdas
         assert [float(r["lambda_oracle"]) for r in rows] == list(lam[: len(rows)])
         rep = _read_report(out)
         if method == "single-pass":
@@ -225,10 +225,10 @@ class TestSolve:
         # columns equal up to roundoff (the oracle uses each backend's own
         # exact factorization of B), every bound flag True
         a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 101)
-        dense_b = tmp_path / "b_array.mtx"
-        rg.save_matrix_market(dense_b, rg.load_matrix_market(b_path))
+        array_b = tmp_path / "b_array.mtx"
+        rg.save_matrix_market(array_b, rg.load_matrix_market(b_path))
         reps, rows = [], []
-        for name, path in (("coordinate", b_path), ("array", str(dense_b))):
+        for name, path in (("coordinate", b_path), ("array", str(array_b))):
             out = tmp_path / name
             assert main(["solve", "--A", a_path, "--B", path, "--k", "10", "--p", "5",
                          "--method", method, "--seed", "2", "--oracle", "--out", str(out)]) == 0
@@ -355,10 +355,11 @@ class TestSolve:
             tracemalloc.stop()
         assert isinstance(pencil, rg.GhepPencil)
         # the oracle's A is the one the operator froze when it wrapped it; the
-        # oracles read B's factor, so the pencil has no dense B
+        # oracles read B's factor, which the B-operator holds: the same array on every read
         assert not pencil.dense_a.flags.writeable
         np.testing.assert_array_equal(pencil.dense_a, Ad)
-        assert pencil.dense_b is None
+        L, order = pencil.B.dense_factor()
+        assert order is None and pencil.B.dense_factor()[0] is L
         assert held < 3.5 * Ad.nbytes  # A, B and the Cholesky factor of B
 
     def test_load_pencil_keeps_coordinate_b_sparse(self, tmp_path):
@@ -375,10 +376,10 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         # A and the sparse B with its factors: no second n-by-n array, and no
-        # dense B (the oracles read B's factor instead)
+        # dense B (the oracles read B's factor instead, densified when they read it)
         assert held < 1.5 * G.nbytes
         assert pencil.B.has_whitening
-        assert pencil.dense_b is None
+        assert pencil.B.dense_factor()[1] is not None
 
     def test_sparse_linalg_is_imported_only_for_a_sparse_b(self, tmp_path):
         # the import costs ~15 ms, which kle and a dense file pencil do not pay
@@ -758,7 +759,7 @@ class TestKle:
         assert "rel_eigenvalue_error" not in rep
         assert len(_read_csv(out / "spectrum.csv")) == 10
 
-    def test_oracle_factors_no_dense_b(self, tmp_path, monkeypatch):
+    def test_oracle_runs_no_dense_cholesky(self, tmp_path, monkeypatch):
         # the oracle column reads the mass operator's banded factor: B is
         # neither Cholesky-factored densely nor factored inside an eigensolve
         choleskys, generalized, sparse = _spy_factorizations(monkeypatch)
@@ -911,7 +912,7 @@ class TestEstimate:
         grid = rg.Grid1D(a=-1.0, b=1.0, n=81)
         pencil = rg.kle_pencil(grid, rg.MaternConfig(nu=1.5, ell=0.5))
         rg.save_matrix_market(tmp_path / "a.mtx", pencil.dense_a)
-        rg.save_matrix_market(tmp_path / "b.mtx", pencil.dense_b)
+        rg.save_matrix_market(tmp_path / "b.mtx", rg.assemble_mass_1d(grid))
         out = tmp_path / "est"
         code = main(["estimate", "--A", str(tmp_path / "a.mtx"), "--B", str(tmp_path / "b.mtx"),
                      "--k", "5", "--tol", "1e-5", "--grow", "--oracle", "--seed", "3",
@@ -942,7 +943,7 @@ class TestEstimate:
         assert generalized == [] and sparse == []
         assert _read_report(tmp_path / "est")["range_error_exact"] > 0.0
 
-    def test_kle_oracle_factors_no_dense_b(self, tmp_path, monkeypatch):
+    def test_kle_oracle_runs_no_dense_cholesky(self, tmp_path, monkeypatch):
         # the mass operator's banded factor whitens the certificate's starts
         # and serves the exact range error: no dense Cholesky runs
         choleskys, generalized, sparse = _spy_factorizations(monkeypatch)

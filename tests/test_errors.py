@@ -15,18 +15,18 @@ from randghep import errors, kle
 from randghep.operators import ConfigError, NotPositiveDefiniteError, NumericalError
 from randghep.sketch import SketchConfig, range_finder_b
 
-from conftest import make_kle_pencil, random_spd
+from conftest import make_kle_mass, make_kle_pencil, random_spd
 
 
 class TestDenseGhepOracle:
     def test_identity_b(self):
-        ref = errors.dense_ghep_oracle(np.diag([3.0, 1.0]), np.eye(2))
+        ref = errors.dense_ghep_oracle(np.diag([3.0, 1.0]), rg.dense_spd(np.eye(2)))
         np.testing.assert_allclose(ref.lambdas, [3.0, 1.0])
         np.testing.assert_allclose(ref.sigmas_B, [3.0, 1.0])
 
     def test_proportional_pencil(self):
         D = np.diag([4.0, 1.0])
-        ref = errors.dense_ghep_oracle(D, D)
+        ref = errors.dense_ghep_oracle(D, rg.dense_spd(D))
         np.testing.assert_allclose(ref.lambdas, [1.0, 1.0])
 
     def test_residuals_on_random_pencil(self):
@@ -35,25 +35,27 @@ class TestDenseGhepOracle:
         Ad = rng.standard_normal((n, n))
         Ad = (Ad + Ad.T) / 2.0
         Bd = random_spd(n, 100.0, 3)
-        ref = errors.dense_ghep_oracle(Ad, Bd)
+        ref = errors.dense_ghep_oracle(Ad, rg.dense_spd(Bd))
         X = ref.eigenvectors
         resid = Ad @ X - (Bd @ X) * ref.lambdas
         assert np.abs(resid).max() <= 1e-9
         assert np.linalg.norm(X.T @ (Bd @ X) - np.eye(n), 2) <= 1e-10
 
     def test_b_not_spd_rejected(self):
+        # an indefinite B never becomes an operator the oracle could take
         with pytest.raises(NotPositiveDefiniteError):
-            errors.dense_ghep_oracle(np.eye(2), np.diag([1.0, -2.0]))
+            rg.dense_spd(np.diag([1.0, -2.0]))
 
     @pytest.mark.parametrize("pencil", ["kle-0.5", "kle-1.5", "kle-2.5", "matern-2d"])
     def test_eigenvalues_match_generalized_eigh(self, pencil):
         # the tridiagonal reduction of L^-1 A L^-T against LAPACK's sygvd on (A, B)
         if pencil == "matern-2d":
             Ad, Bd = matern_pencil_2d(16)
+            B = rg.dense_spd(Bd)
         else:
             kp = make_kle_pencil(float(pencil[4:]))
-            Ad, Bd = kp.dense_a, kp.dense_b
-        ref = errors.dense_ghep_oracle(Ad, Bd)
+            Ad, B, Bd = kp.dense_a, kp.B, make_kle_mass()
+        ref = errors.dense_ghep_oracle(Ad, B)
         expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1]
         assert np.max(np.abs(ref.lambdas - expected)) <= 1e-14 * abs(expected[0])
 
@@ -62,7 +64,7 @@ class TestDenseGhepOracle:
         # mirrored into an exactly symmetric array
         Ad, Bs = jittered_matern_pencil_2d(12, seed=3)
         Bd = Bs.toarray()
-        ref = errors.dense_ghep_oracle(Ad, Bd)
+        ref = errors.dense_ghep_oracle(Ad, rg.dense_spd(Bd))
         expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1]
         assert np.max(np.abs(ref.lambdas - expected)) <= 1e-14 * abs(expected[0])
         assert ref.Ahat.flags.f_contiguous
@@ -74,7 +76,7 @@ class TestDenseGhepOracle:
         Ad = rng.standard_normal((n, n))
         Ad = (Ad + Ad.T) / 2.0
         Bd = random_spd(n, 40.0, 7)
-        ref = errors.dense_ghep_oracle(Ad, Bd)
+        ref = errors.dense_ghep_oracle(Ad, rg.dense_spd(Bd))
         C = np.linalg.solve(Bd, Ad)
         s = np.linalg.svd(C, compute_uv=False)
         assert np.all(ref.sigmas_B <= math.sqrt(ref.b_norm) * s + 1e-12)
@@ -132,8 +134,8 @@ class TestTopEigenvectors:
     """top_eigenvectors(m): B-orthonormal, small residual, largest first, cached."""
 
     @staticmethod
-    def _check(Ad, Bd, m):
-        ref = errors.dense_ghep_oracle(Ad, Bd)
+    def _check(Ad, Bd, m, B=None):
+        ref = errors.dense_ghep_oracle(Ad, rg.dense_spd(Bd) if B is None else B)
         X = ref.top_eigenvectors(m)
         assert X.shape == (Ad.shape[0], m)
         assert np.linalg.norm(X.T @ Bd @ X - np.eye(m), 2) <= 1e-13
@@ -155,18 +157,18 @@ class TestTopEigenvectors:
     @pytest.mark.parametrize("m", [1, 20, 201])
     def test_kle_pencil(self, m):
         pencil = make_kle_pencil(2.5)
-        self._check(pencil.dense_a, pencil.dense_b, m)
+        self._check(pencil.dense_a, make_kle_mass(), m, pencil.B)
 
     def test_one_by_one(self):
         self._check(np.array([[3.0]]), np.array([[2.0]]), 1)
-        ref = errors.dense_ghep_oracle(np.array([[3.0]]), np.array([[4.0]]))
+        ref = errors.dense_ghep_oracle(np.array([[3.0]]), rg.dense_spd(np.array([[4.0]])))
         assert ref.lambdas[0] == 0.75
         np.testing.assert_array_equal(ref.top_eigenvectors(1), [[0.5]])
 
     def test_one_by_one_with_a_factor(self):
         # a B-operator's factor, dense or sparse, at n = 1: no tridiagonal e at all
         for B in (rg.dense_spd(np.array([[4.0]])), rg.sparse_spd(scipy.sparse.csr_matrix([[4.0]]))):
-            ref = errors.dense_ghep_oracle(np.array([[3.0]]), None, B.dense_factor())
+            ref = errors.dense_ghep_oracle(np.array([[3.0]]), B)
             assert ref.lambdas[0] == 0.75
             np.testing.assert_array_equal(ref.top_eigenvectors(1), [[0.5]])
 
@@ -187,14 +189,14 @@ class TestTopEigenvectors:
             G = rng.standard_normal((12, 12))
             blocks = [(G + G.T) / 4.0] * 2
         Ad = scipy.linalg.block_diag(*blocks)
-        assert np.count_nonzero(errors.dense_ghep_oracle(Ad, np.eye(24))._tri[1] == 0.0) >= 1
+        assert np.count_nonzero(errors.dense_ghep_oracle(Ad, rg.dense_spd(np.eye(24)))._tri[1] == 0.0) >= 1
         self._check(Ad, np.eye(24), m)
 
     def test_top_block_runs_no_bisection(self, monkeypatch):
         # inverse iteration starts from the eigenvalues the oracle already
         # holds: dstein runs once on the top m of them, dstebz never
         pencil = make_kle_pencil(2.5, n=81)
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         calls = {"dstebz": 0, "dstein": []}
         dstebz, dstein = scipy.linalg._flapack.dstebz, scipy.linalg.lapack.dstein
 
@@ -219,7 +221,7 @@ class TestTopEigenvectors:
 
     def test_widest_block_is_cached(self):
         pencil = make_kle_pencil(1.5, n=41)
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         X5 = ref.top_eigenvectors(5)
         X3 = ref.top_eigenvectors(3)
         assert np.shares_memory(X3, X5)
@@ -232,7 +234,7 @@ class TestTopEigenvectors:
     def test_out_of_range(self, m):
         pencil = make_kle_pencil(1.5, n=41)
         with pytest.raises(ConfigError):
-            errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b).top_eigenvectors(m)
+            errors.dense_ghep_oracle(pencil.dense_a, pencil.B).top_eigenvectors(m)
 
 
 def eig_sqrt(Bd):
@@ -255,42 +257,45 @@ class TestCholeskyOracleAgainstEigenSquareRoot:
 
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
     def test_reference_fields(self, nu):
+        # the extreme eigenvalues of B come from L L^T, so every backend's factor is checked:
+        # the dense Cholesky, the sparse LDL^T under its ordering and the banded mass factor
         pencil = make_kle_pencil(nu)
-        Ad, Bd = pencil.dense_a, pencil.dense_b
-        ref = errors.dense_ghep_oracle(Ad, Bd)
+        Ad, Bd = pencil.dense_a, make_kle_mass()
         Bh, _, w = eig_sqrt(Bd)
         sigmas = np.linalg.svd(Bh @ np.linalg.solve(Bd, Ad), compute_uv=False)
-        assert np.max(np.abs(ref.sigmas_B - sigmas)) <= 1e-13 * sigmas[0]
-        assert ref.binv_norm == pytest.approx(1.0 / w[0], rel=1e-13)
-        assert ref.b_norm == pytest.approx(w[-1], rel=1e-13)
-        assert ref.kappa_B == pytest.approx(w[-1] / w[0], rel=1e-13)
+        for B in (rg.dense_spd(Bd), rg.sparse_spd(scipy.sparse.csr_matrix(Bd)), pencil.B):
+            ref = errors.dense_ghep_oracle(Ad, B)
+            assert np.max(np.abs(ref.sigmas_B - sigmas)) <= 1e-13 * sigmas[0]
+            assert ref.binv_norm == pytest.approx(1.0 / w[0], rel=1e-13)
+            assert ref.b_norm == pytest.approx(w[-1], rel=1e-13)
+            assert ref.kappa_B == pytest.approx(w[-1] / w[0], rel=1e-13)
 
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
     def test_range_error_and_b_norm(self, nu):
         pencil = make_kle_pencil(nu)
-        Ad, Bd = pencil.dense_a, pencil.dense_b
-        sigma1 = errors.dense_ghep_oracle(Ad, Bd).sigmas_B[0]
+        Ad, B, Bd = pencil.dense_a, pencil.B, make_kle_mass()
+        sigma1 = errors.dense_ghep_oracle(Ad, B).sigmas_B[0]
         C = np.linalg.solve(Bd, Ad)
         Bh, Bih, _ = eig_sqrt(Bd)
         rng = np.random.default_rng(17)
         for k in (5, 20, 40, 80):
             Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=k, p=5, seed=k)).basis.Q
-            f = errors.range_error_exact(Ad, Bd, Q)
+            f = errors.range_error_exact(Ad, B, Q)
             assert abs(f - range_error_eig_sqrt(Ad, Bd, Q)) <= 1e-14 * sigma1
             resid = C - Q @ ((Bd @ Q).T @ C)
-            assert abs(errors.b_norm(resid, Bd) - np.linalg.norm(Bh @ resid @ Bih, 2)) <= 1e-14 * sigma1
+            assert abs(errors.b_norm(resid, B) - np.linalg.norm(Bh @ resid @ Bih, 2)) <= 1e-14 * sigma1
             # Q^T B Q = G^T G with singular values of G in [0.5, 1.5]: not B-orthonormal
             U, _ = np.linalg.qr(rng.standard_normal((Q.shape[1], Q.shape[1])))
             Qg = Q @ (np.linspace(0.5, 1.5, Q.shape[1])[:, None] * U)
             assert np.linalg.norm(Qg.T @ Bd @ Qg - np.eye(Q.shape[1]), 2) >= 0.5
-            fg = errors.range_error_exact(Ad, Bd, Qg)
+            fg = errors.range_error_exact(Ad, B, Qg)
             assert abs(fg - range_error_eig_sqrt(Ad, Bd, Qg)) <= 1e-14 * sigma1
 
 
 class TestOracleLaziness:
     def test_eigenpairs_do_not_compute_the_rest(self):
         pencil = make_kle_pencil(1.5, n=41)
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         assert ref.lambdas.shape == (41,) and ref.eigenvectors.shape == (41, 41)
         lazy = ("sigmas_B", "binv_norm", "b_norm", "kappa_B")
         assert not any(name in vars(ref) for name in lazy)
@@ -301,7 +306,7 @@ class TestOracleLaziness:
 
     def test_no_eigenvector_block_until_read(self):
         pencil = make_kle_pencil(1.5, n=41)
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=5, p=2, seed=1)).basis.Q
         ref.range_error(Q)
         assert ref.lambdas.shape == (41,) and ref.sigmas_B.shape == (41,) and ref.kappa_B > 1.0
@@ -310,34 +315,50 @@ class TestOracleLaziness:
         assert ref._vectors.shape == (41, 4)
 
     def test_lambdas_assignable(self):
-        ref = errors.dense_ghep_oracle(np.diag([3.0, 1.0]), np.eye(2))
+        ref = errors.dense_ghep_oracle(np.diag([3.0, 1.0]), rg.dense_spd(np.eye(2)))
         ref.lambdas = np.array([2.0, 1.0])
         np.testing.assert_array_equal(ref.lambdas, [2.0, 1.0])
 
 
+def _factor_spy(B):
+    """(spy, reads): B as a new SpdOperator that appends to ``reads`` on each ``dense_factor()``."""
+    reads = []
+    return rg.SpdOperator(B.dim, B.apply, B.apply_inverse, factor=lambda: reads.append(1) or B.dense_factor()), reads
+
+
 class TestOracleTypedFailures:
+    """A NaN, indefinite or mis-shaped dense B fails in ``dense_spd``, with the
+    typed errors the oracles raised when they took an array; the oracles then
+    reject a B without a factor, and an A or M of another shape, before any work."""
+
+    ORACLES = {
+        "dense_ghep_oracle": errors.dense_ghep_oracle,
+        "range_error_exact": lambda A, B: errors.range_error_exact(A, B, np.ones((A.shape[0], 1))),
+        "b_norm": errors.b_norm,
+    }
+
     def test_dense_ghep_oracle(self):
         A = np.eye(3)
         A[0, 1] = A[1, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            errors.dense_ghep_oracle(A, np.eye(3))
+            errors.dense_ghep_oracle(A, rg.dense_spd(np.eye(3)))
         with pytest.raises(NumericalError, match="non-finite"):
-            errors.dense_ghep_oracle(np.eye(3), np.diag([1.0, np.inf, 1.0]))
+            rg.dense_spd(np.diag([1.0, np.inf, 1.0]))
         with pytest.raises(NotPositiveDefiniteError):
-            errors.dense_ghep_oracle(np.eye(3), np.diag([1.0, 0.0, 1.0]))
+            rg.dense_spd(np.diag([1.0, 0.0, 1.0]))
 
     def test_range_error_exact(self):
         Q = np.ones((3, 1))
         Q[2, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            errors.range_error_exact(np.eye(3), np.eye(3), Q)
+            errors.range_error_exact(np.eye(3), rg.dense_spd(np.eye(3)), Q)
         with pytest.raises(NumericalError, match="non-finite"):
-            errors.range_error_exact(np.full((3, 3), np.nan), np.eye(3), np.ones((3, 1)))
+            errors.range_error_exact(np.full((3, 3), np.nan), rg.dense_spd(np.eye(3)), np.ones((3, 1)))
         with pytest.raises(NotPositiveDefiniteError):
-            errors.range_error_exact(np.eye(3), np.diag([1.0, -1.0, 1.0]), np.ones((3, 1)))
+            rg.dense_spd(np.diag([1.0, -1.0, 1.0]))
 
     def test_reference_range_error(self):
-        ref = errors.dense_ghep_oracle(np.eye(3), np.eye(3))
+        ref = errors.dense_ghep_oracle(np.eye(3), rg.dense_spd(np.eye(3)))
         Q = np.ones((3, 1))
         Q[2, 0] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
@@ -347,24 +368,45 @@ class TestOracleTypedFailures:
 
     def test_b_norm(self):
         with pytest.raises(NumericalError, match="non-finite"):
-            errors.b_norm(np.diag([1.0, -np.inf]), np.eye(2))
+            errors.b_norm(np.diag([1.0, -np.inf]), rg.dense_spd(np.eye(2)))
         with pytest.raises(NumericalError, match="non-finite"):
-            errors.b_norm(np.eye(2), np.diag([np.nan, 1.0]))
+            rg.dense_spd(np.diag([np.nan, 1.0]))
         with pytest.raises(NotPositiveDefiniteError):
-            errors.b_norm(np.eye(2), np.diag([1.0, -2.0]))
+            rg.dense_spd(np.diag([1.0, -2.0]))
         with pytest.raises(ConfigError):
-            errors.b_norm(np.eye(3), np.eye(2))
+            errors.b_norm(np.eye(3), rg.dense_spd(np.eye(2)))
+        with pytest.raises(ConfigError):
+            rg.dense_spd(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_b_without_a_factor(self, oracle):
+        B = rg.SpdOperator(3, lambda X: X, lambda X: X)
+        with pytest.raises(ConfigError, match="no dense factor"):
+            self.ORACLES[oracle](np.eye(3), B)
+        with pytest.raises(ConfigError, match="SpdOperator"):
+            self.ORACLES[oracle](np.eye(3), np.eye(3))
+        assert B.matvec_count == B.solve_count == 0
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_shape_mismatch_reads_no_factor(self, oracle):
+        B, reads = _factor_spy(rg.dense_spd(np.eye(3)))
+        for A in (np.eye(2), np.ones((3, 2))):
+            with pytest.raises(ConfigError, match="shape"):
+                self.ORACLES[oracle](A, B)
+        assert reads == []
+        self.ORACLES[oracle](np.eye(3), B)
+        assert reads == [1]
 
 
 class TestBNorm:
     def test_identity_weight(self):
         rng = np.random.default_rng(2)
         M = rng.standard_normal((8, 8))
-        assert errors.b_norm(M, np.eye(8)) == pytest.approx(np.linalg.norm(M, 2))
+        assert errors.b_norm(M, rg.dense_spd(np.eye(8))) == pytest.approx(np.linalg.norm(M, 2))
 
     def test_identity_matrix(self):
         Bd = random_spd(10, 25.0, 4)
-        assert errors.b_norm(np.eye(10), Bd) == pytest.approx(1.0, abs=1e-12)
+        assert errors.b_norm(np.eye(10), rg.dense_spd(Bd)) == pytest.approx(1.0, abs=1e-12)
 
     def test_kappa_sandwich(self):
         rng = np.random.default_rng(6)
@@ -375,7 +417,7 @@ class TestBNorm:
             w = np.linalg.eigvalsh(Bd)
             kappa = w[-1] / w[0]
             m2 = np.linalg.norm(M, 2)
-            mb = errors.b_norm(M, Bd)
+            mb = errors.b_norm(M, rg.dense_spd(Bd))
             assert m2 / math.sqrt(kappa) <= mb * (1 + 1e-10)
             assert mb <= math.sqrt(kappa) * m2 * (1 + 1e-10)
 
@@ -386,7 +428,7 @@ class TestBNorm:
         Bd = random_spd(15, 1000.0, 2)
         L = np.linalg.cholesky(Bd)
         via_chol = np.linalg.norm(L.T @ M @ np.linalg.inv(L).T, 2)
-        assert errors.b_norm(M, Bd) == pytest.approx(via_chol, rel=1e-10)
+        assert errors.b_norm(M, rg.dense_spd(Bd)) == pytest.approx(via_chol, rel=1e-10)
 
     def test_vector_norm_sandwich(self):
         rng = np.random.default_rng(31)
@@ -404,22 +446,22 @@ class TestBNorm:
 class TestRangeErrorExact:
     def test_full_basis_gives_zero(self):
         pencil = make_kle_pencil(0.5, n=41)
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
-        f = errors.range_error_exact(pencil.dense_a, pencil.dense_b, ref.eigenvectors)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
+        f = errors.range_error_exact(pencil.dense_a, pencil.B, ref.eigenvectors)
         assert f <= 1e-10 * ref.sigmas_B[0]
 
     def test_empty_basis_gives_full_norm(self):
         pencil = make_kle_pencil(0.5, n=41)
-        C = np.linalg.solve(pencil.dense_b, pencil.dense_a)
-        f = errors.range_error_exact(pencil.dense_a, pencil.dense_b, np.zeros((41, 0)))
-        assert f == pytest.approx(errors.b_norm(C, pencil.dense_b), rel=1e-12)
+        C = np.linalg.solve(make_kle_mass(41), pencil.dense_a)
+        f = errors.range_error_exact(pencil.dense_a, pencil.B, np.zeros((41, 0)))
+        assert f == pytest.approx(errors.b_norm(C, pencil.B), rel=1e-12)
 
     def test_tracks_theory_scale(self, kle_oracle):
         # f_k should sit within a factor 10 of sqrt(||B^-1||) * sigma_{B,k+1}
         pencil = make_kle_pencil(2.5)
         ref = kle_oracle(2.5)
         res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=20, p=5, seed=3))
-        f = errors.range_error_exact(pencil.dense_a, pencil.dense_b, res.basis.Q)
+        f = errors.range_error_exact(pencil.dense_a, pencil.B, res.basis.Q)
         guide = math.sqrt(ref.binv_norm) * ref.sigmas_B[20]
         assert guide / 10.0 <= f <= 10.0 * guide
 
@@ -434,23 +476,24 @@ class TestCachedRangeError:
         for k in (0, 5, 40):
             Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=max(k, 1), p=5, seed=k)).basis.Q[:, :k]
             for basis in (Q, Q @ rng.uniform(0.5, 1.5, (k, k))):
-                assert ref.range_error(basis) == errors.range_error_exact(pencil.dense_a, pencil.dense_b, basis)
+                assert ref.range_error(basis) == errors.range_error_exact(pencil.dense_a, pencil.B, basis)
 
     def test_operator_factor_gives_the_same_bits(self):
-        # the dense_spd operator's Cholesky factor, handed to the oracle, is the
-        # factor the oracle would make: every output is bitwise the same
+        # each oracle reads the dense_spd operator's Cholesky factor once and
+        # uses it as it is: every output is bitwise that of the same factor made afresh
         pencil = make_kle_pencil(1.5, n=61)
-        Ad, Bd = pencil.dense_a, np.array(pencil.dense_b)
+        Ad, Bd = pencil.dense_a, make_kle_mass(61)
         B = rg.dense_spd(Bd)
-        factor = B.dense_factor()
-        own = errors.dense_ghep_oracle(Ad, Bd)
-        shared = errors.dense_ghep_oracle(Ad, None, factor)
-        assert shared.L is factor[0] and factor[1] is None
+        spy, reads = _factor_spy(B)
+        shared = errors.dense_ghep_oracle(Ad, spy)
+        assert reads == [1] and shared.L is B.dense_factor()[0] and shared.order is None
+        own = errors.dense_ghep_oracle(Ad, rg.dense_spd(Bd.copy()))
         np.testing.assert_array_equal(own.lambdas, shared.lambdas)
         np.testing.assert_array_equal(own.top_eigenvectors(4), shared.top_eigenvectors(4))
         Q = range_finder_b(pencil.A, B, SketchConfig(k=6, p=2, seed=1)).basis.Q
-        assert shared.range_error(Q) == own.range_error(Q) == errors.range_error_exact(Ad, Bd, Q)
-        assert errors.range_error_exact(Ad, None, Q, factor) == errors.range_error_exact(Ad, Bd, Q)
+        assert shared.range_error(Q) == own.range_error(Q) == errors.range_error_exact(Ad, spy, Q)
+        assert errors.b_norm(Ad, spy) == errors.b_norm(Ad, B)
+        assert reads == [1, 1, 1]
 
     def test_sparse_operator_factor(self):
         # a sparse_spd operator's LDL^T factor under its ordering: no dense B,
@@ -458,10 +501,9 @@ class TestCachedRangeError:
         Ad, Bs = jittered_matern_pencil_2d(12, seed=3)
         Bd = Bs.toarray()
         B = rg.sparse_spd(Bs)
-        factor = B.dense_factor()
-        ref = errors.dense_ghep_oracle(Ad, None, factor)
-        dense = errors.dense_ghep_oracle(Ad, Bd)
-        assert ref.B is None and ref.order is factor[1]
+        ref = errors.dense_ghep_oracle(Ad, B)
+        dense = errors.dense_ghep_oracle(Ad, rg.dense_spd(Bd))
+        assert ref.order is not None
         assert np.max(np.abs(ref.lambdas - dense.lambdas)) <= 1e-14 * dense.lambdas[0]
         for m in (10, 144):
             X = ref.top_eigenvectors(m)
@@ -471,17 +513,32 @@ class TestCachedRangeError:
         for k in (0, 8, 30):
             Q = range_finder_b(rg.dense_operator(Ad.copy()), B, SketchConfig(k=max(k, 1), p=4, seed=k)).basis.Q
             f = ref.range_error(Q[:, :k])
-            assert f == errors.range_error_exact(Ad, None, Q[:, :k], factor)
+            assert f == errors.range_error_exact(Ad, B, Q[:, :k])
             assert abs(f - dense.range_error(Q[:, :k])) <= 1e-13 * f
         assert ref.kappa_B == pytest.approx(dense.kappa_B, rel=1e-12)
         assert np.max(np.abs(ref.sigmas_B - dense.sigmas_B)) <= 1e-13 * dense.sigmas_B[0]
 
+    def test_b_norm_under_the_sparse_ordering(self):
+        # ||M||_B from the sparse factor reads M[order][:, order]: it matches the
+        # dense Cholesky route and the eigen square root for unsymmetric M
+        Ad, Bs = jittered_matern_pencil_2d(12, seed=3)
+        Bd = Bs.toarray()
+        sparse, dense = rg.sparse_spd(Bs), rg.dense_spd(Bd)
+        assert sparse.dense_factor()[1] is not None
+        Bh, Bih, _ = eig_sqrt(Bd)
+        C = np.linalg.solve(Bd, Ad)
+        M = np.random.default_rng(21).standard_normal(Ad.shape)
+        for X in (C, M, C - C @ C / np.linalg.norm(C, 2)):
+            via_sparse = errors.b_norm(X, sparse)
+            assert via_sparse == pytest.approx(errors.b_norm(X, dense), rel=1e-13)
+            assert via_sparse == pytest.approx(np.linalg.norm(Bh @ X @ Bih, 2), rel=1e-13)
+
     def test_ahat_is_cached_and_left_untouched(self):
         # A^ is built on construction; reading eigenvectors and range errors leaves it as it was
         pencil = make_kle_pencil(1.5, n=41)
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         Ahat = vars(ref)["Ahat"]
-        L = np.linalg.cholesky(pencil.dense_b)
+        L = ref.L
         np.testing.assert_allclose(L @ Ahat @ L.T, pencil.dense_a, rtol=0, atol=1e-12 * ref.lambdas[0])
         before = Ahat.copy()
         Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=5, p=2, seed=1)).basis.Q
@@ -655,8 +712,8 @@ class TestPosteriorEstimate:
         pencil = make_kle_pencil(0.5, n=41)
         res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=30, p=11, seed=2))
         est = errors.posterior_estimate(pencil.A, pencil.B, res.basis, 2.0, 5, seed=7, binv_norm=1.0)
-        C = np.linalg.solve(pencil.dense_b, pencil.dense_a)
-        scale = errors.b_norm(C, pencil.dense_b)
+        C = np.linalg.solve(make_kle_mass(41), pencil.dense_a)
+        scale = errors.b_norm(C, pencil.B)
         assert est.e <= 1e-10 * scale
 
     def test_alpha_homogeneity(self):
@@ -670,7 +727,7 @@ class TestPosteriorEstimate:
         pencil = make_kle_pencil(1.5)
         ref = kle_oracle(1.5)
         res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=20, p=5, seed=5))
-        f = errors.range_error_exact(pencil.dense_a, pencil.dense_b, res.basis.Q)
+        f = errors.range_error_exact(pencil.dense_a, pencil.B, res.basis.Q)
         hits = 0
         trials = 40
         for t in range(trials):
@@ -806,7 +863,7 @@ class TestBSine:
     def test_small_angle_on_kle_mass_matrix(self, t, rtol):
         # arccos of a cosine this close to 1 reads 0 or an angle off by ~sqrt(eps)
         pencil = make_kle_pencil(1.5, ell=0.5, n=201)
-        Bd = pencil.dense_b
+        Bd = make_kle_mass()
         rng = np.random.default_rng(8)
         x, z = rng.standard_normal((2, 201))
         for _ in range(2):
@@ -868,7 +925,7 @@ class TestGrowth:
         pencil = make_kle_pencil(0.5, ell=0.5, n=300)
         out = errors.grow_sketch_until(pencil.A, pencil.B, k0=5, seed=1, r_probes=r,
                                        tol=5e-3 if max_cols is None else None, max_cols=max_cols)
-        Bd = pencil.dense_b.astype(np.longdouble)
+        Bd = make_kle_mass(300).astype(np.longdouble)
         for h in out.history:
             new = min(errors.GROWTH_STEP, (max_cols or 300) - h.columns)
             assert (h.estimate is None) is (new == 0)
@@ -970,7 +1027,7 @@ class TestGrowth:
             B = rg.SpdOperator(60, identity, identity, identity)
             out = errors.grow_sketch_until(rg.dense_operator(Ad.copy()), B, k0=3, tol=1e-3, seed=4)
             assert out.converged
-            assert out.estimate.e >= errors.range_error_exact(Ad, np.eye(60), out.basis.Q)
+            assert out.estimate.e >= errors.range_error_exact(Ad, rg.dense_spd(np.eye(60)), out.basis.Q)
             runs.append((out.n_columns, out.estimate.e))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == pytest.approx(runs[1][1], rel=1e-9)
@@ -1002,6 +1059,6 @@ class TestGrowth:
         fs = []
         for k in ks:
             res = range_finder_b(pencil.A, pencil.B, SketchConfig(k=int(k), p=0, seed=11))
-            fs.append(errors.range_error_exact(pencil.dense_a, pencil.dense_b, res.basis.Q))
+            fs.append(errors.range_error_exact(pencil.dense_a, pencil.B, res.basis.Q))
         smallest = int(ks[np.argmax(np.array(fs) <= tol)])
         assert out.n_columns <= smallest + 10

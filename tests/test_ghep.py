@@ -8,7 +8,7 @@ from randghep import borth, errors, ghep, sketch
 from randghep.operators import ConfigError, IllConditionedError, NumericalError
 from randghep.sketch import SketchConfig
 
-from conftest import exact_rank_pencil, make_kle_pencil, random_spd, rel_eig_error
+from conftest import exact_rank_pencil, make_kle_mass, make_kle_pencil, random_spd, rel_eig_error
 
 SOLVERS = [rg.ghep_two_pass, rg.ghep_single_pass, rg.ghep_nystrom]
 
@@ -38,7 +38,7 @@ def test_b_orthonormality_and_sorting(solver):
     pencil = make_kle_pencil(1.5)
     sol = solver(pencil.A, pencil.B, SketchConfig(k=12, p=5, seed=3))
     assert np.all(np.diff(sol.eigenvalues) <= 0.0)
-    G = sol.U.T @ (pencil.dense_b @ sol.U)
+    G = sol.U.T @ (make_kle_mass() @ sol.U)
     assert np.linalg.norm(G - np.eye(sol.eigenvalues.size), 2) <= 1e-10
 
 
@@ -135,22 +135,22 @@ def test_two_pass_sandwich_bound():
     # symmetric projection error is at most twice the one-sided range error
     pencil = make_kle_pencil(1.5)
     sol = rg.ghep_two_pass(pencil.A, pencil.B, SketchConfig(k=15, p=5, seed=11))
-    Ad, Bd = pencil.dense_a, pencil.dense_b
+    Ad, Bd = pencil.dense_a, make_kle_mass()
     Q = sol.basis.Q
     C = np.linalg.solve(Bd, Ad)
     P = Q @ (Q.T @ Bd)
-    one_sided = errors.b_norm(C - P @ C, Bd)
-    sandwich = errors.b_norm(C - P @ C @ P, Bd)
+    one_sided = errors.b_norm(C - P @ C, pencil.B)
+    sandwich = errors.b_norm(C - P @ C @ P, pencil.B)
     assert sandwich <= 2.0 * one_sided + 1e-10
-    assert abs(one_sided - errors.range_error_exact(Ad, Bd, Q)) <= 1e-12
+    assert abs(one_sided - errors.range_error_exact(Ad, pencil.B, Q)) <= 1e-12
 
 
 def test_eigenvalues_stay_in_perturbed_hull():
     pencil = make_kle_pencil(0.5)
-    ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.dense_b)
+    ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
     for solver in SOLVERS:
         sol = solver(pencil.A, pencil.B, SketchConfig(k=10, p=5, seed=2))
-        eps = errors.range_error_exact(pencil.dense_a, pencil.dense_b, sol.basis.Q)
+        eps = errors.range_error_exact(pencil.dense_a, pencil.B, sol.basis.Q)
         lo, hi = ref.lambdas[-1] - 2 * eps, ref.lambdas[0] + 2 * eps
         assert np.all(sol.eigenvalues >= lo - 1e-12)
         assert np.all(sol.eigenvalues <= hi + 1e-12)

@@ -1,37 +1,51 @@
-"""The dense oracles take B's factor, never a dense copy of B.
+"""The dense oracles factor no B: they read the B-operator's own factor.
 
-No ``src/randghep`` module reads the attribute ``dense_b``: the library's
-oracle calls pass ``SpdOperator.dense_factor()``, so a B is not densified or
-factored a second time for them.  Defining ``dense_b`` (the lazy property of
-``GhepPencil``, the KLE pencil's builder) is allowed; tests and scripts may
-still read it.  The files are parsed with ``ast``; nothing from them is
-imported.
+``errors.dense_ghep_oracle``, ``range_error_exact`` and ``b_norm`` take B as
+the ``SpdOperator`` that the solvers take and read its
+``SpdOperator.dense_factor()``, so ``errors.py`` names no Cholesky routine:
+no ``cholesky``, ``cho_factor`` or ``cholesky_lower``, as an attribute, a
+name or an import.  LAPACK's ``dpotrf``, the certificate that ``_norm2``
+runs on a Gram matrix, is not a factorization of B and stays allowed.  The
+file is parsed with ``ast``; nothing from it is imported.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "randghep"
-DENSE_B = "dense_b"
+ERRORS = Path(__file__).resolve().parents[1] / "src" / "randghep" / "errors.py"
+CHOLESKY = frozenset({"cholesky", "cho_factor", "cholesky_lower"})
 
 
-def dense_b_reads(source: str) -> list[int]:
-    """The line of each attribute read ``<expr>.dense_b`` in ``source``."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == DENSE_B)
+def cholesky_names(source: str) -> list[int]:
+    """The line of each attribute, name or import of a routine in CHOLESKY in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            continue
+        if name in CHOLESKY:
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def test_rule_on_a_sample():
     source = (
-        "def dense_b():\n    return B\n"
-        "build = dense_b\n"
-        "ref = oracle(pencil.dense_a, pencil.dense_b)\n"
-        "x = getattr(p, 'dense_a').dense_b\n"
+        "import scipy.linalg\n"
+        "from scipy.linalg import cho_factor\n"
+        "from .operators import cholesky_lower as chol\n"
+        "L = scipy.linalg.cholesky(B, lower=True)\n"
+        "ok = lapack.dpotrf(G)[1] == 0\n"
+        "f = cholesky\n"
+        "note = 'a Cholesky factor of B: cholesky'\n"
     )
-    assert dense_b_reads(source) == [4, 5]
+    assert cholesky_names(source) == [2, 3, 4, 6]
 
 
-def test_no_module_reads_dense_b():
-    reads = {path.name: dense_b_reads(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    found = {name: lines for name, lines in reads.items() if lines}
-    assert not found, f"modules that read .{DENSE_B} (pass B.dense_factor() instead): {found}"
+def test_errors_names_no_cholesky_routine():
+    lines = cholesky_names(ERRORS.read_text())
+    assert not lines, f"errors.py names a Cholesky routine on lines {lines} (read B.dense_factor() instead)"

@@ -16,7 +16,7 @@ from randghep import errors
 from randghep.operators import ConfigError
 from randghep.sketch import SketchConfig
 
-from conftest import make_kle_pencil
+from conftest import make_kle_mass, make_kle_pencil
 
 
 #: The shapes whose bits are pinned: (n, r, seed, first_col); one has odd n.
@@ -292,10 +292,10 @@ class TestRangeFinderB:
         pencil = make_kle_pencil(0.5)
         res = rg.range_finder_b(pencil.A, pencil.B, SketchConfig(k=10, p=5, seed=4))
         Q = res.basis.Q
-        Bd = pencil.dense_b
+        Bd = make_kle_mass()
         P = Q @ (Q.T @ Bd)
         assert np.linalg.norm(P @ P - P, 2) <= 1e-10
-        assert abs(errors.b_norm(P, Bd) - 1.0) <= 1e-10
+        assert abs(errors.b_norm(P, pencil.B) - 1.0) <= 1e-10
 
     def test_qr_alg_selection(self):
         # the range finder's one weighted QR is the block path: B-orthonormal Q
