@@ -1,13 +1,18 @@
 """QR factorizations in a weighted inner product <x, y>_W = y^T W x.
 
-``pre_chol_qr_w`` (PreCholQR: a Householder QR, then CholeskyQR2 in the
-W-inner product, with a BCGS2 append) is the one block path: the range
-finder, the GSVD and sketch growth all call it, and it touches W only
-through one block apply per call.  Plain modified Gram-Schmidt (``mgs_w``),
-MGS with Rutishauser-style re-orthogonalization (``mgs_w_reorth``) and plain
-CholQR (``chol_qr_w``) are reference algorithms for the QR-quality
-comparison (``randghep qr-bench``); MGS-R also serves Nystrom's second,
-B^{-1}-weighted QR.  The MGS core applies W to one column at a time, keeps
+``pre_chol_qr_w`` (PreCholQR: randomized Cholesky QR, a sparse sign
+sketch S Y of 2m rows whose small QR preconditions Y, then CholeskyQR2 in
+the W-inner product, with a BCGS2 append) is the one block path: the range
+finder, the GSVD and sketch growth all call it, it factors no n-row array,
+and it touches W only through one block apply per call.  Its rank rule is
+block-relative: a column is dependent when its sketched R_jj falls to
+RANK_TOL eps of the block's largest column.  Plain modified
+Gram-Schmidt (``mgs_w``), MGS with Rutishauser-style re-orthogonalization
+(``mgs_w_reorth``) and plain CholQR (``chol_qr_w``) are reference
+algorithms for the QR-quality comparison (``randghep qr-bench``); MGS-R
+also serves Nystrom's second, B^{-1}-weighted QR.  The MGS variants keep
+the per-column rule tt <= 10 eps t, which keeps roundoff columns of
+rank-deficient input.  The MGS core applies W to one column at a time, keeps
 each column contiguous (as a row of its work array) and projects with
 in-place BLAS-1 updates; it copies every W-apply's output into its own
 storage, since an operator may return its input.  All return the factor Q,
@@ -16,11 +21,13 @@ the cached product W*Q, and the upper-triangular R.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.linalg.blas import daxpy, ddot, dtrsm
 
 from .operators import ConfigError, IllConditionedError, NumericalError, SpdOperator
@@ -243,26 +250,88 @@ def _project_out(Z: np.ndarray, basis: BOrthoBasis) -> np.ndarray:
     return coef
 
 
-def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None) -> BOrthoBasis:
-    """Preconditioned CholQR2: the block weighted QR used by every solver.
+#: Nonzeros per column of the sparse sign embedding (at most its row count).
+EMBED_NNZ = 8
 
-    Y is copied once into a Fortran-ordered work array that all later steps
+#: Philox key of the embedding's raw bits: one fixed stream, so the
+#: embedding is a function of (n, s) alone.
+_EMBED_KEY = 0x5E5
+
+#: c of the rank rule |R_s[j, j]| <= c eps max_i ||y_i||_2, set from the
+#: measured gap.  The roundoff columns of rank-3 to rank-5 sketches
+#: B^{-1} A Omega (n = 40, 8 columns, kappa(B) = 10) reach 220 eps; that
+#: roundoff grows with kappa(B), and at kappa(B) = 100 it passes 1000 eps in
+#: 3 of 300.  The smallest real column of a kappa(Y) >= 1e9 KLE sketch
+#: (n = 201, 100 columns) sits at >= 2100 eps over 100 embeddings, those of
+#: the benchmark's sketches at >= 3e6 eps.
+RANK_TOL = 1000.0
+
+
+@functools.lru_cache(maxsize=8)
+def sparse_sign_embedding(n: int, s: int) -> scipy.sparse.csc_matrix:
+    """The s x n sparse sign embedding S of ``pre_chol_qr_w`` (s < n).
+
+    Column j holds min(EMBED_NNZ, s) entries +-1/sqrt(nnz) in distinct rows
+    (Martinsson & Tropp 2020, Sec. 9).  The rows come from Floyd's
+    sampling algorithm, one raw 64-bit Philox draw per entry: step i picks
+    t uniform in [0, s - nnz + i] from the draw's top 32 bits by a
+    multiply-shift and takes s - nnz + i instead when t is already in the
+    column; the draw's lowest bit is the entry's sign.  Only integer
+    arithmetic touches the bits, so S is the same on every CPU.  It is
+    built once per (n, s) and shared: callers must not modify it.  It
+    stores 12 nnz n bytes (float64 values, int32 row indices).
+    """
+    nnz = min(EMBED_NNZ, s)
+    bits = np.random.Philox(key=_EMBED_KEY).random_raw(nnz * n).reshape(nnz, n)
+    rows = np.empty((n, nnz), dtype=np.int32)
+    for i, top in enumerate(range(s - nnz, s)):
+        t = (((bits[i] >> np.uint64(32)) * np.uint64(top + 1)) >> np.uint64(32)).astype(np.int32)
+        rows[:, i] = np.where((rows[:, :i] == t[:, None]).any(axis=1), top, t)
+    values = np.where((bits.T & np.uint64(1)) == 1, -1.0, 1.0) / math.sqrt(nnz)
+    indptr = np.arange(0, nnz * n + 1, nnz, dtype=np.int32)
+    return scipy.sparse.csc_matrix((values.ravel(), rows.ravel(), indptr), shape=(s, n))
+
+
+def _sketch(X: np.ndarray) -> np.ndarray:
+    """S X for the 2m x n embedding of an n x m block X (X itself when 2m >= n
+    or m = 0)."""
+    n, m = X.shape
+    return X if 2 * m >= n or m == 0 else sparse_sign_embedding(n, 2 * m) @ X
+
+
+def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None) -> BOrthoBasis:
+    """Sketch-preconditioned CholQR2: the block weighted QR used by every solver.
+
+    Y is copied once into a Fortran-ordered work array Z that later steps
     overwrite.  With ``basis`` given, the new columns are first projected
     against it twice (BCGS2, using the cached W*Q: no W-applies) and the
-    basis is extended; its columns are left untouched.  A Householder QR
-    Y = Z S (Euclidean inner product, signs fixed so diag(S) >= 0) then
-    bounds the conditioning of the Gram matrix Z^T W Z by kappa(W) instead
-    of kappa(Y)^2.  Column k is declared dependent when
-    |S_kk| <= 10 eps ||y_k||_2, the relative threshold MGS-R uses; dependent
-    columns are moved behind the kept ones and the QR is redone, so a
-    dependent column never lends its arbitrary Householder direction to a
-    later column.  Its Q/WQ columns are zeroed and R[k, k] = 0.
+    basis is extended; its columns are left untouched.
+
+    Randomized Cholesky QR (Balabanov 2022; Higgins et al. 2023): the
+    s x n sparse sign embedding S (s = 2m, ``sparse_sign_embedding``; S = I
+    when s >= n) preserves the norms of range(Z) to a small factor, so the
+    Householder QR S Z = Q_s R_s of the small s x m sketch, signs fixed so
+    diag(R_s) >= 0, gives a preconditioner: Z R_s^{-1}, one in-place
+    ``dtrsm``, has kappa of a few (5.9 on the benchmark's kle-4000 sketch,
+    kappa(Y) = 1.5e10), and the Gram matrix of the CholQR passes has
+    kappa <= kappa(Z R_s^{-1})^2 kappa(W).  No n-row array is factored.
+
+    Rank rule: column j is dependent when
+    |R_s[j, j]| <= RANK_TOL eps max_i ||y_i||_2, relative to the largest
+    column of Y before the projection (block-relative, as LAPACK's xGELSY;
+    a per-column rule does not survive the embedding's distortion of each
+    |R_jj|, while the block's scale moves by that distortion at most).  The
+    scale is read off Y itself, not its sketch, so an append sketches only
+    the projected block.  Dependent columns are moved behind the kept ones and
+    the small QR is redone, so a dependent column never lends its roundoff
+    direction to a later column; their Q/WQ columns are zeroed and
+    R[j, j] = 0.
 
     W is applied once, to all kept columns in one block call.  Two CholQR
-    passes follow on the tracked image, Z R1^{-1} R2^{-1} with each Gram
-    formed from the current Q and W*Q (no second W-apply), and the
-    triangular solves run in place.  R = R2 R1 S.  A Cholesky breakdown
-    (kappa(W) near 1/eps) raises IllConditionedError.
+    passes follow on the tracked image, with each Gram formed from the
+    current Q and W*Q (no second W-apply), and the triangular solves run in
+    place.  R = R2 R1 R_s.  A Cholesky breakdown (kappa(W) near 1/eps)
+    raises IllConditionedError.
     """
     Y = _check_input(Y, W)
     n, m = Y.shape
@@ -273,29 +342,29 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
             raise ConfigError(f"basis has {basis.Q.shape[0]} rows, Y has {n}")
         if r0 + m > n:
             raise ConfigError(f"more columns ({r0 + m}) than rows ({n})")
-    threshold = 10.0 * EPS * np.linalg.norm(Y, axis=0)
+    threshold = RANK_TOL * EPS * math.sqrt(np.einsum("ij,ij->j", Y, Y).max(initial=0.0))
+    Z = np.array(Y, order="F")
+    coef = None if basis is None else _project_out(Z, basis)
+    SY = _sketch(Z)
     dependent = np.zeros(m, dtype=bool)
     order = np.arange(m)
-    Z = np.array(Y, order="F")
     while True:
-        coef = None if basis is None else _project_out(Z, basis)
-        Z, S = scipy.linalg.qr(Z, mode="economic", overwrite_a=True, check_finite=False)
-        d = np.where(np.diag(S) < 0.0, -1.0, 1.0)
-        Z *= d
-        S *= d[:, None]
+        Rs = scipy.linalg.qr(SY[:, order], mode="r", check_finite=False)[0][:m]
+        Rs *= np.where(np.diag(Rs) < 0.0, -1.0, 1.0)[:, None]
         n_kept = m - int(dependent.sum())
-        small = np.abs(np.diag(S))[:n_kept] <= threshold[order[:n_kept]]
+        small = np.diag(Rs)[:n_kept] <= threshold
         dependent[order[:n_kept][small]] = True
         new_order = np.concatenate([np.flatnonzero(~dependent), np.flatnonzero(dependent)])
         if np.array_equal(new_order, order):
             break
         order = new_order
-        Z = np.asfortranarray(Y[:, order])
 
     n_kept = m - int(dependent.sum())
-    Q, R = Z[:, :n_kept], S[:n_kept]
+    R = Rs[:n_kept]
+    Q = Z if n_kept == m else Z[:, order[:n_kept]]
     WQ = np.zeros((n, 0))
     if n_kept:
+        Q = _solve_right(Q, R[:, :n_kept])
         WQ = _fresh_apply(W, Q)
         for _ in range(2):
             Rc = _gram_cholesky(Q, WQ, "the weight operator has kappa(W) near 1/eps")
@@ -322,7 +391,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
     WQ_all[:, :r0], WQ_all[:, r0:] = basis.WQ, WQ
     R_all = np.zeros((r0 + m, r0 + m))
     R_all[:r0, :r0] = basis.R
-    R_all[:r0, r0 + order] = coef
+    R_all[:r0, r0:] = coef
     R_all[r0:, r0:] = R
     return BOrthoBasis(
         Q_all,

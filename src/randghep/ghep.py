@@ -33,8 +33,12 @@ class GhepSolution:
     probe (the probe's A-applies are excluded and reported as
     ``diagnostics["symmetry_probe_applies"]``).  The range finder's block QR
     makes no re-orthogonalization applies, so ``diagnostics["reorth_b_applies"]``
-    is 0.  Nystrom's second QR (MGS-R in the B^{-1}-inner product) solves
-    with B one column at a time: one B-solve per column of M (per kept
+    is 0.  It applies B to the kept basis columns only, and the projections'
+    second-round applies run on those columns too, so a rank-deficient
+    sketch of ``diagnostics["effective_rank"]`` r' < k + p columns costs r'
+    B-applies and r' second-round A-applies (or B-solves) in place of k + p.
+    Nystrom's second QR (MGS-R in the B^{-1}-inner product) solves with B
+    one column at a time: one B-solve per column of M (per kept
     eigenvalue of Q^T A Q), plus ``diagnostics["reorth_b_solves"]`` for its
     re-orthogonalization sweeps, all of which ``counts`` includes.
     """
@@ -153,7 +157,8 @@ def _project_single_pass(A, B, cfg, rng, basis):
     T = WS @ (Zt @ (rng.Omega.T @ rng.Ybar) @ Zt.T) @ WS.T
     diag = {
         "sigma_min_F": float(fvals[-1]),
-        "sigma_max_omega": float(np.linalg.svd(rng.Omega, compute_uv=False)[0]),
+        # squaring is safe for the largest singular value (see errors._norm2)
+        "sigma_max_omega": float(np.sqrt(np.linalg.eigvalsh(rng.Omega.T @ rng.Omega)[-1])),
     }
     return (*ritz(T, basis.Q, cfg.k), diag)
 
@@ -184,8 +189,10 @@ def ghep_two_pass(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSoluti
     """Two-pass solver: T = Q^T A Q from a second round of A-applies.
 
     Costs 2(k+p) A-applies, (k+p) B-applies and (k+p) B-solves (no
-    re-orthogonalization).  T is symmetrized before the dense eigensolve;
-    the top k of the k+p computed modes are kept.
+    re-orthogonalization); after a rank-deficient sketch the B-applies and
+    the second round of A-applies run on the kept columns only.  T is
+    symmetrized before the dense eigensolve; the top k of the k+p computed
+    modes are kept.
     """
     return _solve("two_pass", _project_two_pass, A, B, cfg)
 
@@ -194,10 +201,11 @@ def ghep_single_pass(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSol
     """Single-pass solver: T ~ (Omega^T B Q)^+ (Omega^T Ybar) (Q^T B Omega)^+.
 
     Reuses Ybar = A*Omega so only (k+p) A-applies are spent, with (k+p)
-    B-applies and (k+p) B-solves; F = Q^T B Omega comes from the cached BQ at
-    O((k+p)^3) extra flops.  One SVD of F gives the conditioning check and
-    F^+, square or wide.  Reports sigma_min(F) and sigma_max(Omega) so the
-    two-pass/single-pass eigenvalue gap bound can be evaluated.
+    B-applies (one per kept basis column) and (k+p) B-solves; F = Q^T B Omega
+    comes from the cached BQ at O((k+p)^3) extra flops.  One SVD of F gives
+    the conditioning check and F^+, square or wide.  Reports sigma_min(F) and sigma_max(Omega), the
+    latter as sqrt(lambda_max(Omega^T Omega)), so the two-pass/single-pass
+    eigenvalue gap bound can be evaluated.
     """
     return _solve("single_pass", _project_single_pass, A, B, cfg)
 
@@ -214,8 +222,9 @@ def ghep_nystrom(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolutio
     singular values of the small R factor.  One implicit power-iteration step
     over the two-pass solver, at the price of a second round of B-solves:
     2(k+p) A-applies, (k+p) B-applies, 2(k+p) B-solves, less one B-solve per
-    dropped theta.  The eigenvalues are squared singular values, sorted
-    descending.
+    dropped theta; after a rank-deficient sketch the B-applies and the
+    second round of A-applies and B-solves run on the kept columns only.
+    The eigenvalues are squared singular values, sorted descending.
     """
     return _solve("nystrom", _project_nystrom, A, B, cfg)
 

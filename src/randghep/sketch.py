@@ -18,7 +18,9 @@ from .operators import ConfigError, LinearMap, SpdOperator
 #: the same everywhere, but the transform's float64 log, cos and sin are
 #: NumPy SIMD kernels chosen by CPU: the bits are promised for one NumPy
 #: version and one dispatch target, and differ by a few ulp in a few entries
-#: between, for example, AVX-512 and AVX2 machines.
+#: between, for example, AVX-512 and AVX2 machines.  Matrices are stored
+#: column-major (each column one contiguous stream); the values, and so the
+#: bytes of a C-ordered copy, do not depend on that.
 GENERATOR_ID = "philox4x64-boxmuller/v1"
 
 _MASK64 = (1 << 64) - 1
@@ -37,11 +39,12 @@ def gaussian_matrix(n: int, r: int, seed: int, first_col: int = 0) -> np.ndarray
 
     ``first_col`` shifts the column streams: ``gaussian_matrix(n, r, s)`` and
     ``gaussian_matrix(n, q, s, first_col=r)`` side by side equal
-    ``gaussian_matrix(n, r + q, s)`` bitwise.
+    ``gaussian_matrix(n, r + q, s)`` bitwise.  The block is Fortran-ordered,
+    so the column-wise operators it is handed to read contiguous columns.
     """
     if n < 1 or r < 1:
         raise ConfigError("gaussian_matrix needs n, r >= 1")
-    out = np.empty((n, r))
+    out = np.empty((n, r), order="F")
     half = (n + 1) // 2
     for j in range(r):
         bits = np.random.Philox(key=int(seed) & _MASK64, counter=(first_col + j) << 66)

@@ -11,6 +11,10 @@ Only cases whose values agree with one and with two BLAS threads are pinned.
 The file records outputs of the code as it was before the solvers shared a
 skeleton, less the records and keys of removed features (the fast path, the
 constant ``qr_alg``); a refactor that changes any other value must say why.
+The exact-rank cases' ``effective_rank``, ``dropped_dimensions`` and
+``counts`` follow the rank rule of the sketch-preconditioned QR, which keeps
+3 of the 7 columns of that rank-3 sketch.  ``python tests/test_ghep_golden.py``
+(with ``src`` on ``PYTHONPATH``) prints the golden JSON of the current code.
 """
 
 from __future__ import annotations
@@ -96,3 +100,9 @@ def test_matches_golden(case_id):
     lam, ref = np.array(got["eigenvalues"]), np.array(want["eigenvalues"])
     assert lam.shape == ref.shape
     assert np.sum(np.abs(lam - ref)) <= EIG_RTOL * np.sum(np.abs(ref))
+
+
+if __name__ == "__main__":
+    # The golden JSON of the current code on stdout; see the diff with
+    #   PYTHONPATH=src python tests/test_ghep_golden.py | diff tests/data/ghep_golden.json -
+    print(json.dumps({"cases": {cid: run_case(cid) for cid in sorted(case_ids())}}, indent=1, sort_keys=True))

@@ -9,8 +9,16 @@ B.  B-applies are not pinned: a check that converges discards a block that
 the loop has already QR'd, and that block's B-apply is the loop's business.
 Only values that agree with one and with two BLAS threads are pinned.
 
-The file records outputs of the loop that drew its probes beside the basis;
-the loop that reads its trigger off the block it appends must reproduce them.
+The exact fields were recorded from the loop that drew its probes beside the
+basis, and the loop that reads its trigger off the block it appends
+reproduces them.  The certified values and e were re-recorded when the
+weighted QR became sketch-preconditioned: a check bounds what the sketch's
+trailing directions leave of the range, which the QR fixes only to its
+roundoff (kappa(Y) reaches 7e7 at the stop), and the bounds moved by up to
+1.2e-4 relative, so only bitwise-equal QR output could meet 1e-13.  Each
+case also checks that the final e bounds the exact range error of the basis
+it returns.  ``python tests/test_growth_golden.py`` (with ``src`` on
+``PYTHONPATH``) prints the golden JSON of the current code.
 """
 
 from __future__ import annotations
@@ -40,24 +48,27 @@ CASES = {
 
 
 def dense_pencil(n: int):
-    """A dense pencil with eigenvalues 0.7^i and a B of condition number 100."""
+    """A dense pencil with eigenvalues 0.7^i and a B of condition number 100,
+    and its dense A."""
     Bd = random_spd(n, 100.0, 2)
     V, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((n, n)))
     # C = B^{-1} A = V diag(0.7^i) V^T B has those eigenvalues
     A = Bd @ (V * 0.7 ** np.arange(n)) @ V.T @ Bd
-    return rg.dense_operator((A + A.T) / 2.0), rg.dense_spd(Bd)
+    A = (A + A.T) / 2.0
+    return rg.dense_operator(A), rg.dense_spd(Bd), A
 
 
-def run_case(case_id: str) -> dict:
-    """The golden record of one case: what the test compares."""
+def grow(case_id: str) -> tuple[dict, float]:
+    """The golden record of one case, and the exact range error f of the
+    basis that the run returns."""
     spec, kwargs = CASES[case_id]
     if spec[0] == "kle":
         pencil = make_kle_pencil(*spec[1:])
-        A, B = pencil.A, pencil.B
+        A, B, Ad = pencil.A, pencil.B, pencil.dense_a  # no counted apply builds dense_a
     else:
-        A, B = dense_pencil(*spec[1:])
+        A, B, Ad = dense_pencil(*spec[1:])
     out = errors.grow_sketch_until(A, B, **kwargs)
-    return {
+    record = {
         "converged": out.converged,
         "n_columns": out.n_columns,
         "checks": sum(h.certified is not None for h in out.history),
@@ -66,6 +77,12 @@ def run_case(case_id: str) -> dict:
         "certified": [[h.columns, h.certified] for h in out.history if h.certified is not None],
         "e": out.estimate.e,
     }
+    return record, errors.range_error_exact(Ad, B, out.basis.Q)
+
+
+def run_case(case_id: str) -> dict:
+    """The golden record of one case: what the test compares."""
+    return grow(case_id)[0]
 
 
 GOLDEN_CASES = json.loads(GOLDEN.read_text())["cases"]
@@ -79,10 +96,18 @@ def test_golden_file_covers_the_cases():
 @pytest.mark.parametrize("case_id", sorted(GOLDEN_CASES))
 def test_matches_golden(case_id):
     want = GOLDEN_CASES[case_id]
-    got = run_case(case_id)
+    got, f = grow(case_id)
     exact = ("converged", "n_columns", "checks", "a_applies", "b_solves")
     assert {key: got[key] for key in exact} == {key: want[key] for key in exact}
     assert [c for c, _ in got["certified"]] == [c for c, _ in want["certified"]]
     np.testing.assert_allclose([v for _, v in got["certified"]], [v for _, v in want["certified"]],
                                rtol=CERT_RTOL, atol=0.0)
     assert got["e"] == pytest.approx(want["e"], rel=CERT_RTOL, abs=0.0)
+    # the certified e bounds the exact range error of the basis it certifies
+    assert got["e"] >= f
+
+
+if __name__ == "__main__":
+    # The golden JSON of the current code on stdout; see the diff with
+    #   PYTHONPATH=src python tests/test_growth_golden.py | diff tests/data/growth_golden.json -
+    print(json.dumps({"cases": {cid: run_case(cid) for cid in sorted(CASES)}}, indent=1, sort_keys=True))

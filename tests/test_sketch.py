@@ -108,6 +108,11 @@ class TestGaussianMatrix:
         b = rg.gaussian_matrix(40, 9, seed=123)
         assert np.array_equal(a, b)
 
+    def test_column_major(self):
+        # each column is one contiguous stream; the values do not depend on it
+        G = rg.gaussian_matrix(40, 9, seed=123)
+        assert G.flags.f_contiguous and not G.flags.c_contiguous
+
     def test_seeds_differ(self):
         a = rg.gaussian_matrix(40, 9, seed=1)
         b = rg.gaussian_matrix(40, 9, seed=2)
