@@ -2,9 +2,11 @@
 
 ``pre_chol_qr_w`` (PreCholQR: randomized Cholesky QR, a sparse sign
 sketch S Y of 2m rows whose small QR preconditions Y, then CholeskyQR2 in
-the W-inner product, with a BCGS2 append) is the one block path: the range
-finder, the GSVD and sketch growth all call it, it factors no n-row array,
-and it touches W only through one block apply per call.  Its rank rule is
+the W-inner product, with an in-place BCGS2 append) is the one block path:
+the range finder, the GSVD and sketch growth all call it, it factors no
+n-row array, and it touches W only through one block apply per call.  A
+growing basis keeps its columns in a store with spare capacity, so an
+append writes only the new block.  Its rank rule is
 block-relative: a column is dependent when its sketched R_jj falls to
 RANK_TOL eps of the block's largest column.  Plain modified
 Gram-Schmidt (``mgs_w``), MGS with Rutishauser-style re-orthogonalization
@@ -23,18 +25,42 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import daxpy, ddot, dtrsm
+from scipy.linalg.blas import daxpy, ddot, dgemm, dtrsm
 
 from .operators import ConfigError, IllConditionedError, NumericalError, SpdOperator
 
 EPS = np.finfo(float).eps  # unit roundoff of double precision, ~2.22e-16
 
 MAX_REORTH_SWEEPS = 5
+
+
+class _ColumnStore:
+    """F-ordered n x capacity arrays that hold the Q and W*Q columns of a
+    growing basis.  The leading ``used`` columns belong to the newest basis
+    appended into them; ``claim`` takes the next ones under a lock, so two
+    appends to one basis never write the same columns."""
+
+    def __init__(self, Q: np.ndarray, WQ: np.ndarray, capacity: int, used: int) -> None:
+        n, r0 = Q.shape
+        self.Q = np.empty((n, capacity), order="F")
+        self.WQ = np.empty((n, capacity), order="F")
+        self.Q[:, :r0], self.WQ[:, :r0] = Q, WQ
+        self.used = used
+        self._lock = threading.Lock()
+
+    def claim(self, r0: int, r: int) -> bool:
+        """Take columns r0:r when exactly the first r0 are used and r fit."""
+        with self._lock:
+            if self.used != r0 or r > self.Q.shape[1]:
+                return False
+            self.used = r
+            return True
 
 
 @dataclass
@@ -51,6 +77,11 @@ class BOrthoBasis:
     (MGS) or per kept column (PreCholQR) of the factorization proper.  The
     block path makes no such sweeps, so its bases keep that count at the
     value of the basis they extend (0 for a fresh one).
+
+    A basis built by an append (``pre_chol_qr_w(..., basis=)``) reads its Q
+    and WQ as views of the leading columns of a ``_ColumnStore`` with spare
+    columns, which later appends fill in place; Q and WQ must be treated as
+    read-only, since the bases grown from one another share that memory.
     """
 
     Q: np.ndarray
@@ -58,6 +89,7 @@ class BOrthoBasis:
     R: np.ndarray
     rank_flags: np.ndarray
     n_reorth_applies: int = 0
+    _store: _ColumnStore | None = field(default=None, repr=False)
 
     @property
     def n_kept(self) -> int:
@@ -78,6 +110,32 @@ class BOrthoBasis:
             rank_flags=np.ones(keep.size, dtype=bool),
             n_reorth_applies=self.n_reorth_applies,
         )
+
+    def _append(self, Q: np.ndarray, WQ: np.ndarray, coef: np.ndarray, R: np.ndarray,
+                flags: np.ndarray) -> "BOrthoBasis":
+        """This basis extended by the block (Q, WQ, R), whose coefficients on
+        this basis are ``coef``.
+
+        The block goes into this basis's store when the basis owns every used
+        column of it and a free column is left for each new one.  Otherwise
+        the columns are copied into a new store, of the old capacity when that
+        holds them and of twice it (at most n) when not, so n columns cost
+        O(log n) copies and a store never has more than twice the columns its
+        newest basis uses.  The columns of this basis are never written.
+        """
+        n, r0 = self.Q.shape
+        r = r0 + Q.shape[1]
+        store = self._store
+        if store is None or not store.claim(r0, r):
+            capacity = r0 if store is None else store.Q.shape[1]
+            store = _ColumnStore(self.Q, self.WQ, capacity if r <= capacity else min(n, max(2 * capacity, r)), r)
+        store.Q[:, r0:r], store.WQ[:, r0:r] = Q, WQ
+        R_all = np.zeros((r, r))
+        R_all[:r0, :r0] = self.R
+        R_all[:r0, r0:] = coef
+        R_all[r0:, r0:] = R
+        return BOrthoBasis(store.Q[:, :r], store.WQ[:, :r], R_all, np.concatenate([self.rank_flags, flags]),
+                           self.n_reorth_applies, store)
 
 
 def _check_input(Y: np.ndarray, W: SpdOperator) -> np.ndarray:
@@ -236,18 +294,20 @@ def _gram_cholesky(Q: np.ndarray, WQ: np.ndarray, advice: str) -> np.ndarray:
     return R
 
 
-def _project_out(Z: np.ndarray, basis: BOrthoBasis) -> np.ndarray:
-    """BCGS2: W-project Z against the cached basis twice, in place.
+def _project_out(Z: np.ndarray, basis: BOrthoBasis) -> tuple[np.ndarray, np.ndarray]:
+    """BCGS2: W-project the F-ordered Z against the cached basis twice.
 
-    Uses the cached (Q, WQ) only, so no W-applies.  Returns the summed
-    coefficients Q^T W Z of both passes.
+    Uses the cached (Q, WQ) only, so no W-applies.  Each pass is two
+    ``dgemm`` calls, the second of which updates Z in place
+    (Z := Z - Q coef), so no n-row temporary is formed.  Returns the
+    projected Z and the summed coefficients Q^T W Z of both passes.
     """
-    coef = basis.WQ.T @ Z
-    Z -= basis.Q @ coef
-    second = basis.WQ.T @ Z
-    Z -= basis.Q @ second
+    coef = dgemm(1.0, basis.WQ, Z, trans_a=1)
+    Z = dgemm(-1.0, basis.Q, coef, beta=1.0, c=Z, overwrite_c=1)
+    second = dgemm(1.0, basis.WQ, Z, trans_a=1)
+    Z = dgemm(-1.0, basis.Q, second, beta=1.0, c=Z, overwrite_c=1)
     coef += second
-    return coef
+    return Z, coef
 
 
 #: Nonzeros per column of the sparse sign embedding (at most its row count).
@@ -304,8 +364,12 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
 
     Y is copied once into a Fortran-ordered work array Z that later steps
     overwrite.  With ``basis`` given, the new columns are first projected
-    against it twice (BCGS2, using the cached W*Q: no W-applies) and the
-    basis is extended; its columns are left untouched.
+    against it twice (BCGS2, using the cached W*Q: no W-applies, with Z
+    updated in place by ``dgemm``) and the basis is extended; its columns
+    are left untouched.  The extended basis's Q and WQ are views of a column
+    store with spare capacity that doubles when full (``BOrthoBasis``), so a
+    growth round writes only its new block when it extends the newest basis
+    of that store, and copies the old columns into a new store otherwise.
 
     Randomized Cholesky QR (Balabanov 2022; Higgins et al. 2023): the
     s x n sparse sign embedding S (s = 2m, ``sparse_sign_embedding``; S = I
@@ -344,7 +408,8 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
             raise ConfigError(f"more columns ({r0 + m}) than rows ({n})")
     threshold = RANK_TOL * EPS * math.sqrt(np.einsum("ij,ij->j", Y, Y).max(initial=0.0))
     Z = np.array(Y, order="F")
-    coef = None if basis is None else _project_out(Z, basis)
+    if basis is not None:
+        Z, coef = _project_out(Z, basis)
     SY = _sketch(Z)
     dependent = np.zeros(m, dtype=bool)
     order = np.arange(m)
@@ -384,22 +449,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
         Q, WQ, R = Q_new, WQ_new, np.triu(R_new)
     if basis is None:
         return BOrthoBasis(Q, WQ, R, ~dependent)
-
-    Q_all = np.empty((n, r0 + m), order="F")
-    WQ_all = np.empty((n, r0 + m), order="F")
-    Q_all[:, :r0], Q_all[:, r0:] = basis.Q, Q
-    WQ_all[:, :r0], WQ_all[:, r0:] = basis.WQ, WQ
-    R_all = np.zeros((r0 + m, r0 + m))
-    R_all[:r0, :r0] = basis.R
-    R_all[:r0, r0:] = coef
-    R_all[r0:, r0:] = R
-    return BOrthoBasis(
-        Q_all,
-        WQ_all,
-        R_all,
-        np.concatenate([basis.rank_flags, ~dependent]),
-        n_reorth_applies=basis.n_reorth_applies,
-    )
+    return basis._append(Q, WQ, coef, R, ~dependent)
 
 
 def qr_metrics(Y: np.ndarray, basis: BOrthoBasis, W: SpdOperator) -> tuple[float, float, float, float]:

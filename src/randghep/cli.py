@@ -63,6 +63,15 @@ def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> Non
     _write_csv(outdir / "spectrum.csv", header, rows)
 
 
+def _warn_if_short(sol) -> None:
+    """One stderr line when the solve returned fewer eigenvalues than --k:
+    the range finder dropped sketch columns as numerically dependent."""
+    m = sol.eigenvalues.size
+    if m < sol.k:
+        print(f"randghep: warning: {m} eigenvalues returned of the {sol.k} asked for (--k); "
+              f"the sketch's effective_rank is {sol.diagnostics['effective_rank']}", file=sys.stderr)
+
+
 def _load_spd(path):
     """The SPD operator of the Matrix Market file ``path``.
 
@@ -101,6 +110,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     pencil = _load_pencil(args)
     solve = ghep.solver_method(args.method)
     sol = solve(pencil.A, pencil.B, SketchConfig(k=args.k, p=args.p, seed=seed))
+    _warn_if_short(sol)
     report.update(sol.report_dict())
     report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
     oracle = bound_flags = None
@@ -143,6 +153,7 @@ def cmd_kle(args, report: dict, seed: int, outdir: Path) -> None:
     with_oracle = args.n <= kle.ORACLE_MAX_N
     sol = kle.kle_solve(grid, cfg, k=args.k, p=args.p, method=args.method,
                         seed=seed, compare_oracle=with_oracle)
+    _warn_if_short(sol.solution)
     report.update(sol.solution.report_dict())
     report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n, "k": args.k,
                         "p": args.p, "method": args.method}

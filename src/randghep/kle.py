@@ -4,13 +4,14 @@ Matern covariance kernels, the piecewise-linear mass matrix, the discrete
 pencil (M Gamma M, M) and truncated-expansion error checks.  The solver path
 is matrix-free at any n: on the uniform grid Gamma is symmetric Toeplitz, so
 it is applied by circulant embedding with the FFT in O(n log n) per column and
-O(n) memory (Dietrich & Newsam 1997), and the mass solves go through a banded
-Cholesky so B^{-1}x stays O(n).  The circulant has length N, the smallest
+O(n) memory (Dietrich & Newsam 1997), and the mass solves go through one
+tridiagonal LDL^T factorization (LAPACK ``dpttrf``/``dpttrs``), so B^{-1}x
+stays O(n).  The circulant has length N, the smallest
 2^a 3^b 5^c >= 2n - 1, with zero padding in the middle of its first column: a
 matvec needs only N >= 2n - 1, not a nonnegative spectrum, and a 5-smooth N
 keeps the FFT off its slow large-prime path.  The dense A is built only when
 an oracle reads it (n <= ORACLE_MAX_N); the oracles read B as the mass
-operator's own banded factor, densified.
+operator's own Cholesky factor, densified.
 """
 
 from __future__ import annotations
@@ -127,16 +128,25 @@ def assemble_mass_1d(grid: Grid1D) -> np.ndarray:
 
 
 class MassOperator(SpdOperator):
-    """The 1D mass matrix as an SpdOperator: stencil apply, banded Cholesky solve,
-    and whitening by the same banded factor B = U^T U.  Its ``dense_factor()``
-    is (U^T densified, None), so the dense oracles factor no dense copy of B."""
+    """The 1D mass matrix as an SpdOperator: stencil apply, tridiagonal solve,
+    and whitening by the Cholesky factor of the same factorization.
+
+    B is factored once by LAPACK ``dpttrf`` as B = L D L^T (unit lower
+    bidiagonal L) and solved with ``dpttrs``, one O(n) recurrence per column
+    with no per-row BLAS calls.  The Cholesky factor U = D^{1/2} L^T
+    (B = U^T U, upper bidiagonal) is built from the same (d, e) in LAPACK's
+    upper band storage: the whitening is U^{-1} X, and ``dense_factor()`` is
+    (U^T densified, None), so the dense oracles factor no dense copy of B.
+    B is strictly diagonally dominant, so the factorization cannot fail.
+    """
 
     def __init__(self, grid: Grid1D) -> None:
         self._main, self._off = _mass_bands(grid)
-        ab = np.zeros((2, grid.n))
-        ab[0, 1:] = self._off
-        ab[1] = self._main
-        self._cb = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
+        self._d, self._e, _ = scipy.linalg.lapack.dpttrf(self._main, np.full(grid.n - 1, self._off))
+        root_d = np.sqrt(self._d)
+        self._ub = np.zeros((2, grid.n))
+        self._ub[0, 1:] = root_d[:-1] * self._e
+        self._ub[1] = root_d
         super().__init__(grid.n, self._stencil, self._solve, self._whiten, self._factor_lt)
 
     def _stencil(self, X: np.ndarray) -> np.ndarray:
@@ -146,18 +156,18 @@ class MassOperator(SpdOperator):
         return out
 
     def _solve(self, X: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve_banded((self._cb, False), X, check_finite=False)
+        return scipy.linalg.lapack.dpttrs(self._d, self._e, X)[0]
 
     def _whiten(self, X: np.ndarray) -> np.ndarray:
         # B = U^T U with the banded upper factor U, so L = U^T and L^{-T} X = U^{-1} X;
         # U's diagonal is positive, so the triangular solve cannot fail
-        return scipy.linalg.lapack.dtbtrs(self._cb, X, uplo="U")[0]
+        return scipy.linalg.lapack.dtbtrs(self._ub, X, uplo="U")[0]
 
     def _factor_lt(self) -> tuple[np.ndarray, None]:
         # L = U^T, filled in place: U's diagonal is row 1 of the banded storage, its superdiagonal row 0
-        n = self._cb.shape[1]
-        L = np.diag(self._cb[1])
-        L[np.arange(1, n), np.arange(n - 1)] = self._cb[0, 1:]
+        n = self._ub.shape[1]
+        L = np.diag(self._ub[1])
+        L[np.arange(1, n), np.arange(n - 1)] = self._ub[0, 1:]
         return L, None
 
 
@@ -216,7 +226,7 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
     """The discrete KLE pencil: A = M Gamma M applied factor-by-factor, B = M.
 
     Gamma is applied matrix-free (``covariance_apply``) and B^{-1} by the
-    banded Cholesky of ``MassOperator``; nothing n-by-n is formed unless an
+    tridiagonal LDL^T solve of ``MassOperator``; nothing n-by-n is formed unless an
     oracle reads ``dense_a`` or B's ``dense_factor()``.  Every apply of Gamma
     is an A-apply, counted by ``A.matvec_count``.
     """

@@ -199,7 +199,7 @@ class SpdOperator(LinearMap):
         ``order`` is None when it is the identity (``dense_spd``: L is its
         read-only Cholesky factor).  ``sparse_spd`` builds a new dense L from
         its LDL^T factor on each call, and ``kle.MassOperator`` one from its
-        banded Cholesky factor (L = U^T, bidiagonal).  None when the backend
+        bidiagonal Cholesky factor (L = U^T).  None when the backend
         holds no factor; the dense oracles then raise ConfigError.
         """
         return None if self._factor is None else self._factor()

@@ -1,6 +1,10 @@
 """Weighted QR factorizations: correctness, rank handling, Table-style metrics."""
 
 import hashlib
+import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -358,6 +362,119 @@ EMBEDDING_PINS = {
 #: whose roundoff column passes RANK_TOL eps of the block and is kept: the
 #: block-relative rule's floor, measured at b_kappa = 100.
 EXACT_RANK_FLOOR = {100.0: {144, 276, 299}}
+
+
+def _copied(basis):
+    """``basis`` with its arrays copied and no column store."""
+    return borth.BOrthoBasis(basis.Q.copy(), basis.WQ.copy(), basis.R.copy(), basis.rank_flags.copy(),
+                             basis.n_reorth_applies)
+
+
+def _same(a, b):
+    return (np.array_equal(a.Q, b.Q) and np.array_equal(a.WQ, b.WQ) and np.array_equal(a.R, b.R)
+            and np.array_equal(a.rank_flags, b.rank_flags))
+
+
+class TestAppendInPlace:
+    """An append writes its block into the column store of the basis it
+    extends only when that basis owns every used column of the store."""
+
+    @staticmethod
+    def _blocks(n=40, sizes=(6, 3, 3, 2), seed=21):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((n, m)) for m in sizes], rg.dense_spd(_random_weight(n, seed))
+
+    def test_append_leaves_the_extended_basis_unchanged(self):
+        (Y0, Y1, Y2, _), W = self._blocks()
+        parent = rg.pre_chol_qr_w(Y1, W, basis=rg.pre_chol_qr_w(Y0, W))
+        before = _copied(parent)
+        child = rg.pre_chol_qr_w(Y2, W, basis=parent)
+        assert child._store is parent._store  # written in place
+        assert _same(parent, before)
+        assert np.array_equal(child.Q[:, :9], before.Q) and np.array_equal(child.R[:9, :9], before.R)
+
+    def test_two_appends_to_one_parent_equal_appends_to_copies(self):
+        (Y0, Y1, Y2, Y3), W = self._blocks()
+        parent = rg.pre_chol_qr_w(Y1, W, basis=rg.pre_chol_qr_w(Y0, W))
+        first = rg.pre_chol_qr_w(Y2, W, basis=parent)
+        second = rg.pre_chol_qr_w(Y3, W, basis=parent)
+        assert second._store is not first._store
+        assert _same(first, rg.pre_chol_qr_w(Y2, W, basis=_copied(parent)))
+        assert _same(second, rg.pre_chol_qr_w(Y3, W, basis=_copied(parent)))
+
+    def test_append_to_a_compacted_basis(self):
+        (Y0, Y1, Y2, _), W = self._blocks()
+        Y1[:, 2] = Y0[:, 1]  # dependent on the first block
+        parent = rg.pre_chol_qr_w(Y1, W, basis=rg.pre_chol_qr_w(Y0, W))
+        assert parent.n_kept == 8
+        before = _copied(parent)
+        grown = rg.pre_chol_qr_w(Y2, W, basis=parent.compact())
+        assert _same(grown, rg.pre_chol_qr_w(Y2, W, basis=_copied(parent.compact())))
+        assert _same(rg.pre_chol_qr_w(Y2, W, basis=parent), rg.pre_chol_qr_w(Y2, W, basis=before))
+        assert _same(parent, before)
+
+    def test_concurrent_appends_to_one_basis(self, monkeypatch):
+        # more threads than cores append to one parent at once: at most one
+        # may write into its store, and every result equals the append to a
+        # fresh copy.  Reading the store's column count sleeps before it
+        # returns, which widens the window between a claim's check and its
+        # update.
+        def slow_used(store):
+            used = store.__dict__["_used"]
+            time.sleep(1e-3)
+            return used
+
+        monkeypatch.setattr(borth._ColumnStore, "used",
+                            property(slow_used, lambda store, v: store.__dict__.__setitem__("_used", v)),
+                            raising=False)
+        (Y0, Y1, _, _), W = self._blocks()
+        blocks = [np.random.default_rng(s).standard_normal((40, 2)) for s in range(8)]
+        parent = rg.pre_chol_qr_w(Y1, W, basis=rg.pre_chol_qr_w(Y0, W))
+        want = [rg.pre_chol_qr_w(Y, W, basis=_copied(parent)) for Y in blocks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                parent = rg.pre_chol_qr_w(Y1, W, basis=rg.pre_chol_qr_w(Y0, W))
+                got = [None] * len(blocks)
+                start = threading.Barrier(len(blocks))
+
+                def work(i):
+                    start.wait(timeout=30.0)
+                    got[i] = rg.pre_chol_qr_w(blocks[i], W, basis=parent)
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(len(blocks))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in threads)
+                assert sum(b._store is parent._store for b in got) <= 1
+                assert all(_same(b, w) for b, w in zip(got, want))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_store_doubles_over_a_growth_run(self, monkeypatch):
+        grown = []
+
+        def recording(Y, W, basis=None):
+            out = borth.pre_chol_qr_w(Y, W, basis=basis)
+            grown.append(out)
+            return out
+
+        monkeypatch.setattr(rg.errors, "pre_chol_qr_w", recording)
+        pencil = make_kle_pencil(0.5, 0.5, 300)
+        k0 = 5
+        res = rg.grow_sketch_until(pencil.A, pencil.B, k0=k0, tol=1e-3, seed=1)
+        final = max(b.Q.shape[1] for b in grown)
+        assert final >= 100
+        stores = {id(b._store): b._store for b in grown}
+        assert len(stores) <= math.ceil(math.log2(final / k0)) + 1
+        for b in grown:
+            used = b.Q.shape[1]
+            assert b._store.Q.shape[1] <= 2 * used
+            assert np.shares_memory(b.Q, b._store.Q) and np.shares_memory(b.WQ, b._store.WQ)
+        assert res.basis.Q.flags.f_contiguous
 
 
 class TestSketchPreconditioning:

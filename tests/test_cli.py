@@ -769,6 +769,25 @@ class TestKle:
         assert choleskys == [] and generalized == [] and sparse == []
         assert _read_report(out)["rel_eigenvalue_error"] <= 1e-4
 
+    def test_fewer_eigenvalues_than_k_are_reported_on_stderr(self, tmp_path, capsys):
+        # the block rank rule keeps 126 of the 160 sketch columns of this
+        # smooth kernel; the run still exits 0 with its usual report
+        out = tmp_path / "kle"
+        code = main(["kle", "--nu", "2.5", "--k", "150", "--p", "10", "--seed", "7", "--out", str(out)])
+        assert code == 0
+        rep = _read_report(out)
+        m = len(_read_csv(out / "spectrum.csv"))
+        assert m == len(rep["eigenvalues"]) == rep["diagnostics"]["effective_rank"] < 150
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"randghep: warning: {m} eigenvalues returned of the 150 asked for (--k); "
+                       f"the sketch's effective_rank is {m}"]
+
+    def test_no_warning_when_k_eigenvalues_are_returned(self, tmp_path, capsys):
+        out = tmp_path / "kle"
+        assert main(["kle", "--nu", "2.5", "--k", "100", "--p", "10", "--seed", "7", "--out", str(out)]) == 0
+        assert len(_read_csv(out / "spectrum.csv")) == 100
+        assert capsys.readouterr().err == ""
+
     def test_method_flag(self, tmp_path):
         out = tmp_path / "kle"
         code = main(["kle", "--nu", "0.5", "--n", "81", "--k", "6", "--method", "nystrom",

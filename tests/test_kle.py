@@ -134,6 +134,23 @@ class TestAssembly:
         np.testing.assert_allclose(L.T @ op.whiten(X), X, rtol=1e-13, atol=1e-13)
         assert op.matvec_count == 0 and op.solve_count == 0
 
+    def test_one_tridiagonal_factor_at_n_4000(self):
+        # dpttrf's B = L D L^T solves B to roundoff, and U = D^{1/2} L^T,
+        # built from the same (d, e), is B's Cholesky factor
+        grid = kle.Grid1D(n=4000)
+        op = kle.MassOperator(grid)
+        X = np.random.default_rng(6).standard_normal((4000, 8))
+        S = op.apply_inverse(X)
+        assert np.linalg.norm(op.apply(S) - X) <= 1e-14 * np.linalg.norm(X)
+        diag, sup = op._ub[1], op._ub[0, 1:]
+        main, off = op._main, np.full(3999, op._off)
+        utu_main = diag**2
+        utu_main[1:] += sup**2
+        err = np.sqrt(np.sum((utu_main - main) ** 2) + 2.0 * np.sum((diag[:-1] * sup - off) ** 2))
+        assert err <= 1e-15 * np.sqrt(np.sum(main**2) + 2.0 * np.sum(off**2))
+        for j in (0, 3, 7):
+            assert np.array_equal(op.apply_inverse(X[:, j]), S[:, j])
+
 
 def _smallest_5_smooth_at_least(m):
     k = m
