@@ -16,8 +16,7 @@ also serves Nystrom's second, B^{-1}-weighted QR.  The MGS variants keep
 the per-column rule tt <= 10 eps t, which keeps roundoff columns of
 rank-deficient input.  The MGS core applies W to one column at a time, keeps
 each column contiguous (as a row of its work array) and projects with
-in-place BLAS-1 updates; it copies every W-apply's output into its own
-storage, since an operator may return its input.  All return the factor Q,
+in-place BLAS-1 updates.  All return the factor Q,
 the cached product W*Q, and the upper-triangular R.
 """
 
@@ -159,9 +158,7 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
     array, so every vector the sweeps touch is contiguous, and the
     projections are in-place BLAS-1 calls (``ddot``, ``daxpy``) that
     allocate nothing.  Q and WQ come back as the transposes of those arrays.
-    Each W-apply's output is copied into its row, because an operator may
-    return its input (or a view of it), which the in-place updates of the
-    working column would then change twice.
+    Each W-apply's output is copied into its row, for that layout.
 
     The W-image of the working column is tracked through the first sweep's
     projection updates (W(q - s*q_i) = Wq - s*Wq_i), so that sweep costs one
@@ -253,18 +250,12 @@ def chol_qr_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
     pre_chol_qr_w / mgs_w_reorth.
     """
     Y = _check_input(Y, W)
-    Z = _fresh_apply(W, Y)
+    Z = W.apply(Y)
     R = _gram_cholesky(Y, Z, "input too ill-conditioned for CholQR; use pre_chol_qr_w or mgs_w_reorth")
     Q = _solve_right(np.array(Y, order="F"), R)
     WQ = _solve_right(Z, R)
     flags = np.ones(Y.shape[1], dtype=bool)
     return BOrthoBasis(Q, WQ, R, flags)
-
-
-def _fresh_apply(W: SpdOperator, X: np.ndarray) -> np.ndarray:
-    """W*X in an array that does not alias X, so it can be overwritten."""
-    WX = W.apply(X)
-    return WX.copy(order="K") if np.may_share_memory(WX, X) else WX
 
 
 def _solve_right(X: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -430,7 +421,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
     WQ = np.zeros((n, 0))
     if n_kept:
         Q = _solve_right(Q, R[:, :n_kept])
-        WQ = _fresh_apply(W, Q)
+        WQ = W.apply(Q)
         for _ in range(2):
             Rc = _gram_cholesky(Q, WQ, "the weight operator has kappa(W) near 1/eps")
             Q = _solve_right(Q, Rc)

@@ -9,6 +9,7 @@ matrices are Matrix Market.  Exit codes: 0 success, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -358,9 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser that ``main`` uses: built on its first call and shared by every
+#: later one (parsing leaves it unchanged), so a process that calls ``main``
+#: in a loop builds the subcommands once.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     from numpy.linalg import LinAlgError
 
     from .operators import ConfigError, MatrixFormatError, NumericalError

@@ -79,8 +79,8 @@ class SpectrumReference:
     read, and only the top m; ``eigenvectors`` is all n of them.  The rest
     is computed on first read and then cached: ``sigmas_B``, the generalized
     singular values of C = B^{-1}A, as the singular values of F^{-1}A (the
-    same as those of B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2,
-    ``b_norm`` = ||B||_2 and ``kappa_B`` from one values-only eigensolve of
+    same as those of B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2 and
+    ``kappa_B`` = ||B||_2 ||B^{-1}||_2 from one values-only eigensolve of
     L L^T, which is B under the ordering.  ``range_error(Q)`` is
     ``range_error_exact(A, B, Q)`` on the same factor without forming A^
     again, and equals it bitwise.
@@ -153,19 +153,16 @@ class SpectrumReference:
         return 1.0 / self._b_extreme_eigenvalues[0]
 
     @cached_property
-    def b_norm(self) -> float:
-        return self._b_extreme_eigenvalues[1]
-
-    @cached_property
     def kappa_B(self) -> float:
         lo, hi = self._b_extreme_eigenvalues
         return hi / lo
 
 
 class EigenpairBounds(NamedTuple):
+    """``eigenpair_bounds``'s bound on |lambda - lambda~| and on the B-angle's sine."""
+
     lambda_bound: float
     sine_bound: float
-    gap_degenerate: bool
 
 
 def _finite(M: np.ndarray, name: str) -> np.ndarray:
@@ -558,7 +555,6 @@ def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check:
     V, BV, BMV = (np.empty((n, LANCZOS_STEPS), order="F") for _ in range(3))
     V[:, 0], BV[:, 0] = x / norm, Bx / norm
     m = LANCZOS_STEPS
-    # no update in place: an operator may return its input or a view of it
     for j in range(LANCZOS_STEPS):
         y = B.apply_inverse(A.apply(V[:, j]))
         BMV[:, j] = A.apply(y - Q @ (BQ.T @ y))
@@ -610,17 +606,17 @@ def eigenpair_bounds(epsilon: float, delta: float) -> EigenpairBounds:
     sin angle_B <= min(1, 2 eps / delta), with delta the gap from the
     approximate eigenvalue to the rest of the spectrum.  A zero gap
     (clustered spectrum) degrades gracefully: the eigenvalue bound falls back
-    to 2 eps, the sine bound saturates at 1, and the result is flagged.
+    to 2 eps and the sine bound saturates at 1 (0 when eps = 0).
     """
     if epsilon < 0.0:
         raise ConfigError("epsilon must be nonnegative")
     if delta < 0.0:
         raise ConfigError("delta must be nonnegative")
     if delta == 0.0:
-        return EigenpairBounds(2.0 * epsilon, 0.0 if epsilon == 0.0 else 1.0, True)
+        return EigenpairBounds(2.0 * epsilon, 0.0 if epsilon == 0.0 else 1.0)
     lam = min(2.0 * epsilon, 4.0 * epsilon**2 / delta)
     sine = min(1.0, 2.0 * epsilon / delta)
-    return EigenpairBounds(float(lam), float(sine), False)
+    return EigenpairBounds(float(lam), float(sine))
 
 
 def single_pass_bound(

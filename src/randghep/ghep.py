@@ -147,7 +147,7 @@ def _project_two_pass(A, B, cfg, rng, basis):
 def _project_single_pass(A, B, cfg, rng, basis):
     F = basis.WQ.T @ rng.Omega  # Q^T B Omega, no extra B-applies
     W, fvals, Zt = np.linalg.svd(F, full_matrices=False)
-    if fvals[-1] <= 1e-10 * fvals[0]:
+    if not fvals.size or fvals[-1] <= 1e-10 * fvals[0]:  # an empty F: no column kept
         raise IllConditionedError(
             "F = Q^T B Omega is numerically singular (sigma_min/sigma_max <= 1e-10); "
             "use the two-pass solver"

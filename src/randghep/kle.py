@@ -141,34 +141,34 @@ class MassOperator(SpdOperator):
     """
 
     def __init__(self, grid: Grid1D) -> None:
-        self._main, self._off = _mass_bands(grid)
-        self._d, self._e, _ = scipy.linalg.lapack.dpttrf(self._main, np.full(grid.n - 1, self._off))
-        root_d = np.sqrt(self._d)
-        self._ub = np.zeros((2, grid.n))
-        self._ub[0, 1:] = root_d[:-1] * self._e
-        self._ub[1] = root_d
-        super().__init__(grid.n, self._stencil, self._solve, self._whiten, self._factor_lt)
+        n = grid.n
+        main, off = self._main, self._off = _mass_bands(grid)
+        d, e, _ = scipy.linalg.lapack.dpttrf(main, np.full(n - 1, off))
+        root_d = np.sqrt(d)
+        ub = self._ub = np.zeros((2, n))
+        ub[0, 1:] = root_d[:-1] * e
+        ub[1] = root_d
 
-    def _stencil(self, X: np.ndarray) -> np.ndarray:
-        out = self._main[:, None] * X
-        out[:-1] += self._off * X[1:]
-        out[1:] += self._off * X[:-1]
-        return out
+        # The callables close over the bands and the factor, not over self: an
+        # operator that held its own bound methods would be a reference cycle,
+        # freed only by a later run of the cyclic garbage collector.
+        def stencil(X: np.ndarray) -> np.ndarray:
+            out = main[:, None] * X
+            out[:-1] += off * X[1:]
+            out[1:] += off * X[:-1]
+            return out
 
-    def _solve(self, X: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lapack.dpttrs(self._d, self._e, X)[0]
+        def factor_lt() -> tuple[np.ndarray, None]:
+            # L = U^T, filled in place: U's diagonal is row 1 of the banded storage, its superdiagonal row 0
+            L = np.diag(ub[1])
+            L[np.arange(1, n), np.arange(n - 1)] = ub[0, 1:]
+            return L, None
 
-    def _whiten(self, X: np.ndarray) -> np.ndarray:
-        # B = U^T U with the banded upper factor U, so L = U^T and L^{-T} X = U^{-1} X;
-        # U's diagonal is positive, so the triangular solve cannot fail
-        return scipy.linalg.lapack.dtbtrs(self._ub, X, uplo="U")[0]
-
-    def _factor_lt(self) -> tuple[np.ndarray, None]:
-        # L = U^T, filled in place: U's diagonal is row 1 of the banded storage, its superdiagonal row 0
-        n = self._ub.shape[1]
-        L = np.diag(self._ub[1])
-        L[np.arange(1, n), np.arange(n - 1)] = self._ub[0, 1:]
-        return L, None
+        self._stencil = stencil
+        # B = U^T U with the banded upper factor U, so L = U^T and the whitening
+        # L^{-T} X = U^{-1} X; U's diagonal is positive, so that solve cannot fail
+        super().__init__(n, stencil, lambda X: scipy.linalg.lapack.dpttrs(d, e, X)[0],
+                         lambda X: scipy.linalg.lapack.dtbtrs(ub, X, uplo="U")[0], factor_lt)
 
 
 def _fast_len(m: int) -> int:
@@ -246,11 +246,16 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
 
 @dataclass
 class KleSolution:
-    """Truncated KLE modes: M-orthonormal eigenvectors and their variances."""
+    """Truncated KLE modes: M-orthonormal eigenvectors and their variances.
+
+    ``solution`` is the GHEP solve of the KLE pencil on ``grid``; ``K`` is
+    the number of modes it returned (at most its k), ``modes`` and
+    ``eigenvalues`` are its U and eigenvalues.  ``diagnostics`` holds the
+    oracle comparison when ``kle_solve`` ran one.
+    """
 
     solution: ghep.GhepSolution
     grid: Grid1D
-    kernel: MaternConfig
     K: int
     diagnostics: dict = field(default_factory=dict)
 
@@ -289,7 +294,7 @@ def kle_solve(
             np.sum(np.abs(ref.lambdas[:kk] - sol.eigenvalues)) / np.sum(np.abs(ref.lambdas[:kk]))
         )
         diag["oracle_lambdas"] = ref.lambdas[:kk]
-    return KleSolution(solution=sol, grid=grid, kernel=cfg, K=int(sol.eigenvalues.size), diagnostics=diag)
+    return KleSolution(solution=sol, grid=grid, K=int(sol.eigenvalues.size), diagnostics=diag)
 
 
 @dataclass

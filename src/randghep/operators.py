@@ -69,8 +69,11 @@ def _product(fn, X, dim_in: int, dim_out: int, counter: Optional[_Counter], what
     """fn(X) for a vector or a ``(dim_in, m)`` block X, checked; ``counter`` (if any) moves by m.
 
     Any other X is a ConfigError.  An output that is not ``(dim_out, m)`` or
-    has a NaN or Inf entry is a NumericalError and moves no counter.  This
-    is the only code that moves an operator's counters.
+    has a NaN or Inf entry is a NumericalError and moves no counter.  An
+    output that shares memory with X (an fn that returns its operand, as
+    the identity weight does) is copied in its own memory order, so the
+    caller owns what it gets back.  This is the only code that moves an
+    operator's counters or guards against that aliasing.
     """
     X = np.asarray(X, dtype=float)
     vec = X.ndim == 1
@@ -83,6 +86,8 @@ def _product(fn, X, dim_in: int, dim_out: int, counter: Optional[_Counter], what
         raise NumericalError(f"{what} produced shape {out.shape}, expected {shape}")
     if not np.isfinite(out).all():
         raise NumericalError(f"{what} produced non-finite (NaN or Inf) values")
+    if np.may_share_memory(out, X):
+        out = out.copy(order="K")
     if counter is not None:
         counter.add(shape[1])
     return out[:, 0] if vec else out
@@ -96,9 +101,10 @@ class LinearMap:
     and ``SpdOperator.apply_inverse``/``whiten`` run one checked product
     (``_product``): an output of the wrong shape or with a NaN or Inf entry
     raises NumericalError and is not counted.  One-dimensional inputs are
-    treated as single columns and returned one-dimensional.  The counters
-    are the only record of apply counts: callers read ``matvec_count`` and
-    ``solve_count`` before and after.
+    treated as single columns and returned one-dimensional.  The output is
+    the caller's: it never shares memory with the operand, so a caller may
+    overwrite either.  The counters are the only record of apply counts:
+    callers read ``matvec_count`` and ``solve_count`` before and after.
 
     Operators are immutable after construction and safe for concurrent
     read-only use; the counters use locked increments.  The dense backends
@@ -121,10 +127,6 @@ class LinearMap:
         self._apply = apply
         self._apply_t = apply_transpose
         self._matvecs = _Counter()
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.dim_out, self.dim_in)
 
     @property
     def matvec_count(self) -> int:
@@ -205,18 +207,16 @@ class SpdOperator(LinearMap):
         return None if self._factor is None else self._factor()
 
     def inverse_view(self) -> "SpdOperator":
-        """View of B^{-1} as an SpdOperator.
+        """B^{-1} as an SpdOperator whose counters are this operator's, crosswise.
 
-        Applying the view counts into this operator's solve counter (and its
-        ``apply_inverse`` into the matvec counter), so cost accounting stays
-        attached to the original B.
+        The view's ``apply`` is this operator's ``apply_inverse`` and moves
+        its solve counter; the view's ``apply_inverse`` is B's ``apply`` and
+        moves its matvec counter.  So a weighted QR in the B^{-1}-inner
+        product books its products as B-solves and B-applies of B itself.
+        The view has no whitening hook and no dense factor.
         """
-        view = SpdOperator.__new__(SpdOperator)
-        LinearMap.__init__(view, self.dim, self.dim, self._apply_inv, self._apply_inv)
-        view._apply_inv = self._apply
-        view._whiten = view._factor = None
-        view._matvecs = self._solves
-        view._solves = self._matvecs
+        view = SpdOperator(self.dim, self._apply_inv, self._apply)
+        view._matvecs, view._solves = self._solves, self._matvecs
         return view
 
 

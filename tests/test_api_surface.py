@@ -1,5 +1,6 @@
-"""Every export of ``randghep``, and every defaulted parameter of its
-functions, is used by code outside the unit tests.
+"""Every export of ``randghep``, every defaulted parameter of its
+functions, and every member of its exported classes is used by code outside
+the unit tests.
 
 A name that ``randghep/__init__.py`` imports counts as reached when another
 ``src/randghep`` module, a script, the benchmark harness or the acceptance
@@ -7,8 +8,12 @@ criteria refer to it: as a bare name, as an attribute (``errors.b_sine``), or
 as a string equal to the name (the benchmark's span table names functions by
 string).  A reference inside the name's own ``def`` or ``class`` does not
 count.  A parameter with a default counts as set when one of those files
-calls a function of its name and passes it by keyword or by position.  The
-files are parsed with ``ast``; nothing from them is imported.
+calls a function of its name and passes it by keyword or by position.  A
+field, property or public method of an exported class counts as read when one
+of those files reads an attribute of its name outside the member's own
+``def``; the rule goes by name, so a member that shares its name with another
+type's attribute (``shape``) passes it.  The files are parsed with ``ast``;
+nothing from them is imported.
 """
 
 import ast
@@ -140,3 +145,74 @@ def test_every_defaulted_parameter_is_set():
     definitions = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     unset = unset_defaults(definitions, [p.read_text() for p in caller_files()])
     assert not unset, f"defaulted parameters set only by unit tests, or by nothing: {unset}"
+
+
+def exported_classes() -> dict[str, ast.ClassDef]:
+    """The class definitions, across ``src/randghep``, of the names ``__init__.py`` exports."""
+    exported = exported_names()
+    return {node.name: node for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and node.name in exported}
+
+
+def public_members(cls: ast.ClassDef) -> set[str]:
+    """The fields, properties and public methods a class body defines.
+
+    A field is an annotated name of the class body (a dataclass or
+    NamedTuple field) or an attribute that ``__init__`` assigns to ``self``.
+    Names that start with "_" are private and left out.
+    """
+    found: set[str] = set()
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(node.name)
+            if node.name == "__init__":
+                found |= {target.attr for stmt in ast.walk(node)
+                          if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                          for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                          if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                          and target.value.id == "self"}
+    return {name for name in found if not name.startswith("_")}
+
+
+def attribute_reads(source: str) -> set[str]:
+    """The attribute names ``source`` reads (``x.name`` in a load), outside
+    the def of that name."""
+    found: set[str] = set()
+
+    def visit(node, enclosing: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_member_rule():
+    cls = ast.parse(
+        "class C:\n"
+        "    x: int\n"
+        "    _y: int\n"
+        "    def __init__(self):\n        self.z = 0\n        self._w = 1\n"
+        "    @property\n    def p(self):\n        return self.p\n"
+        "    def m(self):\n        return self.x\n"
+        "    def _h(self):\n        pass\n"
+    ).body[0]
+    assert public_members(cls) == {"x", "z", "p", "m"}
+    assert attribute_reads("c.m()\nc.z = 1\nv = c.x\n") == {"m", "x"}
+    assert "p" not in attribute_reads("def p(self):\n    return self.p\n")
+
+
+def test_every_member_is_read():
+    read: set[str] = set()
+    for path in caller_files():
+        read |= attribute_reads(path.read_text())
+    unread = sorted(f"{name}.{member}" for name, cls in exported_classes().items()
+                    for member in public_members(cls) - read)
+    assert not unread, f"members read only by unit tests, or by nothing: {unread}"

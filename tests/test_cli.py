@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
-from randghep.cli import _load_pencil, main
+from randghep.cli import _load_pencil, _parser, build_parser, main
 from randghep.ghep import METHOD_CHOICES
 
 
@@ -137,6 +137,20 @@ class TestSolve:
         rows = _read_csv(out / "spectrum.csv")
         assert [r["index"] for r in rows] == ["0", "1"]
         assert rg.load_matrix_market(out / "modes.mtx").shape == (5, 2)
+
+    @pytest.mark.parametrize("argv", [["solve", "--A", "{A}", "--B", "{B}", "--method", "single-pass"],
+                                      ["svd", "--A", "{A}", "--mode", "evd-single-pass"]])
+    def test_single_pass_on_zero_a_exits_3(self, tmp_path, argv):
+        # the range finder keeps no column of a zero A's sketch, and the
+        # single-pass solver calls the empty F = Q^T B Omega singular
+        a_path, b_path = write_coordinate_pencil(tmp_path, np.zeros((4, 4)), 3.0 * np.eye(4))
+        out = tmp_path / "run"
+        proc = _run_cli([arg.format(A=a_path, B=b_path) for arg in argv]
+                        + ["--k", "1", "--p", "0", "--seed", "7", "--out", str(out)])
+        assert proc.returncode == 3
+        assert proc.stderr == ("randghep: numerical failure: F = Q^T B Omega is numerically singular "
+                               "(sigma_min/sigma_max <= 1e-10); use the two-pass solver\n")
+        assert not (out / "report.json").exists()
 
     def test_oracle_columns_and_bounds(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -656,6 +670,57 @@ class TestNumericallyRankDeficientPencil:
         assert report is None
 
 
+_DEGENERATE_A = {
+    "zero": np.zeros,
+    "identity": lambda shape: np.eye(*shape),
+    "minus_identity": lambda shape: -np.eye(*shape),
+    "ones": np.ones,
+}
+
+
+def _degenerate_commands(m, n):
+    """The commands of ``TestDegenerateInputs`` for an m-by-n A: every sketch
+    as wide as the matrix allows, so k + p = min(m, n)."""
+    p = str(min(m, n) - 1)
+    commands = [["svd", "--A", "{A}", "--k", "1", "--p", p, "--mode", mode]
+                for mode in ("svd", "evd-two-pass", "evd-single-pass")]
+    commands.append(["gsvd", "--A", "{A}", "--S", "{S}", "--T", "{T}", "--k", "1", "--p", p])
+    if m == n:
+        commands += [["solve", "--A", "{A}", "--B", "{T}", "--k", "1", "--p", p, "--method", method,
+                      "--oracle", "--save-modes"] for method in METHOD_CHOICES]
+        commands += [["estimate", "--A", "{A}", "--B", "{T}", "--k", "1", "--oracle", *grow]
+                     for grow in ([], ["--grow", "--tol", "1e-3"])]
+    return commands
+
+
+class TestDegenerateInputs:
+    """A zero, identity, minus-identity or all-ones A, with the weights 2I in
+    array or coordinate storage, ends every command with exit 0, 2 or 3 and
+    raises nothing: ``solve`` in each method (``--oracle --save-modes``),
+    ``estimate`` with and without ``--grow`` (``--oracle``), ``svd`` in each
+    mode and ``gsvd`` at n = 1..4, and ``svd``/``gsvd`` at the rectangular
+    shapes 1x3, 3x1 and 2x5.  An exit 0 writes a strict-JSON report; 2 and 3
+    write none.  The full grid runs in process, in about two seconds."""
+
+    @pytest.mark.parametrize("storage", ["array", "coordinate"])
+    @pytest.mark.parametrize("kind", sorted(_DEGENERATE_A))
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 4), (1, 3), (3, 1), (2, 5)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_exits_0_2_or_3(self, tmp_path, shape, kind, storage):
+        m, n = shape
+        paths = {"A": _write_mtx(tmp_path / "a.mtx", _DEGENERATE_A[kind](shape), "array"),
+                 "S": _write_mtx(tmp_path / "s.mtx", 2.0 * np.eye(m), storage),
+                 "T": _write_mtx(tmp_path / "t.mtx", 2.0 * np.eye(n), storage)}
+        for i, argv in enumerate(_degenerate_commands(m, n)):
+            out = tmp_path / f"run{i}"
+            code = main([arg.format(**paths) for arg in argv] + ["--seed", "3", "--out", str(out)])
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                _read_report(out)
+            else:
+                assert not (out / "report.json").exists(), argv
+
+
 class TestRemovedQrFlag:
     """The solvers have one weighted QR, so ``--qr`` is rejected, not ignored."""
 
@@ -1122,3 +1187,28 @@ class TestThreadCap:
 
     def test_explicit_blas_setting_kept(self):
         assert self._import_randghep(RANDGHEP_THREADS="1", OPENBLAS_NUM_THREADS="2") == "2"
+
+
+class TestParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_built_once(self):
+        assert _parser() is _parser()
+        assert _parser().format_help() == build_parser().format_help()
+
+    def test_calls_in_one_process_write_what_fresh_processes_write(self, tmp_path):
+        eye = _write_eye(tmp_path / "eye.mtx", n=6)
+        commands = [["kle", "--nu", "1.5", "--n", "60", "--k", "4"],
+                    ["svd", "--A", eye, "--k", "2", "--p", "2", "--mode", "evd-single-pass"]]
+        for i, argv in enumerate(commands):
+            assert main(argv + ["--seed", "5", "--out", str(tmp_path / f"in{i}")]) == 0
+        for i, argv in enumerate(commands):
+            assert _run_cli(argv + ["--seed", "5", "--out", str(tmp_path / f"fresh{i}")]).returncode == 0
+        for i in range(len(commands)):
+            written = sorted(path.name for path in (tmp_path / f"in{i}").iterdir())
+            assert written == sorted(path.name for path in (tmp_path / f"fresh{i}").iterdir())
+            for name in written:
+                ours, fresh = ((tmp_path / f"{run}{i}" / name).read_bytes() for run in ("in", "fresh"))
+                if name == "report.json":
+                    ours, fresh = ({**json.loads(data), "wall_time_s": None} for data in (ours, fresh))
+                assert ours == fresh, (commands[i][0], name)

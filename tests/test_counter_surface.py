@@ -3,7 +3,8 @@ checked product moves them.
 
 No ``src/randghep`` module other than ``operators.py`` names the counters
 (``_matvecs``, ``_solves``) or their class (``_Counter``), and no code calls
-``.add`` except ``operators._product``.  Code that reports counts reads
+``.add`` except ``operators._product``, which is also the one caller of
+``np.may_share_memory``.  Code that reports counts reads
 ``matvec_count``/``solve_count`` before and after, so no count is worked out
 by hand.  The files are parsed with ``ast``; nothing from them is imported.
 """
@@ -29,15 +30,15 @@ def counter_names(source: str) -> set[str]:
     return found & COUNTER_NAMES
 
 
-def add_calls(source: str) -> list[str | None]:
-    """The innermost enclosing function of each ``.add(...)`` call (None at module level)."""
+def method_calls(source: str, method: str) -> list[str | None]:
+    """The innermost enclosing function of each ``.<method>(...)`` call (None at module level)."""
     found: list[str | None] = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add"):
+                and node.func.attr == method):
             found.append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -54,7 +55,7 @@ def test_rules_on_a_sample():
         "x.add(3)\n"
     )
     assert counter_names(source) == {"_Counter", "_matvecs"}
-    assert add_calls(source) == ["f", "g", None]
+    assert method_calls(source, "add") == ["f", "g", None]
 
 
 def test_only_operators_names_the_counters():
@@ -64,8 +65,16 @@ def test_only_operators_names_the_counters():
 
 
 def test_one_product_moves_the_counters():
-    calls = {path.name: add_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    calls = {path.name: method_calls(path.read_text(), "add") for path in sorted(PACKAGE.glob("*.py"))}
     elsewhere = {name: fns for name, fns in calls.items()
                  if any((name, fn) != PRODUCT for fn in fns)}
     assert not elsewhere, f".add called outside {PRODUCT[0]}:{PRODUCT[1]}: {elsewhere}"
     assert calls[PRODUCT[0]] == [PRODUCT[1]]
+
+
+def test_one_product_guards_against_aliasing():
+    # an apply's output is the caller's: ``_product`` copies an output that
+    # shares memory with its operand, so no caller checks for that itself
+    calls = {path.name: fns for path in sorted(PACKAGE.glob("*.py"))
+             if (fns := method_calls(path.read_text(), "may_share_memory"))}
+    assert calls == {PRODUCT[0]: [PRODUCT[1]]}

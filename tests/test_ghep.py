@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import randghep as rg
 from randghep import borth, errors, ghep, sketch
@@ -122,6 +123,25 @@ def test_single_pass_ill_conditioned_sketch_raises(monkeypatch):
     monkeypatch.setattr("randghep.sketch.gaussian_matrix", doctored)
     with pytest.raises(IllConditionedError, match="F = Q\\^T B Omega"):
         rg.ghep_single_pass(pencil.A, pencil.B, SketchConfig(k=4, p=2, seed=3))
+
+
+@pytest.mark.parametrize("backend", [rg.dense_spd, lambda M: rg.sparse_spd(scipy.sparse.csr_matrix(M))])
+def test_single_pass_keeping_no_column_raises(backend):
+    # the range finder keeps no column of a zero A's sketch: single-pass calls
+    # the empty F = Q^T B Omega singular, two-pass returns no eigenvalue and
+    # Nystrom finds no positive part
+    A, B = rg.dense_operator(np.zeros((4, 4))), backend(3.0 * np.eye(4))
+    cfg = SketchConfig(k=1, p=1, seed=2)
+    singular = "F = Q\\^T B Omega is numerically singular"
+    with pytest.raises(IllConditionedError, match=singular):
+        rg.ghep_single_pass(A, B, cfg)
+    with pytest.raises(IllConditionedError, match=singular):
+        sketch.randomized_evd(A, cfg, mode="single_pass")
+    sol = rg.ghep_two_pass(A, B, cfg)
+    assert sol.eigenvalues.size == 0 and sol.diagnostics["effective_rank"] == 0
+    with pytest.raises(NumericalError, match="no positive part") as info:
+        rg.ghep_nystrom(A, B, cfg)
+    assert type(info.value) is NumericalError
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

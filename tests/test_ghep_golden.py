@@ -14,12 +14,16 @@ constant ``qr_alg``); a refactor that changes any other value must say why.
 The exact-rank cases' ``effective_rank``, ``dropped_dimensions`` and
 ``counts`` follow the rank rule of the sketch-preconditioned QR, which keeps
 3 of the 7 columns of that rank-3 sketch.  ``python tests/test_ghep_golden.py``
-(with ``src`` on ``PYTHONPATH``) prints the golden JSON of the current code.
+(with ``src`` on ``PYTHONPATH``) prints the golden JSON of the current code on
+stdout, and on stderr one line per case on how it moved from the committed
+file: whether the counts and diagnostics are equal, and the largest relative
+move of an eigenvalue.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +84,27 @@ def run_case(case_id: str) -> dict:
 GOLDEN_CASES = json.loads(GOLDEN.read_text())["cases"]
 
 
+def summary(case_id: str, record: dict) -> str:
+    """One line on how ``record`` moved from the committed golden: whether
+    the counts and diagnostics are equal, and the largest relative move of an
+    eigenvalue (with the relative l1 move that the test bounds)."""
+    want = GOLDEN_CASES.get(case_id)
+    if want is None:
+        return f"{case_id}: not in the golden file"
+    if "raises" in want or "raises" in record:
+        same = record == want
+        return f"{case_id}: raises {record.get('raises')}{'' if same else ', CHANGED from ' + str(want)}"
+    equal = all(record.get(key) == want.get(key) for key in ("counts", "diagnostics"))
+    line = f"{case_id}: counts and diagnostics {'equal' if equal else 'CHANGED'}"
+    lam, ref = np.array(record["eigenvalues"]), np.array(want["eigenvalues"])
+    if lam.shape != ref.shape:
+        return line + f", {lam.size} eigenvalues in place of {ref.size}"
+    move = np.abs(lam - ref)
+    largest = float(np.max(move / np.abs(ref), initial=0.0)) if np.all(ref) else float(np.max(move, initial=0.0))
+    return line + (f", eigenvalues moved <= {largest:.2g} relative "
+                   f"(l1 {np.sum(move) / max(np.sum(np.abs(ref)), 1e-300):.2g})")
+
+
 def test_golden_file_covers_the_grid():
     assert set(GOLDEN_CASES) <= set(case_ids())
     for pencil in ("kle", "exact_rank"):
@@ -103,6 +128,11 @@ def test_matches_golden(case_id):
 
 
 if __name__ == "__main__":
-    # The golden JSON of the current code on stdout; see the diff with
+    # The golden JSON of the current code on stdout, and on stderr one
+    # summary line per case against the committed file; see the diff with
     #   PYTHONPATH=src python tests/test_ghep_golden.py | diff tests/data/ghep_golden.json -
-    print(json.dumps({"cases": {cid: run_case(cid) for cid in sorted(case_ids())}}, indent=1, sort_keys=True))
+    records = {}
+    for cid in sorted(case_ids()):
+        records[cid] = run_case(cid)
+        print(summary(cid, records[cid]), file=sys.stderr)
+    print(json.dumps({"cases": records}, indent=1, sort_keys=True))

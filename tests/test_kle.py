@@ -1,6 +1,8 @@
 """Matern kernels, assembly, the KLE pencil, and truncated-expansion checks."""
 
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -263,6 +265,21 @@ class TestKlePencil:
         w = np.sort(np.real(scipy.linalg.eig(G @ M, right=False)))[::-1]
         np.testing.assert_allclose(ref.lambdas, w, rtol=1e-8, atol=1e-10)
 
+    def test_pencil_is_freed_without_the_cyclic_collector(self):
+        # no operator of the pencil refers to itself, so a solved pencil is
+        # freed, mass operator and all, as soon as its last reference goes
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pencil = kle.kle_pencil(kle.Grid1D(n=50), kle.MaternConfig(nu=1.5, ell=0.5))
+            rg.ghep_nystrom(pencil.A, pencil.B, SketchConfig(k=3, p=2, seed=1))
+            freed = weakref.ref(pencil.B)
+            del pencil
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestKleSolve:
     def test_smooth_kernel_small_error(self):
@@ -383,7 +400,6 @@ class TestTruncationCheck:
                 p=0,
             ),
             grid=sol.grid,
-            kernel=sol.kernel,
             K=k,
         )
         rep = kle.kle_truncation_check(ref, exact_as_solution, epsilon=0.0, delta=1.0)

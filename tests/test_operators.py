@@ -417,6 +417,27 @@ class TestLinearMap:
         assert B.solve_count == 7
         assert B.matvec_count == 0
 
+    @pytest.mark.parametrize("shape, order", [((4,), "C"), ((4, 3), "C"), ((4, 3), "F")])
+    def test_output_never_shares_the_operand(self, shape, order):
+        # an operator that hands back its operand, as the identity weight of the
+        # B = I SVD does, still gives the caller an array of its own, in the
+        # operand's memory order, and moves its counters as usual
+        identity = lambda X: X  # noqa: E731
+        B = rg.SpdOperator(4, identity, identity, identity)
+        X = np.asarray(np.arange(float(np.prod(shape))).reshape(shape), order=order)
+        for product in (B.apply, B.apply_transpose, B.apply_inverse, B.whiten):
+            out = product(X)
+            assert not np.may_share_memory(out, X)
+            np.testing.assert_array_equal(out, X)
+            assert out.flags.f_contiguous == X.flags.f_contiguous
+        cols = 1 if len(shape) == 1 else shape[1]
+        assert (B.matvec_count, B.solve_count) == (2 * cols, cols)
+
+    def test_fresh_output_is_not_copied(self):
+        made = []
+        A = rg.LinearMap(3, 3, lambda X: made.append(2.0 * X) or made[-1])
+        assert A.apply(np.ones((3, 2))) is made[0]
+
     def test_no_whitening_hook(self):
         B = rg.SpdOperator(3, lambda X: X, lambda X: X)
         assert not B.has_whitening and B.dense_factor() is None
@@ -433,7 +454,7 @@ class TestLinearMap:
 
     def test_inverse_view_has_no_whitening_hook(self):
         W = rg.dense_spd(np.eye(3)).inverse_view()
-        assert not W.has_whitening
+        assert not W.has_whitening and W.dense_factor() is None
         with pytest.raises(ConfigError, match="whitening"):
             W.whiten(np.ones(3))
 
