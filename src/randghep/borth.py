@@ -151,14 +151,25 @@ def _check_input(Y: np.ndarray, W: SpdOperator) -> np.ndarray:
     return Y
 
 
-def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
+def _work_array(Y: np.ndarray, order: str, overwrite: bool) -> np.ndarray:
+    """Y itself when ``overwrite`` and it is a writeable array in ``order``
+    ("C" or "F"), else a copy of Y in that order: the array a factorization
+    overwrites."""
+    if overwrite and Y.flags.writeable and Y.flags[order + "_CONTIGUOUS"]:
+        return Y
+    return np.array(Y, order=order)
+
+
+def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool, overwrite_y: bool) -> BOrthoBasis:
     """Shared MGS core.
 
     Column j of Q and of W*Q is kept as row j of a C-ordered r x n work
     array, so every vector the sweeps touch is contiguous, and the
     projections are in-place BLAS-1 calls (``ddot``, ``daxpy``) that
     allocate nothing.  Q and WQ come back as the transposes of those arrays.
-    Each W-apply's output is copied into its row, for that layout.
+    Each W-apply's output is copied into its row, for that layout.  The Q
+    array is a copy of Y, or, with ``overwrite_y`` and an F-ordered Y
+    (whose transpose is that layout), Y's own memory.
 
     The W-image of the working column is tracked through the first sweep's
     projection updates (W(q - s*q_i) = Wq - s*Wq_i), so that sweep costs one
@@ -166,7 +177,7 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool) -> BOrthoBasis:
     the image fresh, which is what restores orthogonality for collapsing
     columns and what makes re-orthogonalization cost extra W-applies.
     """
-    Qt = _check_input(Y, W).T.copy()
+    Qt = _work_array(_check_input(Y, W).T, "C", overwrite_y)
     WQt = np.empty_like(Qt)
     Q_rows, WQ_rows = list(Qt), list(WQt)
     r = Qt.shape[0]
@@ -225,10 +236,10 @@ def mgs_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
     Cheap baseline: one W-apply per column, but Q loses W-orthogonality on
     ill-conditioned input.
     """
-    return _mgs(Y, W, reorth=False)
+    return _mgs(Y, W, reorth=False, overwrite_y=False)
 
 
-def mgs_w_reorth(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
+def mgs_w_reorth(Y: np.ndarray, W: SpdOperator, overwrite_y: bool = False) -> BOrthoBasis:
     """MGS with Rutishauser re-orthogonalization (MGS-R).
 
     A column is re-projected against its predecessors while its W-norm keeps
@@ -238,8 +249,13 @@ def mgs_w_reorth(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
     machine precision even for numerically rank-deficient input.  The sweep
     loop is capped at MAX_REORTH_SWEEPS; a column still collapsing at the cap
     is flagged dependent.
+
+    With ``overwrite_y`` (scipy's ``overwrite_a`` idiom) a writeable
+    F-ordered Y is factored in place: its memory becomes the returned Q, so
+    the caller must not read Y again.  Other Y are copied, as by default.
+    The result's bits do not depend on the flag.
     """
-    return _mgs(Y, W, reorth=True)
+    return _mgs(Y, W, reorth=True, overwrite_y=overwrite_y)
 
 
 def chol_qr_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
@@ -350,12 +366,19 @@ def _sketch(X: np.ndarray) -> np.ndarray:
     return X if 2 * m >= n or m == 0 else sparse_sign_embedding(n, 2 * m) @ X
 
 
-def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None) -> BOrthoBasis:
+def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None,
+                  overwrite_y: bool = False) -> BOrthoBasis:
     """Sketch-preconditioned CholQR2: the block weighted QR used by every solver.
 
     Y is copied once into a Fortran-ordered work array Z that later steps
-    overwrite.  With ``basis`` given, the new columns are first projected
-    against it twice (BCGS2, using the cached W*Q: no W-applies, with Z
+    overwrite.  With ``overwrite_y`` (scipy's ``overwrite_a`` idiom) a
+    writeable F-ordered Y is that work array itself, so the call allocates
+    no copy of Y, and Y's memory ends up holding Q (or scratch, after a
+    dropped column): the caller must not read Y again.  The range finder and
+    the growth loop pass it for the B^{-1} A Omega block they have just
+    formed.  The result's bits do not depend on the flag.
+
+    With ``basis`` given, the new columns are first projected against it twice (BCGS2, using the cached W*Q: no W-applies, with Z
     updated in place by ``dgemm``) and the basis is extended; its columns
     are left untouched.  The extended basis's Q and WQ are views of a column
     store with spare capacity that doubles when full (``BOrthoBasis``), so a
@@ -398,7 +421,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
         if r0 + m > n:
             raise ConfigError(f"more columns ({r0 + m}) than rows ({n})")
     threshold = RANK_TOL * EPS * math.sqrt(np.einsum("ij,ij->j", Y, Y).max(initial=0.0))
-    Z = np.array(Y, order="F")
+    Z = _work_array(Y, "F", overwrite_y)
     if basis is not None:
         Z, coef = _project_out(Z, basis)
     SY = _sketch(Z)

@@ -3,7 +3,8 @@
 Subcommands: solve (generic GHEP from Matrix Market files), kle, gsvd,
 estimate, qr-bench, svd.  Reports are JSON, per-index series are CSV,
 matrices are Matrix Market.  Exit codes: 0 success, 2 bad configuration,
-3 numerical failure (a LinAlgError that escapes a command counts as one).
+3 numerical failure (a LinAlgError that escapes a command counts as one) or
+running out of memory.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> Non
     _write_csv(outdir / "spectrum.csv", header, rows)
 
 
-def _warn_if_short(sol) -> None:
-    """One stderr line when the solve returned fewer eigenvalues than --k:
-    the range finder dropped sketch columns as numerically dependent."""
-    m = sol.eigenvalues.size
-    if m < sol.k:
-        print(f"randghep: warning: {m} eigenvalues returned of the {sol.k} asked for (--k); "
-              f"the sketch's effective_rank is {sol.diagnostics['effective_rank']}", file=sys.stderr)
+def _warn_if_short(what: str, returned: int, k: int, rank: int) -> None:
+    """One stderr line when a command returned fewer ``what`` than --k: the
+    range finder dropped sketch columns as numerically dependent, and kept
+    ``rank`` of them."""
+    if returned < k:
+        print(f"randghep: warning: {returned} {what} returned of the {k} asked for (--k); "
+              f"the sketch's effective_rank is {rank}", file=sys.stderr)
 
 
 def _load_spd(path):
@@ -111,7 +112,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     pencil = _load_pencil(args)
     solve = ghep.solver_method(args.method)
     sol = solve(pencil.A, pencil.B, SketchConfig(k=args.k, p=args.p, seed=seed))
-    _warn_if_short(sol)
+    _warn_if_short("eigenvalues", sol.eigenvalues.size, sol.k, sol.diagnostics["effective_rank"])
     report.update(sol.report_dict())
     report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
     oracle = bound_flags = None
@@ -154,7 +155,7 @@ def cmd_kle(args, report: dict, seed: int, outdir: Path) -> None:
     with_oracle = args.n <= kle.ORACLE_MAX_N
     sol = kle.kle_solve(grid, cfg, k=args.k, p=args.p, method=args.method,
                         seed=seed, compare_oracle=with_oracle)
-    _warn_if_short(sol.solution)
+    _warn_if_short("eigenvalues", sol.K, args.k, sol.solution.diagnostics["effective_rank"])
     report.update(sol.solution.report_dict())
     report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n, "k": args.k,
                         "p": args.p, "method": args.method}
@@ -176,6 +177,9 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
     res = gsvd.randomized_gsvd(operators.dense_operator(Ad), S, T,
                                SketchConfig(k=args.k, p=args.p, seed=seed))
     k = res.sigma.size
+    # the core Q1^T S A Q2 has one singular value per kept column of the smaller sketch
+    _warn_if_short("singular values", k, args.k,
+                   min(res.diagnostics["left_rank"], res.diagnostics["right_rank"]))
     report["singular_values"] = [float(s) for s in res.sigma]
     report["orthogonality_residual_U"] = float(np.linalg.norm(res.U.T @ S.apply(res.U) - np.eye(k), 2))
     report["orthogonality_residual_V"] = float(np.linalg.norm(res.V.T @ T.apply(res.V) - np.eye(k), 2))
@@ -264,12 +268,15 @@ def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
     Ad = operators.load_matrix_market(args.A)
     A = operators.dense_operator(Ad)
     cfg = SketchConfig(k=args.k, p=args.p, seed=seed)
+    # both return min(k, kept sketch columns) values, so a short list is the sketch's rank
     if args.mode == "svd":
         _, sig, _ = randomized_svd(A, cfg)
+        _warn_if_short("singular values", sig.size, args.k, sig.size)
         report["singular_values"] = [float(s) for s in sig]
     else:
         mode = "two_pass" if args.mode == "evd-two-pass" else "single_pass"
         _, lam = randomized_evd(A, cfg, mode=mode)
+        _warn_if_short("eigenvalues", lam.size, args.k, lam.size)
         report["eigenvalues"] = [float(v) for v in lam]
     report["config"] = {"A": args.A, "k": args.k, "p": args.p, "mode": args.mode}
 
@@ -388,6 +395,10 @@ def main(argv=None) -> int:
         return 2
     except (NumericalError, LinAlgError) as exc:
         print(f"randghep: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy's message names the allocation; a bare MemoryError has none
+        print(f"randghep: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

@@ -712,7 +712,8 @@ def grow_sketch_until(
     right (Halko, Martinsson and Tropp 2011, Alg. 4.2): k0 columns, factored
     by ``range_finder_b`` with p = 0, then per round one block of the next
     new = min(GROWTH_STEP, max_cols - ncols) columns W, applied once (A, then
-    B^{-1}) and appended by ``pre_chol_qr_w(..., basis=)``.  The block's
+    B^{-1}) and appended in place by ``pre_chol_qr_w(..., basis=,
+    overwrite_y=True)``, since the loop owns the block it factors.  The block's
     first min(r_probes, new) columns are the round's probes.  The appended Q
     is B-orthonormal, so the B-norm of (I - QQ^T B) C w_i is the 2-norm of
     the new rows of w_i's column of R, and their largest is the round's
@@ -759,7 +760,7 @@ def grow_sketch_until(
         grown = e_free = None
         if new:
             CW = B.apply_inverse(A.apply(gaussian_matrix(n, new, seed, first_col=ncols)))
-            grown = pre_chol_qr_w(CW, B, basis=basis)
+            grown = pre_chol_qr_w(CW, B, basis=basis, overwrite_y=True)
             probes = grown.R[ncols:, ncols : ncols + min(r_probes, new)]
             e_free = float(np.linalg.norm(probes, axis=0).max())
         if grown is None or rho is None or (tol is not None and rho * e_free <= tol):

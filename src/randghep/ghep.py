@@ -105,7 +105,8 @@ def ritz(T: np.ndarray, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, 
     return Q @ S[:, :kk], lam[:kk], lam
 
 
-def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
+def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig,
+           reads_sketch: bool = False) -> GhepSolution:
     """The skeleton of the three solvers: validate, probe, range finder, projection.
 
     ``project(A, B, cfg, rng, basis)`` solves the method's small projected
@@ -113,6 +114,14 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
     descending by value, all projected eigenvalues, method diagnostics).
     The dimension and sketch checks come before the symmetry probe, so a
     rejected pencil spends no A-applies; ``counts`` starts after the probe.
+
+    Memory: the range finder factors B^{-1} A Omega in place, and only a
+    projection that ``reads_sketch`` (single-pass) is handed the range
+    result with Omega and Ybar; the others get ``rng`` None, so both blocks
+    are freed after the QR.  Single-pass takes them off the result and
+    frees them before it lifts U, and Nystrom factors M in place of AQ.  A
+    matrix-free KLE solve holds at most five n x (k+p) blocks at once
+    (``tests/test_kle.py::TestSolveMemory``).
     """
     if A.dim_in != B.dim or A.dim_out != B.dim:
         raise ConfigError("A and B dimensions do not agree")
@@ -123,6 +132,8 @@ def _solve(method: str, project, A: LinearMap, B: SpdOperator, cfg: SketchConfig
     a0, b0, s0 = A.matvec_count, B.matvec_count, B.solve_count
     rng = range_finder_b(A, B, cfg)
     basis = rng.basis.compact()
+    if not reads_sketch:
+        rng = None
     U, lam, lam_all, method_diag = project(A, B, cfg, rng, basis)
     counts = {
         "a_applies": A.matvec_count - a0,
@@ -145,21 +156,26 @@ def _project_two_pass(A, B, cfg, rng, basis):
 
 
 def _project_single_pass(A, B, cfg, rng, basis):
-    F = basis.WQ.T @ rng.Omega  # Q^T B Omega, no extra B-applies
+    # the range result lets go of the sketch, so that it is freed before U is lifted
+    Omega, Ybar = rng.Omega, rng.Ybar
+    rng.Omega = rng.Ybar = None
+    F = basis.WQ.T @ Omega  # Q^T B Omega, no extra B-applies
     W, fvals, Zt = np.linalg.svd(F, full_matrices=False)
     if not fvals.size or fvals[-1] <= 1e-10 * fvals[0]:  # an empty F: no column kept
         raise IllConditionedError(
             "F = Q^T B Omega is numerically singular (sigma_min/sigma_max <= 1e-10); "
             "use the two-pass solver"
         )
-    # T = F^{+T} (Omega^T Ybar) F^+ with F^+ = Z Sigma^{-1} W^T
-    WS = W / fvals
-    T = WS @ (Zt @ (rng.Omega.T @ rng.Ybar) @ Zt.T) @ WS.T
+    OtY = Omega.T @ Ybar
     diag = {
         "sigma_min_F": float(fvals[-1]),
         # squaring is safe for the largest singular value (see errors._norm2)
-        "sigma_max_omega": float(np.sqrt(np.linalg.eigvalsh(rng.Omega.T @ rng.Omega)[-1])),
+        "sigma_max_omega": float(np.sqrt(np.linalg.eigvalsh(Omega.T @ Omega)[-1])),
     }
+    del Omega, Ybar
+    # T = F^{+T} (Omega^T Ybar) F^+ with F^+ = Z Sigma^{-1} W^T
+    WS = W / fvals
+    T = WS @ (Zt @ OtY @ Zt.T) @ WS.T
     return (*ritz(T, basis.Q, cfg.k), diag)
 
 
@@ -173,15 +189,23 @@ def _project_nystrom(A, B, cfg, rng, basis):
     if keep.size == 0:
         raise NumericalError("projected matrix Q^T A Q has no positive part; Nystrom needs A PSD on range(Q)")
     M = AQ @ (V[:, keep] / np.sqrt(theta[keep]))  # A ~ M M^T
-    mbasis = borth.mgs_w_reorth(M, B.inverse_view()).compact()
-    UM, sig, _ = np.linalg.svd(mbasis.R)
-    lam_all = sig**2
-    kk = min(cfg.k, lam_all.size)
-    U = mbasis.WQ @ UM[:, :kk]  # WQ = B^{-1} Q_M satisfies (B^{-1}Q_M)^T B (B^{-1}Q_M) = I
+    # AQ is read no more: its leading columns take a copy of M, F-ordered, the
+    # layout in which MGS factors its operand in place
+    Y = AQ[:, : keep.size]
+    Y[...] = M
+    del AQ, M
+    mbasis = borth.mgs_w_reorth(Y, B.inverse_view(), overwrite_y=True).compact()
     diag = {
         "dropped_dimensions": int(theta.size - keep.size),
         "reorth_b_solves": int(mbasis.n_reorth_applies),
     }
+    # only B^{-1} Q_M and R are read from here on: Q_M is freed before U is lifted
+    WQ, R = mbasis.WQ, mbasis.R
+    del Y, mbasis
+    UM, sig, _ = np.linalg.svd(R)
+    lam_all = sig**2
+    kk = min(cfg.k, lam_all.size)
+    U = WQ @ UM[:, :kk]  # WQ = B^{-1} Q_M satisfies (B^{-1}Q_M)^T B (B^{-1}Q_M) = I
     return U, lam_all[:kk], lam_all, diag
 
 
@@ -207,7 +231,7 @@ def ghep_single_pass(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSol
     latter as sqrt(lambda_max(Omega^T Omega)), so the two-pass/single-pass
     eigenvalue gap bound can be evaluated.
     """
-    return _solve("single_pass", _project_single_pass, A, B, cfg)
+    return _solve("single_pass", _project_single_pass, A, B, cfg, reads_sketch=True)
 
 
 def ghep_nystrom(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolution:
@@ -217,7 +241,8 @@ def ghep_nystrom(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> GhepSolutio
     1e-12 trace(T)/(k+p) (``dropped_dimensions`` counts the rest), forms
     M = A Q V+ theta+^{-1/2}, B^{-1}-orthonormalizes M by MGS-R
     (``borth.mgs_w_reorth``: contiguous columns, in-place BLAS-1
-    projections, one single-column B-solve per column and per extra sweep),
+    projections, one single-column B-solve per column and per extra sweep;
+    M is copied into AQ's storage and factored there),
     yielding the companion Qhat with Qhat^T B Qhat = I, and squares the
     singular values of the small R factor.  One implicit power-iteration step
     over the two-pass solver, at the price of a second round of B-solves:

@@ -106,6 +106,39 @@ def assemble_covariance(grid: Grid1D, cfg: MaternConfig) -> np.ndarray:
     return G
 
 
+#: Byte budget of one column panel of the matrix-free applies: the A-apply
+#: transforms at most this many bytes of padded N-row FFT input at a time, and
+#: the B-stencil at most this many bytes of n-row columns, so their scratch
+#: is O(N), not O(N (k+p)).  16 columns at N = 8000.
+PANEL_BYTES = 1 << 20
+
+#: Fewest columns in a panel, whatever their length.  The FFT transforms a
+#: block's columns in SIMD groups: at N = 2 x 10^6 (1 BLAS thread) 24 columns
+#: took 2.57 s one at a time, 2.04 s four at a time and 1.86 s at once.
+PANEL_MIN_COLS = 4
+
+
+def _panel_width(rows: int) -> int:
+    """Columns of ``rows`` float64 entries that fit one panel, at least
+    PANEL_MIN_COLS."""
+    return max(PANEL_MIN_COLS, PANEL_BYTES // (8 * rows))
+
+
+def _by_panels(fn: Callable, X: np.ndarray, width: int) -> np.ndarray:
+    """A square operator's kernel ``fn(X, out)``, which writes its product
+    of X into ``out``, run on one panel of at most ``width`` columns at a time.
+
+    The panels are written into one output shaped and ordered like X, so a
+    block that fits one panel costs what one kernel call costs.  The kernels
+    here transform each column on its own, so the result is bitwise the
+    whole-block result, whatever the width.
+    """
+    out = np.empty_like(X)
+    for j in range(0, X.shape[1], width):
+        fn(X[:, j : j + width], out[:, j : j + width])
+    return out
+
+
 def _mass_bands(grid: Grid1D) -> tuple[np.ndarray, float]:
     """The mass matrix's diagonal (2h/3, h/3 at the two ends) and off-diagonal h/6."""
     main = np.full(grid.n, 2.0 * grid.h / 3.0)
@@ -138,6 +171,10 @@ class MassOperator(SpdOperator):
     upper band storage: the whitening is U^{-1} X, and ``dense_factor()`` is
     (U^T densified, None), so the dense oracles factor no dense copy of B.
     B is strictly diagonally dominant, so the factorization cannot fail.
+    The apply runs the stencil (``_stencil``, which allocates an output and
+    one temporary the size of its operand) over column panels of
+    ``_panel_width(n)`` columns, so its scratch beyond the output is one
+    panel, not one block.
     """
 
     def __init__(self, grid: Grid1D) -> None:
@@ -152,8 +189,8 @@ class MassOperator(SpdOperator):
         # The callables close over the bands and the factor, not over self: an
         # operator that held its own bound methods would be a reference cycle,
         # freed only by a later run of the cyclic garbage collector.
-        def stencil(X: np.ndarray) -> np.ndarray:
-            out = main[:, None] * X
+        def stencil(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            out = np.multiply(main[:, None], X, out=out)
             out[:-1] += off * X[1:]
             out[1:] += off * X[:-1]
             return out
@@ -164,10 +201,12 @@ class MassOperator(SpdOperator):
             L[np.arange(1, n), np.arange(n - 1)] = ub[0, 1:]
             return L, None
 
+        width = _panel_width(n)
         self._stencil = stencil
         # B = U^T U with the banded upper factor U, so L = U^T and the whitening
         # L^{-T} X = U^{-1} X; U's diagonal is positive, so that solve cannot fail
-        super().__init__(n, stencil, lambda X: scipy.linalg.lapack.dpttrs(d, e, X)[0],
+        super().__init__(n, lambda X: _by_panels(stencil, X, width),
+                         lambda X: scipy.linalg.lapack.dpttrs(d, e, X)[0],
                          lambda X: scipy.linalg.lapack.dtbtrs(ub, X, uplo="U")[0], factor_lt)
 
 
@@ -229,16 +268,29 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
     tridiagonal LDL^T solve of ``MassOperator``; nothing n-by-n is formed unless an
     oracle reads ``dense_a`` or B's ``dense_factor()``.  Every apply of Gamma
     is an A-apply, counted by ``A.matvec_count``.
+
+    The A-apply runs stencil, circulant and stencil on one column panel at a
+    time (``_by_panels``), ``_panel_width(N)`` columns for the circulant
+    length N, so its padded FFT buffers hold one ``PANEL_BYTES`` panel, not
+    an N x (k+p) block: 16 columns at N = 8000, 4 (``PANEL_MIN_COLS``) at
+    n = 10^6.  A block of at most that many columns (a growth round, a
+    certificate column) is one panel.  The output is bitwise the whole-block
+    product.
     """
     gamma = covariance_apply(grid, cfg)
     mass = MassOperator(grid)
+    stencil = mass._stencil
+    width = _panel_width(_fast_len(2 * grid.n - 1))
+
+    def apply_panel(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return stencil(gamma(stencil(X)), out=out)
 
     def apply_a(X: np.ndarray) -> np.ndarray:
-        return mass._stencil(gamma(mass._stencil(X)))
+        return _by_panels(apply_panel, X, width)
 
     def dense_a() -> np.ndarray:
         _check_oracle_size(grid)
-        return mass._stencil(mass._stencil(assemble_covariance(grid, cfg)).T)
+        return stencil(stencil(assemble_covariance(grid, cfg)).T)
 
     A = LinearMap(grid.n, grid.n, apply_a, apply_a)
     return GhepPencil(A=A, B=mass, build_dense_a=dense_a)

@@ -46,9 +46,16 @@ def gaussian_matrix(n: int, r: int, seed: int, first_col: int = 0) -> np.ndarray
         raise ConfigError("gaussian_matrix needs n, r >= 1")
     out = np.empty((n, r), order="F")
     half = (n + 1) // 2
+    # one bit generator per call, moved to each column's stream by its state:
+    # a Philox constructor draws OS entropy for a seed that the key leaves unused
+    bits = np.random.Philox(key=int(seed) & _MASK64)
+    gen = np.random.Generator(bits)
+    state = bits.state  # an empty buffer: the next draw starts at the counter
+    counter = state["state"]["counter"]  # the 256-bit counter as 4 words, low first
     for j in range(r):
-        bits = np.random.Philox(key=int(seed) & _MASK64, counter=(first_col + j) << 66)
-        gen = np.random.Generator(bits)
+        c = (first_col + j) << 66
+        counter[:] = [(c >> shift) & _MASK64 for shift in (0, 64, 128, 192)]
+        bits.state = state
         u1 = 1.0 - gen.random(half)  # in (0, 1], keeps log finite
         u2 = gen.random(half)
         radius = np.sqrt(-2.0 * np.log(u1))
@@ -84,7 +91,10 @@ class RangeResult:
     ``basis`` holds the B-orthonormal Q with cached BQ, ``Ybar = A Omega`` is
     retained for the single-pass solver, and ``Omega`` is the Gaussian test
     matrix.  The sketched range Y = B^{-1} Ybar is not kept: the weighted QR
-    factors its own copy, and B.apply_inverse(Ybar) forms it again.
+    factors it in place, and B.apply_inverse(Ybar) forms it again.  The
+    solvers drop ``Omega`` and ``Ybar`` (``ghep._solve``): two-pass and
+    Nystrom right after the QR, single-pass once its small matrices are
+    formed, so each is one n x (k+p) block held no longer than it is read.
     """
 
     basis: borth.BOrthoBasis
@@ -155,8 +165,8 @@ def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResu
 
     Draws Omega, forms Ybar = A*Omega and Y = B^{-1}*Ybar (exactly k+p
     A-applies and k+p B-solves), then factorizes Y with the block weighted QR
-    ``borth.pre_chol_qr_w``.  Y is dropped once the QR has copied it; the
-    result keeps Ybar and Omega.
+    ``borth.pre_chol_qr_w``, in place (``overwrite_y``): Y is this function's
+    own block, so its memory becomes Q.  The result keeps Ybar and Omega.
     """
     n = B.dim
     if A.dim_in != n or A.dim_out != n:
@@ -165,5 +175,5 @@ def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResu
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds n={n}")
     Omega = gaussian_matrix(n, cfg.r, cfg.seed)
     Ybar = A.apply(Omega)
-    basis = borth.pre_chol_qr_w(B.apply_inverse(Ybar), B)
+    basis = borth.pre_chol_qr_w(B.apply_inverse(Ybar), B, overwrite_y=True)
     return RangeResult(basis=basis, Ybar=Ybar, Omega=Omega)

@@ -457,8 +457,8 @@ class TestAppendInPlace:
     def test_store_doubles_over_a_growth_run(self, monkeypatch):
         grown = []
 
-        def recording(Y, W, basis=None):
-            out = borth.pre_chol_qr_w(Y, W, basis=basis)
+        def recording(Y, W, basis=None, overwrite_y=False):
+            out = borth.pre_chol_qr_w(Y, W, basis=basis, overwrite_y=overwrite_y)
             grown.append(out)
             return out
 
@@ -475,6 +475,59 @@ class TestAppendInPlace:
             assert b._store.Q.shape[1] <= 2 * used
             assert np.shares_memory(b.Q, b._store.Q) and np.shares_memory(b.WQ, b._store.WQ)
         assert res.basis.Q.flags.f_contiguous
+
+
+class TestOverwriteY:
+    """``overwrite_y=True`` gives the default's bits, and the default leaves Y
+    as it was."""
+
+    @staticmethod
+    def _bits(basis):
+        return [a.tobytes() for a in (basis.Q, basis.WQ, basis.R, basis.rank_flags)]
+
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_pre_chol_qr_w(self, dependent):
+        Y, B = _kle_sketch(1.5, cols=40)
+        if dependent:
+            Y[:, 7] = Y[:, 3]  # a dropped column takes the reorder path
+        Y = np.asfortranarray(Y)
+        kept = Y.copy()
+        ref = borth.pre_chol_qr_w(Y, B)
+        assert np.array_equal(Y, kept)
+        got = borth.pre_chol_qr_w(Y, B, overwrite_y=True)
+        assert self._bits(got) == self._bits(ref)
+        assert ref.n_kept == 40 - dependent
+
+    def test_pre_chol_qr_w_append(self):
+        Y, B = _kle_sketch(0.5, cols=30)
+        base = borth.pre_chol_qr_w(Y[:, :20], B)
+        block = np.asfortranarray(Y[:, 20:])
+        kept = block.copy()
+        ref = borth.pre_chol_qr_w(block, B, basis=base)
+        assert np.array_equal(block, kept)
+        got = borth.pre_chol_qr_w(block, B, basis=base, overwrite_y=True)
+        assert self._bits(got) == self._bits(ref)
+
+    def test_mgs_w_reorth(self):
+        Y, B = _kle_sketch(2.5, cols=30)
+        Y = np.asfortranarray(Y)
+        kept = Y.copy()
+        ref = borth.mgs_w_reorth(Y, B)
+        assert np.array_equal(Y, kept)
+        got = borth.mgs_w_reorth(Y, B, overwrite_y=True)
+        assert self._bits(got) == self._bits(ref)
+        assert got.n_reorth_applies == ref.n_reorth_applies
+
+    @pytest.mark.parametrize("layout", ["C", "read-only"])
+    def test_other_y_is_copied(self, layout):
+        # the work array needs a writeable Y in the factorization's order
+        Y, B = _kle_sketch(1.5, cols=20)
+        Y = np.ascontiguousarray(Y) if layout == "C" else np.asfortranarray(Y)
+        Y.setflags(write=layout == "C")
+        kept = Y.copy()
+        for qr in (borth.pre_chol_qr_w, borth.mgs_w_reorth):
+            assert self._bits(qr(Y, B, overwrite_y=True)) == self._bits(qr(kept, B))
+            assert np.array_equal(Y, kept)
 
 
 class TestSketchPreconditioning:

@@ -721,6 +721,70 @@ class TestDegenerateInputs:
                 assert not (out / "report.json").exists(), argv
 
 
+class TestOutOfMemory:
+    """An allocation that fails inside a command ends with exit 3 and one
+    stderr line, not a traceback, and writes no report."""
+
+    @pytest.mark.parametrize("command", ["solve", "kle"])
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys, command):
+        def apply(self, X):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr(rg.LinearMap, "apply", apply)
+        eye = _write_eye(tmp_path / "eye.mtx")
+        argv = {"solve": ["solve", "--A", eye, "--B", eye, "--k", "2", "--p", "2"],
+                "kle": ["kle", "--nu", "1.5", "--n", "50", "--k", "3"]}[command]
+        out = tmp_path / "run"
+        assert main(argv + ["--seed", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("randghep: out of memory: Unable to allocate 74.5 GiB "
+                                           "for an array with shape (100000, 100000)\n")
+        assert not (out / "report.json").exists()
+
+    def test_bare_memory_error_still_names_itself(self, tmp_path, monkeypatch, capsys):
+        def apply(self, X):
+            raise MemoryError
+
+        monkeypatch.setattr(rg.LinearMap, "apply", apply)
+        out = tmp_path / "run"
+        assert main(["kle", "--nu", "1.5", "--n", "50", "--k", "3", "--seed", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "randghep: out of memory: an allocation failed\n"
+
+
+class TestShortResultWarning:
+    """``svd`` and ``gsvd`` say on stderr when they return fewer values than
+    --k, with the line ``solve`` and ``kle`` print: every sketch column of a
+    zero A is dependent, so these runs exit 0 with empty lists."""
+
+    @pytest.mark.parametrize("mode, what", [("svd", "singular values"), ("evd-two-pass", "eigenvalues")])
+    def test_svd_on_zero_a(self, tmp_path, capsys, mode, what):
+        a_path = _write_mtx(tmp_path / "a.mtx", np.zeros((4, 4)), "array")
+        out = tmp_path / "run"
+        assert main(["svd", "--A", a_path, "--k", "1", "--p", "3", "--mode", mode,
+                     "--seed", "1", "--out", str(out)]) == 0
+        rep = _read_report(out)
+        assert rep["singular_values" if mode == "svd" else "eigenvalues"] == []
+        assert capsys.readouterr().err == (f"randghep: warning: 0 {what} returned of the 1 asked for (--k); "
+                                           "the sketch's effective_rank is 0\n")
+
+    def test_gsvd_on_zero_a(self, tmp_path, capsys):
+        paths = [_write_mtx(tmp_path / f"{name}.mtx", M, "array")
+                 for name, M in (("a", np.zeros((2, 5))), ("s", 2.0 * np.eye(2)), ("t", 2.0 * np.eye(5)))]
+        out = tmp_path / "run"
+        assert main(["gsvd", "--A", paths[0], "--S", paths[1], "--T", paths[2], "--k", "1", "--p", "1",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert _read_report(out)["singular_values"] == []
+        assert capsys.readouterr().err == ("randghep: warning: 0 singular values returned of the 1 asked "
+                                           "for (--k); the sketch's effective_rank is 0\n")
+
+    @pytest.mark.parametrize("mode", ["svd", "evd-two-pass", "evd-single-pass"])
+    def test_no_warning_when_k_values_are_returned(self, tmp_path, capsys, mode):
+        a_path = _write_mtx(tmp_path / "a.mtx", np.diag([4.0, 2.0, 1.0, 0.5, 0.0, 0.0]), "array")
+        out = tmp_path / "run"
+        assert main(["svd", "--A", a_path, "--k", "3", "--p", "1", "--mode", mode,
+                     "--seed", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestRemovedQrFlag:
     """The solvers have one weighted QR, so ``--qr`` is rejected, not ignored."""
 

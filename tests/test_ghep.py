@@ -214,8 +214,8 @@ def test_nystrom_second_qr_solves_one_column_at_a_time(case, monkeypatch):
         cols.append(X.shape[1])
         return inner.apply_inverse(X)
 
-    def mgs_w_reorth(M, W):
-        bases.append(factor(M, W))
+    def mgs_w_reorth(M, W, overwrite_y=False):
+        bases.append(factor(M, W, overwrite_y=overwrite_y))
         return bases[-1]
 
     monkeypatch.setattr(borth, "mgs_w_reorth", mgs_w_reorth)

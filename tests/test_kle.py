@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import mpmath
@@ -201,6 +202,66 @@ class TestCovarianceApply:
         assert lengths == [kle._fast_len(2 * n - 1)] * 2
 
 
+class TestPanelledApplies:
+    """The A- and B-applies run their kernels one column panel at a time;
+    each column is transformed on its own, so every width gives the bits of
+    the whole-block formula."""
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_bitwise_equal_to_the_whole_block(self, n, monkeypatch):
+        grid, cfg = kle.Grid1D(n=n), kle.MaternConfig(1.5, 0.5)
+        gamma = kle.covariance_apply(grid, cfg)
+        panels = []
+
+        def recording_covariance_apply(grid, cfg):
+            def apply(X):
+                panels.append(X.shape[1])
+                return gamma(X)
+
+            return apply
+
+        monkeypatch.setattr(kle, "covariance_apply", recording_covariance_apply)
+        pencil = kle.kle_pencil(grid, cfg)
+        mass = pencil.B
+        w = kle._panel_width(kle._fast_len(2 * n - 1))
+        w_b = kle._panel_width(n)
+        assert (w, w_b) == {2000: (32, 65), 4000: (16, 32)}[n]
+        X = np.asfortranarray(np.random.default_rng(n).standard_normal((n, 110)))
+        for m in (1, w - 1, w, w + 1, w_b - 1, w_b, w_b + 1, 110):
+            Xm = X[:, :m]
+            panels.clear()
+            got = pencil.A.apply(Xm)
+            assert np.array_equal(got, mass._stencil(gamma(mass._stencil(Xm)))), m
+            assert got.flags.f_contiguous
+            assert max(panels) == min(m, w) and sum(panels) == m
+            assert np.array_equal(mass.apply(Xm), mass._stencil(Xm)), m
+        # a C-ordered block keeps its order, as the whole-block formula does
+        Xc = np.ascontiguousarray(X)
+        got = pencil.A.apply(Xc)
+        assert got.flags.c_contiguous and np.array_equal(got, mass._stencil(gamma(mass._stencil(Xc))))
+
+
+#: n x (k+p) blocks a matrix-free KLE solve may hold at once, counted by
+#: tracemalloc: the sketch, its images and the basis, with the operators'
+#: scratch in panels.
+PEAK_BLOCKS = 5
+
+
+class TestSolveMemory:
+    @pytest.mark.parametrize("method", ["two_pass", "single_pass", "nystrom"])
+    def test_peak_is_a_few_blocks(self, method):
+        n, k, p = 20000, 35, 5
+        grid, cfg = kle.Grid1D(n=n), kle.MaternConfig(1.5, 0.5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kle.kle_solve(grid, cfg, k=k, p=p, method=method, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BLOCKS * n * (k + p) * 8
+
+
 class TestLazyDenseCopies:
     def test_dense_a_matches_m_gamma_m(self):
         grid = kle.Grid1D(n=301)
@@ -300,9 +361,9 @@ class TestKleSolve:
         gamma_cols = []
         covariance_apply = kle.covariance_apply
 
-        def recording_qr(Y, W, basis=None):
+        def recording_qr(Y, W, basis=None, overwrite_y=False):
             before = W.matvec_count
-            out = block_qr(Y, W, basis)
+            out = block_qr(Y, W, basis, overwrite_y=overwrite_y)
             qr_deltas.append(W.matvec_count - before)
             return out
 
