@@ -42,11 +42,7 @@ def main() -> int:
                     errs = []
                     for seed in range(args.seeds):
                         sol = solver(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=seed))
-                        kk = sol.eigenvalues.size
-                        errs.append(
-                            np.sum(np.abs(ref.lambdas[:kk] - sol.eigenvalues))
-                            / np.sum(np.abs(ref.lambdas[:kk]))
-                        )
+                        errs.append(ref.rel_eigenvalue_error(sol.eigenvalues))
                     lines.append(f"{nu:g},{name},{k},{p},{np.mean(errs):.6e}")
     text = "\n".join(lines) + "\n"
     if args.out == "-":

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: solve (generic GHEP from Matrix Market files), kle, gsvd,
-estimate, qr-bench, svd.  Reports are JSON, per-index series are CSV,
-matrices are Matrix Market.  Exit codes: 0 success, 2 bad configuration,
-3 numerical failure (a LinAlgError that escapes a command counts as one) or
-running out of memory.
+Subcommands: solve (generic GHEP from Matrix Market files), kle (solve on the
+KLE pencil, writing modes.mtx and, up to n = kle.ORACLE_MAX_N, the oracle's
+eigenvalues), gsvd, estimate, qr-bench, svd.  Reports are JSON, per-index
+series are CSV, matrices are Matrix Market.  Seeds lie in [0, 2**64).  Exit
+codes: 0 success, 2 bad configuration (an unwritable output path counts as
+one), 3 numerical failure (a LinAlgError that escapes a command counts as one)
+or running out of memory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from pathlib import Path
 
 
 def _resolve_seed(seed: int, report: dict) -> int:
-    """Seed 0 means: draw one from entropy and record it."""
+    """Seed 0 means: draw one from entropy and record it.  The sketches read a
+    seed modulo 2**64, so one outside [0, 2**64) is rejected, not aliased."""
+    from .operators import ConfigError
+
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), got {seed}")
     if seed == 0:
         seed = secrets.randbits(63) or 1
         report["seed_derived_from_entropy"] = True
@@ -88,15 +95,31 @@ def _load_spd(path):
     return operators.sparse_spd(M) if scipy.sparse.issparse(M) else operators.dense_spd(M)
 
 
-def _load_pencil(args):
-    """The pencil of the files ``--A`` and ``--B``.  Its ``dense_a`` is the
-    array its A-operator wraps, and the oracles take its B-operator, whose
-    factor they read (``SpdOperator.dense_factor``), so no matrix is held
-    twice and a sparse B is never held dense."""
-    from . import operators
+def _pencil(args):
+    """The pencil of the files --A/--B or of the KLE options --nu/--ell/--n,
+    and the config entries that name it.  A file pencil's ``dense_a`` is the
+    array its A-operator wraps and the oracles read its B-operator's factor,
+    so no matrix is held twice.  A mix of sources, none, or --oracle above
+    ``kle.ORACLE_MAX_N`` is a ConfigError, raised before any apply."""
+    from . import kle, operators
+    from .operators import ConfigError
 
-    Ad = operators.load_matrix_market(args.A)
-    return operators.GhepPencil(operators.dense_operator(Ad), _load_spd(args.B), lambda: Ad)
+    if (args.A is None) != (args.B is None):
+        raise ConfigError("a file pencil needs both --A and --B")
+    if args.A is not None:
+        if args.nu is not None or args.n is not None or args.ell is not None:
+            raise ConfigError("give either --A/--B or --nu/--ell/--n, not both")
+        Ad = operators.load_matrix_market(args.A)
+        pencil = operators.GhepPencil(operators.dense_operator(Ad), _load_spd(args.B), lambda: Ad)
+        return pencil, {"A": args.A, "B": args.B}
+    if args.nu is None:
+        raise ConfigError("estimate needs either --A/--B or a --nu/--ell/--n KLE configuration")
+    n = kle.Grid1D.n if args.n is None else args.n
+    ell = kle.MaternConfig.ell if args.ell is None else args.ell
+    if args.oracle and n > kle.ORACLE_MAX_N:
+        raise ConfigError(f"--oracle needs --n <= {kle.ORACLE_MAX_N}, got {n}")
+    pencil = kle.kle_pencil(kle.Grid1D(n=n), kle.MaternConfig(nu=args.nu, ell=ell))
+    return pencil, {"nu": args.nu, "ell": ell, "n": n}
 
 
 # Each cmd_* fills ``report`` and writes its own files into ``outdir``; main
@@ -104,25 +127,32 @@ def _load_pencil(args):
 
 
 def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
+    """``solve`` and ``kle``.  Output options: ``oracle`` adds the oracle, its
+    range error and the bound flags; n <= ``rel_error_max_n`` the oracle column
+    and rel_eigenvalue_error; ``save_modes`` writes modes.mtx."""
     import numpy as np
 
     from . import errors, ghep
     from .sketch import SketchConfig
 
-    pencil = _load_pencil(args)
+    pencil, config = _pencil(args)
     solve = ghep.solver_method(args.method)
     sol = solve(pencil.A, pencil.B, SketchConfig(k=args.k, p=args.p, seed=seed))
     _warn_if_short("eigenvalues", sol.eigenvalues.size, sol.k, sol.diagnostics["effective_rank"])
     report.update(sol.report_dict())
-    report["config"] = {"A": args.A, "B": args.B, "k": args.k, "p": args.p, "method": args.method}
+    report["config"] = {**config, "k": args.k, "p": args.p, "method": args.method}
+    rel_error = args.rel_error_max_n is not None and pencil.A.dim_in <= args.rel_error_max_n
+    m = sol.eigenvalues.size
     oracle = bound_flags = None
-    if args.oracle:
+    if args.oracle or rel_error:
         # the oracle reads the B-operator's own factor: a coordinate B is not factored again
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
+        oracle = ref.lambdas[:m]
+    if rel_error:
+        report["rel_eigenvalue_error"] = ref.rel_eigenvalue_error(sol.eigenvalues)
+    if args.oracle:
         eps = ref.range_error(sol.basis.Q)
         report["range_error_exact"] = eps
-        m = sol.eigenvalues.size
-        oracle = ref.lambdas[:m]
         if args.method == "single-pass":
             # the lambda/sine bounds hold for Rayleigh-Ritz pairs only
             report["bound_flags"] = "not applicable: single-pass T is not a Rayleigh quotient"
@@ -144,25 +174,6 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
         from .operators import save_matrix_market
 
         save_matrix_market(outdir / "modes.mtx", sol.U)
-
-
-def cmd_kle(args, report: dict, seed: int, outdir: Path) -> None:
-    from . import kle
-    from .operators import save_matrix_market
-
-    grid = kle.Grid1D(a=-1.0, b=1.0, n=args.n)
-    cfg = kle.MaternConfig(nu=args.nu, ell=args.ell)
-    with_oracle = args.n <= kle.ORACLE_MAX_N
-    sol = kle.kle_solve(grid, cfg, k=args.k, p=args.p, method=args.method,
-                        seed=seed, compare_oracle=with_oracle)
-    _warn_if_short("eigenvalues", sol.K, args.k, sol.solution.diagnostics["effective_rank"])
-    report.update(sol.solution.report_dict())
-    report["config"] = {"nu": args.nu, "ell": args.ell, "n": args.n, "k": args.k,
-                        "p": args.p, "method": args.method}
-    if with_oracle:
-        report["rel_eigenvalue_error"] = sol.diagnostics["rel_eigenvalue_error"]
-    _write_spectrum(outdir, sol.eigenvalues, sol.diagnostics.get("oracle_lambdas"))
-    save_matrix_market(outdir / "modes.mtx", sol.modes)
 
 
 def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
@@ -187,30 +198,16 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
 
 
 def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
-    from . import errors, kle
+    from . import errors
     from .operators import ConfigError, check_symmetric
 
     if args.grow and args.tol is None:
         raise ConfigError("--grow needs --tol")
-    if (args.A is None) != (args.B is None):
-        raise ConfigError("a file pencil needs both --A and --B")
+    pencil, report["config"] = _pencil(args)
     if args.A is not None:
-        if args.nu is not None or args.n is not None or args.ell is not None:
-            raise ConfigError("give either --A/--B or --nu/--ell/--n, not both")
-        pencil = _load_pencil(args)
         # solve probes A for symmetry; the estimator's Lanczos certificate
         # assumes it too, so a file A is checked here
         check_symmetric(pencil.dense_a)
-        report["config"] = {"A": args.A, "B": args.B}
-    else:
-        if args.nu is None:
-            raise ConfigError("estimate needs either --A/--B or a --nu/--ell/--n KLE configuration")
-        n = 201 if args.n is None else args.n
-        ell = 2.0 if args.ell is None else args.ell
-        if args.oracle and n > kle.ORACLE_MAX_N:
-            raise ConfigError(f"--oracle needs --n <= {kle.ORACLE_MAX_N}, got {n}")
-        pencil = kle.kle_pencil(kle.Grid1D(n=n), kle.MaternConfig(nu=args.nu, ell=ell))
-        report["config"] = {"nu": args.nu, "ell": ell, "n": n}
     report["config"].update({"k": args.k, "alpha": args.alpha, "r": args.r,
                              "tol": args.tol, "grow": bool(args.grow)})
     growth = errors.grow_sketch_until(pencil.A, pencil.B, k0=args.k, tol=args.tol,
@@ -283,6 +280,7 @@ def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     from .ghep import METHOD_CHOICES
+    from .kle import ORACLE_MAX_N
 
     parser = argparse.ArgumentParser(
         prog="randghep",
@@ -290,38 +288,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    # apart from common, so a command's own options keep their usage-line place
+    def sketch(p, oversampling=None, method=False, k_help=None):
+        """--k, and --p (default ``oversampling``) and --method where taken."""
+        p.add_argument("--k", type=int, required=True, help=k_help)
+        if oversampling is not None:
+            p.add_argument("--p", type=int, default=oversampling)
+        if method:
+            p.add_argument("--method", default="two-pass", choices=METHOD_CHOICES)
+
     def common(p):
         p.add_argument("--seed", type=int, default=1,
-                       help="RNG seed; 0 draws one from entropy and records it")
+                       help="RNG seed in [0, 2**64); 0 draws one from entropy and records it")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("solve", help="solve a GHEP from Matrix Market files")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=20)
-    p.add_argument("--method", default="two-pass", choices=METHOD_CHOICES)
+    sketch(p, oversampling=20, method=True)
     p.add_argument("--oracle", action="store_true", help="append dense-oracle comparison columns")
     p.add_argument("--save-modes", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, nu=None, ell=None, n=None, rel_error_max_n=None)
 
     p = sub.add_parser("kle", help="truncated Karhunen-Loeve expansion of a Matern field")
     p.add_argument("--nu", type=float, required=True, choices=[0.5, 1.5, 2.5])
-    p.add_argument("--ell", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=201)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=5)
-    p.add_argument("--method", default="two-pass", choices=METHOD_CHOICES)
+    p.add_argument("--ell", type=float, help="correlation length (default 2.0)")
+    p.add_argument("--n", type=int, help="grid size (default 201)")
+    sketch(p, oversampling=5, method=True)
     common(p)
-    p.set_defaults(func=cmd_kle)
+    # solve on the KLE pencil: modes.mtx always, and the oracle's eigenvalues
+    # where the dense oracle is cheap
+    p.set_defaults(func=cmd_solve, A=None, B=None, oracle=False, save_modes=True,
+                   rel_error_max_n=ORACLE_MAX_N)
 
     p = sub.add_parser("gsvd", help="randomized GSVD under SPD weights S and T")
     p.add_argument("--A", required=True)
     p.add_argument("--S", required=True)
     p.add_argument("--T", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=10)
+    sketch(p, oversampling=10)
     common(p)
     p.set_defaults(func=cmd_gsvd)
 
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, choices=[0.5, 1.5, 2.5])
     p.add_argument("--ell", type=float, help="KLE correlation length (default 2.0)")
     p.add_argument("--n", type=int, help="KLE grid size (default 201)")
-    p.add_argument("--k", type=int, required=True, help="initial sketch size")
+    sketch(p, k_help="initial sketch size")
     p.add_argument("--alpha", type=float, default=2.0,
                    help="e bounds the range error with probability at least 1 - alpha^-r")
     p.add_argument("--r", type=int, default=5,
@@ -357,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svd", help="randomized SVD / EVD with the standard inner product")
     p.add_argument("--A", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=20)
+    sketch(p, oversampling=20)
     p.add_argument("--mode", default="svd", choices=["svd", "evd-two-pass", "evd-single-pass"])
     common(p)
     p.set_defaults(func=cmd_svd)
@@ -387,7 +391,8 @@ def main(argv=None) -> int:
         args.func(args, report, seed, outdir)
         _finish_report(report, outdir, t0)
         return 0
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing input file, or an output path that cannot be written
         print(f"randghep: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, MatrixFormatError) as exc:

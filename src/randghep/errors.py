@@ -136,6 +136,11 @@ class SpectrumReference:
         """Exact f = ||(I - Q Q^T B) C||_B; see ``range_error_exact``."""
         return _range_error(self.Ahat, self.L, self.order, _basis(Q, self.L.shape[0]))
 
+    def rel_eigenvalue_error(self, approx: np.ndarray) -> float:
+        """sum|lam_i - approx_i| / sum|lam_i| over the top ``approx.size`` eigenvalues."""
+        exact = self.lambdas[:approx.size]
+        return float(np.sum(np.abs(exact - approx)) / np.sum(np.abs(exact)))
+
     @cached_property
     def sigmas_B(self) -> np.ndarray:
         PA = self.A if self.order is None else self.A[self.order]

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
-from randghep.cli import _load_pencil, _parser, build_parser, main
+from randghep.cli import _parser, _pencil, build_parser, main
 from randghep.ghep import METHOD_CHOICES
 
 
@@ -357,17 +357,19 @@ class TestSolve:
         G = rng.standard_normal((200, 200))
         Bd = G @ G.T + 200 * np.eye(200)
         Ad = (G + G.T) / 2.0
-        args = argparse.Namespace(A=str(tmp_path / "a.mtx"), B=str(tmp_path / "b.mtx"))
+        args = argparse.Namespace(A=str(tmp_path / "a.mtx"), B=str(tmp_path / "b.mtx"),
+                                  nu=None, ell=None, n=None)
         rg.save_matrix_market(args.A, Ad)
         rg.save_matrix_market(args.B, Bd)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            pencil = _load_pencil(args)
+            pencil, config = _pencil(args)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert isinstance(pencil, rg.GhepPencil)
+        assert config == {"A": args.A, "B": args.B}
         # the oracle's A is the one the operator froze when it wrapped it; the
         # oracles read B's factor, which the B-operator holds: the same array on every read
         assert not pencil.dense_a.flags.writeable
@@ -381,11 +383,12 @@ class TestSolve:
         rng = np.random.default_rng(4)
         G = rng.standard_normal((n, n))
         Bd = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-        args = argparse.Namespace(**dict(zip("AB", write_coordinate_pencil(tmp_path, (G + G.T) / 2.0, Bd))))
+        args = argparse.Namespace(**dict(zip("AB", write_coordinate_pencil(tmp_path, (G + G.T) / 2.0, Bd))),
+                                  nu=None, ell=None, n=None)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            pencil = _load_pencil(args)
+            pencil, _ = _pencil(args)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -750,6 +753,49 @@ class TestOutOfMemory:
         assert capsys.readouterr().err == "randghep: out of memory: an allocation failed\n"
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written ends with exit 2 and one stderr
+    line, not a traceback, and leaves no report: --out names a file, --out
+    lies below a file, or a directory sits where report.json goes."""
+
+    @pytest.mark.parametrize("case", ["out-is-file", "out-below-file", "report-is-dir"])
+    @pytest.mark.parametrize("command", ["solve", "kle"])
+    def test_exits_2(self, tmp_path, capsys, command, case):
+        eye = _write_eye(tmp_path / "eye.mtx")
+        argv = {"solve": ["solve", "--A", eye, "--B", eye, "--k", "2", "--p", "2"],
+                "kle": ["kle", "--nu", "1.5", "--n", "50", "--k", "3"]}[command]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        out = {"out-is-file": blocker, "out-below-file": blocker / "sub", "report-is-dir": tmp_path / "run"}[case]
+        if case == "report-is-dir":
+            (out / "report.json").mkdir(parents=True)
+        assert main(argv + ["--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("randghep: [Errno ") and err.count("\n") == 1
+        assert not (out / "report.json").is_file()
+        assert blocker.read_text() == "a file\n"
+
+
+class TestSeedRange:
+    """The sketches read a seed modulo 2**64, so a seed outside [0, 2**64)
+    exits 2 before any apply instead of drawing another seed's sketch."""
+
+    @pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, monkeypatch, capsys, seed, code):
+        applied = []
+        apply = rg.LinearMap.apply
+        monkeypatch.setattr(rg.LinearMap, "apply", lambda op, X: applied.append(X) or apply(op, X))
+        out = tmp_path / "run"
+        assert main(["kle", "--nu", "1.5", "--ell", "0.5", "--n", "300", "--k", "5",
+                     "--seed", str(seed), "--out", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err == ("randghep: configuration error: --seed must lie in "
+                                               f"[0, 2**64), got {seed}\n")
+            assert applied == [] and not out.exists()
+        else:
+            assert _read_report(out)["seed"] == seed
+
+
 class TestShortResultWarning:
     """``svd`` and ``gsvd`` say on stderr when they return fewer values than
     --k, with the line ``solve`` and ``kle`` print: every sketch column of a
@@ -871,13 +917,21 @@ class TestKle:
         assert modes.shape == (101, 10)
 
     def test_modes_file_is_the_solve_bit_for_bit(self, tmp_path):
+        # kle is solve's body on the KLE pencil: its modes, eigenvalues and
+        # counts are the two-pass solve's, and its rel_eigenvalue_error is kle_solve's
         out = tmp_path / "kle"
         code = main(["kle", "--nu", "1.5", "--ell", "0.5", "--n", "301", "--k", "12", "--p", "5",
                      "--seed", "9", "--out", str(out)])
         assert code == 0
-        sol = rg.kle_solve(rg.Grid1D(a=-1.0, b=1.0, n=301), rg.MaternConfig(nu=1.5, ell=0.5),
-                           k=12, p=5, seed=9)
+        grid, cfg = rg.Grid1D(a=-1.0, b=1.0, n=301), rg.MaternConfig(nu=1.5, ell=0.5)
+        sol = rg.kle_solve(grid, cfg, k=12, p=5, seed=9, compare_oracle=True)
         np.testing.assert_array_equal(rg.load_matrix_market(out / "modes.mtx"), sol.modes)
+        pencil = rg.kle_pencil(grid, cfg)
+        direct = rg.ghep_two_pass(pencil.A, pencil.B, rg.SketchConfig(k=12, p=5, seed=9))
+        rep = _read_report(out)
+        assert rep["eigenvalues"] == direct.eigenvalues.tolist()
+        assert rep["counts"] == direct.counts
+        assert rep["rel_eigenvalue_error"] == sol.diagnostics["rel_eigenvalue_error"]
 
     def test_beyond_dense_scale(self, tmp_path):
         out = tmp_path / "kle"
@@ -1259,6 +1313,27 @@ class TestParser:
     def test_built_once(self):
         assert _parser() is _parser()
         assert _parser().format_help() == build_parser().format_help()
+
+    #: Each subcommand's option strings and --p default.  The parser declares
+    #: the shared options once; no subcommand gains or loses one.
+    OPTIONS = {
+        "solve": ({"--A", "--B", "--k", "--p", "--method", "--oracle", "--save-modes"}, 20),
+        "kle": ({"--nu", "--ell", "--n", "--k", "--p", "--method"}, 5),
+        "gsvd": ({"--A", "--S", "--T", "--k", "--p"}, 10),
+        "estimate": ({"--A", "--B", "--nu", "--ell", "--n", "--k", "--alpha", "--r", "--tol", "--grow",
+                      "--oracle"}, None),
+        "qr-bench": ({"--nu", "--ell", "--n", "--cols"}, None),
+        "svd": ({"--A", "--k", "--p", "--mode"}, 20),
+    }
+
+    def test_each_command_keeps_its_options(self):
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert set(commands) == set(self.OPTIONS)
+        for name, (options, p_default) in self.OPTIONS.items():
+            got = {s for action in commands[name]._actions for s in action.option_strings}
+            assert got == options | {"-h", "--help", "--seed", "--out"}, name
+            assert commands[name].get_default("p") == p_default, name
 
     def test_calls_in_one_process_write_what_fresh_processes_write(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", n=6)

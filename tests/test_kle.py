@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
-from randghep import borth, errors, kle
+from randghep import borth, errors, ghep, kle
 from randghep.operators import ConfigError
 from randghep.sketch import SketchConfig
 
@@ -255,7 +255,8 @@ class TestSolveMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            kle.kle_solve(grid, cfg, k=k, p=p, method=method, seed=3)
+            pencil = kle.kle_pencil(grid, cfg)
+            ghep.solver_method(method)(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=3))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -280,9 +281,9 @@ class TestLazyDenseCopies:
         monkeypatch.setattr(kle, "assemble_covariance", boom)
         monkeypatch.setattr(kle, "assemble_mass_1d", boom)
         for method in ("two_pass", "single_pass", "nystrom"):
-            sol = kle.kle_solve(kle.Grid1D(n=301), kle.MaternConfig(2.5, 0.5), k=10, p=5,
-                                method=method, seed=4)
-            assert sol.K == 10
+            pencil = kle.kle_pencil(kle.Grid1D(n=301), kle.MaternConfig(2.5, 0.5))
+            sol = ghep.solver_method(method)(pencil.A, pencil.B, SketchConfig(k=10, p=5, seed=4))
+            assert sol.eigenvalues.size == 10
 
     def test_oracle_comparison_computes_no_eigenvectors(self, monkeypatch):
         refs, tridiagonal_solves = [], []
@@ -378,8 +379,8 @@ class TestKleSolve:
 
         monkeypatch.setattr(borth, "pre_chol_qr_w", recording_qr)
         monkeypatch.setattr(kle, "covariance_apply", counting_covariance_apply)
-        sol = kle.kle_solve(kle.Grid1D(n=1001), kle.MaternConfig(nu=2.5, ell=0.5), k=k, p=p,
-                            method=method, seed=1).solution
+        pencil = kle.kle_pencil(kle.Grid1D(n=1001), kle.MaternConfig(nu=2.5, ell=0.5))
+        sol = ghep.solver_method(method)(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=1))
         expected = {
             "two_pass": {"a_applies": 2 * r, "b_applies": r, "b_solves": r},
             "single_pass": {"a_applies": r, "b_applies": r, "b_solves": r},
