@@ -2,20 +2,25 @@
 
 Subcommands: solve (generic GHEP from Matrix Market files), kle (solve on the
 KLE pencil, writing modes.mtx and, up to n = kle.ORACLE_MAX_N, the oracle's
-eigenvalues), gsvd, estimate, qr-bench, svd.  Reports are JSON, per-index
-series are CSV, matrices are Matrix Market.  Seeds lie in [0, 2**64).  Exit
-codes: 0 success, 2 bad configuration (an unwritable output path counts as
-one), 3 numerical failure (a LinAlgError that escapes a command counts as one)
-or running out of memory.
+eigenvalues), gsvd, estimate, qr-bench (every kernel without --nu), svd.  A
+KLE pencil's missing --ell or --n takes MaternConfig.ell or Grid1D.n.  Reports
+are JSON, per-index series are CSV, matrices are Matrix Market.  Seeds lie in
+[0, 2**64).  Exit codes: 0 success, 2 bad configuration (an unwritable output
+path counts as one), 3 numerical failure (a LinAlgError that escapes a command
+counts as one) or running out of memory.  A failed run leaves no outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import secrets
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,22 +39,33 @@ def _resolve_seed(seed: int, report: dict) -> int:
     return seed
 
 
-def _finish_report(report: dict, outdir: Path, t0: float) -> None:
-    from . import __version__
+@contextlib.contextmanager
+def _staged(outdir: Path):
+    """A temporary directory inside ``outdir`` for one run's files.  On success
+    each file moves into ``outdir`` with ``os.replace``, report.json last; on
+    any failure the directory and every file already moved are deleted."""
+    stage = Path(tempfile.mkdtemp(prefix=".randghep-", dir=outdir))
+    moved: list[Path] = []
+    try:
+        yield stage
+        for name in sorted(os.listdir(stage), key=lambda name: (name == "report.json", name)):
+            try:
+                os.replace(stage / name, outdir / name)
+            except OSError as exc:  # name the target, as a direct write to it would
+                raise OSError(exc.errno, exc.strerror, str(outdir / name)) from None
+            moved.append(outdir / name)
+    except BaseException:
+        for path in moved:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
-    report["wall_time_s"] = time.perf_counter() - t0
-    report["library_version"] = __version__
-    path = outdir / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(str(path))
 
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "wt") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = ["" if v is None else (f"{v:.17g}" if isinstance(v, float) else str(v)) for v in row]
-            fh.write(",".join(cells) + "\n")
+def _csv(header: list[str], rows: list[list]) -> str:
+    def cell(v) -> str:
+        return "" if v is None else (f"{v:.17g}" if isinstance(v, float) else str(v))
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> None:
@@ -60,16 +76,13 @@ def _write_spectrum(outdir: Path, lambdas, oracle=None, bound_flags=None) -> Non
     leaves its cell empty.
     """
     header = ["index", "lambda_approx", "lambda_oracle", "abs_err"]
-    rows: list[list] = []
-    for i, lam in enumerate(lambdas):
-        if oracle is None:
-            rows.append([i, float(lam), None, None])
-        else:
-            rows.append([i, float(lam), float(oracle[i]), abs(float(lam) - float(oracle[i]))])
+    rows = [[i, float(lam), None, None] if oracle is None else
+            [i, float(lam), float(oracle[i]), abs(float(lam) - float(oracle[i]))]
+            for i, lam in enumerate(lambdas)]
     if bound_flags is not None:
         header += ["lambda_bound_ok", "sine_bound_ok"]
         rows = [row + list(flags) for row, flags in zip(rows, bound_flags)]
-    _write_csv(outdir / "spectrum.csv", header, rows)
+    (outdir / "spectrum.csv").write_text(_csv(header, rows))
 
 
 def _warn_if_short(what: str, returned: int, k: int, rank: int) -> None:
@@ -96,10 +109,11 @@ def _load_spd(path):
 
 
 def _pencil(args):
-    """The pencil of the files --A/--B or of the KLE options --nu/--ell/--n,
-    and the config entries that name it.  A file pencil's ``dense_a`` is the
-    array its A-operator wraps and the oracles read its B-operator's factor,
-    so no matrix is held twice.  A mix of sources, none, or --oracle above
+    """The pencil of the files --A/--B or of the KLE options --nu/--ell/--n
+    (a missing --ell or --n takes ``MaternConfig.ell`` or ``Grid1D.n``), and
+    the config entries that name it.  A file pencil's ``dense_a`` is the array
+    its A-operator wraps and the oracles read its B-operator's factor, so no
+    matrix is held twice.  A mix of sources, none, or --oracle above
     ``kle.ORACLE_MAX_N`` is a ConfigError, raised before any apply."""
     from . import kle, operators
     from .operators import ConfigError
@@ -123,7 +137,7 @@ def _pencil(args):
 
 
 # Each cmd_* fills ``report`` and writes its own files into ``outdir``; main
-# resolves the seed, creates ``outdir`` and writes report.json on success.
+# resolves the seed, stages ``outdir`` and writes report.json on success.
 
 
 def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
@@ -132,7 +146,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     and rel_eigenvalue_error; ``save_modes`` writes modes.mtx."""
     import numpy as np
 
-    from . import errors, ghep
+    from . import errors, ghep, operators
     from .sketch import SketchConfig
 
     pencil, config = _pencil(args)
@@ -171,9 +185,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
                                     bool(sines[i] <= bounds.sine_bound + 1e-9)))
     _write_spectrum(outdir, sol.eigenvalues, oracle, bound_flags)
     if args.save_modes:
-        from .operators import save_matrix_market
-
-        save_matrix_market(outdir / "modes.mtx", sol.U)
+        operators.save_matrix_market(outdir / "modes.mtx", sol.U)
 
 
 def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
@@ -183,8 +195,7 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
     from .sketch import SketchConfig
 
     Ad = operators.load_matrix_market(args.A)
-    S = _load_spd(args.S)
-    T = _load_spd(args.T)
+    S, T = _load_spd(args.S), _load_spd(args.T)
     res = gsvd.randomized_gsvd(operators.dense_operator(Ad), S, T,
                                SketchConfig(k=args.k, p=args.p, seed=seed))
     k = res.sigma.size
@@ -226,44 +237,38 @@ def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
                                 "b_applies": pencil.B.matvec_count - cert["b_applies"]}
     if args.tol is not None:
         report["converged"] = growth.converged
-    report["e"] = est.e
-    report["alpha"] = est.alpha
-    report["r"] = est.r_probes
-    report["probability_floor"] = est.probability_floor
-    report["source"] = est.source
+    report.update(e=est.e, alpha=est.alpha, r=est.r_probes, probability_floor=est.probability_floor,
+                  source=est.source)
     if args.oracle:
         report["range_error_exact"] = errors.range_error_exact(pencil.dense_a, pencil.B, growth.basis.Q)
 
 
 def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:
+    """Each weighted QR's four quality metrics on a sketch of the KLE pencil
+    of each kernel (``_pencil`` reads it); the CSV goes to qr_bench.csv and
+    to stdout."""
     from . import borth, kle, sketch
 
-    nus = [args.nu] if args.nu is not None else [0.5, 1.5, 2.5]
-    rows = []
+    nus = [args.nu] if args.nu is not None else list(kle.MATERN_NUS)
+    header, rows = ["alg", "kernel", "m1", "m2", "m3", "m4"], []
     for nu in nus:
-        grid = kle.Grid1D(n=args.n)
-        pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=nu, ell=args.ell))
-        Omega = sketch.gaussian_matrix(args.n, args.cols, seed)
+        pencil, config = _pencil(argparse.Namespace(**vars(args) | {"nu": nu}))
+        Omega = sketch.gaussian_matrix(config["n"], args.cols, seed)
         Y = pencil.B.apply_inverse(pencil.A.apply(Omega))
         for name, alg in sketch._QR_ALGORITHMS.items():
-            basis = alg(Y, pencil.B)
-            m = borth.qr_metrics(Y, basis, pencil.B)
-            rows.append([name, f"{nu:g}", m[0], m[1], m[2], m[3]])
-    csv_path = outdir / "qr_bench.csv"
-    _write_csv(csv_path, ["alg", "kernel", "m1", "m2", "m3", "m4"], rows)
-    with open(csv_path) as fh:
-        sys.stdout.write(fh.read())
-    report["config"] = {"ell": args.ell, "n": args.n, "cols": args.cols, "kernels": nus}
-    report["rows"] = [{"alg": r[0], "kernel": r[1], "m1": r[2], "m2": r[3], "m3": r[4], "m4": r[5]}
-                      for r in rows]
+            rows.append([name, f"{nu:g}", *borth.qr_metrics(Y, alg(Y, pencil.B), pencil.B)])
+    text = _csv(header, rows)
+    (outdir / "qr_bench.csv").write_text(text)
+    sys.stdout.write(text)
+    report["config"] = {"ell": config["ell"], "n": config["n"], "cols": args.cols, "kernels": nus}
+    report["rows"] = [dict(zip(header, row)) for row in rows]
 
 
 def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
     from . import operators
     from .sketch import SketchConfig, randomized_evd, randomized_svd
 
-    Ad = operators.load_matrix_market(args.A)
-    A = operators.dense_operator(Ad)
+    A = operators.dense_operator(operators.load_matrix_market(args.A))
     cfg = SketchConfig(k=args.k, p=args.p, seed=seed)
     # both return min(k, kept sketch columns) values, so a short list is the sketch's rank
     if args.mode == "svd":
@@ -280,12 +285,10 @@ def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     from .ghep import METHOD_CHOICES
-    from .kle import ORACLE_MAX_N
+    from .kle import MATERN_NUS, ORACLE_MAX_N, Grid1D, MaternConfig
 
     parser = argparse.ArgumentParser(
-        prog="randghep",
-        description="Randomized matrix-free GHEP/GSVD solvers with error estimators",
-    )
+        prog="randghep", description="Randomized matrix-free GHEP/GSVD solvers with error estimators")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     # apart from common, so a command's own options keep their usage-line place
@@ -296,6 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--p", type=int, default=oversampling)
         if method:
             p.add_argument("--method", default="two-pass", choices=METHOD_CHOICES)
+
+    def kle_options(p, nu_required=False, nu_help=None):
+        """--nu, --ell and --n: the KLE pencil; ``_pencil`` resolves a missing one."""
+        p.add_argument("--nu", type=float, required=nu_required, choices=MATERN_NUS, help=nu_help)
+        p.add_argument("--ell", type=float, help=f"KLE correlation length (default {MaternConfig.ell})")
+        p.add_argument("--n", type=int, help=f"KLE grid size (default {Grid1D.n})")
 
     def common(p):
         p.add_argument("--seed", type=int, default=1,
@@ -312,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve, nu=None, ell=None, n=None, rel_error_max_n=None)
 
     p = sub.add_parser("kle", help="truncated Karhunen-Loeve expansion of a Matern field")
-    p.add_argument("--nu", type=float, required=True, choices=[0.5, 1.5, 2.5])
-    p.add_argument("--ell", type=float, help="correlation length (default 2.0)")
-    p.add_argument("--n", type=int, help="grid size (default 201)")
+    kle_options(p, nu_required=True)
     sketch(p, oversampling=5, method=True)
     common(p)
     # solve on the KLE pencil: modes.mtx always, and the oracle's eigenvalues
@@ -334,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "certificate), optionally growing the sketch")
     p.add_argument("--A")
     p.add_argument("--B")
-    p.add_argument("--nu", type=float, choices=[0.5, 1.5, 2.5])
-    p.add_argument("--ell", type=float, help="KLE correlation length (default 2.0)")
-    p.add_argument("--n", type=int, help="KLE grid size (default 201)")
+    kle_options(p)
     sketch(p, k_help="initial sketch size")
     p.add_argument("--alpha", type=float, default=2.0,
                    help="e bounds the range error with probability at least 1 - alpha^-r")
@@ -353,12 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("qr-bench", help="weighted-QR quality metrics on the KLE pencil")
-    p.add_argument("--nu", type=float, choices=[0.5, 1.5, 2.5], help="default: all three kernels")
-    p.add_argument("--ell", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=201)
+    kle_options(p, nu_help="default: all three kernels")
     p.add_argument("--cols", type=int, default=100)
     common(p)
-    p.set_defaults(func=cmd_qr_bench)
+    p.set_defaults(func=cmd_qr_bench, A=None, B=None, oracle=False)
 
     p = sub.add_parser("svd", help="randomized SVD / EVD with the standard inner product")
     p.add_argument("--A", required=True)
@@ -380,6 +383,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     from numpy.linalg import LinAlgError
 
+    from . import __version__
     from .operators import ConfigError, MatrixFormatError, NumericalError
 
     t0 = time.perf_counter()
@@ -388,8 +392,11 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args.seed, report)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        args.func(args, report, seed, outdir)
-        _finish_report(report, outdir, t0)
+        with _staged(outdir) as stage:
+            args.func(args, report, seed, stage)
+            report.update(wall_time_s=time.perf_counter() - t0, library_version=__version__)
+            (stage / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(str(outdir / "report.json"))
         return 0
     except OSError as exc:
         # a missing input file, or an output path that cannot be written

@@ -17,7 +17,7 @@ operator's own Cholesky factor, densified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,8 @@ from .sketch import SketchConfig
 
 ORACLE_MAX_N = 2000
 
-_MATERN_NUS = (0.5, 1.5, 2.5)
+#: The Matern smoothness values with a closed-form kernel; the CLI's --nu choices.
+MATERN_NUS = (0.5, 1.5, 2.5)
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class MaternConfig:
     ell: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.nu not in _MATERN_NUS:
-            raise ConfigError(f"nu must be one of {_MATERN_NUS}")
+        if self.nu not in MATERN_NUS:
+            raise ConfigError(f"nu must be one of {MATERN_NUS}")
         if not self.ell > 0.0:
             raise ConfigError("correlation length must be positive")
 
@@ -302,14 +303,14 @@ class KleSolution:
 
     ``solution`` is the GHEP solve of the KLE pencil on ``grid``; ``K`` is
     the number of modes it returned (at most its k), ``modes`` and
-    ``eigenvalues`` are its U and eigenvalues.  ``diagnostics`` holds the
-    oracle comparison when ``kle_solve`` ran one.
+    ``eigenvalues`` are its U and eigenvalues.  To compare them with the
+    dense oracle, use ``errors.dense_ghep_oracle`` on ``kle_pencil(grid, cfg)``
+    and its ``rel_eigenvalue_error``.
     """
 
     solution: ghep.GhepSolution
     grid: Grid1D
     K: int
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -326,21 +327,12 @@ def kle_solve(
     k: int,
     p: int = 5,
     seed: int = 0,
-    compare_oracle: bool = False,
 ) -> KleSolution:
     """Truncated KLE of the Matern field: the top-k modes of (M Gamma M, M),
-    by the two-pass solver.
-
-    With ``compare_oracle`` (and n within oracle scale) the diagnostics gain
-    ``SpectrumReference.rel_eigenvalue_error`` against the dense reference.
-    """
+    by the two-pass solver.  It builds no dense matrix at any n."""
     pencil = kle_pencil(grid, cfg)
     sol = ghep.ghep_two_pass(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=seed))
-    diag = {}
-    if compare_oracle:
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
-        diag["rel_eigenvalue_error"] = ref.rel_eigenvalue_error(sol.eigenvalues)
-    return KleSolution(solution=sol, grid=grid, K=int(sol.eigenvalues.size), diagnostics=diag)
+    return KleSolution(solution=sol, grid=grid, K=int(sol.eigenvalues.size))
 
 
 @dataclass

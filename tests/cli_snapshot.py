@@ -100,6 +100,9 @@ def commands() -> list[tuple[str, list[str]]]:
         cases.append((f"svd-{mode}", ["svd", "--A", "inputs/sym.mtx", "--k", "10", "--p", "5",
                                       "--mode", mode]))
     cases.append(("qr-bench", ["qr-bench", "--n", "2000", "--cols", "100"]))
+    # the KLE defaults of --ell and --n
+    cases += [("qr-bench-defaults", ["qr-bench", "--nu", "1.5", "--cols", "20"]),
+              ("kle-defaults", ["kle", "--nu", "0.5", "--k", "20", "--p", "5"])]
     cases = [(name, [*argv, "--seed", SEED]) for name, argv in cases]
     # the pencil errors: every one exits 2 before any apply
     cases += [

@@ -34,6 +34,13 @@ def make_kle_mass(n: int = 201) -> np.ndarray:
     return kle.assemble_mass_1d(kle.Grid1D(a=-1.0, b=1.0, n=n))
 
 
+def kle_rel_error(grid, cfg, eigenvalues) -> float:
+    """The relative l1 error of KLE eigenvalues on ``grid`` against the dense
+    oracle of ``kle_pencil(grid, cfg)``, as ``randghep kle`` reports it."""
+    pencil = kle.kle_pencil(grid, cfg)
+    return errors.dense_ghep_oracle(pencil.dense_a, pencil.B).rel_eigenvalue_error(eigenvalues)
+
+
 def polished_eigenvalues(ref: errors.SpectrumReference, Ad: np.ndarray, Bd: np.ndarray) -> np.ndarray:
     """The oracle's eigenvalues as long-double Rayleigh quotients of its eigenvectors.
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from conftest import make_kle_mass, make_kle_pencil, random_spd, write_coordinate_pencil
+from conftest import kle_rel_error, make_kle_mass, make_kle_pencil, random_spd, write_coordinate_pencil
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -774,6 +775,24 @@ class TestUnwritableOutput:
         assert err.startswith("randghep: [Errno ") and err.count("\n") == 1
         assert not (out / "report.json").is_file()
         assert blocker.read_text() == "a file\n"
+        if out.is_dir():
+            # no spectrum.csv, modes.mtx or staging directory: only the blocking directory
+            assert [path.name for path in out.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("command", ["solve", "kle"])
+    def test_failed_write_leaves_no_outputs(self, tmp_path, monkeypatch, capsys, command):
+        # modes.mtx is the last file a command writes, after spectrum.csv
+        def save(path, M):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        eye = _write_eye(tmp_path / "eye.mtx")
+        argv = {"solve": ["solve", "--A", eye, "--B", eye, "--k", "2", "--p", "2", "--save-modes"],
+                "kle": ["kle", "--nu", "1.5", "--n", "50", "--k", "3"]}[command]
+        monkeypatch.setattr(rg.operators, "save_matrix_market", save)
+        out = tmp_path / "run"
+        assert main(argv + ["--seed", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("randghep: [Errno 28] No space left on device: ")
+        assert list(out.iterdir()) == []
 
 
 class TestSeedRange:
@@ -881,6 +900,8 @@ class TestQrBench:
         out = tmp_path / "qb"
         code = main(["qr-bench", "--seed", "2", "--out", str(out)])
         assert code == 0
+        # the table goes to stdout too, then the report's path
+        assert capsys.readouterr().out == (out / "qr_bench.csv").read_text() + f"{out / 'report.json'}\n"
         rows = _read_csv(out / "qr_bench.csv")
         assert len(rows) == 9
         assert {r["alg"] for r in rows} == {"MGS", "MGS-R", "PreCholQR"}
@@ -902,6 +923,22 @@ class TestQrBench:
         assert {r["kernel"] for r in rows} == {"1.5"}
 
 
+class TestKleDefaults:
+    """A KLE pencil's missing --ell or --n is read from ``MaternConfig.ell``
+    and ``Grid1D.n`` when the command runs, by every command that takes one."""
+
+    @pytest.mark.parametrize("argv", [["qr-bench", "--nu", "1.5", "--cols", "10"],
+                                      ["kle", "--nu", "1.5", "--k", "5"],
+                                      ["estimate", "--nu", "1.5", "--k", "5"]])
+    def test_defaults_follow_the_dataclasses(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(rg.kle.Grid1D, "n", 57)
+        monkeypatch.setattr(rg.kle.MaternConfig, "ell", 0.75)
+        out = tmp_path / "run"
+        assert main([*argv, "--seed", "3", "--out", str(out)]) == 0
+        config = _read_report(out)["config"]
+        assert (config["ell"], config["n"]) == (0.75, 57)
+
+
 class TestKle:
     def test_outputs(self, tmp_path):
         out = tmp_path / "kle"
@@ -918,20 +955,21 @@ class TestKle:
 
     def test_modes_file_is_the_solve_bit_for_bit(self, tmp_path):
         # kle is solve's body on the KLE pencil: its modes, eigenvalues and
-        # counts are the two-pass solve's, and its rel_eigenvalue_error is kle_solve's
+        # counts are the two-pass solve's, and its rel_eigenvalue_error is the
+        # dense oracle's error of kle_solve's eigenvalues
         out = tmp_path / "kle"
         code = main(["kle", "--nu", "1.5", "--ell", "0.5", "--n", "301", "--k", "12", "--p", "5",
                      "--seed", "9", "--out", str(out)])
         assert code == 0
         grid, cfg = rg.Grid1D(a=-1.0, b=1.0, n=301), rg.MaternConfig(nu=1.5, ell=0.5)
-        sol = rg.kle_solve(grid, cfg, k=12, p=5, seed=9, compare_oracle=True)
+        sol = rg.kle_solve(grid, cfg, k=12, p=5, seed=9)
         np.testing.assert_array_equal(rg.load_matrix_market(out / "modes.mtx"), sol.modes)
         pencil = rg.kle_pencil(grid, cfg)
         direct = rg.ghep_two_pass(pencil.A, pencil.B, rg.SketchConfig(k=12, p=5, seed=9))
         rep = _read_report(out)
         assert rep["eigenvalues"] == direct.eigenvalues.tolist()
         assert rep["counts"] == direct.counts
-        assert rep["rel_eigenvalue_error"] == sol.diagnostics["rel_eigenvalue_error"]
+        assert rep["rel_eigenvalue_error"] == kle_rel_error(grid, cfg, sol.eigenvalues)
 
     def test_beyond_dense_scale(self, tmp_path):
         out = tmp_path / "kle"

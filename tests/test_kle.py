@@ -17,7 +17,7 @@ from randghep import borth, errors, ghep, kle
 from randghep.operators import ConfigError
 from randghep.sketch import SketchConfig
 
-from conftest import make_kle_pencil, rel_eig_error
+from conftest import kle_rel_error, make_kle_pencil, rel_eig_error
 
 
 class TestMaternKernel:
@@ -291,9 +291,9 @@ class TestLazyDenseCopies:
         monkeypatch.setattr(errors, "dense_ghep_oracle", lambda *args: refs.append(oracle(*args)) or refs[-1])
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                             lambda *a, **kw: tridiagonal_solves.append(a) or eigh_tridiagonal(*a, **kw))
-        sol = kle.kle_solve(kle.Grid1D(n=301), kle.MaternConfig(2.5, 0.5), k=10, p=5, seed=4,
-                            compare_oracle=True)
-        assert sol.diagnostics["rel_eigenvalue_error"] < 1e-4
+        grid, cfg = kle.Grid1D(n=301), kle.MaternConfig(2.5, 0.5)
+        sol = kle.kle_solve(grid, cfg, k=10, p=5, seed=4)
+        assert kle_rel_error(grid, cfg, sol.eigenvalues) < 1e-4
         assert len(refs) == 1 and refs[0]._vectors is None
         assert tridiagonal_solves == []
 
@@ -346,8 +346,9 @@ class TestKlePencil:
 class TestKleSolve:
     def test_smooth_kernel_small_error(self):
         grid = kle.Grid1D(n=201)
-        sol = kle.kle_solve(grid, kle.MaternConfig(2.5, 2.0), k=20, p=5, seed=1, compare_oracle=True)
-        assert sol.diagnostics["rel_eigenvalue_error"] <= 1e-4
+        cfg = kle.MaternConfig(2.5, 2.0)
+        sol = kle.kle_solve(grid, cfg, k=20, p=5, seed=1)
+        assert kle_rel_error(grid, cfg, sol.eigenvalues) <= 1e-4
         M = kle.assemble_mass_1d(grid)
         assert np.linalg.norm(sol.modes.T @ (M @ sol.modes) - np.eye(sol.K), 2) <= 1e-10
 
@@ -410,8 +411,9 @@ class TestKleSolve:
         k = 80
         errs = {}
         for ell in (0.01, 1.0):
-            sol = kle.kle_solve(grid, kle.MaternConfig(2.5, ell), k=k, p=5, seed=2, compare_oracle=True)
-            errs[ell] = sol.diagnostics["rel_eigenvalue_error"]
+            cfg = kle.MaternConfig(2.5, ell)
+            sol = kle.kle_solve(grid, cfg, k=k, p=5, seed=2)
+            errs[ell] = kle_rel_error(grid, cfg, sol.eigenvalues)
         assert errs[0.01] >= 10.0 * errs[1.0]
 
     def test_eigenvalues_nonnegative_and_sorted(self):
