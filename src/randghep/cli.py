@@ -143,7 +143,8 @@ def _pencil(args):
 def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     """``solve`` and ``kle``.  Output options: ``oracle`` adds the oracle, its
     range error and the bound flags; n <= ``rel_error_max_n`` the oracle column
-    and rel_eigenvalue_error; ``save_modes`` writes modes.mtx."""
+    and rel_eigenvalue_error; ``save_modes`` writes modes.mtx.  The pencil,
+    and so the dense A, is dropped once the oracle is built."""
     import numpy as np
 
     from . import errors, ghep, operators
@@ -158,10 +159,12 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
     rel_error = args.rel_error_max_n is not None and pencil.A.dim_in <= args.rel_error_max_n
     m = sol.eigenvalues.size
     oracle = bound_flags = None
+    B = pencil.B
     if args.oracle or rel_error:
         # the oracle reads the B-operator's own factor: a coordinate B is not factored again
-        ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
+        ref = errors.dense_ghep_oracle(pencil.dense_a, B)
         oracle = ref.lambdas[:m]
+    del pencil
     if rel_error:
         report["rel_eigenvalue_error"] = ref.rel_eigenvalue_error(sol.eigenvalues)
     if args.oracle:
@@ -172,7 +175,7 @@ def cmd_solve(args, report: dict, seed: int, outdir: Path) -> None:
             report["bound_flags"] = "not applicable: single-pass T is not a Rayleigh quotient"
             bound_flags = [(None, None)] * m
         else:
-            sines = errors.b_sine(ref.top_eigenvectors(m), sol.U[:, :m], pencil.B)
+            sines = errors.b_sine(ref.top_eigenvectors(m), sol.U[:, :m], B)
             bound_flags = []
             for i, lam in enumerate(sol.eigenvalues):
                 lam_ex = float(oracle[i])

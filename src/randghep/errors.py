@@ -70,32 +70,35 @@ class SpectrumReference:
     """Dense reference data for a pencil (A, B), built by ``dense_ghep_oracle``.
 
     On construction: ``L`` and ``order``, the factor B = F F^T with
-    F = P^T L (B[order][:, order] = L L^T; ``order`` is None for P = I);
-    ``Ahat`` = F^{-1} A F^{-T}, the congruent symmetric matrix, which
-    ``range_error`` reuses for every basis; its one reduction to tridiagonal
-    form; and from that reduction ``lambdas``, every eigenvalue of the pencil
-    (descending, assignable).  ``top_eigenvectors(m)`` computes B-orthonormal
+    F = P^T L (B[order][:, order] = L L^T; ``order`` is None for P = I); the
+    one reduction of A^ = F^{-1} A F^{-T} to tridiagonal form, in A^'s own
+    storage, from which ``_ahat`` rebuilds A^ bitwise (A is not held);
+    and ``lambdas``, every eigenvalue of the pencil (descending,
+    assignable).  ``top_eigenvectors(m)`` computes B-orthonormal
     eigenvectors from the same reduction and eigenvalues only when they are
     read, and only the top m; ``eigenvectors`` is all n of them.  The rest
     is computed on first read and then cached: ``sigmas_B``, the generalized
-    singular values of C = B^{-1}A, as the singular values of F^{-1}A (the
-    same as those of B^{1/2} C); and ``binv_norm`` = ||B^{-1}||_2 and
+    singular values of C = B^{-1}A; and ``binv_norm`` = ||B^{-1}||_2 and
     ``kappa_B`` = ||B||_2 ||B^{-1}||_2 from one values-only eigensolve of
     L L^T, which is B under the ordering.  ``range_error(Q)`` is
-    ``range_error_exact(A, B, Q)`` on the same factor without forming A^
-    again, and equals it bitwise.
+    ``range_error_exact(A, B, Q)`` on the same factor and A^, bitwise.
     """
 
     lambdas: np.ndarray
-    A: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)  # lower-triangular, B[order][:, order] = L L^T
     order: Optional[np.ndarray] = field(repr=False)
-    Ahat: np.ndarray = field(repr=False)
-    # dsytrd's lower-storage reduction Q^T A^ Q = T: (diagonal, off-diagonal,
-    # the Householder vectors of Q as rows 1..n-1 of the reduced array, their
-    # scalars, every eigenvalue of T ascending)
+    # dsytrd's lower-storage reduction Q^T A^ Q = T in A^'s F-ordered array: Q's Householder
+    # vectors below the subdiagonal, A^'s diagonal and strict upper triangle above it; and
+    # (T's diagonal and off-diagonal, the reflectors' scalars, every eigenvalue of T ascending)
+    _reduced: np.ndarray = field(repr=False)
     _tri: tuple = field(repr=False)
     _vectors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def _ahat(self) -> np.ndarray:
+        """A^, rebuilt bitwise from the reduced array into a new F-ordered one."""
+        Ahat = self._reduced.copy(order="F")
+        _mirror_lower(Ahat.T)  # the strict upper triangle, mirrored down
+        return Ahat
 
     def top_eigenvectors(self, m: int) -> np.ndarray:
         """The B-orthonormal eigenvectors of the m largest eigenvalues, an n-by-m block.
@@ -115,9 +118,10 @@ class SpectrumReference:
         if m == 0:
             return np.empty((n, 0))
         if self._vectors is None or self._vectors.shape[1] < m:
-            d, e, reflectors, tau, values = self._tri
+            d, e, tau, values = self._tri
             Z = _top_tridiagonal_vectors(d, e, values, m)
             if n > 1:
+                reflectors = np.asfortranarray(self._reduced[1:, : n - 1])
                 lwork = lapack.dormqr("L", "N", reflectors, tau, Z[1:], lwork=-1)[1][0]
                 Z[1:] = lapack.dormqr("L", "N", reflectors, tau, Z[1:], lwork=max(1, int(lwork)))[0]
             X = dtrsm(1.0, self.L, Z, lower=1, trans_a=1, overwrite_b=1)
@@ -134,7 +138,7 @@ class SpectrumReference:
 
     def range_error(self, Q: np.ndarray) -> float:
         """Exact f = ||(I - Q Q^T B) C||_B; see ``range_error_exact``."""
-        return _range_error(self.Ahat, self.L, self.order, _basis(Q, self.L.shape[0]))
+        return _range_error(self._ahat(), self.L, self.order, _basis(Q, self.L.shape[0]))
 
     def rel_eigenvalue_error(self, approx: np.ndarray) -> float:
         """sum|lam_i - approx_i| / sum|lam_i| over the top ``approx.size`` eigenvalues."""
@@ -143,9 +147,9 @@ class SpectrumReference:
 
     @cached_property
     def sigmas_B(self) -> np.ndarray:
-        PA = self.A if self.order is None else self.A[self.order]
-        return scipy.linalg.svdvals(dtrsm(1.0, self.L, PA, lower=1), overwrite_a=True,
-                                    check_finite=False)
+        """sigma(F^{-1}A) = sigma(B^{1/2} C), as sigma(A^ L^T): A^ L^T = L^{-1} P A P^T."""
+        AhatLt = dtrmm(1.0, self.L, self._ahat(), side=1, lower=1, trans_a=1, overwrite_b=1)
+        return scipy.linalg.svdvals(AhatLt, overwrite_a=True, check_finite=False)
 
     @cached_property
     def _b_extreme_eigenvalues(self) -> tuple[float, float]:
@@ -196,13 +200,20 @@ def _dense_pencil(A: np.ndarray, B: SpdOperator, name: str = "A") -> tuple:
     return (A, *factor)
 
 
-def _solve_right_lt(X: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """X L^{-T} for lower-triangular L (X is overwritten when it is F-ordered)."""
-    return dtrsm(1.0, L, X, side=1, lower=1, trans_a=1, overwrite_b=1)
-
-
-#: Rows of the upper triangle that ``_congruent`` mirrors per block.
+#: Rows that ``_mirror_lower`` mirrors per block.
 _MIRROR_BLOCK = 128
+
+
+def _mirror_lower(X: np.ndarray) -> None:
+    """Mirror X's strict lower triangle onto its upper one in place, by blocks
+    of rows, with no n-by-n temporary (on X.T: the upper triangle down)."""
+    n = X.shape[0]
+    for r0 in range(0, n, _MIRROR_BLOCK):
+        r1 = min(r0 + _MIRROR_BLOCK, n)
+        diag = X[r0:r1, r0:r1]
+        upper = np.triu_indices(r1 - r0, 1)
+        diag[upper] = diag.T[upper]
+        X[r0:r1, r1:] = X[r1:, r0:r1].T
 
 
 def _congruent(A: np.ndarray, L: np.ndarray, order: Optional[np.ndarray]) -> np.ndarray:
@@ -211,8 +222,8 @@ def _congruent(A: np.ndarray, L: np.ndarray, order: Optional[np.ndarray]) -> np.
     LAPACK's dsygst (itype 1) forms the lower triangle of A^ from the lower
     triangles of P A P^T and L on one F-ordered copy of P A P^T, in n^3 flops
     against the 2n^3 of two triangular solves.  The upper triangle is then
-    mirrored from the lower one in place, one block of rows at a time, so A^
-    is exactly symmetric and no n-by-n temporary is made.
+    mirrored from the lower one in place (``_mirror_lower``), so A^ is
+    exactly symmetric.
     """
     if order is None:
         PA = np.array(A, order="F")
@@ -220,13 +231,7 @@ def _congruent(A: np.ndarray, L: np.ndarray, order: Optional[np.ndarray]) -> np.
         PA = A[np.ix_(order, order)].T
     # info reports only an illegal argument
     Ahat = lapack.dsygst(PA, L, itype=1, lower=1, overwrite_a=1)[0]
-    n = Ahat.shape[0]
-    for r0 in range(0, n, _MIRROR_BLOCK):
-        r1 = min(r0 + _MIRROR_BLOCK, n)
-        diag = Ahat[r0:r1, r0:r1]
-        upper = np.triu_indices(r1 - r0, 1)
-        diag[upper] = diag.T[upper]
-        Ahat[r0:r1, r1:] = Ahat[r1:, r0:r1].T
+    _mirror_lower(Ahat)
     return Ahat
 
 
@@ -239,16 +244,15 @@ def _basis(Q: np.ndarray, n: int) -> np.ndarray:
 
 
 def _range_error(Ahat: np.ndarray, L: np.ndarray, order: Optional[np.ndarray], Q: np.ndarray) -> float:
-    """||(I - W W^T) A^||_2 with W = F^T Q = L^T Q[order]; A^ is left untouched.
+    """||(I - W W^T) A^||_2 with W = F^T Q = L^T Q[order]; the F-ordered A^ is overwritten.
 
-    The residual is formed in one pass: one dgemm (beta = 1) updates an
-    F-ordered copy of A^ in place, and ``_norm2`` then overwrites it.
+    The residual is formed in A^'s storage: one dgemm (beta = 1) updates A^
+    in place by W (W^T A^), and ``_norm2`` then overwrites it.
     """
-    M = Ahat.copy(order="F")
     if Q.shape[1]:
         W = dtrmm(1.0, L, Q if order is None else Q[order], lower=1, trans_a=1)
-        M = dgemm(-1.0, W, dgemm(1.0, W, Ahat, trans_a=1), beta=1.0, c=M, overwrite_c=1)
-    return _norm2(M)
+        Ahat = dgemm(-1.0, W, dgemm(1.0, W, Ahat, trans_a=1), beta=1.0, c=Ahat, overwrite_c=1)
+    return _norm2(Ahat)
 
 
 #: Lanczos steps that ``_norm2`` takes before it falls back to a full eigensolve.
@@ -367,7 +371,8 @@ def b_norm(M: np.ndarray, B: SpdOperator) -> float:
     """
     M, L, order = _dense_pencil(M, B, "M")
     PM = M if order is None else M[np.ix_(order, order)]
-    return _norm2(_solve_right_lt(dtrmm(1.0, L, PM, lower=1, trans_a=1), L))
+    LtM = dtrmm(1.0, L, PM, lower=1, trans_a=1)
+    return _norm2(dtrsm(1.0, L, LtM, side=1, lower=1, trans_a=1, overwrite_b=1))  # L^T M L^{-T}
 
 
 def dense_ghep_oracle(A: np.ndarray, B: SpdOperator) -> SpectrumReference:
@@ -378,9 +383,10 @@ def dense_ghep_oracle(A: np.ndarray, B: SpdOperator) -> SpectrumReference:
     again.  For ``dense_spd`` L is its Cholesky factor; for ``sparse_spd``
     it is the LDL^T factor under its fill-reducing ordering, so no dense
     copy of B is made.  ConfigError when B holds no factor or A's shape is
-    not B's.  A^ = F^{-1} A F^{-T} is formed once and reduced
-    to tridiagonal T once (dsytrd on a copy; A^ is kept for the range
-    error).  All n eigenvalues, descending, come from T at O(n^2) cost.
+    not B's.  A^ = F^{-1} A F^{-T} is formed once and reduced to tridiagonal
+    T once, by dsytrd in A^'s own array, which keeps A^'s strict upper
+    triangle; A^'s diagonal is put back, and A is not kept.  All n
+    eigenvalues, descending, come from T at O(n^2) cost.
     Eigenvectors come back B-orthonormal from the same reduction and those
     eigenvalues, and only for the top m that a caller reads
     (``SpectrumReference.top_eigenvectors``).  The generalized singular
@@ -390,12 +396,12 @@ def dense_ghep_oracle(A: np.ndarray, B: SpdOperator) -> SpectrumReference:
     A, L, order = _dense_pencil(A, B, "A")
     check_symmetric(A)
     Ahat = _congruent(A, L, order)
-    n = Ahat.shape[0]
-    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    c, d, e, tau, _ = lapack.dsytrd(np.array(Ahat, order="F"), lower=1, lwork=lwork, overwrite_a=1)
+    diagonal = Ahat.diagonal().copy()
+    lwork = int(lapack.dsytrd_lwork(Ahat.shape[0], lower=1)[0])
+    reduced, d, e, tau, _ = lapack.dsytrd(Ahat, lower=1, lwork=lwork, overwrite_a=1)
+    np.fill_diagonal(reduced, diagonal)  # over T's, which d holds; dormqr does not read it
     lam = scipy.linalg.eigvalsh_tridiagonal(d, e, check_finite=False)
-    return SpectrumReference(lambdas=lam[::-1], A=A, L=L, order=order, Ahat=Ahat,
-                             _tri=(d, e, np.asfortranarray(c[1:, : n - 1]), tau, lam))
+    return SpectrumReference(lambdas=lam[::-1], L=L, order=order, _reduced=reduced, _tri=(d, e, tau, lam))
 
 
 def _top_tridiagonal_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
@@ -444,8 +450,8 @@ def range_error_exact(A: np.ndarray, B: SpdOperator, Q: np.ndarray) -> float:
     for ``dense_ghep_oracle``), A^ = F^{-1} A F^{-T} and W = F^T Q (one
     dtrmm), the matrix F^T (I - Q Q^T B) C F^{-T} equals (I - W W^T) A^, so
     f is its exact 2-norm, taken by ``_norm2``.  Q need not be
-    B-orthonormal.  ``SpectrumReference.range_error`` reuses the factor and
-    A^ of one ``dense_ghep_oracle`` and returns the same bits.
+    B-orthonormal; the residual overwrites A^.  ``SpectrumReference.range_error``
+    rebuilds A^ from one ``dense_ghep_oracle`` and returns the same bits.
     """
     A, L, order = _dense_pencil(A, B, "A")
     Q = _basis(Q, A.shape[0])

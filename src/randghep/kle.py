@@ -78,18 +78,23 @@ def matern_kernel(cfg: MaternConfig, x, y):
     nu = 5/2:  (1 + sqrt(5) d + (5/3) d^2) exp(-sqrt(5) d)
 
     Each is at most 1; at tiny nonzero d the product rounds up to 1 + eps,
-    so the result is clipped at 1.
+    so the result is clipped at 1.  It runs in place, in the formulas' order.
     """
-    d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / cfg.ell
+    d = np.asarray(np.subtract(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    d = np.divide(np.abs(d, out=d), cfg.ell, out=d)
     if cfg.nu == 0.5:
-        out = np.exp(-d)
-    elif cfg.nu == 1.5:
-        s = math.sqrt(3.0) * d
-        out = (1.0 + s) * np.exp(-s)
-    else:
-        s = math.sqrt(5.0) * d
-        out = (1.0 + s + (5.0 / 3.0) * d * d) * np.exp(-s)
-    out = np.minimum(out, 1.0)
+        out = np.exp(np.negative(d, out=d), out=d)
+    else:  # each out= keeps a 0-d d's results arrays, for the in-place steps
+        out = np.multiply(math.sqrt(3.0 if cfg.nu == 1.5 else 5.0), d, out=np.empty_like(d))  # s
+        if cfg.nu == 2.5:
+            quad = np.multiply(5.0 / 3.0, d, out=np.empty_like(d))
+            quad *= d
+        decay = np.exp(np.negative(out, out=d), out=d)  # d is not read again
+        out += 1.0
+        if cfg.nu == 2.5:
+            out += quad
+        out *= decay
+    np.minimum(out, 1.0, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -97,12 +102,12 @@ def assemble_covariance(grid: Grid1D, cfg: MaternConfig) -> np.ndarray:
     """Nodal covariance matrix Gamma_ij = kappa(x_i, x_j); symmetric, unit diagonal.
 
     Dense oracle helper; the solvers apply Gamma through ``covariance_apply``.
+    The kernel's values are exactly symmetric, as |x_i - x_j| = |x_j - x_i|.
     """
     if grid.n > 4000:
         raise ConfigError("dense harness caps the grid at 4000 nodes")
     x = grid.nodes()
     G = matern_kernel(cfg, x[:, None], x[None, :])
-    G = (G + G.T) / 2.0
     np.fill_diagonal(G, 1.0)
     return G
 
@@ -125,16 +130,16 @@ def _panel_width(rows: int) -> int:
     return max(PANEL_MIN_COLS, PANEL_BYTES // (8 * rows))
 
 
-def _by_panels(fn: Callable, X: np.ndarray, width: int) -> np.ndarray:
+def _by_panels(fn: Callable, X: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """A square operator's kernel ``fn(X, out)``, which writes its product
     of X into ``out``, run on one panel of at most ``width`` columns at a time.
 
-    The panels are written into one output shaped and ordered like X, so a
-    block that fits one panel costs what one kernel call costs.  The kernels
-    here transform each column on its own, so the result is bitwise the
-    whole-block result, whatever the width.
+    The panels are written into ``out``, by default a new array shaped and
+    ordered like X, so a block that fits one panel costs what one kernel
+    call costs.  The kernels here transform each column on its own, so the
+    result is bitwise the whole-block result, whatever the width.
     """
-    out = np.empty_like(X)
+    out = np.empty_like(X) if out is None else out
     for j in range(0, X.shape[1], width):
         fn(X[:, j : j + width], out[:, j : j + width])
     return out
@@ -170,7 +175,7 @@ class MassOperator(SpdOperator):
     with no per-row BLAS calls.  The Cholesky factor U = D^{1/2} L^T
     (B = U^T U, upper bidiagonal) is built from the same (d, e) in LAPACK's
     upper band storage: the whitening is U^{-1} X, and ``dense_factor()`` is
-    (U^T densified, None), so the dense oracles factor no dense copy of B.
+    (U^T densified F-ordered, None): the oracles copy and factor no B.
     B is strictly diagonally dominant, so the factorization cannot fail.
     The apply runs the stencil (``_stencil``, which allocates an output and
     one temporary the size of its operand) over column panels of
@@ -198,8 +203,8 @@ class MassOperator(SpdOperator):
 
         def factor_lt() -> tuple[np.ndarray, None]:
             # L = U^T, filled in place: U's diagonal is row 1 of the banded storage, its superdiagonal row 0
-            L = np.diag(ub[1])
-            L[np.arange(1, n), np.arange(n - 1)] = ub[0, 1:]
+            L, rows = np.zeros((n, n), order="F"), np.arange(n)
+            L[rows, rows], L[rows[1:], rows[:-1]] = ub[1], ub[0, 1:]
             return L, None
 
         width = _panel_width(n)
@@ -276,7 +281,7 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
     an N x (k+p) block: 16 columns at N = 8000, 4 (``PANEL_MIN_COLS``) at
     n = 10^6.  A block of at most that many columns (a growth round, a
     certificate column) is one panel.  The output is bitwise the whole-block
-    product.
+    product.  ``dense_a`` = M (M Gamma)^T by panels into Gamma's storage.
     """
     gamma = covariance_apply(grid, cfg)
     mass = MassOperator(grid)
@@ -291,7 +296,8 @@ def kle_pencil(grid: Grid1D, cfg: MaternConfig) -> GhepPencil:
 
     def dense_a() -> np.ndarray:
         _check_oracle_size(grid)
-        return stencil(stencil(assemble_covariance(grid, cfg)).T)
+        G, width = assemble_covariance(grid, cfg), _panel_width(grid.n)
+        return _by_panels(stencil, _by_panels(stencil, G, width).T, width, out=G.T)
 
     A = LinearMap(grid.n, grid.n, apply_a, apply_a)
     return GhepPencil(A=A, B=mass, build_dense_a=dense_a)

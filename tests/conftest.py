@@ -1,5 +1,6 @@
 """Shared fixtures: KLE pencils, dense oracles, exact-rank pencil builders,
-and a writer of file pencils in the benchmark's storage.
+a writer of file pencils in the benchmark's storage, and a tracemalloc
+probe of what a block of code allocates.
 
 The suite runs with one BLAS thread unless the caller sets
 ``RANDGHEP_THREADS`` (or a BLAS thread variable) itself: ``randghep`` is
@@ -9,7 +10,10 @@ are small, and extra BLAS threads only make them slower.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 os.environ.setdefault("RANDGHEP_THREADS", "1")
 
@@ -20,6 +24,23 @@ import scipy.io  # noqa: E402
 import scipy.sparse  # noqa: E402
 
 from randghep import errors, kle, save_matrix_market  # noqa: E402
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """tracemalloc over a ``with`` block.  On exit the yielded namespace has
+    ``held``, the bytes the block allocated and still holds, and ``peak``, the
+    most it held at once, both counted from the block's start.  Memory
+    allocated before the block is not traced, so freeing it counts nothing."""
+    usage = SimpleNamespace(held=0, peak=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        yield usage
+        now, peak = tracemalloc.get_traced_memory()
+        usage.held, usage.peak = now - before, peak - before
+    finally:
+        tracemalloc.stop()
 
 
 def make_kle_pencil(nu: float, ell: float = 2.0, n: int = 201):

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,8 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from conftest import kle_rel_error, make_kle_mass, make_kle_pencil, random_spd, write_coordinate_pencil
+from conftest import (kle_rel_error, make_kle_mass, make_kle_pencil, random_spd, traced_memory,
+                      write_coordinate_pencil)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -362,13 +362,8 @@ class TestSolve:
                                   nu=None, ell=None, n=None)
         rg.save_matrix_market(args.A, Ad)
         rg.save_matrix_market(args.B, Bd)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as usage:
             pencil, config = _pencil(args)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
         assert isinstance(pencil, rg.GhepPencil)
         assert config == {"A": args.A, "B": args.B}
         # the oracle's A is the one the operator froze when it wrapped it; the
@@ -377,7 +372,7 @@ class TestSolve:
         np.testing.assert_array_equal(pencil.dense_a, Ad)
         L, order = pencil.B.dense_factor()
         assert order is None and pencil.B.dense_factor()[0] is L
-        assert held < 3.5 * Ad.nbytes  # A, B and the Cholesky factor of B
+        assert usage.held < 3.5 * Ad.nbytes  # A, B and the Cholesky factor of B
 
     def test_load_pencil_keeps_coordinate_b_sparse(self, tmp_path):
         n = 200
@@ -386,16 +381,11 @@ class TestSolve:
         Bd = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
         args = argparse.Namespace(**dict(zip("AB", write_coordinate_pencil(tmp_path, (G + G.T) / 2.0, Bd))),
                                   nu=None, ell=None, n=None)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as usage:
             pencil, _ = _pencil(args)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
         # A and the sparse B with its factors: no second n-by-n array, and no
         # dense B (the oracles read B's factor instead, densified when they read it)
-        assert held < 1.5 * G.nbytes
+        assert usage.held < 1.5 * G.nbytes
         assert pencil.B.has_whitening
         assert pencil.B.dense_factor()[1] is not None
 

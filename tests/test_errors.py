@@ -15,7 +15,7 @@ from randghep import errors, kle
 from randghep.operators import ConfigError, NotPositiveDefiniteError, NumericalError
 from randghep.sketch import SketchConfig, range_finder_b
 
-from conftest import make_kle_mass, make_kle_pencil, random_spd
+from conftest import make_kle_mass, make_kle_pencil, random_spd, traced_memory
 
 
 class TestDenseGhepOracle:
@@ -60,15 +60,16 @@ class TestDenseGhepOracle:
         assert np.max(np.abs(ref.lambdas - expected)) <= 1e-14 * abs(expected[0])
 
     def test_sparse_mass_pencil(self):
-        # n = 144 spans two of _congruent's mirror blocks; dsygst's A^ is
-        # mirrored into an exactly symmetric array
+        # n = 144 spans two of _mirror_lower's blocks; dsygst's A^ is mirrored
+        # into an exactly symmetric array, and so is A^ rebuilt from the reduction
         Ad, Bs = jittered_matern_pencil_2d(12, seed=3)
         Bd = Bs.toarray()
         ref = errors.dense_ghep_oracle(Ad, rg.dense_spd(Bd))
         expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1]
         assert np.max(np.abs(ref.lambdas - expected)) <= 1e-14 * abs(expected[0])
-        assert ref.Ahat.flags.f_contiguous
-        np.testing.assert_array_equal(ref.Ahat, ref.Ahat.T)
+        Ahat = ref._ahat()
+        assert Ahat.flags.f_contiguous
+        np.testing.assert_array_equal(Ahat, Ahat.T)
 
     def test_sigma_b_dominated_by_scaled_singular_values(self):
         rng = np.random.default_rng(9)
@@ -534,20 +535,72 @@ class TestCachedRangeError:
             assert via_sparse == pytest.approx(np.linalg.norm(Bh @ X @ Bih, 2), rel=1e-13)
 
     def test_ahat_is_cached_and_left_untouched(self):
-        # A^ is built on construction; reading eigenvectors and range errors leaves it as it was
+        # A^ is reduced on construction, in its own storage; reading eigenvectors
+        # and range errors leaves the reduction, and so the rebuilt A^, as it was
         pencil = make_kle_pencil(1.5, n=41)
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
-        Ahat = vars(ref)["Ahat"]
+        reduced = vars(ref)["_reduced"]
+        Ahat = ref._ahat()
         L = ref.L
         np.testing.assert_allclose(L @ Ahat @ L.T, pencil.dense_a, rtol=0, atol=1e-12 * ref.lambdas[0])
-        before = Ahat.copy()
+        before = reduced.copy()
         Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=5, p=2, seed=1)).basis.Q
         ref.top_eigenvectors(3)
         ref.eigenvectors
         ref.range_error(Q)
         ref.range_error(Q[:, :0])
-        assert ref.Ahat is Ahat
-        np.testing.assert_array_equal(Ahat, before)
+        ref.sigmas_B
+        assert ref._reduced is reduced
+        np.testing.assert_array_equal(reduced, before)
+        np.testing.assert_array_equal(ref._ahat(), Ahat)
+
+
+def _coordinate_b_pencil(n: int = 500):
+    """(A, B): a random symmetric dense A and a sparse_spd tridiagonal B, whose
+    dense factor comes under a fill-reducing ordering."""
+    G = np.random.default_rng(5).standard_normal((n, n))
+    Bs = scipy.sparse.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1])
+    return (G + G.T) / 2.0, rg.sparse_spd(Bs)
+
+
+class TestOracleMemory:
+    """n-by-n arrays the dense oracles hold, counted by tracemalloc in units of A's size."""
+
+    def test_reference_holds_one_reduction(self):
+        # beyond A and L the reference keeps the reduction and the eigenvector
+        # block; at the range error's Gram it holds L, the reduction, the
+        # residual and its Gram, plus the sketch-wide blocks and Lanczos vectors
+        Ad, B = _coordinate_b_pencil()
+        n, k = Ad.shape[0], 20
+        Q = range_finder_b(rg.dense_operator(Ad.copy()), B, SketchConfig(k=k, p=0, seed=1)).basis.Q
+        with traced_memory() as usage:
+            ref = errors.dense_ghep_oracle(Ad, B)
+            ref.range_error(Q)
+            ref.top_eigenvectors(k)
+        assert ref.order is not None
+        assert usage.held <= ref.L.nbytes + 2 * Ad.nbytes
+        assert usage.peak <= 4 * Ad.nbytes + (errors._NORM_STEPS + 3 * k) * n * 8
+
+    def test_range_error_exact_builds_the_residual_in_place(self):
+        # beyond A and L: A^, overwritten by the residual, and its Gram
+        Ad, B = _coordinate_b_pencil()
+        Q = range_finder_b(rg.dense_operator(Ad.copy()), B, SketchConfig(k=20, p=0, seed=1)).basis.Q
+        with traced_memory() as usage:
+            errors.range_error_exact(Ad, B, Q)
+        assert usage.peak <= B.dense_factor()[0].nbytes + 3 * Ad.nbytes
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_rebuilt_ahat_equals_congruent(self, backend):
+        # A^ rebuilt from the reduction is _congruent's A^, bit for bit, and
+        # two range errors on one reference give the same bits
+        Ad, Bs = jittered_matern_pencil_2d(12, seed=3)
+        B = rg.sparse_spd(Bs) if backend == "sparse" else rg.dense_spd(Bs.toarray())
+        ref = errors.dense_ghep_oracle(Ad, B)
+        Ahat = ref._ahat()
+        np.testing.assert_array_equal(Ahat, errors._congruent(Ad, ref.L, ref.order))
+        np.testing.assert_array_equal(Ahat, Ahat.T)
+        Q = range_finder_b(rg.dense_operator(Ad.copy()), B, SketchConfig(k=8, p=4, seed=2)).basis.Q
+        assert ref.range_error(Q) == ref.range_error(Q)
 
 
 def _sigma1_30_digits(M):
@@ -572,8 +625,8 @@ class TestNorm2:
         pencil = make_kle_pencil(2.5)
         ref = kle_oracle(2.5)
         Q = range_finder_b(pencil.A, pencil.B, SketchConfig(k=100, p=5, seed=0)).basis.Q
-        W = ref.L.T @ Q
-        G = ref.Ahat - W @ (W.T @ ref.Ahat)  # f = ||G||_2
+        W, Ahat = ref.L.T @ Q, ref._ahat()
+        G = Ahat - W @ (W.T @ Ahat)  # f = ||G||_2
         assert scipy.linalg.svdvals(G)[0] <= 1e-8 * ref.lambdas[0]
         return G
 

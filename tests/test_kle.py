@@ -2,7 +2,6 @@
 
 import gc
 import math
-import tracemalloc
 import weakref
 
 import mpmath
@@ -17,7 +16,7 @@ from randghep import borth, errors, ghep, kle
 from randghep.operators import ConfigError
 from randghep.sketch import SketchConfig
 
-from conftest import kle_rel_error, make_kle_pencil, rel_eig_error
+from conftest import kle_rel_error, make_kle_pencil, rel_eig_error, traced_memory
 
 
 class TestMaternKernel:
@@ -70,7 +69,8 @@ class TestAssembly:
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
     def test_covariance_psd(self, nu):
         G = kle.assemble_covariance(kle.Grid1D(n=201), kle.MaternConfig(nu, 2.0))
-        assert np.abs(G - G.T).max() <= 1e-15
+        # exactly: |x_i - x_j| = |x_j - x_i| in floating point, so no symmetrizing is needed
+        np.testing.assert_array_equal(G, G.T)
         assert np.linalg.eigvalsh(G)[0] >= -1e-10
 
     def test_mass_two_nodes(self):
@@ -136,6 +136,10 @@ class TestAssembly:
         X = np.random.default_rng(5).standard_normal((63, 4))
         np.testing.assert_allclose(L.T @ op.whiten(X), X, rtol=1e-13, atol=1e-13)
         assert op.matvec_count == 0 and op.solve_count == 0
+
+    def test_dense_factor_is_f_ordered(self):
+        # LAPACK (dsygst, dtrmm, dtrsm) reads an F-ordered L without copying it
+        assert kle.MassOperator(kle.Grid1D(n=63)).dense_factor()[0].flags.f_contiguous
 
     def test_one_tridiagonal_factor_at_n_4000(self):
         # dpttrf's B = L D L^T solves B to roundoff, and U = D^{1/2} L^T,
@@ -252,15 +256,10 @@ class TestSolveMemory:
     def test_peak_is_a_few_blocks(self, method):
         n, k, p = 20000, 35, 5
         grid, cfg = kle.Grid1D(n=n), kle.MaternConfig(1.5, 0.5)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as usage:
             pencil = kle.kle_pencil(grid, cfg)
             ghep.solver_method(method)(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=3))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= PEAK_BLOCKS * n * (k + p) * 8
+        assert usage.peak <= PEAK_BLOCKS * n * (k + p) * 8
 
 
 class TestLazyDenseCopies:
@@ -273,6 +272,19 @@ class TestLazyDenseCopies:
         assert np.linalg.norm(pencil.dense_a - ref) <= 1e-13 * np.linalg.norm(ref)
         np.testing.assert_array_equal(pencil.B.apply(np.eye(301)), M)
         assert pencil.dense_a is pencil.dense_a
+
+    @pytest.mark.parametrize("nu", kle.MATERN_NUS)
+    def test_dense_a_peak(self, nu):
+        # the kernel runs in place, and the two stencils run by panels, the
+        # second into Gamma's storage: n-by-n arrays held at once, plus panels
+        grid, cfg = kle.Grid1D(n=1000), kle.MaternConfig(nu, 0.5)
+        pencil = kle.kle_pencil(grid, cfg)
+        with traced_memory() as usage:
+            A = pencil.dense_a
+        assert usage.peak <= (3 if nu == 2.5 else 2) * A.nbytes + 2 * kle.PANEL_BYTES
+        stencil = pencil.B._stencil
+        np.testing.assert_array_equal(A, stencil(stencil(kle.assemble_covariance(grid, cfg)).T))
+        assert A.flags.f_contiguous
 
     def test_solve_without_oracle_assembles_nothing_dense(self, monkeypatch):
         def boom(*args, **kwargs):

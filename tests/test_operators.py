@@ -1,7 +1,6 @@
 """Operator contracts, dense and sparse backends, Matrix Market interchange."""
 
 import concurrent.futures
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from randghep.operators import (
     check_symmetric,
     read_matrix_market,
 )
+
+from conftest import traced_memory
 
 
 class TestMatrixMarket:
@@ -277,14 +278,9 @@ class TestSparseSpd:
 
 def _held_bytes(wrap, M):
     """(operator, bytes that wrapping M allocated and the operator still holds)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as usage:
         op = wrap(M)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    return op, held
+    return op, usage.held
 
 
 def _nxn_symmetry_verdict(M, tol=1e-13):
@@ -299,13 +295,9 @@ class TestCheckSymmetric:
     def test_peak_memory_is_a_block(self):
         G = np.random.default_rng(4).standard_normal((1024, 1024))
         M = G + G.T
-        tracemalloc.start()
-        try:
+        with traced_memory() as usage:
             check_symmetric(M)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.25 * M.nbytes
+        assert usage.peak <= 0.25 * M.nbytes
 
     @pytest.mark.parametrize("n", [1, 2, 65, 257, 1024])
     @pytest.mark.parametrize("size", [0.0, 5e-14, 2e-13])
