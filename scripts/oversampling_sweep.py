@@ -10,15 +10,8 @@ import sys
 
 import numpy as np
 
-import randghep as rg
-from randghep import errors, kle
+from randghep import errors, ghep, kle
 from randghep.sketch import SketchConfig
-
-SOLVERS = {
-    "two_pass": rg.ghep_two_pass,
-    "single_pass": rg.ghep_single_pass,
-    "nystrom": rg.ghep_nystrom,
-}
 
 
 def main() -> int:
@@ -38,12 +31,12 @@ def main() -> int:
         ref = errors.dense_ghep_oracle(pencil.dense_a, pencil.B)
         for k in args.ks:
             for p in args.ps:
-                for name, solver in SOLVERS.items():
+                for method in ghep.METHOD_CHOICES:
                     errs = []
                     for seed in range(args.seeds):
-                        sol = solver(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=seed))
+                        sol = ghep.solver_method(method)(pencil.A, pencil.B, SketchConfig(k=k, p=p, seed=seed))
                         errs.append(ref.rel_eigenvalue_error(sol.eigenvalues))
-                    lines.append(f"{nu:g},{name},{k},{p},{np.mean(errs):.6e}")
+                    lines.append(f"{nu:g},{sol.method},{k},{p},{np.mean(errs):.6e}")
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -74,7 +74,6 @@ from .sketch import (
     SketchConfig,
     derive_seed,
     gaussian_matrix,
-    randomized_evd,
     randomized_svd,
     range_finder_b,
 )

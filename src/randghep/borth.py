@@ -8,7 +8,9 @@ n-row array, and it touches W only through one block apply per call.  A
 growing basis keeps its columns in a store with spare capacity, so an
 append writes only the new block.  Its rank rule is
 block-relative: a column is dependent when its sketched R_jj falls to
-RANK_TOL eps of the block's largest column.  Plain modified
+RANK_TOL eps of the block's largest column, a norm read without overflow or
+underflow (``_largest_column_norm``), so the rule does not move when the
+block is scaled by a power of two.  Plain modified
 Gram-Schmidt (``mgs_w``), MGS with Rutishauser-style re-orthogonalization
 (``mgs_w_reorth``) and plain CholQR (``chol_qr_w``) are reference
 algorithms for the QR-quality comparison (``randghep qr-bench``); MGS-R
@@ -35,6 +37,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dtrsm
 from .operators import ConfigError, IllConditionedError, NumericalError, SpdOperator
 
 EPS = np.finfo(float).eps  # unit roundoff of double precision, ~2.22e-16
+_TINY = np.finfo(float).tiny  # the smallest normal double, ~2.23e-308
 
 MAX_REORTH_SWEEPS = 5
 
@@ -366,6 +369,20 @@ def _sketch(X: np.ndarray) -> np.ndarray:
     return X if 2 * m >= n or m == 0 else sparse_sign_embedding(n, 2 * m) @ X
 
 
+def _largest_column_norm(Y: np.ndarray) -> float:
+    """max_j ||y_j||_2 (0 for an empty Y).  When the largest column sum of
+    squares is not a normal number (column norms above ~1e154 or below
+    ~1e-154), it is taken again on Y scaled by the power of two just above
+    max |y_ij|, as ``errors._norm2`` scales: exact, and no extra pass in the
+    normal range."""
+    sq = np.einsum("ij,ij->j", Y, Y).max(initial=0.0)
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    e = math.frexp(max(Y.max(initial=0.0), -Y.min(initial=0.0)))[1]
+    Ys = np.ldexp(Y, -e)
+    return math.ldexp(math.sqrt(np.einsum("ij,ij->j", Ys, Ys).max(initial=0.0)), e)
+
+
 def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = None,
                   overwrite_y: bool = False) -> BOrthoBasis:
     """Sketch-preconditioned CholQR2: the block weighted QR used by every solver.
@@ -400,7 +417,8 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
     a per-column rule does not survive the embedding's distortion of each
     |R_jj|, while the block's scale moves by that distortion at most).  The
     scale is read off Y itself, not its sketch, so an append sketches only
-    the projected block.  Dependent columns are moved behind the kept ones and
+    the projected block, and ``_largest_column_norm`` reads it at any scale.
+    Dependent columns are moved behind the kept ones and
     the small QR is redone, so a dependent column never lends its roundoff
     direction to a later column; their Q/WQ columns are zeroed and
     R[j, j] = 0.
@@ -420,7 +438,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
             raise ConfigError(f"basis has {basis.Q.shape[0]} rows, Y has {n}")
         if r0 + m > n:
             raise ConfigError(f"more columns ({r0 + m}) than rows ({n})")
-    threshold = RANK_TOL * EPS * math.sqrt(np.einsum("ij,ij->j", Y, Y).max(initial=0.0))
+    threshold = RANK_TOL * EPS * _largest_column_norm(Y)
     Z = _work_array(Y, "F", overwrite_y)
     if basis is not None:
         Z, coef = _project_out(Z, basis)
@@ -471,7 +489,10 @@ def qr_metrics(Y: np.ndarray, basis: BOrthoBasis, W: SpdOperator) -> tuple[float
 
     Returns (||QR - Y||, ||Q^T W Q - I||, ||Q^T W Y - R||, ||Y R^{-1} - Q||).
     W is re-applied fresh so the check is independent of the cached WQ.  The
-    fourth metric is +inf when R is exactly singular.
+    second metric is taken over the kept columns (``rank_flags``), the basis
+    that ``compact()`` hands on, so a dropped column's zeros do not read as
+    lost orthogonality.  The fourth metric is +inf when R is exactly
+    singular, as it is after a dropped column.
     """
     Y = np.asarray(Y, dtype=float)
     Q, R = basis.Q, basis.R
@@ -479,9 +500,10 @@ def qr_metrics(Y: np.ndarray, basis: BOrthoBasis, W: SpdOperator) -> tuple[float
         raise ConfigError("basis shapes do not match Y")
     WQ = W.apply(Q)
     WY = W.apply(Y)
-    r = Y.shape[1]
+    kept = basis.rank_flags
+    Qk, WQk = (Q, WQ) if kept.all() else (Q[:, kept], WQ[:, kept])
     m1 = np.linalg.norm(Q @ R - Y, 2)
-    m2 = np.linalg.norm(Q.T @ WQ - np.eye(r), 2)
+    m2 = np.linalg.norm(Qk.T @ WQk - np.eye(Qk.shape[1]), 2)
     m3 = np.linalg.norm(Q.T @ WY - R, 2)
     if np.any(np.diag(R) == 0.0):
         m4 = np.inf

@@ -268,8 +268,8 @@ def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:
 
 
 def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
-    from . import operators
-    from .sketch import SketchConfig, randomized_evd, randomized_svd
+    from . import ghep, operators
+    from .sketch import SketchConfig, _identity, randomized_svd
 
     A = operators.dense_operator(operators.load_matrix_market(args.A))
     cfg = SketchConfig(k=args.k, p=args.p, seed=seed)
@@ -279,8 +279,10 @@ def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
         _warn_if_short("singular values", sig.size, args.k, sig.size)
         report["singular_values"] = [float(s) for s in sig]
     else:
-        mode = "two_pass" if args.mode == "evd-two-pass" else "single_pass"
-        _, lam = randomized_evd(A, cfg, mode=mode)
+        # the EVD is the solver of that name on the pencil (A, I)
+        if A.dim_out != A.dim_in:
+            raise operators.ConfigError(f"--mode {args.mode} needs a square A, got {A.dim_out} x {A.dim_in}")
+        lam = ghep.solver_method(args.mode[len("evd-"):])(A, _identity(A.dim_in), cfg).eigenvalues
         _warn_if_short("eigenvalues", lam.size, args.k, lam.size)
         report["eigenvalues"] = [float(v) for v in lam]
     report["config"] = {"A": args.A, "k": args.k, "p": args.p, "mode": args.mode}

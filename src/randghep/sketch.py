@@ -1,5 +1,5 @@
-"""Seeded Gaussian test matrices, the B = I randomized SVD and EVD (the EVD
-is a GHEP solver on the pencil (A, I)), and the B-weighted range finder."""
+"""Seeded Gaussian test matrices, the B = I randomized SVD and the B-weighted
+range finder.  The B = I EVD is any GHEP solver on the pencil (A, I)."""
 
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ _QR_ALGORITHMS = {
 
 
 def _identity(n: int) -> SpdOperator:
-    """B = I as an SpdOperator, for the B = I SVD and EVD."""
+    """B = I as an SpdOperator: the SVD's weight, and the B of the EVD's pencil (A, I)."""
     return SpdOperator(n, lambda X: X, lambda X: X)
 
 
@@ -133,31 +133,6 @@ def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndar
     Ut, sig, Vt = np.linalg.svd(B_small, full_matrices=False)
     kk = min(cfg.k, sig.size)
     return Q @ Ut[:, :kk], sig[:kk], Vt[:kk].T
-
-
-def randomized_evd(
-    A: LinearMap, cfg: SketchConfig, mode: str = "two_pass"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-k randomized eigendecomposition of a symmetric A (B = I).
-
-    Runs ``ghep.ghep_two_pass`` or ``ghep.ghep_single_pass`` on the pencil
-    (A, I) and returns their (U, eigenvalues): the GHEP solvers reduce to the
-    B = I methods of Halko, Martinsson and Tropp when B = I.  Eigenvalues come
-    back sorted descending by value (an indefinite A's negative ones last),
-    one per kept basis column, so at most k.  A-applies: 6 for the solvers'
-    symmetry probe (an asymmetric A raises ConfigError), then 2(k+p) in
-    ``two_pass`` or k+p in ``single_pass``.
-    """
-    from . import ghep
-
-    n = A.dim_in
-    if A.dim_out != n:
-        raise ConfigError("randomized_evd needs a square operator")
-    if mode not in ("two_pass", "single_pass"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    solve = ghep.ghep_two_pass if mode == "two_pass" else ghep.ghep_single_pass
-    sol = solve(A, _identity(n), cfg)
-    return sol.U, sol.eigenvalues
 
 
 def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResult:

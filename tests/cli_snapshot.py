@@ -42,13 +42,15 @@ METHODS = ("two-pass", "single-pass", "nystrom")
 
 def write_inputs(directory: Path) -> None:
     """The KLE pencil (nu = 1.5, ell = 0.5, n = 400) as files, with B in
-    array and in symmetric coordinate storage; a 60 x 50 A with SPD weights
-    S (array) and T (coordinate) for ``gsvd``; a symmetric 80 x 80 matrix."""
+    array and in symmetric coordinate storage, and its A scaled by 2**512; a
+    60 x 50 A with SPD weights S (array) and T (coordinate) for ``gsvd``; a
+    symmetric 80 x 80 matrix."""
     directory.mkdir(parents=True)
     grid = kle.Grid1D(n=400)
     pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=1.5, ell=0.5))
     M = kle.assemble_mass_1d(grid)
     save_matrix_market(directory / "a.mtx", pencil.dense_a)
+    save_matrix_market(directory / "a_2p512.mtx", np.ldexp(pencil.dense_a, 512))
     save_matrix_market(directory / "b.mtx", M)
     scipy.io.mmwrite(directory / "b_coo.mtx", scipy.sparse.coo_matrix(M), symmetry="symmetric")
     rng = np.random.default_rng(11)
@@ -99,7 +101,14 @@ def commands() -> list[tuple[str, list[str]]]:
     for mode in ("svd", "evd-two-pass", "evd-single-pass"):
         cases.append((f"svd-{mode}", ["svd", "--A", "inputs/sym.mtx", "--k", "10", "--p", "5",
                                       "--mode", mode]))
+    cases.append(("svd-evd-two-pass-rectangular", ["svd", "--A", "inputs/gsvd_a.mtx", "--k", "10",
+                                                   "--mode", "evd-two-pass"]))
+    # a scale at which the sketch's column sums of squares overflow
+    cases.append(("solve-two-pass-a-2p512", ["solve", "--A", "inputs/a_2p512.mtx", "--B", "inputs/b.mtx",
+                                             "--k", "20", "--p", "10"]))
     cases.append(("qr-bench", ["qr-bench", "--n", "2000", "--cols", "100"]))
+    # PreCholQR drops columns of this sketch
+    cases.append(("qr-bench-nu2.5-cols160", ["qr-bench", "--nu", "2.5", "--cols", "160"]))
     # the KLE defaults of --ell and --n
     cases += [("qr-bench-defaults", ["qr-bench", "--nu", "1.5", "--cols", "20"]),
               ("kle-defaults", ["kle", "--nu", "0.5", "--k", "20", "--p", "5"])]

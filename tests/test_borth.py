@@ -11,9 +11,9 @@ import pytest
 import scipy.linalg
 
 import randghep as rg
-from randghep import borth
+from randghep import borth, ghep
 from randghep.operators import ConfigError, IllConditionedError, NumericalError
-from randghep.sketch import gaussian_matrix
+from randghep.sketch import SketchConfig, gaussian_matrix
 
 from conftest import exact_rank_pencil, make_kle_mass, make_kle_pencil
 
@@ -600,6 +600,37 @@ class TestSketchPreconditioning:
             assert np.linalg.norm(basis.Q.T @ Wd @ basis.Q - np.eye(m), 2) <= borth.EPS * kappa
 
 
+class TestRankRuleScale:
+    """The rank rule's scale, the largest column norm of Y, is read the
+    same when the column sums of squares overflow (Y ~ 2**800) or vanish
+    (Y ~ 2**-800), so scaling the pencil by a power of two moves nothing."""
+
+    @pytest.mark.parametrize("k", [500, -500, -800])
+    @pytest.mark.parametrize("scaled", ["A", "B"])
+    @pytest.mark.parametrize("method", ["two_pass", "single_pass", "nystrom"])
+    def test_flags_and_eigenvalues_under_power_of_two_scaling(self, method, scaled, k):
+        Ad, Bd, _ = exact_rank_pencil(50, [10.0, 5.0, 1.0], b_kappa=10, seed=1)
+        runs = []
+        for e in (0, k):
+            A = rg.dense_operator(np.ldexp(Ad, e if scaled == "A" else 0))
+            B = rg.dense_spd(np.ldexp(Bd, e if scaled == "B" else 0))
+            Y = B.apply_inverse(A.apply(gaussian_matrix(50, 7, 1000)))
+            sol = ghep.solver_method(method)(A, B, SketchConfig(k=3, p=4, seed=1000))
+            # the pencil's eigenvalues scale by 2**e (A) or 2**-e (B)
+            lam = np.ldexp(sol.eigenvalues, -e if scaled == "A" else e)
+            runs.append((rg.pre_chol_qr_w(Y, B).rank_flags, sol.diagnostics["effective_rank"], lam))
+        (flags, rank, lam), (flags_k, rank_k, lam_k) = runs
+        assert flags.sum() == rank == 3
+        assert np.array_equal(flags_k, flags) and rank_k == rank
+        np.testing.assert_allclose(lam_k, lam, rtol=1e-14)
+
+    @pytest.mark.parametrize("e", [-1060, -990, 0, 511, 1000])
+    def test_largest_column_norm(self, e):
+        Y = np.ldexp(np.array([[3.0, 0.0], [4.0, 1.0]]), e)
+        assert borth._largest_column_norm(Y) == math.ldexp(5.0, e)
+        assert borth._largest_column_norm(np.zeros((3, 2))) == 0.0
+
+
 class TestQrMetrics:
     def test_exact_inputs_give_zero(self):
         eye = np.eye(4)
@@ -611,6 +642,12 @@ class TestQrMetrics:
         R = np.diag([1.0, 0.0, 1.0])
         basis = borth.BOrthoBasis(eye, eye, R, np.array([True, False, True]))
         assert rg.qr_metrics(eye, basis, rg.dense_spd(eye))[3] == np.inf
+
+    def test_dropped_column_is_not_lost_orthogonality(self):
+        # the basis's column 1 is dropped: Q^T W Q - I is read over columns 0 and 2
+        D = np.diag([1.0, 0.0, 1.0])
+        basis = borth.BOrthoBasis(D, D, D, np.array([True, False, True]))
+        assert rg.qr_metrics(D, basis, rg.dense_spd(np.eye(3))) == (0.0, 0.0, 0.0, np.inf)
 
     def test_mgs_vs_reorth_gap_six_orders(self):
         Y, B = _kle_sketch(2.5)

@@ -912,6 +912,15 @@ class TestQrBench:
         assert len(rows) == 3
         assert {r["kernel"] for r in rows} == {"1.5"}
 
+    def test_dropped_columns_are_not_lost_orthogonality(self, tmp_path):
+        # PreCholQR keeps 130 of these 160 columns: m2 reads the kept ones,
+        # and m4 stays inf for the singular R
+        out = tmp_path / "qb"
+        assert main(["qr-bench", "--nu", "2.5", "--cols", "160", "--out", str(out)]) == 0
+        row = {r["alg"]: r for r in _read_csv(out / "qr_bench.csv")}["PreCholQR"]
+        assert float(row["m2"]) <= 1e-13
+        assert float(row["m4"]) == np.inf
+
 
 class TestKleDefaults:
     """A KLE pencil's missing --ell or --n is read from ``MaternConfig.ell``

@@ -80,9 +80,10 @@ def test_solver_reduces_to_randomized_evd_at_b_identity(mode):
     cfg = SketchConfig(k=4, p=3, seed=7)
     solve = ghep.solver_method(mode)
     sol = solve(rg.dense_operator(Ad), rg.dense_spd(np.eye(20)), cfg)
-    U_plain, lam_plain = sketch.randomized_evd(rg.dense_operator(Ad), cfg, mode=mode)
+    plain = solve(rg.dense_operator(Ad), sketch._identity(20), cfg)
+    U_plain, lam_plain = plain.U, plain.eigenvalues
     np.testing.assert_allclose(sol.eigenvalues, lam_plain, rtol=1e-9, atol=1e-10)
-    # the EVD is the solver on (A, I): same skeleton, same bits
+    # a caller's own identity operator gives the same bits
     eye = rg.SpdOperator(20, lambda X: X, lambda X: X)
     exact = solve(rg.dense_operator(Ad), eye, cfg)
     np.testing.assert_array_equal(U_plain, exact.U)
@@ -93,7 +94,8 @@ def test_solver_reduces_to_randomized_evd_at_b_identity(mode):
 def test_randomized_evd_keeps_one_eigenvalue_per_kept_column(mode):
     # rank 2 with k + p = 6: the zero-range columns of the sketch are dropped
     A = rg.dense_operator(np.diag([4.0, 2.0] + [0.0] * 8))
-    U, lam = sketch.randomized_evd(A, SketchConfig(k=3, p=3, seed=5), mode=mode)
+    sol = ghep.solver_method(mode)(A, sketch._identity(10), SketchConfig(k=3, p=3, seed=5))
+    U, lam = sol.U, sol.eigenvalues
     assert lam.shape == (2,) and U.shape == (10, 2)
     np.testing.assert_allclose(lam, [4.0, 2.0], rtol=1e-12)
 
@@ -136,7 +138,7 @@ def test_single_pass_keeping_no_column_raises(backend):
     with pytest.raises(IllConditionedError, match=singular):
         rg.ghep_single_pass(A, B, cfg)
     with pytest.raises(IllConditionedError, match=singular):
-        sketch.randomized_evd(A, cfg, mode="single_pass")
+        rg.ghep_single_pass(A, sketch._identity(4), cfg)
     sol = rg.ghep_two_pass(A, B, cfg)
     assert sol.eigenvalues.size == 0 and sol.diagnostics["effective_rank"] == 0
     with pytest.raises(NumericalError, match="no positive part") as info:

@@ -2,7 +2,8 @@
 
 ``tests/data/ghep_golden.json`` pins, for fixed seeds, every solver on a KLE
 pencil (nu = 2.5, ell = 0.5, n = 201, k = 20, p = 5) and on an exact-rank
-pencil, and ``randomized_evd`` in both modes.  The solvers' weighted QR is
+pencil, and the B = I EVD (the two-pass and single-pass solvers on the KLE
+A with B = I) as the ``evd-`` cases.  The solvers' weighted QR is
 PreCholQR, the last part of each solver case id.  Counts and the integer,
 boolean and string diagnostics must match exactly, eigenvalues to a relative
 l1 error of 1e-13, and a case that raised must raise the same exception type.
@@ -31,7 +32,7 @@ import pytest
 
 import randghep as rg
 from randghep.operators import ConfigError, NumericalError
-from randghep.sketch import SketchConfig
+from randghep.sketch import SketchConfig, _identity
 
 from conftest import exact_rank_pencil, make_kle_pencil
 
@@ -66,7 +67,7 @@ def run_case(case_id: str) -> dict:
     try:
         if case_id.startswith("evd-"):
             A, _, cfg = _pencil("kle")
-            _, lam = rg.randomized_evd(A, cfg, mode=case_id[4:])
+            lam = SOLVERS[case_id[4:]](A, _identity(A.dim_in), cfg).eigenvalues
             return {"eigenvalues": [float(v) for v in lam]}
         pencil, method, _ = case_id.split("-")
         A, B, cfg = _pencil(pencil)

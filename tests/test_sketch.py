@@ -1,4 +1,7 @@
-"""Gaussian sketches, randomized SVD/EVD, and the B-weighted range finder."""
+"""Gaussian sketches, randomized SVD/EVD, and the B-weighted range finder.
+
+The B = I randomized EVD is a GHEP solver on the pencil (A, I): ``evd`` runs
+one on (A, ``sketch._identity(n)``)."""
 
 import json
 import os
@@ -12,11 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randghep as rg
-from randghep import errors
+from randghep import errors, ghep
 from randghep.operators import ConfigError
-from randghep.sketch import SketchConfig
+from randghep.sketch import SketchConfig, _identity
 
 from conftest import make_kle_mass, make_kle_pencil
+
+
+def evd(A, cfg, mode="two_pass"):
+    """(U, eigenvalues) of the ``mode`` solver on the pencil (A, I)."""
+    sol = ghep.solver_method(mode)(A, _identity(A.dim_in), cfg)
+    return sol.U, sol.eigenvalues
 
 
 #: The shapes whose bits are pinned: (n, r, seed, first_col); one has odd n.
@@ -213,13 +222,13 @@ class TestRandomizedSvd:
 
 class TestRandomizedEvd:
     def test_identity(self):
-        U, lam = rg.randomized_evd(rg.dense_operator(np.eye(6)), SketchConfig(k=2, p=2, seed=3))
+        U, lam = evd(rg.dense_operator(np.eye(6)), SketchConfig(k=2, p=2, seed=3))
         np.testing.assert_allclose(lam, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(U.T @ U, np.eye(2), atol=1e-12)
 
     def test_two_pass_exact_rank(self):
         A = rg.dense_operator(np.diag([4.0, 2.0, 1.0] + [0.0] * 7))
-        _, lam = rg.randomized_evd(A, SketchConfig(k=3, p=3, seed=5), mode="two_pass")
+        _, lam = evd(A, SketchConfig(k=3, p=3, seed=5), mode="two_pass")
         np.testing.assert_allclose(lam, [4.0, 2.0, 1.0], atol=1e-12)
 
     def test_single_pass_usually_worse(self):
@@ -229,8 +238,8 @@ class TestRandomizedEvd:
         A = rg.dense_operator(Ad)
         wins = 0
         for seed in range(50):
-            _, lam2 = rg.randomized_evd(A, SketchConfig(k=3, p=3, seed=seed), mode="two_pass")
-            _, lam1 = rg.randomized_evd(A, SketchConfig(k=3, p=3, seed=seed), mode="single_pass")
+            _, lam2 = evd(A, SketchConfig(k=3, p=3, seed=seed), mode="two_pass")
+            _, lam1 = evd(A, SketchConfig(k=3, p=3, seed=seed), mode="single_pass")
             e2 = np.abs(lam2 - d[:3]).max()
             e1 = np.abs(lam1 - d[:3]).max()
             wins += e1 >= e2
@@ -240,14 +249,14 @@ class TestRandomizedEvd:
     def test_indefinite_operator_sorted_by_value(self, mode):
         # -5 leads in magnitude, but eigenvalues are ranked by value
         A = rg.dense_operator(np.diag([-5.0, 3.0, 1.0, 0.1, 0.0, 0.0]))
-        _, lam = rg.randomized_evd(A, SketchConfig(k=2, p=3, seed=2), mode=mode)
+        _, lam = evd(A, SketchConfig(k=2, p=3, seed=2), mode=mode)
         np.testing.assert_allclose(lam, [3.0, 1.0], atol=1e-11)
 
     @pytest.mark.parametrize("mode", ["two_pass", "single_pass"])
     def test_asymmetric_operator_rejected(self, mode):
         A = rg.dense_operator(np.random.default_rng(6).standard_normal((30, 30)))
         with pytest.raises(ConfigError, match="symmetry"):
-            rg.randomized_evd(A, SketchConfig(k=3, p=2, seed=1), mode=mode)
+            evd(A, SketchConfig(k=3, p=2, seed=1), mode=mode)
 
 
 class TestRangeFinderB:
