@@ -74,6 +74,5 @@ from .sketch import (
     SketchConfig,
     derive_seed,
     gaussian_matrix,
-    randomized_svd,
     range_finder_b,
 )

@@ -2,12 +2,15 @@
 
 Subcommands: solve (generic GHEP from Matrix Market files), kle (solve on the
 KLE pencil, writing modes.mtx and, up to n = kle.ORACLE_MAX_N, the oracle's
-eigenvalues), gsvd, estimate, qr-bench (every kernel without --nu), svd.  A
-KLE pencil's missing --ell or --n takes MaternConfig.ell or Grid1D.n.  Reports
-are JSON, per-index series are CSV, matrices are Matrix Market.  Seeds lie in
-[0, 2**64).  Exit codes: 0 success, 2 bad configuration (an unwritable output
-path counts as one), 3 numerical failure (a LinAlgError that escapes a command
-counts as one) or running out of memory.  A failed run leaves no outputs.
+eigenvalues), gsvd, estimate, qr-bench (every kernel without --nu).  A
+missing weight is the identity: solve and estimate on --A alone run on the
+pencil (A, I), the B = I EVD, and gsvd without --S or --T takes I on that
+side, so gsvd --A alone is the plain SVD.  A KLE pencil's missing --ell or
+--n takes MaternConfig.ell or Grid1D.n.  Reports are JSON, per-index series
+are CSV, matrices are Matrix Market.  Seeds lie in [0, 2**64).  Exit codes:
+0 success, 2 bad configuration (an unwritable output path counts as one), 3
+numerical failure (a LinAlgError that escapes a command counts as one) or
+running out of memory.  A failed run leaves no outputs.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ def _warn_if_short(what: str, returned: int, k: int, rank: int) -> None:
               f"the sketch's effective_rank is {rank}", file=sys.stderr)
 
 
-def _load_spd(path):
-    """The SPD operator of the Matrix Market file ``path``.
+def _load_spd(path, n: int):
+    """The SPD operator of the Matrix Market file ``path``, or the n x n
+    identity (``sketch._identity``) when ``path`` is None.
 
     The file's storage picks the backend: coordinate storage stays sparse
     (``sparse_spd``), and array storage is wrapped in place (``dense_spd``).
@@ -103,7 +107,10 @@ def _load_spd(path):
     import scipy.sparse
 
     from . import operators
+    from .sketch import _identity
 
+    if path is None:
+        return _identity(n)
     M = operators.read_matrix_market(path)
     return operators.sparse_spd(M) if scipy.sparse.issparse(M) else operators.dense_spd(M)
 
@@ -111,20 +118,24 @@ def _load_spd(path):
 def _pencil(args):
     """The pencil of the files --A/--B or of the KLE options --nu/--ell/--n
     (a missing --ell or --n takes ``MaternConfig.ell`` or ``Grid1D.n``), and
-    the config entries that name it.  A file pencil's ``dense_a`` is the array
-    its A-operator wraps and the oracles read its B-operator's factor, so no
-    matrix is held twice.  A mix of sources, none, or --oracle above
+    the config entries that name it.  A file pencil without --B is (A, I).  A
+    file pencil's ``dense_a`` is the array its A-operator wraps and the
+    oracles read its B-operator's factor, so no matrix is held twice.  A mix
+    of sources, none, --B without --A, or --oracle above
     ``kle.ORACLE_MAX_N`` is a ConfigError, raised before any apply."""
     from . import kle, operators
     from .operators import ConfigError
 
-    if (args.A is None) != (args.B is None):
-        raise ConfigError("a file pencil needs both --A and --B")
+    if args.A is None and args.B is not None:
+        raise ConfigError("--B needs --A: a file pencil is --A, with --B or B = I")
     if args.A is not None:
         if args.nu is not None or args.n is not None or args.ell is not None:
             raise ConfigError("give either --A/--B or --nu/--ell/--n, not both")
         Ad = operators.load_matrix_market(args.A)
-        pencil = operators.GhepPencil(operators.dense_operator(Ad), _load_spd(args.B), lambda: Ad)
+        if args.B is None and Ad.shape[0] != Ad.shape[1]:
+            raise ConfigError(f"--A without --B needs a square A, got {Ad.shape[0]} x {Ad.shape[1]}")
+        B = _load_spd(args.B, Ad.shape[0])
+        pencil = operators.GhepPencil(operators.dense_operator(Ad), B, lambda: Ad)
         return pencil, {"A": args.A, "B": args.B}
     if args.nu is None:
         raise ConfigError("estimate needs either --A/--B or a --nu/--ell/--n KLE configuration")
@@ -198,11 +209,11 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
     from .sketch import SketchConfig
 
     Ad = operators.load_matrix_market(args.A)
-    S, T = _load_spd(args.S), _load_spd(args.T)
+    S, T = _load_spd(args.S, Ad.shape[0]), _load_spd(args.T, Ad.shape[1])
     res = gsvd.randomized_gsvd(operators.dense_operator(Ad), S, T,
                                SketchConfig(k=args.k, p=args.p, seed=seed))
     k = res.sigma.size
-    # the core Q1^T S A Q2 has one singular value per kept column of the smaller sketch
+    # the core has one singular value per kept column of the smaller basis
     _warn_if_short("singular values", k, args.k,
                    min(res.diagnostics["left_rank"], res.diagnostics["right_rank"]))
     report["singular_values"] = [float(s) for s in res.sigma]
@@ -267,27 +278,6 @@ def cmd_qr_bench(args, report: dict, seed: int, outdir: Path) -> None:
     report["rows"] = [dict(zip(header, row)) for row in rows]
 
 
-def cmd_svd(args, report: dict, seed: int, outdir: Path) -> None:
-    from . import ghep, operators
-    from .sketch import SketchConfig, _identity, randomized_svd
-
-    A = operators.dense_operator(operators.load_matrix_market(args.A))
-    cfg = SketchConfig(k=args.k, p=args.p, seed=seed)
-    # both return min(k, kept sketch columns) values, so a short list is the sketch's rank
-    if args.mode == "svd":
-        _, sig, _ = randomized_svd(A, cfg)
-        _warn_if_short("singular values", sig.size, args.k, sig.size)
-        report["singular_values"] = [float(s) for s in sig]
-    else:
-        # the EVD is the solver of that name on the pencil (A, I)
-        if A.dim_out != A.dim_in:
-            raise operators.ConfigError(f"--mode {args.mode} needs a square A, got {A.dim_out} x {A.dim_in}")
-        lam = ghep.solver_method(args.mode[len("evd-"):])(A, _identity(A.dim_in), cfg).eigenvalues
-        _warn_if_short("eigenvalues", lam.size, args.k, lam.size)
-        report["eigenvalues"] = [float(v) for v in lam]
-    report["config"] = {"A": args.A, "k": args.k, "p": args.p, "mode": args.mode}
-
-
 def build_parser() -> argparse.ArgumentParser:
     from .ghep import METHOD_CHOICES
     from .kle import MATERN_NUS, ORACLE_MAX_N, Grid1D, MaternConfig
@@ -318,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a GHEP from Matrix Market files")
     p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
+    p.add_argument("--B", help="SPD B (default: the identity, the standard EVD)")
     sketch(p, oversampling=20, method=True)
     p.add_argument("--oracle", action="store_true", help="append dense-oracle comparison columns")
     p.add_argument("--save-modes", action="store_true")
@@ -336,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gsvd", help="randomized GSVD under SPD weights S and T")
     p.add_argument("--A", required=True)
-    p.add_argument("--S", required=True)
-    p.add_argument("--T", required=True)
+    p.add_argument("--S", help="SPD left weight (default: the identity)")
+    p.add_argument("--T", help="SPD right weight (default: the identity)")
     sketch(p, oversampling=10)
     common(p)
     p.set_defaults(func=cmd_gsvd)
@@ -345,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="certified a-posteriori range-error bound e (a Lanczos "
                                         "certificate), optionally growing the sketch")
     p.add_argument("--A")
-    p.add_argument("--B")
+    p.add_argument("--B", help="SPD B of the file pencil (default: the identity)")
     kle_options(p)
     sketch(p, k_help="initial sketch size")
     p.add_argument("--alpha", type=float, default=2.0,
@@ -367,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=100)
     common(p)
     p.set_defaults(func=cmd_qr_bench, A=None, B=None, oracle=False)
-
-    p = sub.add_parser("svd", help="randomized SVD / EVD with the standard inner product")
-    p.add_argument("--A", required=True)
-    sketch(p, oversampling=20)
-    p.add_argument("--mode", default="svd", choices=["svd", "evd-two-pass", "evd-single-pass"])
-    common(p)
-    p.set_defaults(func=cmd_svd)
 
     return parser
 

@@ -14,6 +14,7 @@ eigenvectors (U^T B U = I) with the low-rank form A ~ (BU) Lambda (BU)^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,6 +70,7 @@ class GhepSolution:
 
 
 _SYMMETRY_PROBES = 3
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _check_symmetry(A: LinearMap, seed: int) -> None:
@@ -82,11 +84,27 @@ def _check_symmetry(A: LinearMap, seed: int) -> None:
     AX = A.apply(X)
     AY = A.apply(Ynd)
     for j in range(_SYMMETRY_PROBES):
-        lhs = X[:, j] @ AY[:, j]
-        rhs = Ynd[:, j] @ AX[:, j]
-        scale = abs(lhs) + abs(rhs) + np.linalg.norm(AX[:, j]) * np.linalg.norm(Ynd[:, j])
-        if abs(lhs - rhs) > 1e-8 * max(scale, 1e-300):
+        if _probe_fails(X[:, j], Ynd[:, j], AX[:, j], AY[:, j]):
             raise ConfigError("A failed the symmetry probe; eigensolvers need symmetric A")
+
+
+def _probe_fails(x: np.ndarray, y: np.ndarray, ax: np.ndarray, ay: np.ndarray) -> bool:
+    """|x^T Ay - y^T Ax| > 1e-8 (|x^T Ay| + |y^T Ax| + ||Ax|| ||y||).
+
+    The test is homogeneous in A.  So when a dot or ||Ax||^2 leaves the
+    normal range (Ax above ~1e154 or below ~1e-154), it is taken again on
+    Ax and Ay scaled by the power of two just above their largest entry, as
+    ``borth._largest_column_norm`` scales: exact, and no extra pass in the
+    normal range.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        lhs, rhs, ax2 = x @ ay, y @ ax, ax @ ax
+        if not (math.isfinite(lhs) and math.isfinite(rhs) and _TINY <= ax2 < math.inf):
+            e = math.frexp(max(ax.max(), -ax.min(), ay.max(), -ay.min()))[1]
+            ax, ay = np.ldexp(ax, -e), np.ldexp(ay, -e)
+            lhs, rhs, ax2 = x @ ay, y @ ax, ax @ ax
+    scale = abs(lhs) + abs(rhs) + math.sqrt(ax2) * np.linalg.norm(y)
+    return abs(lhs - rhs) > 1e-8 * max(scale, 1e-300)
 
 
 def ritz(T: np.ndarray, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,9 +2,9 @@
 
 The target decomposition is the weighted one: sigma are the stationary values
 of ||A x||_S / ||x||_T, with factors satisfying U^T S U = I and V^T T V = I
-and the reconstruction A ~ U Sigma (T V)^T.  The right-hand sketch therefore
-ranges over T^{-1} A^T (the stationary vectors solve A^T S A v = sigma^2 T v,
-so they live in T^{-1} range(A^T)); the core product is F = Q1^T S A Q2.
+and the reconstruction A ~ U Sigma (T V)^T.  At S = T = I (the identity
+weight ``sketch._identity``) it is the plain SVD, and the algorithm below is
+the randomized SVD of Halko, Martinsson and Tropp (2011, Alg. 5.1).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .operators import ConfigError, LinearMap, SpdOperator
 from .borth import pre_chol_qr_w
-from .sketch import SketchConfig, derive_seed, gaussian_matrix
+from .sketch import SketchConfig, gaussian_matrix
 
 
 @dataclass
@@ -29,13 +29,20 @@ class GsvdResult:
 
 
 def randomized_gsvd(A: LinearMap, S: SpdOperator, T: SpdOperator, cfg: SketchConfig) -> GsvdResult:
-    """Randomized GSVD of A under the weights (S, T).
+    """Randomized GSVD of A under the weights (S, T), sketched on one side.
 
-    Sketches both sides with independent Gaussian matrices derived from one
-    seed: Y1 = A Omega1 is S-orthonormalized and Y2 = T^{-1} A^T Omega2 is
-    T-orthonormalized, both by the block QR ``pre_chol_qr_w``, and the small
-    core F = Q1^T S A Q2 is decomposed densely.  Columns beyond the requested
-    rank are discarded after sorting.
+    The weighted form of HMT Alg. 5.1, with no square root of S or T:
+    Y = A Omega is S-orthonormalized by the block QR ``pre_chol_qr_w`` (in
+    place when Y is F-ordered) to Q1 (Q1^T S Q1 = I, with S Q1 cached), so
+    A ~ Q1 Q1^T S A.  The right factor comes from
+    Z = T^{-1} A^T S Q1 = T^{-1} (Q1^T S A)^T: its T-orthonormal basis V_Z
+    (T V_Z cached) and G = V_Z^T T Z, so that Q1^T S A = G^T (T V_Z)^T.  The
+    SVD G^T = W Sigma X^T gives U = Q1 W and V = V_Z X.  Omega is drawn from
+    ``cfg.seed`` as ``range_finder_b`` draws it.  The cost is r = k + p
+    A-applies, then one A^T-apply and one T-solve per kept column of Q1 (at
+    most 2r A-type applies); each QR applies its weight once per kept column,
+    and the core takes no apply.  At most k singular values are returned,
+    one per kept column of the smaller basis.
     """
     m, n = A.dim_out, A.dim_in
     if S.dim != m or T.dim != n:
@@ -43,21 +50,14 @@ def randomized_gsvd(A: LinearMap, S: SpdOperator, T: SpdOperator, cfg: SketchCon
     if cfg.r > min(m, n):
         raise ConfigError(f"sketch size k+p={cfg.r} exceeds min(m, n)={min(m, n)}")
 
-    Omega1 = gaussian_matrix(n, cfg.r, derive_seed(cfg.seed, 1))
-    Omega2 = gaussian_matrix(m, cfg.r, derive_seed(cfg.seed, 2))
-    Y1 = A.apply(Omega1)
-    Y2 = T.apply_inverse(A.apply_transpose(Omega2))
-    Q1 = pre_chol_qr_w(Y1, S).compact().Q
-    Q2 = pre_chol_qr_w(Y2, T).compact().Q
-
-    F = Q1.T @ S.apply(A.apply(Q2))
-    Ut, sig, Vt = np.linalg.svd(F)
+    left = pre_chol_qr_w(A.apply(gaussian_matrix(n, cfg.r, cfg.seed)), S, overwrite_y=True).compact()
+    # Z is read again by the core, so its QR works on a copy
+    Z = T.apply_inverse(A.apply_transpose(left.WQ))
+    right = pre_chol_qr_w(Z, T).compact()
+    W, sig, Xt = np.linalg.svd(Z.T @ right.WQ, full_matrices=False)  # G^T = Z^T T V_Z
     kk = min(cfg.k, sig.size)
-    U = Q1 @ Ut[:, :kk]
-    V = Q2 @ Vt[:kk].T
     diag = {
-        "left_rank": int(Q1.shape[1]),
-        "right_rank": int(Q2.shape[1]),
+        "left_rank": int(left.n_kept),
+        "right_rank": int(right.n_kept),
     }
-    return GsvdResult(U=U, V=V, sigma=sig[:kk], diagnostics=diag)
-
+    return GsvdResult(U=left.Q @ W[:, :kk], V=right.Q @ Xt[:kk].T, sigma=sig[:kk], diagnostics=diag)

@@ -356,12 +356,13 @@ def sparse_spd(M) -> SpdOperator:
     no dense copy of M and no second factorization of it.
 
     Raises NumericalError if M has a NaN or Inf entry, ConfigError if M is
-    empty, not square or not symmetric (``check_symmetric``), and
+    empty, not square or not symmetric (``check_symmetric``),
     NotPositiveDefiniteError if M is singular, needs an off-diagonal pivot
-    (a zero on the diagonal) or has a pivot D_jj <= 0.  ||M^{-1}||_1 is
-    estimated from the factor (Higham's one-norm estimator, one column, so
-    no random draw), and an M singular to working precision raises
-    IllConditionedError (``_check_conditioning``).
+    (a zero on the diagonal) or has a pivot D_jj <= 0, and MemoryError if
+    SuperLU cannot allocate its factor ("SUPERLU_MALLOC fails").
+    ||M^{-1}||_1 is estimated from the factor (Higham's one-norm estimator,
+    one column, so no random draw), and an M singular to working precision
+    raises IllConditionedError (``_check_conditioning``).
     """
     # imported here: the ~15 ms import is paid only by a sparse B
     import scipy.sparse.linalg
@@ -373,7 +374,9 @@ def sparse_spd(M) -> SpdOperator:
     try:
         lu = scipy.sparse.linalg.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                       options={"SymmetricMode": True})
-    except RuntimeError as exc:  # "Factor is exactly singular"
+    except RuntimeError as exc:  # "Factor is exactly singular", or SuperLU ran out of memory
+        if "SUPERLU_MALLOC" in str(exc):
+            raise MemoryError(f"SuperLU could not allocate its factor: {exc}") from exc
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NotPositiveDefiniteError("matrix is not positive definite: it needs an off-diagonal pivot")

@@ -1,5 +1,6 @@
-"""Seeded Gaussian test matrices, the B = I randomized SVD and the B-weighted
-range finder.  The B = I EVD is any GHEP solver on the pencil (A, I)."""
+"""Seeded Gaussian test matrices, the identity weight and the B-weighted range
+finder.  The B = I EVD is any GHEP solver on the pencil (A, I), and the plain
+SVD is ``gsvd.randomized_gsvd`` with S = T = I."""
 
 from __future__ import annotations
 
@@ -112,27 +113,11 @@ _QR_ALGORITHMS = {
 
 
 def _identity(n: int) -> SpdOperator:
-    """B = I as an SpdOperator: the SVD's weight, and the B of the EVD's pencil (A, I)."""
-    return SpdOperator(n, lambda X: X, lambda X: X)
-
-
-def randomized_svd(A: LinearMap, cfg: SketchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-k randomized SVD of A (standard inner product).
-
-    Sketch Y = A*Omega, orthonormalize it by ``borth.pre_chol_qr_w`` under
-    W = I, project B = Q^T A, SVD the small matrix, lift the left factor.
-    Returns (U, sigma, V) with A ~ U diag(s) V^T: at most k singular
-    values, one per kept column of Q.
-    """
-    m, n = A.dim_out, A.dim_in
-    if cfg.r > min(m, n):
-        raise ConfigError(f"sketch size k+p={cfg.r} exceeds min(m, n)={min(m, n)}")
-    Omega = gaussian_matrix(n, cfg.r, cfg.seed)
-    Q = borth.pre_chol_qr_w(A.apply(Omega), _identity(m)).compact().Q
-    B_small = A.apply_transpose(Q).T
-    Ut, sig, Vt = np.linalg.svd(B_small, full_matrices=False)
-    kk = min(cfg.k, sig.size)
-    return Q @ Ut[:, :kk], sig[:kk], Vt[:kk].T
+    """B = I as an SpdOperator: the weights of the plain SVD, and the B of the
+    EVD's pencil (A, I).  Its whitening hook is the identity too, and its
+    ``dense_factor()`` a new F-ordered identity with no ordering, so the
+    estimator's certificate and the dense oracles take it as they take any B."""
+    return SpdOperator(n, lambda X: X, lambda X: X, lambda X: X, lambda: (np.eye(n, order="F"), None))
 
 
 def range_finder_b(A: LinearMap, B: SpdOperator, cfg: SketchConfig) -> RangeResult:

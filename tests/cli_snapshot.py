@@ -98,11 +98,14 @@ def commands() -> list[tuple[str, list[str]]]:
         ]
     cases.append(("gsvd", ["gsvd", "--A", "inputs/gsvd_a.mtx", "--S", "inputs/gsvd_s.mtx",
                            "--T", "inputs/gsvd_t.mtx", "--k", "10", "--p", "5"]))
-    for mode in ("svd", "evd-two-pass", "evd-single-pass"):
-        cases.append((f"svd-{mode}", ["svd", "--A", "inputs/sym.mtx", "--k", "10", "--p", "5",
-                                      "--mode", mode]))
-    cases.append(("svd-evd-two-pass-rectangular", ["svd", "--A", "inputs/gsvd_a.mtx", "--k", "10",
-                                                   "--mode", "evd-two-pass"]))
+    # the identity weights: the B = I EVD, the plain SVD and the B = I estimate
+    sym = ["--A", "inputs/sym.mtx", "--k", "10"]
+    for method in METHODS:
+        cases.append((f"solve-sym-{method}", ["solve", *sym, "--p", "5", "--method", method]))
+    cases.append(("solve-sym-two-pass-oracle", ["solve", *sym, "--p", "5", "--oracle"]))
+    cases.append(("gsvd-sym", ["gsvd", *sym, "--p", "5"]))
+    cases.append(("estimate-sym", ["estimate", *sym]))
+    cases.append(("solve-rectangular", ["solve", "--A", "inputs/gsvd_a.mtx", "--k", "10"]))
     # a scale at which the sketch's column sums of squares overflow
     cases.append(("solve-two-pass-a-2p512", ["solve", "--A", "inputs/a_2p512.mtx", "--B", "inputs/b.mtx",
                                              "--k", "20", "--p", "10"]))
@@ -116,7 +119,7 @@ def commands() -> list[tuple[str, list[str]]]:
     # the pencil errors: every one exits 2 before any apply
     cases += [
         ("error-estimate-no-pencil", ["estimate", "--k", "5"]),
-        ("error-estimate-a-only", ["estimate", "--A", "inputs/a.mtx", "--k", "5"]),
+        ("error-estimate-b-without-a", ["estimate", "--B", "inputs/b.mtx", "--k", "5"]),
         ("error-estimate-b-only", ["estimate", "--nu", "1.5", "--B", "inputs/b.mtx", "--k", "5"]),
         ("error-estimate-files-and-n", ["estimate", *files["array"], "--n", "50", "--k", "5"]),
         ("error-estimate-files-and-nu", ["estimate", *files["array"], "--nu", "1.5", "--k", "5"]),
@@ -125,7 +128,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("error-estimate-grow-without-tol", ["estimate", "--nu", "1.5", "--k", "5", "--grow"]),
         ("error-solve-missing-file", ["solve", "--A", "inputs/none.mtx", "--B", "inputs/b.mtx",
                                       "--k", "5"]),
-        ("error-solve-missing-b", ["solve", "--A", "inputs/a.mtx", "--k", "5"]),
+        ("error-solve-b-without-a", ["solve", "--B", "inputs/b.mtx", "--k", "5"]),
         ("error-solve-kle-option", ["solve", *files["array"], "--nu", "1.5", "--k", "5"]),
         ("error-kle-file-option", ["kle", "--nu", "1.5", "--A", "inputs/a.mtx", "--k", "5"]),
         ("error-kle-no-nu", ["kle", "--k", "5"]),

@@ -140,7 +140,7 @@ class TestSolve:
         assert rg.load_matrix_market(out / "modes.mtx").shape == (5, 2)
 
     @pytest.mark.parametrize("argv", [["solve", "--A", "{A}", "--B", "{B}", "--method", "single-pass"],
-                                      ["svd", "--A", "{A}", "--mode", "evd-single-pass"]])
+                                      ["solve", "--A", "{A}", "--method", "single-pass"]])
     def test_single_pass_on_zero_a_exits_3(self, tmp_path, argv):
         # the range finder keeps no column of a zero A's sketch, and the
         # single-pass solver calls the empty F = Q^T B Omega singular
@@ -344,14 +344,14 @@ class TestSolve:
         assert code in (2, 3)
 
     def test_escaping_linalg_error_exits_3(self, tmp_path, monkeypatch):
-        import randghep.sketch
+        import randghep.gsvd
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(randghep.sketch, "randomized_svd", fail)
+        monkeypatch.setattr(randghep.gsvd, "randomized_gsvd", fail)
         eye = _write_eye(tmp_path / "eye.mtx", 6)
-        assert main(["svd", "--A", eye, "--k", "2", "--out", str(tmp_path / "x")]) == 3
+        assert main(["gsvd", "--A", eye, "--k", "2", "--out", str(tmp_path / "x")]) == 3
 
     def test_load_pencil_holds_each_matrix_once(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -513,8 +513,9 @@ _STORAGE = st.sampled_from(["array", "coordinate"])
 
 
 class TestMalformedFiles:
-    """Property: a malformed file ends ``estimate``, ``gsvd`` and ``svd`` with
-    exit 2 or 3, no traceback and no report, in either storage."""
+    """Property: a malformed file ends ``estimate`` and ``gsvd``, and ``gsvd``
+    and ``solve`` on --A alone, with exit 2 or 3, no traceback and no report,
+    in either storage."""
 
     @given(
         defect=st.sampled_from(_PENCIL_DEFECTS),
@@ -568,20 +569,22 @@ class TestMalformedFiles:
 
     @given(
         defect=st.sampled_from(["nan", "inf", "-inf", "empty", "asymmetric", "non_square"]),
-        mode=st.sampled_from(["svd", "evd-two-pass", "evd-single-pass"]),
+        command=st.sampled_from([["gsvd"], ["solve", "--method", "two-pass"],
+                                 ["solve", "--method", "single-pass"]]),
         n=st.integers(3, 7),
         i=st.integers(0, 6),
         seed=st.integers(0, 2**32 - 1),
         storage=_STORAGE,
     )
     @settings(max_examples=30, deadline=None)
-    def test_svd(self, defect, mode, n, i, seed, storage):
+    def test_a_alone(self, defect, command, n, i, seed, storage):
+        # the identity weights: gsvd is the plain SVD, solve the B = I EVD
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((n, n))
         A = (G + G.T) / 2.0
         r, c = i % n, (i + 1) % n
-        if defect in ("asymmetric", "non_square") and mode == "svd":
-            mode = "evd-two-pass"  # a general A is valid input for the SVD
+        if defect in ("asymmetric", "non_square") and command == ["gsvd"]:
+            command = ["solve", "--method", "two-pass"]  # a general A is valid input for the SVD
         if defect in ("nan", "inf", "-inf"):
             A[r, c] = float(defect)
         elif defect == "empty":
@@ -590,7 +593,7 @@ class TestMalformedFiles:
             A[r, c] += 1.0 + abs(A[r, c])
         elif defect == "non_square":
             A = rng.standard_normal((n, n + 1))
-        _exits_2_or_3_without_report(["svd", "--A", "{A}", "--k", "1", "--p", "1", "--mode", mode],
+        _exits_2_or_3_without_report([command[0], "--A", "{A}", "--k", "1", "--p", "1", *command[1:]],
                                      {"A": A}, {"A": storage})
 
 
@@ -676,8 +679,9 @@ def _degenerate_commands(m, n):
     """The commands of ``TestDegenerateInputs`` for an m-by-n A: every sketch
     as wide as the matrix allows, so k + p = min(m, n)."""
     p = str(min(m, n) - 1)
-    commands = [["svd", "--A", "{A}", "--k", "1", "--p", p, "--mode", mode]
-                for mode in ("svd", "evd-two-pass", "evd-single-pass")]
+    commands = [["gsvd", "--A", "{A}", "--k", "1", "--p", p]]
+    commands += [["solve", "--A", "{A}", "--k", "1", "--p", p, "--method", method]
+                 for method in ("two-pass", "single-pass")]
     commands.append(["gsvd", "--A", "{A}", "--S", "{S}", "--T", "{T}", "--k", "1", "--p", p])
     if m == n:
         commands += [["solve", "--A", "{A}", "--B", "{T}", "--k", "1", "--p", p, "--method", method,
@@ -691,8 +695,9 @@ class TestDegenerateInputs:
     """A zero, identity, minus-identity or all-ones A, with the weights 2I in
     array or coordinate storage, ends every command with exit 0, 2 or 3 and
     raises nothing: ``solve`` in each method (``--oracle --save-modes``),
-    ``estimate`` with and without ``--grow`` (``--oracle``), ``svd`` in each
-    mode and ``gsvd`` at n = 1..4, and ``svd``/``gsvd`` at the rectangular
+    ``estimate`` with and without ``--grow`` (``--oracle``), ``solve`` on
+    --A alone (two-pass, single-pass) and ``gsvd`` with and without weights
+    at n = 1..4, and those on --A alone and ``gsvd`` at the rectangular
     shapes 1x3, 3x1 and 2x5.  An exit 0 writes a strict-JSON report; 2 and 3
     write none.  The full grid runs in process, in about two seconds."""
 
@@ -732,6 +737,19 @@ class TestOutOfMemory:
         assert main(argv + ["--seed", "3", "--out", str(out)]) == 3
         assert capsys.readouterr().err == ("randghep: out of memory: Unable to allocate 74.5 GiB "
                                            "for an array with shape (100000, 100000)\n")
+        assert not (out / "report.json").exists()
+
+    def test_superlu_allocation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def splu(*args, **kwargs):
+            raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        a_path, b_path = write_coordinate_pencil(tmp_path, np.eye(4), 2.0 * np.eye(4))
+        out = tmp_path / "run"
+        assert main(["solve", "--A", a_path, "--B", b_path, "--k", "1", "--p", "1",
+                     "--seed", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("randghep: out of memory: SuperLU could not allocate its factor: "
+                                           "SUPERLU_MALLOC fails for buf in intMalloc()\n")
         assert not (out / "report.json").exists()
 
     def test_bare_memory_error_still_names_itself(self, tmp_path, monkeypatch, capsys):
@@ -806,18 +824,18 @@ class TestSeedRange:
 
 
 class TestShortResultWarning:
-    """``svd`` and ``gsvd`` say on stderr when they return fewer values than
-    --k, with the line ``solve`` and ``kle`` print: every sketch column of a
-    zero A is dependent, so these runs exit 0 with empty lists."""
+    """``gsvd`` and ``solve`` say on stderr when they return fewer values than
+    --k, with the line ``kle`` prints: every sketch column of a zero A is
+    dependent, so these runs exit 0 with empty lists."""
 
-    @pytest.mark.parametrize("mode, what", [("svd", "singular values"), ("evd-two-pass", "eigenvalues")])
-    def test_svd_on_zero_a(self, tmp_path, capsys, mode, what):
+    @pytest.mark.parametrize("command, what", [("gsvd", "singular values"), ("solve", "eigenvalues")])
+    def test_a_alone_on_zero_a(self, tmp_path, capsys, command, what):
         a_path = _write_mtx(tmp_path / "a.mtx", np.zeros((4, 4)), "array")
         out = tmp_path / "run"
-        assert main(["svd", "--A", a_path, "--k", "1", "--p", "3", "--mode", mode,
+        assert main([command, "--A", a_path, "--k", "1", "--p", "3",
                      "--seed", "1", "--out", str(out)]) == 0
         rep = _read_report(out)
-        assert rep["singular_values" if mode == "svd" else "eigenvalues"] == []
+        assert rep["singular_values" if command == "gsvd" else "eigenvalues"] == []
         assert capsys.readouterr().err == (f"randghep: warning: 0 {what} returned of the 1 asked for (--k); "
                                            "the sketch's effective_rank is 0\n")
 
@@ -831,11 +849,12 @@ class TestShortResultWarning:
         assert capsys.readouterr().err == ("randghep: warning: 0 singular values returned of the 1 asked "
                                            "for (--k); the sketch's effective_rank is 0\n")
 
-    @pytest.mark.parametrize("mode", ["svd", "evd-two-pass", "evd-single-pass"])
-    def test_no_warning_when_k_values_are_returned(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("command", [["gsvd"], ["solve", "--method", "two-pass"],
+                                         ["solve", "--method", "single-pass"]], ids=" ".join)
+    def test_no_warning_when_k_values_are_returned(self, tmp_path, capsys, command):
         a_path = _write_mtx(tmp_path / "a.mtx", np.diag([4.0, 2.0, 1.0, 0.5, 0.0, 0.0]), "array")
         out = tmp_path / "run"
-        assert main(["svd", "--A", a_path, "--k", "3", "--p", "1", "--mode", mode,
+        assert main([command[0], "--A", a_path, "--k", "3", "--p", "1", *command[1:],
                      "--seed", "2", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
 
@@ -869,11 +888,11 @@ class TestEmptyMatrixFile:
         (["solve", "--A", "{eye}", "--B", "{empty}", "--k", "1", "--p", "1"], "array real general\n0 3"),
         (["solve", "--A", "{eye}", "--B", "{empty}", "--k", "1", "--p", "1"],
          "coordinate real general\n0 0 0"),
-        (["svd", "--A", "{empty}", "--k", "1", "--p", "1"], "array real general\n0 3"),
+        (["gsvd", "--A", "{empty}", "--k", "1", "--p", "1"], "array real general\n0 3"),
         (["gsvd", "--A", "{empty}", "--S", "{eye}", "--T", "{eye}", "--k", "1", "--p", "1"],
          "array real general\n0 0"),
         (["estimate", "--A", "{empty}", "--B", "{eye}", "--k", "1"], "array real general\n0 0"),
-    ], ids=["solve-A", "solve-B", "solve-B-coordinate", "svd", "gsvd", "estimate"])
+    ], ids=["solve-A", "solve-B", "solve-B-coordinate", "gsvd-A-alone", "gsvd", "estimate"])
     def test_exits_2_without_report(self, tmp_path, argv, header):
         eye = _write_eye(tmp_path / "eye.mtx", 3)
         empty = tmp_path / "empty.mtx"
@@ -1292,22 +1311,27 @@ class TestGsvdCommand:
         assert rep["orthogonality_residual_V"] <= 1e-10
 
 
-class TestSvdCommand:
+class TestIdentityWeights:
+    """``gsvd`` without --S/--T is the plain SVD, and ``solve`` without --B the
+    B = I EVD."""
+
     def test_singular_values(self, tmp_path):
         Ad = np.diag([5.0, 3.0, 1.0, 0.0, 0.0])
         rg.save_matrix_market(tmp_path / "a.mtx", Ad)
         out = tmp_path / "s"
-        code = main(["svd", "--A", str(tmp_path / "a.mtx"), "--k", "3", "--p", "2",
+        code = main(["gsvd", "--A", str(tmp_path / "a.mtx"), "--k", "3", "--p", "2",
                      "--seed", "2", "--out", str(out)])
         assert code == 0
-        np.testing.assert_allclose(_read_report(out)["singular_values"], [5, 3, 1], atol=1e-11)
+        rep = _read_report(out)
+        np.testing.assert_allclose(rep["singular_values"], [5, 3, 1], atol=1e-11)
+        assert rep["config"]["S"] is None and rep["config"]["T"] is None
 
-    @pytest.mark.parametrize("mode", ["evd-two-pass", "evd-single-pass"])
-    def test_evd_rejects_asymmetric_matrix(self, tmp_path, mode):
+    @pytest.mark.parametrize("method", ["two-pass", "single-pass"])
+    def test_evd_rejects_asymmetric_matrix(self, tmp_path, method):
         rg.save_matrix_market(tmp_path / "a.mtx", np.random.default_rng(3).standard_normal((30, 30)))
         out = tmp_path / "s"
-        code = main(["svd", "--A", str(tmp_path / "a.mtx"), "--k", "3", "--p", "2",
-                     "--mode", mode, "--seed", "2", "--out", str(out)])
+        code = main(["solve", "--A", str(tmp_path / "a.mtx"), "--k", "3", "--p", "2",
+                     "--method", method, "--seed", "2", "--out", str(out)])
         assert code == 2
         assert not (out / "report.json").exists()
 
@@ -1315,10 +1339,77 @@ class TestSvdCommand:
         Ad = np.diag([4.0, 2.0, 1.0, 0.0, 0.0, 0.0])
         rg.save_matrix_market(tmp_path / "a.mtx", Ad)
         out = tmp_path / "s"
-        code = main(["svd", "--A", str(tmp_path / "a.mtx"), "--k", "3", "--p", "3",
-                     "--mode", "evd-two-pass", "--seed", "2", "--out", str(out)])
+        code = main(["solve", "--A", str(tmp_path / "a.mtx"), "--k", "3", "--p", "3",
+                     "--method", "two-pass", "--seed", "2", "--out", str(out)])
         assert code == 0
-        np.testing.assert_allclose(_read_report(out)["eigenvalues"], [4, 2, 1], atol=1e-11)
+        rep = _read_report(out)
+        np.testing.assert_allclose(rep["eigenvalues"], [4, 2, 1], atol=1e-11)
+        assert rep["config"]["B"] is None
+
+    @pytest.mark.parametrize("method", METHOD_CHOICES)
+    def test_solve_without_b_takes_the_oracle(self, tmp_path, method):
+        # the identity's dense factor serves the oracle, so --oracle works on (A, I)
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        lams = 0.2 ** np.arange(40)
+        rg.save_matrix_market(tmp_path / "a.mtx", (Q * lams) @ Q.T)
+        out = tmp_path / "s"
+        assert main(["solve", "--A", str(tmp_path / "a.mtx"), "--k", "4", "--p", "6", "--method", method,
+                     "--oracle", "--seed", "3", "--out", str(out)]) == 0
+        rows = _read_csv(out / "spectrum.csv")
+        np.testing.assert_allclose([float(r["lambda_oracle"]) for r in rows], lams[:4], rtol=1e-12)
+        assert all(float(r["abs_err"]) <= 1e-5 for r in rows)
+        assert math.isfinite(_read_report(out)["range_error_exact"])
+
+    def test_estimate_without_b_keeps_its_floor(self, tmp_path):
+        # the identity whitens, so e is a certified bound with its probability floor
+        rng = np.random.default_rng(6)
+        Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        rg.save_matrix_market(tmp_path / "a.mtx", (Q * 0.7 ** np.arange(60)) @ Q.T)
+        out = tmp_path / "e"
+        assert main(["estimate", "--A", str(tmp_path / "a.mtx"), "--k", "10", "--oracle",
+                     "--seed", "3", "--out", str(out)]) == 0
+        rep = _read_report(out)
+        assert rep["source"] == "lanczos_certificate" and rep["probability_floor"] == 1.0 - 2.0 ** -5
+        assert rep["config"]["B"] is None
+        assert rep["range_error_exact"] <= rep["e"]
+
+    @pytest.mark.parametrize("argv", [["estimate", "--B", "{eye}", "--k", "2"],
+                                      ["solve", "--A", "{rect}", "--k", "2", "--p", "1"],
+                                      ["estimate", "--A", "{rect}", "--k", "2"]],
+                             ids=["estimate-b-without-a", "solve-rectangular", "estimate-rectangular"])
+    def test_exits_2(self, tmp_path, argv):
+        paths = {"eye": _write_eye(tmp_path / "eye.mtx"),
+                 "rect": _write_mtx(tmp_path / "rect.mtx", np.ones((5, 4)), "array")}
+        out = tmp_path / "run"
+        assert main([arg.format(**paths) for arg in argv] + ["--seed", "3", "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    def test_one_weight_given(self, tmp_path):
+        # --T alone: S = I on the left, so U is orthonormal in the plain inner product
+        rng = np.random.default_rng(7)
+        Td = np.diag(rng.uniform(1.0, 3.0, 8))
+        paths = [_write_mtx(tmp_path / f"{name}.mtx", M, "array")
+                 for name, M in (("a", rng.standard_normal((10, 8))), ("t", Td))]
+        out = tmp_path / "g"
+        assert main(["gsvd", "--A", paths[0], "--T", paths[1], "--k", "4", "--p", "4",
+                     "--seed", "6", "--out", str(out)]) == 0
+        rep = _read_report(out)
+        assert len(rep["singular_values"]) == 4
+        assert rep["orthogonality_residual_U"] <= 1e-10 and rep["orthogonality_residual_V"] <= 1e-10
+        assert rep["config"]["S"] is None and rep["config"]["T"] == paths[1]
+
+    @pytest.mark.parametrize("scale", [520, -520])
+    def test_symmetry_probe_at_extreme_scales(self, tmp_path, scale):
+        # an asymmetric A exits 2 and a symmetric one solves, at a scale where
+        # the probe's ||Ax||^2 leaves the normal range
+        G = np.random.default_rng(6).standard_normal((30, 30))
+        for name, M, code in (("asym", G, 2), ("sym", G + G.T, 0)):
+            rg.save_matrix_market(tmp_path / f"{name}.mtx", np.ldexp(M, scale))
+            out = tmp_path / name
+            assert main(["solve", "--A", str(tmp_path / f"{name}.mtx"), "--k", "3", "--p", "2",
+                         "--seed", "1", "--out", str(out)]) == code
+            assert (out / "report.json").exists() == (code == 0)
 
 
 class TestThreadCap:
@@ -1360,7 +1451,6 @@ class TestParser:
         "estimate": ({"--A", "--B", "--nu", "--ell", "--n", "--k", "--alpha", "--r", "--tol", "--grow",
                       "--oracle"}, None),
         "qr-bench": ({"--nu", "--ell", "--n", "--cols"}, None),
-        "svd": ({"--A", "--k", "--p", "--mode"}, 20),
     }
 
     def test_each_command_keeps_its_options(self):
@@ -1375,7 +1465,7 @@ class TestParser:
     def test_calls_in_one_process_write_what_fresh_processes_write(self, tmp_path):
         eye = _write_eye(tmp_path / "eye.mtx", n=6)
         commands = [["kle", "--nu", "1.5", "--n", "60", "--k", "4"],
-                    ["svd", "--A", eye, "--k", "2", "--p", "2", "--mode", "evd-single-pass"]]
+                    ["solve", "--A", eye, "--k", "2", "--p", "2", "--method", "single-pass"]]
         for i, argv in enumerate(commands):
             assert main(argv + ["--seed", "5", "--out", str(tmp_path / f"in{i}")]) == 0
         for i, argv in enumerate(commands):

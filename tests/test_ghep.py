@@ -254,6 +254,20 @@ def test_nonsymmetric_a_rejected():
         rg.ghep_two_pass(rg.dense_operator(Ad), rg.dense_spd(np.eye(15)), SketchConfig(k=2, p=2, seed=1))
 
 
+@pytest.mark.parametrize("scale", [520, -520])
+def test_symmetry_probe_at_extreme_scales(scale):
+    # Ax passes ~1e154 (or falls below ~1e-154), where ||Ax||^2 leaves the
+    # normal range: the probe still rejects an asymmetric A, and passes a
+    # symmetric one without a RuntimeWarning (the suite makes warnings errors)
+    G = np.random.default_rng(6).standard_normal((30, 30))
+    cfg = SketchConfig(k=3, p=2, seed=1)
+    with pytest.raises(ConfigError, match="symmetry"):
+        rg.ghep_two_pass(rg.dense_operator(np.ldexp(G, scale)), sketch._identity(30), cfg)
+    sym = rg.ghep_two_pass(rg.dense_operator(np.ldexp(G + G.T, scale)), sketch._identity(30), cfg)
+    plain = rg.ghep_two_pass(rg.dense_operator(G + G.T), sketch._identity(30), cfg)
+    np.testing.assert_allclose(np.ldexp(sym.eigenvalues, -scale), plain.eigenvalues, rtol=1e-13)
+
+
 def test_oversized_sketch_rejected():
     # an oversized sketch and a mismatched pencil are rejected before the
     # symmetry probe, so they spend no A-applies

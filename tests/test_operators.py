@@ -5,6 +5,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 import randghep as rg
 from randghep.operators import (
@@ -260,6 +261,16 @@ class TestSparseSpd:
         with pytest.raises(error, match=match):
             rg.sparse_spd(scipy.sparse.csr_matrix(np.array(dense)))
 
+    def test_allocation_failure_is_a_memory_error(self, monkeypatch):
+        # SuperLU reports a failed allocation as a RuntimeError; it is not a
+        # verdict on the matrix
+        def splu(*args, **kwargs):
+            raise RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        with pytest.raises(MemoryError, match="SUPERLU_MALLOC fails"):
+            rg.sparse_spd(_sparse_spd_matrix(40, 4))
+
     def test_asymmetry_within_tolerance_passes(self):
         M = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]))
         np.testing.assert_allclose(rg.sparse_spd(M).apply_inverse(np.array([3.0, 3.0])), [1.0, 1.0])
@@ -429,6 +440,20 @@ class TestLinearMap:
         made = []
         A = rg.LinearMap(3, 3, lambda X: made.append(2.0 * X) or made[-1])
         assert A.apply(np.ones((3, 2))) is made[0]
+
+    def test_identity_weight_hooks(self):
+        # the identity weight whitens and factors as the identity, so the
+        # estimator's certificate and the dense oracles take it
+        from randghep.sketch import _identity
+
+        B = _identity(4)
+        X = np.arange(8.0).reshape(4, 2)
+        assert B.has_whitening
+        np.testing.assert_array_equal(B.whiten(X), X)
+        L, order = B.dense_factor()
+        assert order is None and L.flags.f_contiguous
+        np.testing.assert_array_equal(L, np.eye(4))
+        assert B.matvec_count == 0 and B.solve_count == 0
 
     def test_no_whitening_hook(self):
         B = rg.SpdOperator(3, lambda X: X, lambda X: X)

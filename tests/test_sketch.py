@@ -1,7 +1,8 @@
 """Gaussian sketches, randomized SVD/EVD, and the B-weighted range finder.
 
 The B = I randomized EVD is a GHEP solver on the pencil (A, I): ``evd`` runs
-one on (A, ``sketch._identity(n)``)."""
+one on (A, ``sketch._identity(n)``).  The plain randomized SVD is the GSVD
+at S = T = I: ``svd`` runs it so."""
 
 import json
 import os
@@ -26,6 +27,12 @@ def evd(A, cfg, mode="two_pass"):
     """(U, eigenvalues) of the ``mode`` solver on the pencil (A, I)."""
     sol = ghep.solver_method(mode)(A, _identity(A.dim_in), cfg)
     return sol.U, sol.eigenvalues
+
+
+def svd(A, cfg):
+    """(U, sigma, V) of the GSVD of A at the identity weights."""
+    res = rg.randomized_gsvd(A, _identity(A.dim_out), _identity(A.dim_in), cfg)
+    return res.U, res.sigma, res.V
 
 
 #: The shapes whose bits are pinned: (n, r, seed, first_col); one has odd n.
@@ -172,7 +179,7 @@ class TestSketchConfig:
 class TestRandomizedSvd:
     def test_exact_rank_within_sketch(self):
         A = rg.dense_operator(np.diag([5.0, 3.0, 1.0, 0.0, 0.0]))
-        _, sig, _ = rg.randomized_svd(A, SketchConfig(k=3, p=2, seed=1))
+        _, sig, _ = svd(A, SketchConfig(k=3, p=2, seed=1))
         np.testing.assert_allclose(sig, [5.0, 3.0, 1.0], atol=1e-12)
 
     def test_constructed_low_rank(self):
@@ -180,7 +187,7 @@ class TestRandomizedSvd:
         L = rng.standard_normal((20, 4))
         Rm = rng.standard_normal((4, 15))
         Ad = L @ Rm
-        U, sig, V = rg.randomized_svd(rg.dense_operator(Ad), SketchConfig(k=4, p=4, seed=2))
+        U, sig, V = svd(rg.dense_operator(Ad), SketchConfig(k=4, p=4, seed=2))
         err = np.linalg.norm(Ad - (U * sig) @ V.T, 2)
         assert err <= 1e-11 * np.linalg.norm(Ad, 2)
 
@@ -195,7 +202,7 @@ class TestRandomizedSvd:
         L = np.zeros((30, 3))
         L[:3] = rng.standard_normal((3, 3))
         Ad = L @ rng.standard_normal((3, 20))
-        U, sig, V = rg.randomized_svd(rg.dense_operator(Ad), SketchConfig(k=5, p=2, seed=3))
+        U, sig, V = svd(rg.dense_operator(Ad), SketchConfig(k=5, p=2, seed=3))
         assert sig.size == 3
         assert U.shape == (30, 3) and V.shape == (20, 3)
         np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-14)
@@ -210,14 +217,14 @@ class TestRandomizedSvd:
         k = 6
         worst = 0.0
         for seed in range(20):
-            U, sig, V = rg.randomized_svd(rg.dense_operator(Ad), SketchConfig(k=k, p=6, seed=seed))
+            U, sig, V = svd(rg.dense_operator(Ad), SketchConfig(k=k, p=6, seed=seed))
             err = np.linalg.norm(Ad - (U * sig) @ V.T, 2)
             worst = max(worst, err / ref[k])
         assert worst <= 10.0
 
     def test_oversized_sketch_rejected(self):
         with pytest.raises(ConfigError):
-            rg.randomized_svd(rg.dense_operator(np.eye(4)), SketchConfig(k=4, p=2, seed=0))
+            svd(rg.dense_operator(np.eye(4)), SketchConfig(k=4, p=2, seed=0))
 
 
 class TestRandomizedEvd:
