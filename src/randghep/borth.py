@@ -179,8 +179,14 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool, overwrite_y: bool) -> BOrt
     W-apply per column; every extra re-orthogonalization sweep recomputes
     the image fresh, which is what restores orthogonality for collapsing
     columns and what makes re-orthogonalization cost extra W-applies.
+
+    The work array is scaled once by 2^-e, e = ``pow2_exponent(Y)``, and R
+    by 2^e at the end, so no W-norm^2 overflows or vanishes at any scale of
+    Y; both scalings are exact.
     """
     Qt = _work_array(_check_input(Y, W).T, "C", overwrite_y)
+    e = pow2_exponent(Qt)
+    np.ldexp(Qt, -e, out=Qt)
     WQt = np.empty_like(Qt)
     Q_rows, WQ_rows = list(Qt), list(WQt)
     r = Qt.shape[0]
@@ -230,7 +236,7 @@ def _mgs(Y: np.ndarray, W: SpdOperator, reorth: bool, overwrite_y: bool) -> BOrt
             q /= tt
             qhat /= tt
 
-    return BOrthoBasis(Qt.T, WQt.T, R, flags, reorth_applies)
+    return BOrthoBasis(Qt.T, WQt.T, np.ldexp(R, e), flags, reorth_applies)
 
 
 def mgs_w(Y: np.ndarray, W: SpdOperator) -> BOrthoBasis:
@@ -369,16 +375,27 @@ def _sketch(X: np.ndarray) -> np.ndarray:
     return X if 2 * m >= n or m == 0 else sparse_sign_embedding(n, 2 * m) @ X
 
 
+def pow2_exponent(*blocks: np.ndarray) -> int:
+    """The e with max |x| < 2**e over the entries of ``blocks`` (0 when all are
+    zero): the package's one scale rule.  A norm or inner product that decides
+    something is read on its operands scaled by 2**-e, whose largest entry is
+    in [1/2, 1), and scaled back; both scalings are exact.  A NaN or Inf entry
+    is a NumericalError."""
+    peak = np.max([0.0] + [m for X in blocks for m in (X.max(initial=0.0), -X.min(initial=0.0))])  # keeps a NaN
+    if not math.isfinite(peak):
+        raise NumericalError("a block whose scale is read has non-finite (NaN or Inf) entries")
+    return math.frexp(peak)[1]
+
+
 def _largest_column_norm(Y: np.ndarray) -> float:
     """max_j ||y_j||_2 (0 for an empty Y).  When the largest column sum of
     squares is not a normal number (column norms above ~1e154 or below
-    ~1e-154), it is taken again on Y scaled by the power of two just above
-    max |y_ij|, as ``errors._norm2`` scales: exact, and no extra pass in the
-    normal range."""
+    ~1e-154), it is taken again on Y scaled by 2**-``pow2_exponent(Y)``:
+    exact, and no extra pass in the normal range."""
     sq = np.einsum("ij,ij->j", Y, Y).max(initial=0.0)
     if _TINY <= sq < math.inf:
         return math.sqrt(sq)
-    e = math.frexp(max(Y.max(initial=0.0), -Y.min(initial=0.0)))[1]
+    e = pow2_exponent(Y)
     Ys = np.ldexp(Y, -e)
     return math.ldexp(math.sqrt(np.einsum("ij,ij->j", Ys, Ys).max(initial=0.0)), e)
 

@@ -33,7 +33,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import dgemm, dsymv, dsyrk, dtrmm, dtrsm
 
-from .borth import EPS, BOrthoBasis, pre_chol_qr_w
+from .borth import EPS, BOrthoBasis, _largest_column_norm, pow2_exponent, pre_chol_qr_w
 from .operators import (
     ConfigError,
     LinearMap,
@@ -89,7 +89,8 @@ class SpectrumReference:
     order: Optional[np.ndarray] = field(repr=False)
     # dsytrd's lower-storage reduction Q^T A^ Q = T in A^'s F-ordered array: Q's Householder
     # vectors below the subdiagonal, A^'s diagonal and strict upper triangle above it; and
-    # (T's diagonal and off-diagonal, the reflectors' scalars, every eigenvalue of T ascending)
+    # (T's diagonal and off-diagonal, the reflectors' scalars, every eigenvalue of T ascending),
+    # with T scaled as ``dense_ghep_oracle`` scales it
     _reduced: np.ndarray = field(repr=False)
     _tri: tuple = field(repr=False)
     _vectors: Optional[np.ndarray] = field(default=None, init=False, repr=False)
@@ -326,10 +327,10 @@ def _norm2(M: np.ndarray) -> float:
     Squaring is safe for the largest singular value only: an error of
     eps ||M^T M|| = eps sigma_1^2 in lambda_max is a relative error O(eps)
     in its square root, and the small singular values, which would lose all
-    digits below eps sigma_1^2, are not read.  M is first scaled by the
-    power of two just above max |M_ij| = max(max M, -min M) (two reductions,
-    no |M| temporary), which is exact and keeps M^T M from overflowing or
-    underflowing; the Gram matrix G is one dsyrk.
+    digits below eps sigma_1^2, are not read.  M is first scaled by
+    2**-``pow2_exponent(M)`` (a NaN or Inf entry is a NumericalError), which
+    is exact and keeps M^T M from overflowing or underflowing; the Gram
+    matrix G is one dsyrk.
 
     lambda_max(G) is the top Ritz value theta of a few Lanczos steps
     (``_lanczos_top``), certified by one Cholesky factorization of
@@ -341,12 +342,7 @@ def _norm2(M: np.ndarray) -> float:
     the factorization fails, or Lanczos reaches its step cap, G is formed
     again and its top eigenvalue taken by a dense eigensolve.
     """
-    peak = float(max(M.max(), -M.min()))  # NaN when M has one: both reductions carry it
-    if peak == 0.0:
-        return 0.0
-    if not math.isfinite(peak):
-        raise NumericalError("the matrix whose norm is taken has non-finite entries")
-    e = math.frexp(peak)[1]
+    e = pow2_exponent(M)
     np.ldexp(M, -e, out=M)
     gram = _gram(M, None)
     theta = _lanczos_top(gram)
@@ -400,8 +396,15 @@ def dense_ghep_oracle(A: np.ndarray, B: SpdOperator) -> SpectrumReference:
     lwork = int(lapack.dsytrd_lwork(Ahat.shape[0], lower=1)[0])
     reduced, d, e, tau, _ = lapack.dsytrd(Ahat, lower=1, lwork=lwork, overwrite_a=1)
     np.fill_diagonal(reduced, diagonal)  # over T's, which d holds; dormqr does not read it
+    # LAPACK's tridiagonal solvers square T's entries and rescale a T far from 1
+    # by factors that are no power of two: one whose scale 2^p leaves the band
+    # |p| <= 256 is solved as T 2^-p, which has T's eigenvectors
+    p = pow2_exponent(d, e)
+    p = p if abs(p) > 256 else 0
+    d, e = np.ldexp(d, -p), np.ldexp(e, -p)
     lam = scipy.linalg.eigvalsh_tridiagonal(d, e, check_finite=False)
-    return SpectrumReference(lambdas=lam[::-1], L=L, order=order, _reduced=reduced, _tri=(d, e, tau, lam))
+    return SpectrumReference(lambdas=np.ldexp(lam[::-1], p), L=L, order=order, _reduced=reduced,
+                             _tri=(d, e, tau, lam))
 
 
 def _top_tridiagonal_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
@@ -500,7 +503,12 @@ def posterior_estimate(
     coeff = basis.WQ.T @ CW
     Z = CW - basis.Q @ coeff
     BZ = AW - basis.WQ @ coeff  # B Z without extra B-applies (B*CW = A*W)
-    norm = float(np.sqrt(np.maximum(np.sum(Z * BZ, axis=0), 0.0)).max())
+    # the B-norms are read on Z 2^-pz and BZ 2^-pb, whose products stay near 1;
+    # pz + pb is made even, so that its half scales them back
+    pz, pb = pow2_exponent(Z), pow2_exponent(BZ)
+    pb += (pz + pb) % 2
+    sq = np.sum(np.ldexp(Z, -pz) * np.ldexp(BZ, -pb), axis=0)
+    norm = math.ldexp(float(np.sqrt(np.maximum(sq, 0.0)).max()), (pz + pb) // 2)
     return ErrorEstimate(e=float(alpha * math.sqrt(2.0 * binv_norm / math.pi) * norm),
                          alpha=float(alpha), r_probes=r_probes,
                          probability_floor=1.0 - delta, source="exact_binv_norm")
@@ -556,6 +564,14 @@ def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check:
     Krylov space ends the steps early.  A check costs at most
     2 LANCZOS_STEPS A-applies, 2 LANCZOS_STEPS - 1 B-solves and the
     B-normalization's one B-apply; the operators' counters say what it spent.
+
+    M is quadratic in C, so past a pencil scale of ~2^+-256 its products
+    leave the normal range.  The steps run on 2^-2k M instead, with
+    k = ``pow2_exponent(C u)`` read at the first step: each M-apply takes its
+    Lanczos vector v as u = 2^-p v, p = ``pow2_exponent(v)``, scales C u by
+    2^-k and the image by 2^(p - k), and e = 2^k sqrt(xi' / (1 - eps)) from
+    the top Ritz value xi' = 2^-2k xi of 2^-2k M.  The scalings are exact, so
+    the Lanczos vectors are the unscaled run's.
     """
     n = B.dim
     g = gaussian_matrix(n, 1, derive_seed(seed, _START_STREAM), first_col=check - 1)[:, 0]
@@ -567,8 +583,12 @@ def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check:
     V[:, 0], BV[:, 0] = x / norm, Bx / norm
     m = LANCZOS_STEPS
     for j in range(LANCZOS_STEPS):
-        y = B.apply_inverse(A.apply(V[:, j]))
-        BMV[:, j] = A.apply(y - Q @ (BQ.T @ y))
+        p = pow2_exponent(V[:, j])
+        y = B.apply_inverse(A.apply(np.ldexp(V[:, j], -p)))
+        if j == 0:
+            k = pow2_exponent(y)
+        y = np.ldexp(y, -k)
+        BMV[:, j] = np.ldexp(A.apply(y - Q @ (BQ.T @ y)), p - k)
         if j + 1 == LANCZOS_STEPS:
             break
         w, Bw = B.apply_inverse(BMV[:, j]), BMV[:, j]
@@ -587,7 +607,7 @@ def _certify(A: LinearMap, B: SpdOperator, basis: BOrthoBasis, seed: int, check:
     # LANCZOS_STEPS even after an early end: an invariant Krylov space has the
     # Ritz values of every longer run
     eps = _lanczos_slack(n, LANCZOS_STEPS, check_budget(check, delta))
-    return math.sqrt(xi / (1.0 - eps))
+    return math.ldexp(math.sqrt(xi / (1.0 - eps)), k)
 
 
 def apriori_bound(sigmas_B: np.ndarray, k: int, p: int, binv_norm: float) -> float:
@@ -625,7 +645,8 @@ def eigenpair_bounds(epsilon: float, delta: float) -> EigenpairBounds:
         raise ConfigError("delta must be nonnegative")
     if delta == 0.0:
         return EigenpairBounds(2.0 * epsilon, 0.0 if epsilon == 0.0 else 1.0)
-    lam = min(2.0 * epsilon, 4.0 * epsilon**2 / delta)
+    # eps (eps / delta), not eps^2 / delta: eps^2 overflows once eps passes 2^512
+    lam = min(2.0 * epsilon, 4.0 * epsilon * (epsilon / delta))
     sine = min(1.0, 2.0 * epsilon / delta)
     return EigenpairBounds(float(lam), float(sine))
 
@@ -773,7 +794,7 @@ def grow_sketch_until(
             CW = B.apply_inverse(A.apply(gaussian_matrix(n, new, seed, first_col=ncols)))
             grown = pre_chol_qr_w(CW, B, basis=basis, overwrite_y=True)
             probes = grown.R[ncols:, ncols : ncols + min(r_probes, new)]
-            e_free = float(np.linalg.norm(probes, axis=0).max())
+            e_free = _largest_column_norm(probes)
         if grown is None or rho is None or (tol is not None and rho * e_free <= tol):
             checks += 1
             before = A.matvec_count, B.solve_count, B.matvec_count

@@ -395,7 +395,7 @@ def kle_truncation_check(
     lam_sum = float(np.sum(np.maximum(lam_ex, 0.0)))
     if delta > 0.0:
         bound_literal = n * min(2.0 * epsilon, 2.0 * epsilon / delta) + lam_sum * (2.0 * epsilon / delta) ** 2
-        bound_per = K * min(2.0 * epsilon, 4.0 * epsilon**2 / delta) + lam_sum * (2.0 * epsilon / delta) ** 2
+        bound_per = K * min(2.0 * epsilon, 4.0 * epsilon * (epsilon / delta)) + lam_sum * (2.0 * epsilon / delta) ** 2
     else:
         bound_literal = bound_per = math.inf
     return TruncationReport(

@@ -42,7 +42,8 @@ METHODS = ("two-pass", "single-pass", "nystrom")
 
 def write_inputs(directory: Path) -> None:
     """The KLE pencil (nu = 1.5, ell = 0.5, n = 400) as files, with B in
-    array and in symmetric coordinate storage, and its A scaled by 2**512; a
+    array and in symmetric coordinate storage, and its A scaled by 2**512,
+    2**300, 2**-300 and 2**-520 (``a_2p512.mtx``, ..., ``a_2m520.mtx``); a
     60 x 50 A with SPD weights S (array) and T (coordinate) for ``gsvd``; a
     symmetric 80 x 80 matrix."""
     directory.mkdir(parents=True)
@@ -50,7 +51,8 @@ def write_inputs(directory: Path) -> None:
     pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=1.5, ell=0.5))
     M = kle.assemble_mass_1d(grid)
     save_matrix_market(directory / "a.mtx", pencil.dense_a)
-    save_matrix_market(directory / "a_2p512.mtx", np.ldexp(pencil.dense_a, 512))
+    for e in (512, 300, -300, -520):
+        save_matrix_market(directory / f"a_2{'p' if e > 0 else 'm'}{abs(e)}.mtx", np.ldexp(pencil.dense_a, e))
     save_matrix_market(directory / "b.mtx", M)
     scipy.io.mmwrite(directory / "b_coo.mtx", scipy.sparse.coo_matrix(M), symmetry="symmetric")
     rng = np.random.default_rng(11)
@@ -109,6 +111,13 @@ def commands() -> list[tuple[str, list[str]]]:
     # a scale at which the sketch's column sums of squares overflow
     cases.append(("solve-two-pass-a-2p512", ["solve", "--A", "inputs/a_2p512.mtx", "--B", "inputs/b.mtx",
                                              "--k", "20", "--p", "10"]))
+    # scales at which the certificate's M = C P C, quadratic in C, leaves the
+    # normal range, and one at which the oracle's tridiagonal does
+    for scale in ("m300", "p300"):
+        cases.append((f"estimate-file-a-2{scale}-oracle", ["estimate", "--A", f"inputs/a_2{scale}.mtx",
+                                                            "--B", "inputs/b.mtx", "--k", "20", "--oracle"]))
+    cases.append(("solve-two-pass-a-2m520-oracle", ["solve", "--A", "inputs/a_2m520.mtx", "--B", "inputs/b.mtx",
+                                                    "--k", "20", "--p", "10", "--oracle"]))
     cases.append(("qr-bench", ["qr-bench", "--n", "2000", "--cols", "100"]))
     # PreCholQR drops columns of this sketch
     cases.append(("qr-bench-nu2.5-cols160", ["qr-bench", "--nu", "2.5", "--cols", "160"]))
