@@ -435,10 +435,11 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
     |R_jj|, while the block's scale moves by that distortion at most).  The
     scale is read off Y itself, not its sketch, so an append sketches only
     the projected block, and ``_largest_column_norm`` reads it at any scale.
-    Dependent columns are moved behind the kept ones and
-    the small QR is redone, so a dependent column never lends its roundoff
-    direction to a later column; their Q/WQ columns are zeroed and
-    R[j, j] = 0.
+    Where RANK_TOL eps times it is subnormal, Z is factored scaled by
+    2^-``pow2_exponent(Y)`` and R scaled back.  Dependent columns are moved
+    behind the kept ones and the small QR is redone, so a dependent column
+    never lends its roundoff direction to a later column; their Q/WQ columns
+    are zeroed and R[j, j] = 0.
 
     W is applied once, to all kept columns in one block call.  Two CholQR
     passes follow on the tracked image, with each Gram formed from the
@@ -455,10 +456,16 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
             raise ConfigError(f"basis has {basis.Q.shape[0]} rows, Y has {n}")
         if r0 + m > n:
             raise ConfigError(f"more columns ({r0 + m}) than rows ({n})")
-    threshold = RANK_TOL * EPS * _largest_column_norm(Y)
+    scale = _largest_column_norm(Y)
     Z = _work_array(Y, "F", overwrite_y)
+    e = 0
+    if 0.0 < scale < _TINY / (RANK_TOL * EPS):  # a subnormal threshold keeps subnormal pivots
+        e = pow2_exponent(Y)
+        np.ldexp(Z, -e, out=Z)
+    threshold = RANK_TOL * EPS * math.ldexp(scale, -e)
     if basis is not None:
         Z, coef = _project_out(Z, basis)
+        coef = np.ldexp(coef, e)
     SY = _sketch(Z)
     dependent = np.zeros(m, dtype=bool)
     order = np.arange(m)
@@ -496,6 +503,7 @@ def pre_chol_qr_w(Y: np.ndarray, W: SpdOperator, basis: BOrthoBasis | None = Non
         R_new[np.ix_(kept, order)] = R
         # a dependent column's weights on later kept columns are roundoff
         Q, WQ, R = Q_new, WQ_new, np.triu(R_new)
+    R = np.ldexp(R, e)
     if basis is None:
         return BOrthoBasis(Q, WQ, R, ~dependent)
     return basis._append(Q, WQ, coef, R, ~dependent)

@@ -7,7 +7,9 @@ missing weight is the identity: solve and estimate on --A alone run on the
 pencil (A, I), the B = I EVD, and gsvd without --S or --T takes I on that
 side, so gsvd --A alone is the plain SVD.  A KLE pencil's missing --ell or
 --n takes MaternConfig.ell or Grid1D.n.  Reports are JSON, per-index series
-are CSV, matrices are Matrix Market.  Seeds lie in [0, 2**64).  Exit codes:
+are CSV, matrices are Matrix Market: an array file is dense, a coordinate file
+stays sparse, and --oracle densifies a coordinate A up to n = kle.ORACLE_MAX_N.
+Seeds lie in [0, 2**64).  Exit codes:
 0 success, 2 bad configuration (an unwritable output path counts as one), 3
 numerical failure (a LinAlgError that escapes a command counts as one) or
 running out of memory.  A failed run leaves no outputs.
@@ -97,32 +99,40 @@ def _warn_if_short(what: str, returned: int, k: int, rank: int) -> None:
               f"the sketch's effective_rank is {rank}", file=sys.stderr)
 
 
-def _load_spd(path, n: int):
-    """The SPD operator of the Matrix Market file ``path``, or the n x n
-    identity (``sketch._identity``) when ``path`` is None.
-
-    The file's storage picks the backend: coordinate storage stays sparse
-    (``sparse_spd``), and array storage is wrapped in place (``dense_spd``).
-    """
+def _operator(M, spd: bool = False):
+    """The operator, or with ``spd`` the SPD operator, of a matrix that
+    ``operators.load_matrix_market`` read, on the file's own storage: dense
+    for an array, sparse for a CSR matrix."""
     import scipy.sparse
 
     from . import operators
+
+    if scipy.sparse.issparse(M):
+        return operators.sparse_spd(M) if spd else operators.sparse_operator(M)
+    return operators.dense_spd(M) if spd else operators.dense_operator(M)
+
+
+def _load_spd(path, n: int):
+    """The SPD operator of the Matrix Market file ``path`` (``_operator``), or
+    the n x n identity (``sketch._identity``) when ``path`` is None."""
+    from . import operators
     from .sketch import _identity
 
-    if path is None:
-        return _identity(n)
-    M = operators.read_matrix_market(path)
-    return operators.sparse_spd(M) if scipy.sparse.issparse(M) else operators.dense_spd(M)
+    return _identity(n) if path is None else _operator(operators.load_matrix_market(path), spd=True)
 
 
-def _pencil(args):
+def _pencil(args, symmetric_a: bool = False):
     """The pencil of the files --A/--B or of the KLE options --nu/--ell/--n
     (a missing --ell or --n takes ``MaternConfig.ell`` or ``Grid1D.n``), and
-    the config entries that name it.  A file pencil without --B is (A, I).  A
-    file pencil's ``dense_a`` is the array its A-operator wraps and the
-    oracles read its B-operator's factor, so no matrix is held twice.  A mix
-    of sources, none, --B without --A, or --oracle above
-    ``kle.ORACLE_MAX_N`` is a ConfigError, raised before any apply."""
+    the config entries that name it.  A file pencil without --B is (A, I).  Its
+    operators keep each file's storage (``_operator``); ``dense_a`` is the
+    array an array A's operator wraps, or a coordinate A densified when read.
+    ``symmetric_a`` checks the stored A (``check_symmetric``), as estimate's
+    Lanczos certificate assumes.  A mix of sources, none, --B without --A, or
+    --oracle above ``kle.ORACLE_MAX_N`` on a KLE pencil or a coordinate A is a
+    ConfigError, raised before any apply."""
+    import scipy.sparse
+
     from . import kle, operators
     from .operators import ConfigError
 
@@ -131,11 +141,16 @@ def _pencil(args):
     if args.A is not None:
         if args.nu is not None or args.n is not None or args.ell is not None:
             raise ConfigError("give either --A/--B or --nu/--ell/--n, not both")
-        Ad = operators.load_matrix_market(args.A)
-        if args.B is None and Ad.shape[0] != Ad.shape[1]:
-            raise ConfigError(f"--A without --B needs a square A, got {Ad.shape[0]} x {Ad.shape[1]}")
-        B = _load_spd(args.B, Ad.shape[0])
-        pencil = operators.GhepPencil(operators.dense_operator(Ad), B, lambda: Ad)
+        M = operators.load_matrix_market(args.A)
+        sparse = scipy.sparse.issparse(M)
+        if sparse and args.oracle and M.shape[0] > kle.ORACLE_MAX_N:
+            raise ConfigError(f"--oracle on a coordinate A needs n <= {kle.ORACLE_MAX_N}, got {M.shape[0]}")
+        if args.B is None and M.shape[0] != M.shape[1]:
+            raise ConfigError(f"--A without --B needs a square A, got {M.shape[0]} x {M.shape[1]}")
+        B = _load_spd(args.B, M.shape[0])
+        if symmetric_a:
+            operators.check_symmetric(M)
+        pencil = operators.GhepPencil(_operator(M), B, M.toarray if sparse else lambda: M)
         return pencil, {"A": args.A, "B": args.B}
     if args.nu is None:
         raise ConfigError("estimate needs either --A/--B or a --nu/--ell/--n KLE configuration")
@@ -208,10 +223,9 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
     from . import gsvd, operators
     from .sketch import SketchConfig
 
-    Ad = operators.load_matrix_market(args.A)
-    S, T = _load_spd(args.S, Ad.shape[0]), _load_spd(args.T, Ad.shape[1])
-    res = gsvd.randomized_gsvd(operators.dense_operator(Ad), S, T,
-                               SketchConfig(k=args.k, p=args.p, seed=seed))
+    M = operators.load_matrix_market(args.A)
+    S, T = _load_spd(args.S, M.shape[0]), _load_spd(args.T, M.shape[1])
+    res = gsvd.randomized_gsvd(_operator(M), S, T, SketchConfig(k=args.k, p=args.p, seed=seed))
     k = res.sigma.size
     # the core has one singular value per kept column of the smaller basis
     _warn_if_short("singular values", k, args.k,
@@ -224,15 +238,11 @@ def cmd_gsvd(args, report: dict, seed: int, outdir: Path) -> None:
 
 def cmd_estimate(args, report: dict, seed: int, outdir: Path) -> None:
     from . import errors
-    from .operators import ConfigError, check_symmetric
+    from .operators import ConfigError
 
     if args.grow and args.tol is None:
         raise ConfigError("--grow needs --tol")
-    pencil, report["config"] = _pencil(args)
-    if args.A is not None:
-        # solve probes A for symmetry; the estimator's Lanczos certificate
-        # assumes it too, so a file A is checked here
-        check_symmetric(pencil.dense_a)
+    pencil, report["config"] = _pencil(args, symmetric_a=True)
     report["config"].update({"k": args.k, "alpha": args.alpha, "r": args.r,
                              "tol": args.tol, "grow": bool(args.grow)})
     growth = errors.grow_sketch_until(pencil.A, pencil.B, k0=args.k, tol=args.tol,

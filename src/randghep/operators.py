@@ -6,7 +6,8 @@ are never requested by any algorithm; each SPD backend factorizes B once
 to serve the solve contract: the dense one by Cholesky, the sparse one by a
 SuperLU LDL^T with a symmetric ordering.  The same factor serves the
 estimator's whitening and, through ``SpdOperator.dense_factor``, the dense
-oracles.
+oracles.  A matrix file keeps its storage (``load_matrix_market``), and
+with it its backends: dense for an array, sparse for a CSR matrix.
 """
 
 from __future__ import annotations
@@ -107,10 +108,10 @@ class LinearMap:
     callers read ``matvec_count`` and ``solve_count`` before and after.
 
     Operators are immutable after construction and safe for concurrent
-    read-only use; the counters use locked increments.  The dense backends
-    keep the matrix they wrap without copying it and mark it read-only, so
-    the operator stays immutable although the caller still holds the array;
-    the sparse backend keeps a copy of its own.
+    read-only use; the counters use locked increments.  ``dense_operator``,
+    ``dense_spd`` and ``sparse_operator`` keep the matrix they wrap without a
+    copy and mark it read-only, so the operator stays immutable although the
+    caller still holds it; ``sparse_spd`` keeps a copy of its own.
     """
 
     def __init__(
@@ -294,6 +295,19 @@ def dense_operator(M: np.ndarray) -> LinearMap:
     return LinearMap(M.shape[0], M.shape[1], lambda X: M @ X, lambda X: M.T @ X)
 
 
+def sparse_operator(M) -> LinearMap:
+    """Wrap a scipy sparse matrix as a LinearMap with transpose application.
+
+    A float64 CSR M is wrapped in place and its arrays marked read-only, as
+    ``dense_operator`` wraps an array; ``M.T`` is a CSC view of them.  Other
+    formats and dtypes are converted to a new float64 CSR matrix.
+    """
+    M = M.tocsr().astype(float, copy=False)
+    for a in (M.data, M.indices, M.indptr):
+        a.setflags(write=False)
+    return LinearMap(M.shape[0], M.shape[1], lambda X: M @ X, lambda X: M.T @ X)
+
+
 def _check_conditioning(rcond: float) -> None:
     """IllConditionedError when an SPD matrix is singular to working precision.
 
@@ -408,46 +422,14 @@ def sparse_spd(M) -> SpdOperator:
 # ---------------------------------------------------------------------------
 
 
-def _locate_bad_line(path) -> int:
-    """Best-effort scan for the first malformed body line (1-based, 0 if unknown)."""
-    try:
-        with open(path, "rt") as fh:
-            header = fh.readline()
-            if not header.startswith("%%MatrixMarket"):
-                return 1
-            lineno = 1
-            for line in fh:
-                lineno += 1
-                if line.startswith("%") or not line.strip():
-                    continue
-                try:
-                    [float(t) for t in line.split()]
-                except ValueError:
-                    return lineno
-            return 0
-    except OSError:
-        return 0
+def load_matrix_market(path):
+    """Read a real Matrix Market file in its own storage, as a new float64
+    array or, from coordinate storage, a new float64 CSR matrix.
 
-
-def load_matrix_market(path) -> np.ndarray:
-    """Read a real Matrix Market file (array or coordinate) into a dense matrix.
-
-    Validation is ``read_matrix_market``'s.  The result is a new float64
-    array that the caller owns: ``dense_operator`` and ``dense_spd`` can
-    wrap it without a copy.
-    """
-    M = read_matrix_market(path)
-    return M.toarray() if scipy.sparse.issparse(M) else M
-
-
-def read_matrix_market(path):
-    """Read a real Matrix Market file in its own storage: coordinate storage
-    as a float64 sparse CSR matrix, array storage as a float64 array.
-
-    Symmetric/skew storage is expanded to full.  Complex and pattern fields
-    raise UnsupportedFieldError; a zero row or column count in the header,
-    parse failures and NaN or Inf values raise MatrixFormatError, with a line
-    number when one can be determined.
+    Symmetric/skew storage is expanded to full, and duplicate entries summed.
+    Complex and pattern fields raise UnsupportedFieldError; a zero row or
+    column count in the header, parse failures (scipy's message names the
+    line) and NaN or Inf values raise MatrixFormatError.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -465,9 +447,7 @@ def read_matrix_market(path):
     try:
         M = scipy.io.mmread(path)
     except Exception as exc:
-        lineno = _locate_bad_line(path)
-        where = f" at line {lineno}" if lineno else ""
-        raise MatrixFormatError(f"{path}: parse failure{where}: {exc}") from exc
+        raise MatrixFormatError(f"{path}: parse failure: {exc}") from exc
     if scipy.sparse.issparse(M):
         M = scipy.sparse.csr_matrix(M, dtype=float)  # sums duplicate entries
         values = M.data
@@ -482,6 +462,7 @@ def save_matrix_market(path, M: np.ndarray) -> None:
     """Write a dense matrix as a Matrix Market array file (round-trips float64).
 
     Each entry is written as the shortest decimal string that reads back as
-    the same float64.
+    the same float64.  scipy's writer walks the matrix by columns, so it is
+    handed an F-ordered array: a copy of a C-ordered M, M itself otherwise.
     """
-    scipy.io.mmwrite(path, np.asarray(M, dtype=float))
+    scipy.io.mmwrite(path, np.asfortranarray(M, dtype=float))

@@ -3,9 +3,9 @@
 Usage: ``PYTHONPATH=src python tests/cli_snapshot.py OUTDIR``
 
 The script writes its own input files into ``OUTDIR/inputs``: a KLE file
-pencil with B in array and in coordinate storage, a GSVD triple and a
-symmetric matrix.  It then calls ``randghep.cli.main`` in this process for
-each command of ``commands()``, with ``--out OUTDIR/runs/<name>``, and
+pencil with A and B each in array and in coordinate storage, a GSVD triple
+and a symmetric matrix.  It then calls ``randghep.cli.main`` in this process
+for each command of ``commands()``, with ``--out OUTDIR/runs/<name>``, and
 records under ``OUTDIR/records/<name>`` the command's stdout, its stderr and
 its exit code.  ``report.json`` is rewritten without ``wall_time_s``, the
 only field that differs between two runs of one tree.  An exception that
@@ -41,16 +41,18 @@ METHODS = ("two-pass", "single-pass", "nystrom")
 
 
 def write_inputs(directory: Path) -> None:
-    """The KLE pencil (nu = 1.5, ell = 0.5, n = 400) as files, with B in
-    array and in symmetric coordinate storage, and its A scaled by 2**512,
-    2**300, 2**-300 and 2**-520 (``a_2p512.mtx``, ..., ``a_2m520.mtx``); a
-    60 x 50 A with SPD weights S (array) and T (coordinate) for ``gsvd``; a
-    symmetric 80 x 80 matrix."""
+    """The KLE pencil (nu = 1.5, ell = 0.5, n = 400) as files, with A in
+    array and in general coordinate storage (``a_coo.mtx``, the same
+    entries), B in array and in symmetric coordinate storage, and its A
+    scaled by 2**512, 2**300, 2**-300 and 2**-520 (``a_2p512.mtx``, ...,
+    ``a_2m520.mtx``); a 60 x 50 A with SPD weights S (array) and T
+    (coordinate) for ``gsvd``; a symmetric 80 x 80 matrix."""
     directory.mkdir(parents=True)
     grid = kle.Grid1D(n=400)
     pencil = kle.kle_pencil(grid, kle.MaternConfig(nu=1.5, ell=0.5))
     M = kle.assemble_mass_1d(grid)
     save_matrix_market(directory / "a.mtx", pencil.dense_a)
+    scipy.io.mmwrite(directory / "a_coo.mtx", scipy.sparse.coo_matrix(pencil.dense_a), symmetry="general")
     for e in (512, 300, -300, -520):
         save_matrix_market(directory / f"a_2{'p' if e > 0 else 'm'}{abs(e)}.mtx", np.ldexp(pencil.dense_a, e))
     save_matrix_market(directory / "b.mtx", M)
@@ -118,6 +120,12 @@ def commands() -> list[tuple[str, list[str]]]:
                                                             "--B", "inputs/b.mtx", "--k", "20", "--oracle"]))
     cases.append(("solve-two-pass-a-2m520-oracle", ["solve", "--A", "inputs/a_2m520.mtx", "--B", "inputs/b.mtx",
                                                     "--k", "20", "--p", "10", "--oracle"]))
+    # A in coordinate storage: its operator stays sparse, and --oracle densifies it
+    coo_a = ["--A", "inputs/a_coo.mtx", "--B", "inputs/b_coo.mtx"]
+    cases += [(f"solve-{method}-a-coo", ["solve", *coo_a, "--k", "20", "--p", "10", "--method", method,
+                                         "--oracle", "--save-modes"]) for method in METHODS]
+    cases += [("estimate-file-a-coo-oracle", ["estimate", *coo_a, "--k", "20", "--oracle"]),
+              ("gsvd-a-coo", ["gsvd", "--A", "inputs/a_coo.mtx", "--k", "10", "--p", "5"])]
     cases.append(("qr-bench", ["qr-bench", "--n", "2000", "--cols", "100"]))
     # PreCholQR drops columns of this sketch
     cases.append(("qr-bench-nu2.5-cols160", ["qr-bench", "--nu", "2.5", "--cols", "160"]))

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -623,6 +624,22 @@ class TestRankRuleScale:
         assert flags.sum() == rank == 3
         assert np.array_equal(flags_k, flags) and rank_k == rank
         np.testing.assert_allclose(lam_k, lam, rtol=1e-14)
+
+    @pytest.mark.parametrize("append", [False, True])
+    def test_subnormal_block(self, append):
+        # at 2**-1040 every entry is subnormal, and RANK_TOL eps max ||y_j|| is
+        # too: the block is factored scaled into the normal range
+        rng = np.random.default_rng(5)
+        Y, W = rng.standard_normal((200, 12)), rg.dense_spd(make_kle_mass(200))
+        basis = rg.pre_chol_qr_w(rng.standard_normal((200, 8)), W) if append else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ref, tiny = (rg.pre_chol_qr_w(np.ldexp(Y, e), W, basis=basis) for e in (0, -1040))
+        assert tiny.rank_flags.all()
+        assert np.max(np.abs(tiny.Q - ref.Q)) <= 1e-8
+        # the block's columns of R, its coefficients on the basis included
+        R, R_ref = np.ldexp(tiny.R[:, -12:], 1040), ref.R[:, -12:]
+        np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-8 * np.abs(R_ref).max())
 
     @pytest.mark.parametrize("e", [-1060, -990, 0, 511, 1000])
     def test_largest_column_norm(self, e):

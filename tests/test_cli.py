@@ -241,7 +241,7 @@ class TestSolve:
         # exact factorization of B), every bound flag True
         a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 101)
         array_b = tmp_path / "b_array.mtx"
-        rg.save_matrix_market(array_b, rg.load_matrix_market(b_path))
+        rg.save_matrix_market(array_b, rg.load_matrix_market(b_path).toarray())
         reps, rows = [], []
         for name, path in (("coordinate", b_path), ("array", str(array_b))):
             out = tmp_path / name
@@ -252,7 +252,7 @@ class TestSolve:
         assert reps[0]["counts"] == reps[1]["counts"]
         lam, ref = np.array(reps[0]["eigenvalues"]), np.array(reps[1]["eigenvalues"])
         assert np.sum(np.abs(lam - ref)) <= 1e-13 * np.sum(np.abs(ref))
-        Ad, Bd = rg.load_matrix_market(a_path), rg.load_matrix_market(b_path)
+        Ad, Bd = rg.load_matrix_market(a_path), rg.load_matrix_market(b_path).toarray()
         expected = scipy.linalg.eigh(Ad, Bd, eigvals_only=True)[::-1][:len(rows[0])]
         oracles = [np.array([float(r["lambda_oracle"]) for r in table]) for table in rows]
         assert np.max(np.abs(oracles[0] - oracles[1])) <= 1e-14 * oracles[1][0]
@@ -1309,6 +1309,79 @@ class TestGsvdCommand:
         assert len(rep["singular_values"]) == 4
         assert rep["orthogonality_residual_U"] <= 1e-10
         assert rep["orthogonality_residual_V"] <= 1e-10
+
+
+class TestCoordinateA:
+    """A coordinate-storage A keeps its storage: its sparse operator gives the
+    array file's values, a large sparse A needs no dense copy, and --oracle,
+    which densifies it, is capped at ``kle.ORACLE_MAX_N``."""
+
+    @pytest.mark.parametrize("method", METHOD_CHOICES)
+    def test_solve_matches_the_array_file(self, tmp_path, method):
+        a_path, b_path = _write_coordinate_kle_pencil(tmp_path, 201)
+        coo_a = _write_mtx(tmp_path / "a_coo.mtx", rg.load_matrix_market(a_path), "coordinate")
+        lams = []
+        for path in (a_path, coo_a):
+            out = tmp_path / Path(path).stem
+            assert main(["solve", "--A", path, "--B", b_path, "--k", "20", "--p", "10", "--method", method,
+                         "--seed", "4", "--out", str(out)]) == 0
+            lams.append(np.array(_read_report(out)["eigenvalues"]))
+        assert lams[0].size == lams[1].size == 20
+        assert np.sum(np.abs(lams[1] - lams[0])) <= 1e-14 * np.sum(np.abs(lams[0]))
+
+    def test_gsvd_matches_the_array_file(self, tmp_path):
+        rng = np.random.default_rng(8)
+        G = rng.standard_normal((70, 50)) * np.geomspace(1.0, 1e-6, 50)
+        t_path = _write_mtx(tmp_path / "t.mtx", 4.0 * np.eye(50) + np.eye(50, k=1) + np.eye(50, k=-1),
+                            "coordinate")
+        sigmas = []
+        for storage in ("array", "coordinate"):
+            out = tmp_path / storage
+            assert main(["gsvd", "--A", _write_mtx(tmp_path / f"a_{storage}.mtx", G, storage), "--T", t_path,
+                         "--k", "10", "--p", "5", "--seed", "4", "--out", str(out)]) == 0
+            sigmas.append(np.array(_read_report(out)["singular_values"]))
+        assert sigmas[0].size == sigmas[1].size == 10
+        assert np.max(np.abs(sigmas[1] - sigmas[0])) <= 1e-14 * sigmas[0][0]
+
+    def test_large_diagonal_a_needs_no_dense_copy(self, tmp_path):
+        # a dense copy of A would take 80 GB; each command's whole process stays below 1 GB
+        n = 100_000
+        a_path = _write_mtx(tmp_path / "a.mtx", scipy.sparse.diags(np.geomspace(1.0, 1e-3, n)), "coordinate")
+        b_path = _write_mtx(tmp_path / "b.mtx", scipy.sparse.eye(n), "coordinate")
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from randghep.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        for argv in (["solve", "--A", a_path, "--B", b_path, "--k", "5", "--p", "5"],
+                     ["estimate", "--A", a_path, "--B", b_path, "--k", "5"],
+                     ["gsvd", "--A", a_path, "--S", b_path, "--T", b_path, "--k", "5"]):
+            proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / argv[0])],
+                                  env=_child_env(dict(os.environ)), capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            exit_code, maxrss_kb = map(int, proc.stdout.splitlines()[-1].split())
+            assert exit_code == 0, proc.stderr[-2000:]
+            assert maxrss_kb <= 1 << 20, argv
+
+    @pytest.mark.parametrize("command", [["solve"], ["estimate"], ["estimate", "--grow", "--tol", "1e9"]])
+    def test_oracle_above_cap_exits_2_before_any_apply(self, tmp_path, monkeypatch, command):
+        n = rg.kle.ORACLE_MAX_N + 1
+        a_path = _write_mtx(tmp_path / "a.mtx", scipy.sparse.eye(n), "coordinate")
+        applied = []
+        apply = rg.LinearMap.apply
+
+        def spy(op, X):
+            applied.append(X)
+            return apply(op, X)
+
+        monkeypatch.setattr(rg.LinearMap, "apply", spy)
+        out = tmp_path / "run"
+        assert main([command[0], "--A", a_path, "--k", "5", "--oracle", *command[1:], "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        assert applied == []
 
 
 class TestIdentityWeights:

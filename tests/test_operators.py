@@ -15,7 +15,7 @@ from randghep.operators import (
     NumericalError,
     UnsupportedFieldError,
     check_symmetric,
-    read_matrix_market,
+    sparse_operator,
 )
 
 from conftest import traced_memory
@@ -31,14 +31,14 @@ class TestMatrixMarket:
     def test_coordinate_sparse_fill(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3\n")
-        np.testing.assert_array_equal(rg.load_matrix_market(path), [[3.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(rg.load_matrix_market(path).toarray(), [[3.0, 0.0], [0.0, 0.0]])
 
     def test_symmetric_storage_expands(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text(
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1\n2 1 7\n"
         )
-        np.testing.assert_array_equal(rg.load_matrix_market(path), [[1.0, 7.0], [7.0, 0.0]])
+        np.testing.assert_array_equal(rg.load_matrix_market(path).toarray(), [[1.0, 7.0], [7.0, 0.0]])
 
     def test_roundtrip_exact(self, tmp_path):
         # write-then-read oracle: the array format must preserve float64,
@@ -50,9 +50,10 @@ class TestMatrixMarket:
         np.testing.assert_array_equal(rg.load_matrix_market(path), M)
 
     def test_parse_failure_reports_line(self, tmp_path):
+        # the line number is scipy's own, in its wording
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nfoo\n2\n5\n")
-        with pytest.raises(MatrixFormatError, match="line 4"):
+        with pytest.raises(MatrixFormatError, match="Line 4"):
             rg.load_matrix_market(path)
 
     def test_empty_coordinate_file_rejected(self, tmp_path):
@@ -84,29 +85,31 @@ class TestMatrixMarket:
         coo, arr = tmp_path / "c.mtx", tmp_path / "a.mtx"
         coo.write_text("%%MatrixMarket matrix coordinate integer symmetric\n3 3 2\n1 1 4\n3 1 2\n")
         arr.write_text("%%MatrixMarket matrix array real general\n1 2\n1\n2\n")
-        M = read_matrix_market(coo)
+        M = rg.load_matrix_market(coo)
         assert scipy.sparse.issparse(M) and M.format == "csr" and M.dtype == np.float64
-        np.testing.assert_array_equal(M.toarray(), rg.load_matrix_market(coo))
+        np.testing.assert_array_equal(M.toarray(), [[4.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         assert M.nnz == 3
-        A = read_matrix_market(arr)
+        A = rg.load_matrix_market(arr)
         assert isinstance(A, np.ndarray) and A.dtype == np.float64
         np.testing.assert_array_equal(A, [[1.0, 2.0]])
 
     @pytest.mark.parametrize("body, match", [
         ("coordinate real general\n2 2 2\n1 1 1\n2 1 nan\n", "non-finite"),
-        ("coordinate real general\n2 2 2\n1 1 1\n2 1 foo\n", "line 4"),
+        ("coordinate real general\n2 2 2\n1 1 1\n2 1 foo\n", "Line 4"),
+        ("coordinate real general\n2 2 2\n1 1 1\nx 1 3\n", "Line 4"),
+        ("coordinate real general\n2 2 2\n1 1 1\n3 1 3\n", "Line 4"),
         ("coordinate real general\n0 0 0\n", "empty"),
         ("coordinate complex general\n1 1 1\n1 1 1 2\n", "complex"),
         ("coordinate pattern general\n1 1 1\n1 1\n", "pattern"),
         # duplicate entries are summed before the check
         ("coordinate real general\n1 1 2\n1 1 1e308\n1 1 1e308\n", "non-finite"),
-    ], ids=["nan", "parse", "empty", "complex", "pattern", "overflowing-duplicates"])
+    ], ids=["nan", "parse", "parse-index", "index-out-of-range", "empty", "complex", "pattern",
+            "overflowing-duplicates"])
     def test_sparse_read_validates_as_the_dense_load(self, tmp_path, body, match):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix " + body)
-        for read in (read_matrix_market, rg.load_matrix_market):
-            with pytest.raises(MatrixFormatError, match=match):
-                read(path)
+        with pytest.raises(MatrixFormatError, match=match):
+            rg.load_matrix_market(path)
 
 
 class TestDenseSpd:
@@ -392,6 +395,19 @@ class TestDenseBackendsWrapInPlace:
         A = rg.dense_operator(M)
         assert M.flags.writeable
         np.testing.assert_array_equal(A.apply(np.ones(3)), np.ones(3))
+
+    def test_sparse_operator_adopts_and_freezes(self):
+        M = scipy.sparse.random(300, 200, density=0.05, format="csr", random_state=4)
+        A, held = _held_bytes(sparse_operator, M)
+        assert not (M.data.flags.writeable or M.indices.flags.writeable or M.indptr.flags.writeable)
+        assert held < M.data.nbytes / 2
+        X, Y = np.ones((200, 2)), np.ones((300, 3))
+        np.testing.assert_array_equal(A.apply(X), M @ X)
+        np.testing.assert_array_equal(A.apply_transpose(Y), M.T @ Y)
+        assert A.matvec_count == 5
+        C = scipy.sparse.eye(4, dtype=int, format="coo")
+        np.testing.assert_array_equal(sparse_operator(C).apply(np.ones(4)), np.ones(4))
+        assert C.data.flags.writeable
 
 
 class TestLinearMap:

@@ -18,6 +18,9 @@ bounds scale by 2^(s - t).  The singular values of A under the weights
 - At 2^+-520 and 2^+-900, of A or of B, a run either stops with exit 2 or 3
   and writes no report, or it exits 0.  Then each scaled value is within
   1e-13 of the unscaled one's, and under ``--oracle`` e >= f.
+- At 2^-1040 of A every entry is subnormal and has lost digits.  Every
+  command exits 0, its eigenvalues and singular values are within 1e-6 of
+  the unscaled ones, and e >= f.
 - No run raises a RuntimeWarning.
 
 MGS and MGS-R, which ``qr-bench`` and Nystrom's second QR run, are checked
@@ -214,3 +217,19 @@ def test_posterior_estimate(s, t):
 def test_eigenpair_bounds_past_the_square_of_the_largest_double():
     # 4 eps (eps / delta): eps^2 = 2^1200 is no double
     assert errors.eigenpair_bounds(2.0**600, 2.0**601) == (2.0**601, 1.0)
+
+
+def test_subnormal_a(runs):
+    # every entry of A 2^-1040 is subnormal and has lost low digits: each
+    # command still runs without a warning, its values agree to those digits,
+    # and e, itself subnormal, still bounds the range error
+    base = runs(0, 0)
+    for name, ((code, outputs), scale) in runs(-1040, 0).items():
+        assert code == 0, name
+        (_, base_outputs), _ = base[name]
+        for path, (field, value) in outputs.items():
+            expected = base_outputs[path][1]
+            if field in ("eigenvalues", "singular_values"):
+                assert value == pytest.approx(math.ldexp(expected, scale), rel=1e-6, abs=0.0), (name, path)
+        if "range_error_exact" in outputs and name.startswith("estimate"):
+            assert outputs["e"][1] >= outputs["range_error_exact"][1], name
